@@ -8,9 +8,7 @@ of 1 with oracle residuals), diagnose (cyclicity distance table), and kernel
 Output is deterministic: identical jobs produce byte-identical JSON (fixed
 field order, shortest round-trip floats) and CSV uses 17 significant digits.
 Data goes to stdout (or --out); diagnostics go to stderr.  Complex numbers
-serialize as two-element [re, im] arrays everywhere.  OPA_THREADS caps
-parallelism; evaluation is sequential (the cap's minimum) for exact
-reproducibility.
+serialize as two-element [re, im] arrays everywhere.
 
 Exit codes: 0 success, 1 usage or unsupported request, 2 orthogonal data
 (<g, f> = 0), 3 solver failure, 4 undecidable zero classification.
@@ -20,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -351,13 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = os.environ.get("OPA_THREADS", "1")
-    try:
-        if int(threads) < 1:
-            raise ValueError
-    except ValueError:
-        print(f"opa: invalid OPA_THREADS={threads!r}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         job = parse_job(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

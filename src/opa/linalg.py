@@ -1,8 +1,8 @@
 """Dense Hermitian positive-definite solver and complex polynomial roots.
 
-Both algorithms are implemented in-house: the systems involved are tiny
-(tens of unknowns, degrees up to ~12) and deterministic, portable behavior
-matters more than peak performance.  All functions are pure and reentrant.
+Both algorithms are implemented in-house: the systems are small (n_max + 1
+unknowns, degrees up to ~12) and deterministic, portable behavior matters
+more than peak performance.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -24,8 +24,11 @@ def check_hermitian(matrix: np.ndarray, rtol: float = _HERM_RTOL) -> np.ndarray:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.conj().T)) > rtol * scale:
+    # row by row, so that no temporary is as large as the matrix
+    rows = range(a.shape[0])
+    scale = max([1.0] + [float(np.max(np.abs(a[i]))) for i in rows])
+    dev = max([0.0] + [float(np.max(np.abs(a[i, i:] - np.conj(a[i:, i])))) for i in rows])
+    if dev > rtol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 
@@ -40,16 +43,14 @@ def cholesky_factor(matrix: np.ndarray) -> np.ndarray:
     a = check_hermitian(matrix)
     n = a.shape[0]
     L = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i):
-            s = a[i, j] - np.dot(L[i, :j], np.conj(L[j, :j]))
-            L[i, j] = s / L[j, j]
-        d = (a[i, i] - np.dot(L[i, :i], np.conj(L[i, :i]))).real
+    for j in range(n):
+        d = (a[j, j] - np.vdot(L[j, :j], L[j, :j])).real
         if d <= _PIVOT_TOL:
             raise NotPositiveDefiniteError(
-                f"pivot {d:.3g} at index {i} is not positive"
+                f"pivot {d:.3g} at index {j} is not positive"
             )
-        L[i, i] = math.sqrt(d)
+        L[j, j] = math.sqrt(d)
+        L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ np.conj(L[j, :j])) / L[j, j]
     return L
 
 

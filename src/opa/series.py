@@ -199,6 +199,8 @@ def power_tail_bound(M: float, q: float, gamma: float, N: int) -> float:
     # absorb the polynomial factor into a slightly larger ratio
     qhat = 0.5 * (1.0 + q)
     t = q / qhat
+    if qhat >= 1.0 or t >= 1.0:
+        raise CannotCertifyError(f"tail ratio {q!r} cannot be separated from 1")
     kstar = gamma / math.log(1.0 / t) - 1.0
     cands = {0, max(0, math.floor(kstar)), max(0, math.ceil(kstar))}
     C = max((k + 1.0) ** gamma * t**k for k in cands)

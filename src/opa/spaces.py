@@ -324,32 +324,43 @@ def inner_series(
     if space.kind == "multiplier":
         return inner_series(_H2, a.mul_poly(space.m), b.mul_poly(space.m), eps)
     L = min(len(a), len(b))
-    Lmax = max(len(a), len(b))
     w = space.weights(L)
     value = complex(np.sum(w * a.coeffs[:L] * np.conj(b.coeffs[:L])))
     rounding = 1e-16 * float(np.sum(np.abs(w * a.coeffs[:L] * b.coeffs[:L])))
+    err = series_tail_bound(space, a, b) + rounding
+    require_certified(err, eps)
+    return Certified(value, err)
 
-    def bound_at(s: TruncSeries, k: int) -> float:
-        return abs(s.coeffs[k]) if k < len(s) else s.envelope_at(k)
 
-    # indices where one prefix has ended but the other is still stored
-    tail = 0.0
-    if (a.tail_M > 0.0 or len(a) > L) and (b.tail_M > 0.0 or len(b) > L):
-        for k in range(L, Lmax):
-            tail += space.weight(k) * bound_at(a, k) * bound_at(b, k)
-    # indices beyond both prefixes: pure envelope tail
-    if a.tail_M > 0.0 and b.tail_M > 0.0:
-        W, g, rho = space.tail_weight_majorant(Lmax)
-        q = a.tail_r * b.tail_r * rho
-        gamma = a.tail_gamma + b.tail_gamma + g
-        tail += power_tail_bound(a.tail_M * b.tail_M * W, q, gamma, Lmax - 1)
-    err = tail + rounding
+def require_certified(err: float, eps: float) -> None:
     if err > eps:
         raise CannotCertifyError(
             f"certified error {err:.3g} exceeds eps={eps:.3g}; "
             "store longer prefixes for these series"
         )
-    return Certified(value, err)
+
+
+def series_tail_bound(space: WeightSequence, a, b) -> float:
+    """Certified bound on the part of <a, b> that the stored prefixes miss:
+    where only the shorter one has ended (its envelope against the longer
+    one's coefficients) and beyond both (envelopes summed in closed form)."""
+    a = _coerce_series(a)
+    b = _coerce_series(b)
+    if space.kind == "multiplier":
+        return series_tail_bound(_H2, a.mul_poly(space.m), b.mul_poly(space.m))
+    short, long_ = (a, b) if len(a) <= len(b) else (b, a)
+    L, Lmax = len(short), len(long_)
+    tail = 0.0
+    if short.tail_M > 0.0 and Lmax > L:
+        ks = np.arange(L, Lmax)
+        env = short.tail_M * short.tail_r**ks * (ks + 1.0) ** short.tail_gamma
+        tail += float(np.sum(space.weights(Lmax)[L:] * np.abs(long_.coeffs[L:]) * env))
+    if a.tail_M > 0.0 and b.tail_M > 0.0:
+        W, g, rho = space.tail_weight_majorant(Lmax)
+        q = a.tail_r * b.tail_r * rho
+        gamma = a.tail_gamma + b.tail_gamma + g
+        tail += power_tail_bound(a.tail_M * b.tail_M * W, q, gamma, Lmax - 1)
+    return tail
 
 
 def inner_any(space: WeightSequence, a, b, eps: float = 1e-12) -> Certified:

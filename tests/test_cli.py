@@ -312,16 +312,6 @@ def test_space_descriptor_from_file(tmp_path, capsys):
     assert float(out.strip().splitlines()[1].split(",")[1]) == pytest.approx(2 / 3)
 
 
-def test_opa_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("OPA_THREADS", "zero")
-    code, _, err = run(capsys, ["approximate", "--space", H2_DESC, "--f", "[[1,0]]"])
-    assert code == EXIT_USAGE
-    assert "OPA_THREADS" in err
-    monkeypatch.setenv("OPA_THREADS", "4")
-    code, _, _ = run(capsys, ["approximate", "--space", H2_DESC, "--f", "[[1,0]]"])
-    assert code == EXIT_OK
-
-
 def test_stabilize_report(capsys):
     code, out, _ = run(
         capsys,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from opa.errors import OrthogonalDataError
+from opa.errors import CannotCertifyError, OrthogonalDataError
 from opa.engine import (
     approximant_sweep,
     build_system,
@@ -16,8 +16,8 @@ from opa.engine import (
     stabilization_dossier,
     taylor_residuals,
 )
-from opa.series import CPoly, blaschke_factor, geometric_series, series_mul
-from opa.spaces import KernelSpec, WeightSequence, kernel_series
+from opa.series import CPoly, blaschke_factor, blaschke_product, geometric_series, series_mul
+from opa.spaces import KernelSpec, WeightSequence, inner_any, kernel_series
 
 H2 = WeightSequence.dirichlet(0.0)
 D1 = WeightSequence.dirichlet(1.0)
@@ -52,6 +52,65 @@ def test_build_system_constant_f_is_diagonal():
         system = build_system(space, ONE, ONE, 3)
         assert np.allclose(system.matrix, np.diag(space.weights(4)))
         assert np.allclose(system.rhs, [1, 0, 0, 0])
+
+
+def reference_system(space, f, g, n, eps):
+    """The Gram system pair by pair: G[k, j] = <z^j f, z^k f>, rhs[k] = <g, z^k f>."""
+    G = np.zeros((n + 1, n + 1), dtype=complex)
+    rhs = np.zeros(n + 1, dtype=complex)
+    err = 0.0
+    for k in range(n + 1):
+        for j in range(k, n + 1):
+            c = inner_any(space, f.shift(j), f.shift(k), eps)
+            G[k, j], G[j, k] = c.value, np.conj(c.value)
+            err = max(err, c.err)
+        r = inner_any(space, g, f.shift(k), eps)
+        rhs[k] = r.value
+        err = max(err, r.err)
+    return G, rhs, err
+
+
+def _series_f(length):
+    # a Blaschke product times 1/(1 - c z), both stored to the same length
+    b = blaschke_product([0.5, -0.3 + 0.4j], length=length)
+    return series_mul(b, geometric_series(0.4 - 0.2j, length=length))
+
+
+def test_build_system_matches_pairwise_reference():
+    quot = WeightSequence.multiplier(CPoly([1, -0.5 + 0.2j]))
+    custom = WeightSequence.custom([1.0, 1.4, 1.5, 1.45])
+    f = CPoly([0.7, -1.1 + 0.3j, 0.4, 0.2j])
+    g = CPoly([1.0, 0.5j, -0.25])
+    # short enough that the certified tails, not rounding, set entry_err
+    series = _series_f(80)
+    cases = [(space, f, g, 14) for space in (H2, D1, custom, quot)]
+    cases += [(space, series, ONE, 10) for space in (H2, quot)]
+    cases += [(H2, f, series, 10), (quot, series, g, 8)]
+    for space, ff, gg, n in cases:
+        G, rhs, err = reference_system(space, ff, gg, n, 1e-9)
+        system = build_system(space, ff, gg, n, 1e-9)
+        assert np.max(np.abs(system.matrix - G)) <= 1e-14 * np.max(np.abs(G))
+        assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+        assert abs(system.entry_err - err) <= 1e-12 * err
+
+
+def test_build_system_refuses_short_prefixes_like_reference():
+    quot = WeightSequence.multiplier(CPoly([1, -0.5]))
+    outcomes = []
+    for space in (H2, quot):
+        for length in (40, 60, 80, 120):
+            f = _series_f(length)
+            for eps in (1e-12, 1e-9):
+                raised = []
+                for build in (reference_system, build_system):
+                    try:
+                        build(space, f, ONE, 6, eps)
+                        raised.append(False)
+                    except CannotCertifyError:
+                        raised.append(True)
+                assert raised[0] == raised[1], (space, length, eps)
+                outcomes.append(raised[0])
+    assert any(outcomes) and not all(outcomes)
 
 
 def test_build_system_rejects_orthogonal_data():
@@ -94,13 +153,18 @@ def test_sweep_matches_independent_solves():
 
 
 def test_sweep_distance_closed_form_and_monotone():
+    sweeps = []
     for alpha in (0.0, 1.0, 2.0):
         space = WeightSequence.dirichlet(alpha)
         sweep = approximant_sweep(space, CPoly([1, -1]), ONE, 12)
         for r in sweep:
             assert abs(r.distance_sq - closed_form_dist_sq(alpha, r.n)) < 1e-11
+        sweeps.append(sweep)
+    # nested subspaces: dist^2 never rises, not even by a rounding error
+    sweeps.append(approximant_sweep(WeightSequence.dirichlet(-1.0), CPoly([0.3, -1.1, 1]), ONE, 40))
+    for sweep in sweeps:
         dists = [r.distance_sq for r in sweep]
-        assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
+        assert all(b <= a for a, b in zip(dists, dists[1:]))
 
 
 def test_orthogonality_residuals_random_complex_data():
@@ -330,3 +394,29 @@ def test_taylor_residuals_grow_while_optimal_shrinks():
         assert taylor[n] > np.sqrt(sweep[n].distance_sq)
     assert taylor[-1] > taylor[0]
     assert sweep[-1].distance_sq < sweep[0].distance_sq
+
+
+# -- tracer contract -------------------------------------------------------------------
+
+
+def test_traced_names_stay_bound():
+    # perfbench/spans.py patches opa functions at the names their callers look
+    # up, and raises AttributeError when one of them is gone
+    import importlib.util
+    from pathlib import Path
+
+    import opa
+    import opa.cli  # noqa: F401
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("opa_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    original = opa.engine.build_system
+    tracer = spans.Tracer()
+    try:
+        tracer.install(opa)
+        assert opa.engine.build_system is not original
+    finally:
+        tracer.uninstall()
+    assert opa.engine.build_system is original

@@ -1,9 +1,12 @@
 """Polynomial arithmetic and certified truncated series."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from opa.errors import CannotCertifyError, EnvelopeOverflowError
+from opa.projection import blaschke_projection
 from opa.series import (
     CPoly,
     TruncSeries,
@@ -184,6 +187,21 @@ def test_power_tail_bound_is_an_upper_bound():
     assert brute <= bound <= brute * 1.05
     with pytest.raises(CannotCertifyError):
         power_tail_bound(1.0, 1.0, -0.5, 10)
+
+
+def test_ratio_inseparable_from_one_raises_typed_error():
+    # the ratio just below 1: (1 + q) / 2 rounds to 1, so no geometric bound
+    # with polynomial growth can be formed, in Python or NumPy floats alike
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (1 - 1e-16, np.nextafter(1.0, 0.0)):
+            with pytest.raises(CannotCertifyError):
+                power_tail_bound(1.0, q, 1.0, 10)
+        with pytest.raises(CannotCertifyError):
+            blaschke_product([0.9999999999999999])
+        b = 1 - 1e-16
+        with pytest.raises(CannotCertifyError):
+            blaschke_projection(CPoly([b * b, -2 * b, 1]))
 
 
 def test_needed_length_meets_eps():
