@@ -5,8 +5,11 @@ Subcommands: approximate (sweep of optimal approximants), stabilize
 of 1 with oracle residuals), diagnose (cyclicity distance table), and kernel
 (kernel series coefficients).
 
-Output is deterministic: identical jobs produce byte-identical JSON (fixed
-field order, shortest round-trip floats) and CSV uses 17 significant digits.
+Output is deterministic: identical jobs produce byte-identical text.  JSON
+is exactly ``json.dumps(payload, indent=2)`` plus a newline (fixed field order,
+shortest round-trip floats, ``Infinity``/``NaN`` for non-finite values); every
+CSV float cell is ``"%.17g" % x``.  One bulk writer produces both: complex
+coefficient arrays are formatted as whole blocks instead of value by value.
 Data goes to stdout (or --out); diagnostics go to stderr.  Complex numbers
 serialize as two-element [re, im] arrays everywhere.
 
@@ -20,6 +23,8 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .engine import (
     approximant_sweep,
@@ -65,16 +70,25 @@ class JobSpec:
         return {
             "command": self.command,
             "space": self.space.to_descriptor(),
-            "f": _coeffs_out(self.f),
-            "g": _coeffs_out(self.g),
+            "f": self.f.coeffs.view(float).reshape(-1, 2).tolist(),
+            "g": self.g.coeffs.view(float).reshape(-1, 2).tolist(),
             "n_max": self.n_max,
             "eps": self.eps,
             "format": self.fmt,
         }
 
 
-def _coeffs_out(p: CPoly) -> list:
-    return [[float(c.real), float(c.imag)] for c in p.coeffs]
+def _is_real(x) -> bool:
+    """A JSON number that is a finite double (JSON true/false are not numbers;
+    the exact comparison also refuses NaN, infinities and oversized ints)."""
+    return type(x) in (int, float) and -sys.float_info.max <= x <= sys.float_info.max
+
+
+def _complex_pair(item, what: str) -> complex:
+    """A JSON [re, im] pair of finite real numbers as a complex number."""
+    if isinstance(item, list) and len(item) == 2 and all(map(_is_real, item)):
+        return complex(item[0], item[1])
+    raise ValueError(f"bad {what}: {item!r}")
 
 
 def parse_coeffs(text: str) -> CPoly:
@@ -84,12 +98,9 @@ def parse_coeffs(text: str) -> CPoly:
         raise ValueError("coefficients must be a non-empty JSON array")
     coeffs = []
     for item in data:
-        if isinstance(item, (int, float)):
-            coeffs.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
-            coeffs.append(complex(item[0], item[1]))
-        else:
-            raise ValueError(f"bad coefficient entry: {item!r}")
+        if _is_real(item):
+            item = [item, 0]
+        coeffs.append(_complex_pair(item, "coefficient entry"))
     return CPoly(coeffs)
 
 
@@ -115,14 +126,12 @@ def parse_job(args: argparse.Namespace) -> JobSpec:
         eps=getattr(args, "eps", 1e-9),
         fmt=getattr(args, "format", "json"),
         taylor=getattr(args, "taylor", False),
-        beta=complex(*json.loads(args.beta)) if getattr(args, "beta", None) else 0j,
+        beta=_complex_pair(json.loads(args.beta), "beta (want [re, im])")
+        if getattr(args, "beta", None)
+        else 0j,
         order=getattr(args, "order", 0),
         flavor=getattr(args, "flavor", "kernel_for_derivatives"),
     )
-
-
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _emit(text: str, out_path: str | None):
@@ -133,8 +142,82 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+# ---------------------------------------------------------------------------
+# bulk writers
+# ---------------------------------------------------------------------------
+
+_encode_str = json.encoder.encode_basestring_ascii
+_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+_SCALARS = {
+    float: _float_text,
+    int: int.__repr__,
+    str: _encode_str,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _complex_block(z: np.ndarray, pad: str) -> str:
+    """A contiguous 1-D complex array as json's indented [[re, im], ...] text,
+    in one format."""
+    if not z.size:
+        return "[]"
+    inner = pad + "  "
+    pair = f"[{inner}  %s,{inner}  %s{inner}]"
+    texts = list(map(float.__repr__, z.view(float).tolist()))
+    if not np.isfinite(z).all():
+        texts = [_NONFINITE.get(t, t) for t in texts]
+    template = "[" + inner + ("," + inner).join([pair] * z.size) + pad + "]"
+    return template % tuple(texts)
+
+
+def _json_text(obj, pad: str) -> str:
+    """obj as json's indent=2 text; pad is the newline and indent of its line."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, np.ndarray):
+        return _complex_block(obj, pad)
+    inner = pad + "  "
+    # the rest (numpy floats, containers) in json's order of checks
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = ("," + inner).join([_json_text(v, inner) for v in obj])
+        return f"[{inner}{body}{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = ("," + inner).join(
+            [f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        )
+        return f"{{{inner}{body}{pad}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, where a numpy array stands for
+    the list of its [re, im] pairs."""
+    return _json_text(obj, "\n") + "\n"
+
+
+def _csv(header: list, rows) -> str:
+    """A label column (``str``) and ``len(header) - 1`` float columns (``%.17g``)."""
+    row_format = "%s" + ",%.17g" * (len(header) - 1)
+    return "\n".join([",".join(header)] + [row_format % row for row in rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -154,22 +237,19 @@ def cmd_approximate(job: JobSpec) -> tuple[str, int]:
             header.append("taylor_residual")
         for k in range(width):
             header += [f"coeff_{k}_re", f"coeff_{k}_im"]
-        lines = [",".join(header)]
-        for r in results:
-            row = [str(r.n), _fmt17(r.distance_sq)]
-            if taylor is not None:
-                row.append(_fmt17(taylor[r.n]))
-            padded = r.p_star.padded(width)
-            for c in padded:
-                row += [_fmt17(c.real), _fmt17(c.imag)]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n", EXIT_OK
+        rows = (
+            (r.n, r.distance_sq)
+            + (() if taylor is None else (taylor[r.n],))
+            + tuple(r.p_star.padded(width).view(float).tolist())
+            for r in results
+        )
+        return _csv(header, rows), EXIT_OK
     rows = []
     for r in results:
         row = {
             "n": r.n,
             "dist_sq": r.distance_sq,
-            "coeffs": _coeffs_out(r.p_star),
+            "coeffs": r.p_star.coeffs,
         }
         if taylor is not None:
             row["taylor_residual"] = taylor[r.n]
@@ -188,9 +268,9 @@ def cmd_stabilize(job: JobSpec) -> tuple[str, int]:
         "stabilized": report.stabilized,
         "M": report.M,
         "certificate": report.certificate,
-        "p_M": _coeffs_out(report.p_M) if report.p_M is not None else None,
+        "p_M": report.p_M.coeffs if report.p_M is not None else None,
         "rows": [
-            {"n": r.n, "dist_sq": r.distance_sq, "coeffs": _coeffs_out(r.p_star)}
+            {"n": r.n, "dist_sq": r.distance_sq, "coeffs": r.p_star.coeffs}
             for r in report.sweep
         ],
     }
@@ -250,10 +330,7 @@ def cmd_diagnose(job: JobSpec) -> tuple[str, int]:
         job.space, job.f, n_max=job.n_max, reference_dist_sq=reference
     )
     if job.fmt == "csv":
-        lines = ["n,dist_sq"]
-        for n, dist, _ in diag.rows:
-            lines.append(f"{n},{_fmt17(dist)}")
-        return "\n".join(lines) + "\n", EXIT_OK
+        return _csv(["n", "dist_sq"], ((n, d) for n, d, _ in diag.rows)), EXIT_OK
     payload = {
         "job": job.to_dict(),
         "rows": [
@@ -271,16 +348,15 @@ def cmd_kernel(job: JobSpec) -> tuple[str, int]:
     spec = KernelSpec(job.beta, job.order, job.flavor)
     series = kernel_series(job.space, spec, eps=job.eps)
     if job.fmt == "csv":
-        lines = ["k,re,im"]
-        for k, c in enumerate(series.coeffs):
-            lines.append(f"{k},{_fmt17(c.real)},{_fmt17(c.imag)}")
-        return "\n".join(lines) + "\n", EXIT_OK
+        pairs = series.coeffs.view(float).reshape(-1, 2).tolist()
+        rows = ((k, re, im) for k, (re, im) in enumerate(pairs))
+        return _csv(["k", "re", "im"], rows), EXIT_OK
     payload = {
         "space": job.space.to_descriptor(),
         "beta": [job.beta.real, job.beta.imag],
         "order": job.order,
         "flavor": job.flavor,
-        "coeffs": [[c.real, c.imag] for c in series.coeffs],
+        "coeffs": series.coeffs,
         "envelope": {
             "M": series.tail_M,
             "r": series.tail_r,

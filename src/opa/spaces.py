@@ -110,7 +110,7 @@ class WeightSequence:
             arr = np.asarray(prefix, dtype=float)
             if arr.ndim != 1 or arr.size < 2:
                 raise ValueError("custom weights need a prefix of length >= 2")
-            if np.any(arr <= 0):
+            if not np.all(arr > 0):  # also refuses NaN
                 raise ValueError("weights must be positive")
             if abs(arr[0] - 1.0) > 1e-12:
                 raise ValueError("w_0 must equal 1")
@@ -256,7 +256,12 @@ class WeightSequence:
 
     @staticmethod
     def from_descriptor(desc: dict) -> "WeightSequence":
+        if not isinstance(desc, dict):
+            raise ValueError("space descriptor must be a JSON object")
         kind = desc.get("kind")
+        required = {"dirichlet": "alpha", "custom": "weights", "multiplier": "m"}
+        if kind in required and required[kind] not in desc:
+            raise ValueError(f"{kind} space descriptor needs {required[kind]!r}")
         if kind == "dirichlet":
             return WeightSequence.dirichlet(desc["alpha"])
         if kind == "custom":

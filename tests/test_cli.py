@@ -1,10 +1,12 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from opa import cli
 from opa.cli import (
     EXIT_OK,
     EXIT_ORTHOGONAL,
@@ -100,6 +102,63 @@ def test_json_output_deterministic(capsys):
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2  # byte-identical
+
+    # the byte contract: JSON is json.dumps(payload, indent=2) plus a newline
+    # and every CSV float cell is %.17g
+    def json_out(argv):
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+        return json.loads(out)
+
+    def csv_out(argv):
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert code == EXIT_OK
+        for line in out.splitlines()[1:]:
+            for cell in line.split(",")[1:]:
+                assert cell == format(float(cell), ".17g")
+
+    taylor = ["approximate", "--space", D1_DESC, "--f", "[[1,0],[-0.5,0.25]]", "--n-max", "6", "--taylor"]
+    assert "taylor_residual" in json_out(taylor)["rows"][0]
+    csv_out(taylor)
+    stabilize = json_out(["stabilize", "--space", H2_DESC, "--f", "[[2,0]]", "--n-max", "4"])
+    assert math.inf in [c["value"] for c in stabilize["dossier"]["checks"]]
+    json_out(["project", "--space", H2_DESC, "--f", "[[-0.5,0],[1,0]]", "--n-max", "10"])
+    diagnose = ["diagnose", "--space", H2_DESC, "--f", "[[-0.5,0],[1,0]]", "--n-max", "10"]
+    json_out(diagnose)
+    csv_out(diagnose)
+    kernel = ["kernel", "--space", D2_DESC, "--beta", "[0.3,0.4]", "--order", "1"]
+    json_out(kernel)
+    csv_out(kernel)
+
+
+def test_json_writer_matches_json_module():
+    def as_lists(obj):
+        if isinstance(obj, np.ndarray):
+            return [[float(c.real), float(c.imag)] for c in obj]
+        if isinstance(obj, dict):
+            return {k: as_lists(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [as_lists(v) for v in obj]
+        return obj
+
+    payload = {
+        "floats": [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300, 0.1, np.float64(1 / 3)],
+        "ints": [0, -7, 10**40],
+        "literals": [True, False, None],
+        "empty": [[], {}, ()],
+        "nested": (1, (2.5, ("x", {"k": ()})), [[[]]]),
+        "strings": ["é", 'a"b\n', ""],
+        "é": {"a\"b\n": 1},
+        "complex": [
+            np.zeros(0, dtype=complex),
+            np.array([1.5 - 0.0j]),
+            np.array([0.1 + 0.2j, complex(math.inf, -0.0), complex(math.nan, -math.inf)]),
+        ],
+        "coeffs": CPoly([1, -0.5j, 1e-300]).coeffs,
+    }
+    assert cli._json_dump(payload) == json.dumps(as_lists(payload), indent=2) + "\n"
+    assert cli._json_dump([]) == "[]\n"
 
 
 def test_project_report(capsys):
@@ -197,6 +256,28 @@ def test_exit_code_usage_on_bad_json(capsys):
     code, _, err = run(capsys, ["approximate", "--space", "{bad", "--f", "[[1,0]]"])
     assert code == EXIT_USAGE
     assert err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--space", H2_DESC, "--beta", "5"],
+        ["kernel", "--space", H2_DESC, "--beta", "[1,2,3]"],
+        ["approximate", "--space", H2_DESC, "--f", "[[1,null]]"],
+        ["approximate", "--space", H2_DESC, "--f", '[[1,"x"]]'],
+        ["approximate", "--space", '{"kind":"dirichlet"}', "--f", "[[1,0]]"],
+        # non-finite data would give NaN rows under exit code 0
+        ["approximate", "--space", H2_DESC, "--f", "[[1,0],[NaN,0]]"],
+        ["approximate", "--space", H2_DESC, "--f", "[1, 1e400]"],
+        ["approximate", "--space", '{"kind":"custom","weights":[1,null]}', "--f", "[[1,0]]"],
+    ],
+)
+def test_malformed_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("opa: bad job:")
+    assert "Traceback" not in err
 
 
 def test_exit_code_solver_failure(capsys):
