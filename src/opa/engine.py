@@ -7,7 +7,8 @@ rhs[k] = <g, z^k f>.  The spans of {z^k f : k <= n} are nested, so a sweep
 factors G once and reads every degree, with its squared distance
 ||p_n* f - g||^2 (non-increasing in n), from that one Cholesky factor.
 
-On top of the sweeps this module certifies structural properties:
+On top of the sweeps this module certifies structural properties, each
+reading <h, z^k f> for all its k from one call of spaces.shift_products:
 
 * inner elements (<f, z^j f> = delta_{j0});
 * membership in the orthocomplement of the shifted invariant subspace
@@ -30,11 +31,12 @@ import numpy as np
 
 from .errors import CannotCertifyError, OrthogonalDataError
 from .linalg import cholesky_factor, forward_substitute, poly_roots
-from .series import CPoly, TruncSeries
-from .spaces import WeightSequence, inner_any, norm_sq_any, require_certified, series_tail_bound
+from .series import CPoly, TruncSeries, poly_geometric_sup, power_tail_bound
+from .spaces import WeightSequence, norm_sq_any, require_certified, shift_products
 
 # unused here, but bound for perfbench/spans.py, which traces them by these names
 from .linalg import cholesky_border, solve_factored  # noqa: F401
+from .spaces import inner_any  # noqa: F401
 
 _ERR_FLOOR = 1e-12
 
@@ -194,24 +196,20 @@ def build_system(
     rhs_err = 1e-16 * (1.0 + np.abs(rhs))
     series_err = None
     if not (isinstance(f, CPoly) and isinstance(g, CPoly)):
-        # entries with a stored series in them, columns j >= first: rounding
-        # plus certified tail, as inner_series bounds them
-        first = size if isinstance(f, CPoly) else 0
-        rows = [f.shift(k) for k in range(size)] + [g]
-        series_err = 1e-16 * (np.abs(Fw) @ np.abs(A[first:]).T)
-        for k in range(size):
-            for j in range(max(k, first), size + 1):
-                series_err[k, j - first] += series_tail_bound(space, rows[j], rows[k])
-        rhs_err = series_err[:, -1]
+        # entries with a stored series in them carry the error shift_products
+        # certifies: rhs[k] = <g, z^k f>, and G's column j is <z^j f, z^k f>
+        rhs_err = shift_products(space, g, f, n)[1]
+        series_err = float(np.max(rhs_err))
+        if not isinstance(f, CPoly):
+            G_err = max(float(np.max(shift_products(space, f.shift(j), f, j)[1])) for j in range(size))
+            series_err = max(series_err, G_err)
         require_certified(rhs_err[0], entry_eps)
-        if first == 0:
-            G_err = float(np.max(series_err[:, :-1]))
     if abs(rhs[0]) <= rhs_err[0] + _ERR_FLOOR:
         raise OrthogonalDataError(
             f"<g, f> = {rhs[0]:.3g} is zero within certified error {rhs_err[0]:.3g}"
         )
     if series_err is not None:
-        require_certified(float(np.max(series_err)), entry_eps)
+        require_certified(series_err, entry_eps)
     return GramSystem(space, f, g, n, G, rhs, max(G_err, float(np.max(rhs_err))))
 
 
@@ -255,12 +253,19 @@ def optimal_approximant(
 def orthogonality_residual(space: WeightSequence, f, g, result: OpaResult) -> float:
     """max_k |<p f - g, z^k f>| over 0 <= k <= n (the optimality conditions)."""
     pf = _mul_poly(f, result.p_star)
-    worst = 0.0
-    for k in range(result.n + 1):
-        c = inner_any(space, pf, f.shift(k), 1e-9)
-        d = inner_any(space, g, f.shift(k), 1e-9)
-        worst = max(worst, abs(c.value - d.value))
-    return worst
+    c, _ = _certified_shifts(space, pf, f, result.n, 1e-9)
+    d, _ = _certified_shifts(space, g, f, result.n, 1e-9)
+    return float(np.max(np.abs(c - d)))
+
+
+def _certified_shifts(space: WeightSequence, h, f, K: int, eps: float, first: int = 0):
+    """<h, z^k f> for k = first..K and their largest error, which must not
+    exceed eps unless h and f are polynomials (exact sums)."""
+    values, errs = shift_products(space, h, f, K)
+    values, err = values[first:], float(np.max(errs[first:]))
+    if not (isinstance(h, CPoly) and isinstance(f, CPoly)):
+        require_certified(err, eps)
+    return values, err
 
 
 # ---------------------------------------------------------------------------
@@ -271,31 +276,18 @@ def orthogonality_residual(space: WeightSequence, f, g, result: OpaResult) -> fl
 def is_inner(
     space: WeightSequence, f, max_shift: int | None = None, eps: float = 1e-10
 ) -> InnerCertificate:
-    """Certify <f, z^j f> = delta_{j0} within eps.
+    """Certify <f, z^j f> = delta_{j0} within eps: the norm, then f against
+    its own shifts (see orthogonal_to_shifts for the range of j checked).
 
     For polynomial f the shifts beyond the (embedded) degree vanish
     identically, so checking j <= deg f yields an exact certificate for all j.
     """
     norm = norm_sq_any(space, f, eps)
-    exact = False
-    if max_shift is None:
-        d = _effective_degree(space, f)
-        if d is not None:
-            max_shift = max(d, 1)
-            exact = True
-        else:
-            max_shift = _series_shift_horizon(space, f, eps)
-    else:
-        d = _effective_degree(space, f)
-        exact = d is not None and max_shift >= max(d, 1)
-    worst = 0.0
-    errs = norm.err
-    for j in range(1, max_shift + 1):
-        c = inner_any(space, f, f.shift(j), eps)
-        worst = max(worst, abs(c.value))
-        errs = max(errs, c.err)
-    ok = abs(norm.value.real - 1.0) <= eps and worst <= eps
-    return InnerCertificate(ok, exact, float(norm.value.real), max_shift, worst, errs)
+    s = orthogonal_to_shifts(space, f, f, eps, max_shift)
+    ok = abs(norm.value.real - 1.0) <= eps and s.orthogonal
+    return InnerCertificate(
+        ok, s.exact, float(norm.value.real), s.shifts_checked, s.max_abs, max(norm.err, s.err)
+    )
 
 
 def _series_shift_horizon(space: WeightSequence, f: TruncSeries, eps: float) -> int:
@@ -312,23 +304,12 @@ def _series_shift_horizon(space: WeightSequence, f: TruncSeries, eps: float) -> 
         raise CannotCertifyError(
             "boundary-envelope series admit no geometric shift horizon"
         )
-    from .series import power_tail_bound
-
     r = f.tail_r if f.tail_M > 0 else 0.0
     rr = 0.5 * (1.0 + r) if r > 0 else 0.5
     # flatten the envelope's polynomial factor into the constant: the
-    # supremum of (t+1)^gamma (r/rr)^t is attained near gamma/log(rr/r)
-    env_flat = 0.0
-    if f.tail_M > 0:
-        gplus = max(f.tail_gamma, 0.0)
-        if gplus == 0.0 or r == 0.0:
-            env_flat = f.tail_M
-        else:
-            tstar = gplus / math.log(rr / r) - 1.0
-            cands = {0, max(0, math.floor(tstar)), max(0, math.ceil(tstar))}
-            env_flat = f.tail_M * max(
-                (t + 1.0) ** gplus * (r / rr) ** t for t in cands
-            )
+    # supremum of (t+1)^gamma (r/rr)^t
+    gplus = max(f.tail_gamma, 0.0)
+    env_flat = f.tail_M * poly_geometric_sup(gplus, r / rr) if r > 0 else f.tail_M
     stored = np.arange(len(f))
     Mhat = max(env_flat, float(np.max(np.abs(f.coeffs) / rr**stored)))
     W, g, rho = space.tail_weight_majorant(0)
@@ -358,19 +339,13 @@ def orthogonal_to_shifts(
     dh = _effective_degree(space, h)
     if k_max is not None:
         kmax = k_max
-        exact = dh is not None and k_max >= max(dh, 1)
-    elif dh is not None:
-        kmax = max(dh, 1)
-        exact = True
     else:
-        kmax = _series_shift_horizon(space, h, eps)
-        exact = False
-    worst = 0.0
-    err = 0.0
-    for k in range(1, kmax + 1):
-        c = inner_any(space, h, f.shift(k), eps)
-        worst = max(worst, abs(c.value))
-        err = max(err, c.err)
+        kmax = max(dh, 1) if dh is not None else _series_shift_horizon(space, h, eps)
+    exact = dh is not None and kmax >= max(dh, 1)
+    worst = err = 0.0
+    if kmax > 0:
+        values, err = _certified_shifts(space, h, f, kmax, eps, first=1)
+        worst = float(np.max(np.abs(values)))
     return ShiftOrthogonality(worst <= eps, worst, kmax, exact, err)
 
 

@@ -45,7 +45,7 @@ def cholesky_factor(matrix: np.ndarray) -> np.ndarray:
     L = np.zeros((n, n), dtype=complex)
     for j in range(n):
         d = (a[j, j] - np.vdot(L[j, :j], L[j, :j])).real
-        if d <= _PIVOT_TOL:
+        if not d > _PIVOT_TOL:  # also refuses NaN
             raise NotPositiveDefiniteError(
                 f"pivot {d:.3g} at index {j} is not positive"
             )
@@ -63,7 +63,7 @@ def cholesky_border(L: np.ndarray, column: np.ndarray) -> np.ndarray:
         raise ValueError("border column must have length n + 1")
     y = forward_substitute(L, c[:n])
     d = (c[n] - np.vdot(y, y)).real
-    if d <= _PIVOT_TOL:
+    if not d > _PIVOT_TOL:  # also refuses NaN
         raise NotPositiveDefiniteError(f"border pivot {d:.3g} is not positive")
     out = np.zeros((n + 1, n + 1), dtype=complex)
     out[:n, :n] = L

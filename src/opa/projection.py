@@ -39,6 +39,7 @@ from .spaces import (
     Certified,
     KernelSpec,
     WeightSequence,
+    _weighted_terms,
     falling_product_sum,
     is_reproducible,
     kernel_coefficients,
@@ -539,15 +540,7 @@ def distance_to_poly(
                     space, sa.order, sb.order, np.conj(ba) * bb, inner_eps
                 )
                 # subtract the stored prefix of the same sum
-                ks = np.arange(L)
-                from .spaces import _falling_vec  # exact term formula
-
-                terms = (
-                    _falling_vec(ks, sa.order)
-                    * _falling_vec(ks, sb.order)
-                    * (np.conj(ba) * bb) ** ks
-                    / w
-                )
+                terms = _weighted_terms(space, sa.order, sb.order, np.conj(ba) * bb, 0, L)
                 partial = complex(np.sum(terms))
                 contrib = scale * (full.value - partial)
                 tail += contrib.real

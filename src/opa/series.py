@@ -135,8 +135,6 @@ class CPoly:
         return CPoly(-self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, CPoly):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -179,8 +177,8 @@ def reciprocal_taylor(f: CPoly, n: int) -> CPoly:
 def power_tail_bound(M: float, q: float, gamma: float, N: int) -> float:
     """Rigorous upper bound for sum_{k > N} M * q**k * (k+1)**gamma.
 
-    Requires q < 1, or q == 1 with gamma < -1 (integral comparison).
-    """
+    Requires q < 1, or q == 1 with gamma < -1 (integral comparison); N may
+    be an integer array."""
     if M == 0.0 or q == 0.0:
         return 0.0
     if q < 0 or M < 0:
@@ -201,10 +199,15 @@ def power_tail_bound(M: float, q: float, gamma: float, N: int) -> float:
     t = q / qhat
     if qhat >= 1.0 or t >= 1.0:
         raise CannotCertifyError(f"tail ratio {q!r} cannot be separated from 1")
+    return M * poly_geometric_sup(gamma, t) * qhat ** (N + 1) / (1.0 - qhat)
+
+
+def poly_geometric_sup(gamma: float, t: float) -> float:
+    """max over k >= 0 of (k+1)**gamma * t**k for gamma >= 0 and 0 < t < 1,
+    attained next to k = gamma / log(1/t) - 1."""
     kstar = gamma / math.log(1.0 / t) - 1.0
     cands = {0, max(0, math.floor(kstar)), max(0, math.ceil(kstar))}
-    C = max((k + 1.0) ** gamma * t**k for k in cands)
-    return M * C * qhat ** (N + 1) / (1.0 - qhat)
+    return max((k + 1.0) ** gamma * t**k for k in cands)
 
 
 def needed_length(M: float, r: float, gamma: float, eps: float) -> int:
@@ -344,12 +347,20 @@ class TruncSeries:
         coeffs = np.concatenate([np.zeros(i, dtype=complex), self.coeffs])
         if self.tail_M == 0.0:
             return TruncSeries(coeffs, 0.0, 0.0, 0.0)
-        # |h_k| = |s_{k-i}| <= M r^(k-i) (k-i+1)^gamma for k > order + i
-        M = self.tail_M * self.tail_r ** (-i)
-        if self.tail_gamma < 0:
-            kmin = self.order + i + 1
-            M *= ((kmin - i + 1.0) / (kmin + 1.0)) ** self.tail_gamma
-        return TruncSeries(coeffs, M, self.tail_r, self.tail_gamma)
+        return TruncSeries(coeffs, float(self.shift_tail_M([i])[0]), self.tail_r, self.tail_gamma)
+
+    def shift_tail_M(self, ks) -> np.ndarray:
+        """tail_M of z**i times this series (tail_M > 0) for each shift i in ks:
+        |h_k| = |s_{k-i}| <= M r^(k-i) (k-i+1)^gamma for k > order + i, so
+        M r^-i, times ((order+2)/(order+i+2))^gamma (its worst) when gamma < 0."""
+        ks = np.asarray(ks, dtype=float)
+        with np.errstate(over="ignore", divide="ignore"):
+            M = self.tail_M * self.tail_r**-ks
+            if self.tail_gamma < 0:
+                M = M * ((self.order + 2.0) / (self.order + ks + 2.0)) ** self.tail_gamma
+        if not np.all(np.isfinite(M)):
+            raise EnvelopeOverflowError(f"shifted envelope overflows: r={self.tail_r}")
+        return M
 
     def add(self, other: "TruncSeries") -> "TruncSeries":
         a, b = self, other

@@ -14,6 +14,10 @@ w_{k+1}/w_k -> 1; the inner product weights Maclaurin coefficients,
   computed isometrically as <m a, m b> in the unweighted space.  Monomials
   are NOT orthogonal here, so the coefficient-weight machinery is bypassed.
 
+One function, shift_products, gives <h, z^k f> for every k = 0..K with the
+bound certified for each pair (rounding, the stretch where one stored prefix
+has ended, the tail beyond both); inner_series is its k = 0 case.
+
 Derivative-evaluation kernels are the elements representing h -> h^(n)(beta);
 their coefficients are falling-factorial weighted powers of conj(beta) over
 w_k.  A point is "reproducible of order n" when that series converges; this
@@ -24,6 +28,7 @@ for custom ones, refusing to guess when the data is inconclusive.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +95,13 @@ class Reproducibility:
         return self.reproducible
 
 
+def _finite_real(x, what: str) -> float:
+    # bool is an int subclass, but true is not the number 1 in a descriptor
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite real number, got {x!r}")
+    return float(x)
+
+
 class WeightSequence:
     """Weight data defining a space; immutable after construction."""
 
@@ -105,7 +117,7 @@ class WeightSequence:
         if kind == "dirichlet":
             if alpha is None:
                 raise ValueError("dirichlet kind requires alpha")
-            self.alpha = float(alpha)
+            self.alpha = _finite_real(alpha, "alpha")
         elif kind == "custom":
             arr = np.asarray(prefix, dtype=float)
             if arr.ndim != 1 or arr.size < 2:
@@ -131,6 +143,8 @@ class WeightSequence:
         elif kind == "multiplier":
             if not isinstance(m, CPoly):
                 m = CPoly(m)
+            if not np.all(np.isfinite(m.coeffs)):
+                raise ValueError("multiplier coefficients must be finite")
             if m.is_zero:
                 raise ValueError("multiplier polynomial must be nonzero")
             if m.degree >= 1:
@@ -191,7 +205,7 @@ class WeightSequence:
                 return float(self.prefix[k])
             if callable(self.extension):
                 w = float(self.extension(k))
-                if w <= 0:
+                if not w > 0:  # also refuses NaN
                     raise ValueError("extension rule produced a non-positive weight")
                 return w
             return float(self.prefix[-1] * self.ratio ** (k - n + 1))
@@ -269,7 +283,10 @@ class WeightSequence:
                 desc["weights"], desc.get("extension", "ratio")
             )
         if kind == "multiplier":
-            coeffs = [complex(re, im) for re, im in desc["m"]]
+            m = desc["m"]
+            if not isinstance(m, list) or not all(isinstance(c, list) and len(c) == 2 for c in m):
+                raise ValueError("multiplier m must be a list of [re, im] pairs")
+            coeffs = [complex(_finite_real(re, "m"), _finite_real(im, "m")) for re, im in m]
             return WeightSequence.multiplier(CPoly(coeffs))
         raise ValueError(f"unknown space descriptor kind: {kind}")
 
@@ -312,60 +329,71 @@ def _coerce_series(x) -> TruncSeries:
     raise TypeError(f"expected CPoly or TruncSeries, got {type(x).__name__}")
 
 
-def inner_series(
-    space: WeightSequence, a, b, eps: float = 1e-12
-) -> Certified:
-    """Certified inner product of stored series.
-
-    The stored prefixes are summed exactly and the discarded tail is bounded
-    rigorously from both envelopes and the weight growth.  Construction sites
-    choose stored lengths (via ``needed_length``) so the bound meets eps;
-    when the stored data cannot certify eps this raises rather than guessing.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    a = _coerce_series(a)
-    b = _coerce_series(b)
-    if space.kind == "multiplier":
-        return inner_series(_H2, a.mul_poly(space.m), b.mul_poly(space.m), eps)
-    L = min(len(a), len(b))
-    w = space.weights(L)
-    value = complex(np.sum(w * a.coeffs[:L] * np.conj(b.coeffs[:L])))
-    rounding = 1e-16 * float(np.sum(np.abs(w * a.coeffs[:L] * b.coeffs[:L])))
-    err = series_tail_bound(space, a, b) + rounding
-    require_certified(err, eps)
-    return Certified(value, err)
+def inner_series(space: WeightSequence, a, b, eps: float = 1e-12) -> Certified:
+    """Certified inner product of stored series, the k = 0 case of
+    shift_products; raises rather than guessing when the stored prefixes
+    cannot certify eps (construction sites size them via needed_length)."""
+    values, errs = shift_products(space, a, b, 0)
+    require_certified(errs[0], eps)
+    return Certified(complex(values[0]), float(errs[0]))
 
 
 def require_certified(err: float, eps: float) -> None:
-    if err > eps:
+    """Raise CannotCertifyError unless err <= eps (a NaN bound never passes)."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if not err <= eps:
         raise CannotCertifyError(
             f"certified error {err:.3g} exceeds eps={eps:.3g}; "
             "store longer prefixes for these series"
         )
 
 
-def series_tail_bound(space: WeightSequence, a, b) -> float:
-    """Certified bound on the part of <a, b> that the stored prefixes miss:
-    where only the shorter one has ended (its envelope against the longer
-    one's coefficients) and beyond both (envelopes summed in closed form)."""
-    a = _coerce_series(a)
-    b = _coerce_series(b)
+def shift_products(space: WeightSequence, h, f, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """<h, z^k f> for k = 0..K, each with the error certified for that pair.
+
+    One correlation against f's coefficients gives every value, summed over
+    the stored overlap.  Two polynomials carry rounding only; otherwise the
+    error adds the stretch where only the shorter prefix has ended (its
+    envelope against the other's coefficients) and the tail beyond both
+    (envelopes summed in closed form), the envelope of z^k f re-based as
+    TruncSeries.shift gives it.  Comparing the errors with eps is the caller's.
+    """
+    poly = isinstance(h, CPoly) and isinstance(f, CPoly)
+    a, b = _coerce_series(h), _coerce_series(f)
+    ks = np.arange(K + 1)
+    beta = b.coeffs
+    Mb = b.shift_tail_M(ks) if b.tail_M > 0 else np.zeros(K + 1)
     if space.kind == "multiplier":
-        return series_tail_bound(_H2, a.mul_poly(space.m), b.mul_poly(space.m))
-    short, long_ = (a, b) if len(a) <= len(b) else (b, a)
-    L, Lmax = len(short), len(long_)
-    tail = 0.0
-    if short.tail_M > 0.0 and Lmax > L:
-        ks = np.arange(L, Lmax)
-        env = short.tail_M * short.tail_r**ks * (ks + 1.0) ** short.tail_gamma
-        tail += float(np.sum(space.weights(Lmax)[L:] * np.abs(long_.coeffs[L:]) * env))
-    if a.tail_M > 0.0 and b.tail_M > 0.0:
-        W, g, rho = space.tail_weight_majorant(Lmax)
-        q = a.tail_r * b.tail_r * rho
-        gamma = a.tail_gamma + b.tail_gamma + g
-        tail += power_tail_bound(a.tail_M * b.tail_M * W, q, gamma, Lmax - 1)
-    return tail
+        # <h m, z^k f m> in H2; (z^k f) m keeps z^k f's stored length, and its
+        # envelope covers the shifted coefficients, not those of f m
+        m, space = space.m, _H2
+        a, beta = a.mul_poly(m), np.convolve(m.coeffs, beta)
+        if b.tail_M > 0:
+            beta = beta[: len(b)]
+            Mb = np.array([b.shift(k).mul_poly(m).tail_M for k in ks])
+    La, Lb = len(a), beta.size + ks  # stored lengths of h and of each z^k f
+    P = int(Lb[-1])
+    w, t = space.weights(max(P, La)), np.arange(max(P, La))
+    wa = np.zeros(P, dtype=complex)
+    wa[: min(La, P)] = (w[:La] * a.coeffs)[:P]
+    values = np.correlate(wa, beta, "valid")
+    if poly:
+        return values, 1e-16 * (1.0 + np.abs(values))
+    errs = 1e-16 * np.correlate(np.abs(wa), np.abs(beta), "valid")
+    if a.tail_M > 0 and P > La:  # h ended first
+        env = w[:P] * a.tail_M * a.tail_r ** t[:P] * (t[:P] + 1.0) ** a.tail_gamma
+        errs += np.correlate(np.where(t[:P] >= La, env, 0.0), np.abs(beta), "valid")
+    if b.tail_M > 0 and La > Lb[0]:  # z^k f ended first: the sum from index Lb[k] on
+        terms = w[:La] * np.abs(a.coeffs) * b.tail_r ** t[:La] * (t[:La] + 1.0) ** b.tail_gamma
+        errs += Mb * np.append(np.cumsum(terms[::-1])[::-1], 0.0)[np.minimum(Lb, La)]
+    if a.tail_M > 0 and b.tail_M > 0:
+        Lmax = np.maximum(La, Lb)
+        W = np.array([space.tail_weight_majorant(k0)[0] for k0 in Lmax.tolist()])
+        _, g, rho = space.tail_weight_majorant(La)  # the same from any start
+        q, gamma = a.tail_r * b.tail_r * rho, a.tail_gamma + b.tail_gamma + g
+        errs += a.tail_M * Mb * W * power_tail_bound(1.0, q, gamma, Lmax - 1)
+    return values, errs
 
 
 def inner_any(space: WeightSequence, a, b, eps: float = 1e-12) -> Certified:
@@ -436,11 +464,12 @@ def is_reproducible(space: WeightSequence, beta: complex, order: int = 0) -> Rep
     if np.all(terms == 0):
         return Reproducibility(True, "ratio_test", "terms vanish")
     ratios = terms[1:] / terms[:-1]
-    if ratios.max() <= 1.0 - 1e-6 and _monotone_nonincreasing(ratios):
+    steps = np.diff(ratios)  # settling: monotone up to 1e-9
+    if ratios.max() <= 1.0 - 1e-6 and np.all(steps <= 1e-9):
         return Reproducibility(
             True, "ratio_test", f"window ratios <= {ratios.max():.6g} and settling"
         )
-    if ratios.min() >= 1.0 + 1e-6 and _monotone_nondecreasing(ratios):
+    if ratios.min() >= 1.0 + 1e-6 and np.all(steps >= -1e-9):
         return Reproducibility(
             False, "ratio_test", f"window ratios >= {ratios.min():.6g} and settling"
         )
@@ -449,14 +478,6 @@ def is_reproducible(space: WeightSequence, beta: complex, order: int = 0) -> Rep
         "undecidable",
         "prefix window admits no conclusive ratio certificate",
     )
-
-
-def _monotone_nonincreasing(x, slack=1e-9):
-    return bool(np.all(np.diff(x) <= slack))
-
-
-def _monotone_nondecreasing(x, slack=1e-9):
-    return bool(np.all(np.diff(x) >= -slack))
 
 
 def _falling(k, n):

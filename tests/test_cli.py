@@ -270,6 +270,14 @@ def test_exit_code_usage_on_bad_json(capsys):
         ["approximate", "--space", H2_DESC, "--f", "[[1,0],[NaN,0]]"],
         ["approximate", "--space", H2_DESC, "--f", "[1, 1e400]"],
         ["approximate", "--space", '{"kind":"custom","weights":[1,null]}', "--f", "[[1,0]]"],
+        # mistyped or non-finite space fields
+        ["approximate", "--space", '{"kind":"dirichlet","alpha":[1]}', "--f", "[[1,0]]"],
+        ["approximate", "--space", '{"kind":"multiplier","m":[[1,null]]}', "--f", "[[1,0]]"],
+        ["approximate", "--space", '{"kind":"multiplier","m":[1]}', "--f", "[[1,0]]"],
+        ["approximate", "--space", '{"kind":"multiplier","m":[[1,0],[-0.5,"x"]]}', "--f", "[[1,0]]"],
+        ["approximate", "--space", '{"kind":"dirichlet","alpha":NaN}', "--f", "[[1,0]]"],
+        ["approximate", "--space", '{"kind":"dirichlet","alpha":1e400}', "--f", "[[1,0]]"],
+        ["approximate", "--space", '{"kind":"dirichlet","alpha":true}', "--f", "[[1,0]]"],
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):

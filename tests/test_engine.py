@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from opa.errors import CannotCertifyError, OrthogonalDataError
+from opa.errors import (
+    CannotCertifyError,
+    EnvelopeOverflowError,
+    NotPositiveDefiniteError,
+    OrthogonalDataError,
+)
 from opa.engine import (
+    OpaResult,
     approximant_sweep,
     build_system,
     cyclicity_diagnostic,
@@ -16,8 +22,23 @@ from opa.engine import (
     stabilization_dossier,
     taylor_residuals,
 )
-from opa.series import CPoly, blaschke_factor, blaschke_product, geometric_series, series_mul
-from opa.spaces import KernelSpec, WeightSequence, inner_any, kernel_series
+from opa.series import (
+    CPoly,
+    TruncSeries,
+    blaschke_factor,
+    blaschke_product,
+    geometric_series,
+    power_tail_bound,
+    series_mul,
+)
+from opa.spaces import (
+    Certified,
+    KernelSpec,
+    WeightSequence,
+    inner_poly,
+    kernel_series,
+    shift_products,
+)
 
 H2 = WeightSequence.dirichlet(0.0)
 D1 = WeightSequence.dirichlet(1.0)
@@ -54,6 +75,47 @@ def test_build_system_constant_f_is_diagonal():
         assert np.allclose(system.rhs, [1, 0, 0, 0])
 
 
+def reference_shift(f, k):
+    """z^k f, its envelope re-based scalar by scalar: |(z^k f)_t| = |f_{t-k}|
+    <= M r^-k r^t (t+1)^gamma, times ((N+2)/(N+k+2))^gamma when gamma < 0."""
+    if isinstance(f, CPoly) or f.tail_M == 0.0:
+        return f.shift(k)
+    M = f.tail_M * f.tail_r ** (-k)
+    if f.tail_gamma < 0:
+        M *= ((f.order + 2.0) / (f.order + k + 2.0)) ** f.tail_gamma
+    return TruncSeries(np.concatenate([np.zeros(k), f.coeffs]), M, f.tail_r, f.tail_gamma)
+
+
+def reference_inner(space, a, b, eps):
+    """<a, b> for one pair: exact polynomial sums carry rounding only; stored
+    series add to the rounding of the summed overlap the stretch where only
+    the shorter prefix has ended and the tail beyond both prefixes."""
+    if isinstance(a, CPoly) and isinstance(b, CPoly):
+        v = inner_poly(space, a, b)
+        return Certified(v, 1e-16 * (1.0 + abs(v)))
+    a, b = (x if isinstance(x, TruncSeries) else TruncSeries.from_poly(x) for x in (a, b))
+    if space.kind == "multiplier":
+        a, b, space = a.mul_poly(space.m), b.mul_poly(space.m), H2
+    L = min(len(a), len(b))
+    w = space.weights(L)
+    value = complex(np.sum(w * a.coeffs[:L] * np.conj(b.coeffs[:L])))
+    err = 1e-16 * float(np.sum(np.abs(w * a.coeffs[:L] * b.coeffs[:L])))
+    short, long_ = (a, b) if len(a) <= len(b) else (b, a)
+    Lmax = len(long_)
+    if short.tail_M > 0.0 and Lmax > L:
+        ks = np.arange(L, Lmax)
+        env = short.tail_M * short.tail_r**ks * (ks + 1.0) ** short.tail_gamma
+        err += float(np.sum(space.weights(Lmax)[L:] * np.abs(long_.coeffs[L:]) * env))
+    if a.tail_M > 0.0 and b.tail_M > 0.0:
+        W, g, rho = space.tail_weight_majorant(Lmax)
+        q = a.tail_r * b.tail_r * rho
+        gamma = a.tail_gamma + b.tail_gamma + g
+        err += power_tail_bound(a.tail_M * b.tail_M * W, q, gamma, Lmax - 1)
+    if err > eps:
+        raise CannotCertifyError(f"reference error {err:.3g} exceeds eps={eps:.3g}")
+    return Certified(value, err)
+
+
 def reference_system(space, f, g, n, eps):
     """The Gram system pair by pair: G[k, j] = <z^j f, z^k f>, rhs[k] = <g, z^k f>."""
     G = np.zeros((n + 1, n + 1), dtype=complex)
@@ -61,10 +123,10 @@ def reference_system(space, f, g, n, eps):
     err = 0.0
     for k in range(n + 1):
         for j in range(k, n + 1):
-            c = inner_any(space, f.shift(j), f.shift(k), eps)
+            c = reference_inner(space, reference_shift(f, j), reference_shift(f, k), eps)
             G[k, j], G[j, k] = c.value, np.conj(c.value)
             err = max(err, c.err)
-        r = inner_any(space, g, f.shift(k), eps)
+        r = reference_inner(space, g, reference_shift(f, k), eps)
         rhs[k] = r.value
         err = max(err, r.err)
     return G, rhs, err
@@ -111,6 +173,105 @@ def test_build_system_refuses_short_prefixes_like_reference():
                 assert raised[0] == raised[1], (space, length, eps)
                 outcomes.append(raised[0])
     assert any(outcomes) and not all(outcomes)
+
+
+def _shift_cases():
+    """(space, h, f, K) over the weights, envelopes and lengths that the
+    shift products distinguish."""
+    D2 = WeightSequence.dirichlet(2.0)
+    quot = WeightSequence.multiplier(CPoly([1, -0.5 + 0.2j]))
+    decaying = WeightSequence.custom([1.0, 1.4, 1.5, 1.45])
+    # growing, with a prefix longer than the short series below, so the
+    # weight majorant depends on where the tail starts
+    growing = WeightSequence.custom([1.0, 1.3, 1.1, 1.25, 1.2, 1.22, 1.25, 1.28])
+    f = CPoly([0.7, -1.1 + 0.3j, 0.4, 0.2j])
+    g = CPoly([1.0, 0.5j, -0.25])
+    series = _series_f(80)  # gamma = 2
+    b2 = blaschke_product([0.5, -0.3 + 0.4j], length=60)  # gamma = 1
+    boundary = kernel_series(D2, KernelSpec(1.0, 0), length=64)  # r = 1, gamma = -2
+    long_b = blaschke_product([0.6, -0.5j, 0.3 + 0.3j], length=400)
+    return [
+        (H2, series, series, 12),
+        (D1, series, series, 12),
+        (D2, b2, b2, 10),
+        (decaying, series, series, 10),
+        (growing, geometric_series(0.3, length=3), blaschke_factor(0.4, length=5), 9),
+        (growing, series, series, 6),
+        (quot, b2, b2, 10),
+        (quot, series, g, 8),
+        (quot, g, series, 8),
+        (quot, f, g, 8),
+        (H2, f, g, 8),
+        (D1, g, f, 8),
+        (D2, boundary, boundary, 12),
+        (D2, boundary, CPoly([-1, 1]), 20),
+        (quot, boundary, boundary, 6),
+        (H2, _series_f(50), _series_f(120), 10),
+        (H2, _series_f(200), _series_f(60), 10),
+        # slow envelopes on short prefixes: the one-sided stretch dominates
+        (D1, geometric_series(0.9, length=20), geometric_series(0.8, length=200), 10),
+        (D1, geometric_series(0.8, length=200), geometric_series(0.9, length=20), 10),
+        (D1, TruncSeries.from_poly(g), series, 5),
+        (H2, geometric_series(0.5, length=30), f, 10),
+        (H2, long_b, long_b, 15),
+    ]
+
+
+def test_shift_products_match_pairwise_reference():
+    for space, h, f, K in _shift_cases():
+        values, errs = shift_products(space, h, f, K)
+        refs = [reference_inner(space, h, reference_shift(f, k), np.inf) for k in range(K + 1)]
+        ref_values = np.array([c.value for c in refs])
+        ref_errs = np.array([c.err for c in refs])
+        assert np.max(np.abs(values - ref_values)) <= 1e-14 * np.max(np.abs(ref_values))
+        assert np.all(np.abs(errs - ref_errs) <= 1e-12 * ref_errs), (space, K)
+
+
+def test_shift_certificates_match_pairwise_reference():
+    p = CPoly([0.3, -0.2 + 0.1j, 0.05])
+    for space, h, f, K in _shift_cases():
+        refs = [reference_inner(space, h, reference_shift(f, k), np.inf) for k in range(K + 1)]
+        ortho = orthogonal_to_shifts(space, f, h, eps=1e6, k_max=K)
+        assert ortho.max_abs == pytest.approx(max(abs(c.value) for c in refs[1:]), abs=1e-14)
+        assert ortho.err == pytest.approx(max(c.err for c in refs[1:]), rel=1e-12)
+        # h against its own shifts, after its norm
+        own = [reference_inner(space, h, reference_shift(h, j), np.inf) for j in range(K + 1)]
+        cert = is_inner(space, h, max_shift=K, eps=1e6)
+        assert cert.norm_sq == pytest.approx(own[0].value.real, rel=1e-14)
+        assert cert.max_residual == pytest.approx(max(abs(c.value) for c in own[1:]), abs=1e-14)
+        assert cert.err == pytest.approx(max(c.err for c in own), rel=1e-12)
+        # the optimality conditions of p against g = h, refused alike
+        pf = p * f if isinstance(f, CPoly) else f.mul_poly(p)
+        try:
+            pairs = [
+                (reference_inner(space, pf, reference_shift(f, k), 1e-9).value,
+                 reference_inner(space, h, reference_shift(f, k), 1e-9).value)
+                for k in range(K + 1)
+            ]
+        except CannotCertifyError:
+            with pytest.raises(CannotCertifyError):
+                orthogonality_residual(space, f, h, OpaResult(K, p, 0.0))
+            continue
+        expected = max(abs(c - d) for c, d in pairs)
+        scale = max(max(abs(c), abs(d)) for c, d in pairs)
+        residual = orthogonality_residual(space, f, h, OpaResult(K, p, 0.0))
+        assert abs(residual - expected) <= 1e-14 * scale
+
+
+def test_overflowing_shift_envelope_is_refused():
+    # M r^-k overflows near k = 300 for r = 0.1; the check must not go on with
+    # an infinite or NaN bound
+    b = blaschke_factor(0.1, length=40)
+    with pytest.raises(EnvelopeOverflowError):
+        orthogonal_to_shifts(H2, b, b, eps=1e-10, k_max=400)
+
+
+def test_nan_data_never_passes_the_factor():
+    with pytest.raises(NotPositiveDefiniteError):
+        approximant_sweep(WeightSequence.dirichlet(0.0), CPoly([1, np.nan]), ONE, 2)
+    space = WeightSequence.custom([1.0, 1.1, 1.2], extension=lambda k: np.nan)
+    with pytest.raises(ValueError):
+        approximant_sweep(space, CPoly([1, -0.5, 0.25, 0.1]), ONE, 2)
 
 
 def test_build_system_rejects_orthogonal_data():

@@ -165,6 +165,14 @@ def test_series_add_and_shift_envelopes():
     assert np.all(true_shift <= env_shift * (1 + 1e-12))
 
 
+def test_overflowing_shift_envelope_raises_typed_error():
+    # M r^-k for r = 0.1 leaves the float range near k = 308
+    b = blaschke_factor(0.1, length=40)
+    assert np.isfinite(b.shift(300).tail_M)
+    with pytest.raises(EnvelopeOverflowError):
+        b.shift(400)
+
+
 def test_certified_evaluation():
     g = geometric_series(0.5, eps=1e-12)
     for z in (0.3, -0.5, 0.9, 0.2 + 0.7j):

@@ -182,6 +182,15 @@ def test_inner_series_cannot_certify_when_too_short():
 # -- reproducibility ---------------------------------------------------------
 
 
+def test_nan_error_bound_is_never_certified():
+    from opa.spaces import require_certified
+
+    require_certified(1e-12, 1e-10)
+    for err in (float("nan"), float("inf"), 1e-9):
+        with pytest.raises(CannotCertifyError):
+            require_certified(err, 1e-10)
+
+
 def test_reproducibility_truth_table_dirichlet():
     # true iff |beta| < 1, or |beta| = 1 and alpha > 2*order + 1
     for alpha in (0.0, 1.0, 2.0, 3.5):
