@@ -39,6 +39,8 @@ from .linalg import cholesky_border, solve_factored  # noqa: F401
 from .spaces import inner_any  # noqa: F401
 
 _ERR_FLOOR = 1e-12
+# certified error asked of each Gram and right-hand-side entry
+_ENTRY_EPS = 1e-12
 
 
 def _mul_poly(x, p: CPoly):
@@ -163,7 +165,7 @@ class CyclicityDiagnostic:
 
 
 def build_system(
-    space: WeightSequence, f, g, n: int, entry_eps: float = 1e-12
+    space: WeightSequence, f, g, n: int, entry_eps: float = _ENTRY_EPS
 ) -> GramSystem:
     """Assemble G and rhs, exactly for polynomial data, certified otherwise.
 
@@ -214,7 +216,7 @@ def build_system(
 
 
 def approximant_sweep(
-    space: WeightSequence, f, g=None, n_max: int = 10, entry_eps: float = 1e-12
+    space: WeightSequence, f, g=None, n_max: int = 10
 ) -> list[OpaResult]:
     """All optimal approximants for n = 0..n_max from one Cholesky factor L.
 
@@ -224,8 +226,8 @@ def approximant_sweep(
     """
     if g is None:
         g = CPoly([1])
-    system = build_system(space, f, g, n_max, entry_eps)
-    gg = norm_sq_any(space, g, entry_eps)
+    system = build_system(space, f, g, n_max)
+    gg = norm_sq_any(space, g, _ENTRY_EPS)
     L = cholesky_factor(system.matrix)
     y = forward_substitute(L, system.rhs)
     dist = float(gg.value) - np.cumsum(y.real**2 + y.imag**2)
@@ -244,10 +246,10 @@ def approximant_sweep(
 
 
 def optimal_approximant(
-    space: WeightSequence, f, g=None, n: int = 0, entry_eps: float = 1e-12
+    space: WeightSequence, f, g=None, n: int = 0
 ) -> OpaResult:
     """The degree-n optimal approximant and its squared distance."""
-    return approximant_sweep(space, f, g, n, entry_eps)[-1]
+    return approximant_sweep(space, f, g, n)[-1]
 
 
 def orthogonality_residual(space: WeightSequence, f, g, result: OpaResult) -> float:
@@ -355,13 +357,18 @@ def orthogonal_to_shifts(
 
 
 def _coeff_window_M(results: list[OpaResult], eps: float) -> int | None:
-    """Smallest M with all later approximants within eps (sup-norm), if any."""
+    """Smallest M with all later approximants within eps (sup-norm), if any.
+
+    ||p_{n_max} - p_M|| <= eps is necessary, and one pass gives it for every
+    M; only those candidates get the full window check, in ascending order.
+    """
     n_max = len(results) - 1
     length = n_max + 1
     mat = np.zeros((length, length), dtype=complex)
     for i, r in enumerate(results):
         mat[i, : r.p_star.coeffs.size] = r.p_star.coeffs
-    for M in range(n_max):
+    to_last = np.abs(mat[n_max] - mat[:n_max]).max(axis=1)
+    for M in np.flatnonzero(to_last <= eps).tolist():
         devs = np.abs(mat[M:] - mat[M])
         if float(devs.max()) <= eps:
             return M
@@ -374,7 +381,6 @@ def detect_stabilization(
     g=None,
     n_max: int = 12,
     eps: float = 1e-8,
-    entry_eps: float = 1e-12,
 ) -> StabilizationReport:
     """Find the smallest M with p_M* = p_{M+1}* = ... = p_{n_max}*.
 
@@ -387,7 +393,7 @@ def detect_stabilization(
     """
     if g is None:
         g = CPoly([1])
-    results = approximant_sweep(space, f, g, n_max, entry_eps)
+    results = approximant_sweep(space, f, g, n_max)
     M = _coeff_window_M(results, eps)
     if M is None or M >= n_max:
         return StabilizationReport(False, None, "none", None, results)
@@ -401,7 +407,7 @@ def detect_stabilization(
         nf = norm_sq_any(space, f, 1e-9).value.real
         scale = math.sqrt(max(npf * nf, 0.0))
         check = orthogonal_to_shifts(
-            space, f, pf, eps=max(1e-10 * max(1.0, scale), 10 * entry_eps)
+            space, f, pf, eps=max(1e-10 * max(1.0, scale), 10 * _ENTRY_EPS)
         )
         if check.orthogonal:
             return StabilizationReport(True, M, "exact_orthogonality", p_M, results)
@@ -497,7 +503,6 @@ def cyclicity_diagnostic(
     f,
     n_max: int = 20,
     reference_dist_sq: float | None = None,
-    entry_eps: float = 1e-12,
 ) -> CyclicityDiagnostic:
     """Distance table for g = 1 with the identity dist^2 = 1 - (p_n* f)(0).
 
@@ -511,7 +516,7 @@ def cyclicity_diagnostic(
     if not space.monomials_orthogonal:
         raise ValueError("diagnostic identities require orthogonal monomials")
     g = CPoly([1])
-    results = approximant_sweep(space, f, g, n_max, entry_eps)
+    results = approximant_sweep(space, f, g, n_max)
     f0 = _at_zero(f)
     rows = []
     dev = 0.0

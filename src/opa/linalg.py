@@ -24,9 +24,13 @@ def check_hermitian(matrix: np.ndarray, rtol: float = _HERM_RTOL) -> np.ndarray:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    # row by row, so that no temporary is as large as the matrix
+    # row by row, so that no temporary is as large as the matrix; a row's
+    # maximum is NaN or inf exactly when the row holds a non-finite entry
     rows = range(a.shape[0])
-    scale = max([1.0] + [float(np.max(np.abs(a[i]))) for i in rows])
+    row_max = [float(np.max(np.abs(a[i]))) for i in rows]
+    if not all(map(math.isfinite, row_max)):
+        raise ValueError("matrix has non-finite entries")
+    scale = max([1.0] + row_max)
     dev = max([0.0] + [float(np.max(np.abs(a[i, i:] - np.conj(a[i:, i])))) for i in rows])
     if dev > rtol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -36,11 +40,13 @@ def check_hermitian(matrix: np.ndarray, rtol: float = _HERM_RTOL) -> np.ndarray:
 def cholesky_factor(matrix: np.ndarray) -> np.ndarray:
     """Lower-triangular L with matrix = L L^H.
 
-    Raises NotPositiveDefiniteError when a pivot falls to 1e-14 or below,
-    which signals either a (near-)singular Gram matrix or a degree far too
-    large for double precision.
+    Reads the diagonal and the lower triangle only: the Gram matrices factored
+    here are Hermitian by construction, and cholesky_solve checks its input.
+    Raises NotPositiveDefiniteError when a pivot falls to 1e-14 or below (or
+    is NaN), which signals either a (near-)singular Gram matrix or a degree
+    far too large for double precision.
     """
-    a = check_hermitian(matrix)
+    a = np.asarray(matrix, dtype=complex)
     n = a.shape[0]
     L = np.zeros((n, n), dtype=complex)
     for j in range(n):

@@ -34,12 +34,11 @@ from .linalg import (
     poly_roots,
     solve_factored,
 )
-from .series import CPoly, TruncSeries, blaschke_product
+from .series import UNIT_ROUNDOFF, CPoly, TruncSeries, blaschke_product
 from .spaces import (
     Certified,
     KernelSpec,
     WeightSequence,
-    _weighted_terms,
     falling_product_sum,
     is_reproducible,
     kernel_coefficients,
@@ -138,40 +137,21 @@ class ProjectionResult:
 
     def phi_at(self, z: complex, eps: float = 1e-10) -> Certified:
         """Certified pointwise value of phi."""
-        z = complex(z)
-        if self.phi_series is not None:
-            return Certified(*self.phi_series.eval_certified(z))
-        value = 1.0 + 0j
-        err = 0.0
-        for spec, c in zip(self.basis, self.constants):
-            beta = complex(spec.beta)
-            scale = c * np.conj(beta) ** (-spec.order)
-            s = falling_product_sum(
-                self.space, spec.order, 0, np.conj(beta) * z, eps / max(1, len(self.basis))
-            )
-            value += scale * s.value
-            err += abs(scale) * s.err
-        return Certified(value, err)
+        return self.derivative_at(z, 0, eps)
 
     def derivative_at(self, beta: complex, order: int, eps: float = 1e-10) -> Certified:
-        """Certified phi^(order)(beta); vanishes at classified (beta, order)."""
+        """Certified phi^(order)(beta) = delta_{order,0} + sum_b C_b <k_b, k^order_beta>;
+        it vanishes at classified (beta, order)."""
         beta = complex(beta)
         if self.phi_series is not None:
             return _series_derivative_at(self.phi_series, beta, order)
         value = 1.0 + 0j if order == 0 else 0j
         err = 0.0
+        target = KernelSpec(beta, order)
         for spec, c in zip(self.basis, self.constants):
-            bb = complex(spec.beta)
-            scale = c * np.conj(bb) ** (-spec.order) * beta ** (-order)
-            s = falling_product_sum(
-                self.space,
-                spec.order,
-                order,
-                np.conj(bb) * beta,
-                eps / max(1, len(self.basis)),
-            )
-            value += scale * s.value
-            err += abs(scale) * s.err
+            g = kernel_inner(self.space, spec, target, eps / max(1, len(self.basis)))
+            value += c * g.value
+            err += abs(c) * g.err
         return Certified(value, err)
 
     def norm_sq(self, eps: float = 1e-10) -> Certified:
@@ -507,6 +487,34 @@ def recurrence_residual(
     return worst
 
 
+def _pow_rel(m, beta: complex):
+    """Relative rounding of a computed complex power beta**m: it is
+    exp(m log beta), whose exponent carries m (|ln|beta|| + pi) rounding units."""
+    return (3.0 * np.abs(m) * (abs(math.log(abs(beta))) + math.pi) + 4.0) * UNIT_ROUNDOFF
+
+
+def _head_rounding(result: ProjectionResult, absd: np.ndarray, w, head: float) -> float:
+    """Bound on the rounding of head = sum_t w_t |phi_t - p_t|^2 as computed.
+
+    Model: each elementary operation, exp and log included, is exact up to
+    UNIT_ROUNDOFF relative on normal numbers.  C_b k_b(t), with the kernel
+    coefficient P_n(t) conj(beta)^(t-n) / w_t, is then off by _pow_rel(t - n)
+    plus n + 8 units of itself; summing 1 and the nb terms into phi_t adds nb
+    units of each, and phi_t - p_t one unit of the difference.  An error e_t
+    in d_t moves |d_t|^2 by at most (2|d_t| + e_t) e_t; |.|^2, the weight and
+    the product add 5 units per term, the pairwise sum log2(L) + 20 in all.
+    """
+    nb, ks = len(result.basis), np.arange(absd.size)
+    e = UNIT_ROUNDOFF * absd
+    e[0] += nb * UNIT_ROUNDOFF
+    for spec, c in zip(result.basis, result.constants):
+        a = abs(c) * np.abs(kernel_coefficients(result.space, spec, absd.size))
+        units = spec.order + 8 + nb
+        e += a * (_pow_rel(np.maximum(ks - spec.order, 0), spec.beta) + units * UNIT_ROUNDOFF)
+    summing = (math.log2(absd.size) + 25.0) * UNIT_ROUNDOFF
+    return float(np.sum(w * (2.0 * absd + e) * e)) + summing * head
+
+
 def distance_to_poly(
     space: WeightSequence,
     p: CPoly,
@@ -516,39 +524,40 @@ def distance_to_poly(
 ) -> Certified:
     """Certified ||p - phi|| in the space norm, for polynomial p.
 
-    Coefficients are compared through a horizon past deg p; the remaining
-    tail sum_{t>L} w_t |phi_t|^2 expands into kernel cross-sums and is
-    certified by the same machinery as the Gram entries.
+    Coefficients are compared through a horizon L past deg p, with the
+    rounding of that stored head bounded; the tail sum_{t>=L} w_t |phi_t|^2
+    expands into kernel cross-sums, each a falling_product_sum from L on.
     """
     L = max(p.degree + 1, min_length)
     phi = result.phi_coefficients(L)
     diff = phi.copy()
     diff[: p.coeffs.size] -= p.coeffs
     w = space.weights(L)
-    head = float(np.sum(w * np.abs(diff) ** 2))
+    absd = np.abs(diff)
+    head = float(np.sum(w * absd**2))
+    head_err = _head_rounding(result, absd, w, head)
     # tail: sum_{t >= L} w_t phi_t conj(phi_t) over the kernel expansion
     tail = 0.0
     tail_err = 0.0
     nb = len(result.basis)
-    if nb:
-        inner_eps = eps / (nb * nb + 1)
-        for sa, ca in zip(result.basis, result.constants):
-            for sb, cb in zip(result.basis, result.constants):
-                ba, bb = complex(sa.beta), complex(sb.beta)
-                scale = ca * np.conj(cb) * np.conj(ba) ** (-sa.order) * bb ** (-sb.order)
-                full = falling_product_sum(
-                    space, sa.order, sb.order, np.conj(ba) * bb, inner_eps
-                )
-                # subtract the stored prefix of the same sum
-                terms = _weighted_terms(space, sa.order, sb.order, np.conj(ba) * bb, 0, L)
-                partial = complex(np.sum(terms))
-                contrib = scale * (full.value - partial)
-                tail += contrib.real
-                tail_err += abs(scale) * full.err + 1e-15 * abs(scale) * float(
-                    np.sum(np.abs(terms))
-                )
+    inner_eps = eps / (nb * nb + 1)
+    for sa, ca in zip(result.basis, result.constants):
+        for sb, cb in zip(result.basis, result.constants):
+            ba, bb = complex(sa.beta), complex(sb.beta)
+            scale = ca * np.conj(cb) * np.conj(ba) ** (-sa.order) * bb ** (-sb.order)
+            s = falling_product_sum(
+                space, sa.order, sb.order, np.conj(ba) * bb, inner_eps, start=L
+            )
+            contrib = scale * s.value
+            tail += contrib.real
+            # the scale's two powers and three products, the product with
+            # the sum, and the nb^2 additions
+            units = 12 + nb * nb
+            rel = _pow_rel(sa.order, ba) + _pow_rel(sb.order, bb) + units * UNIT_ROUNDOFF
+            tail_err += abs(scale) * s.err + rel * abs(contrib)
     total = head + max(tail, 0.0)
-    value = math.sqrt(max(total, 0.0))
-    # |sqrt(x) - sqrt(y)| <= sqrt(|x - y|) for x, y >= 0
-    err = math.sqrt(tail_err + abs(min(tail, 0.0)))
-    return Certified(value, err)
+    value = math.sqrt(total)
+    # |total - exact| <= delta, and |sqrt(x) - sqrt(y)| <= min(sqrt(delta), delta / sqrt(x))
+    delta = head_err + tail_err + abs(min(tail, 0.0)) + UNIT_ROUNDOFF * total
+    err = min(math.sqrt(delta), delta / value) if value > 0 else math.sqrt(delta)
+    return Certified(value, err + UNIT_ROUNDOFF * value)

@@ -27,6 +27,9 @@ from .errors import CannotCertifyError, EnvelopeOverflowError
 # construction drops exact zeros, never small values.
 TRIM_TOL = 1e-14
 
+# unit roundoff of a double: an exact operation rounds with relative error below it
+UNIT_ROUNDOFF = 2.0**-53
+
 
 def _as_coeff_array(coeffs) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(coeffs, dtype=complex))
@@ -231,15 +234,27 @@ def needed_length(M: float, r: float, gamma: float, eps: float) -> int:
 
 
 def _covering_M(M, r, gamma, ks, values):
-    """Smallest M' >= M with values[i] <= M' r**ks[i] (ks[i]+1)**gamma."""
-    if len(ks) == 0:
-        return M
-    ks = np.asarray(ks, dtype=float)
+    """Smallest M' >= M with values[i] <= M' r**ks[i] (ks[i]+1)**gamma.
+
+    Zero values need no cover.  Where r**k (k+1)**gamma underflows to 0, the
+    ratio is taken in logarithms and rounded up, so the cover stays rigorous.
+    """
     vals = np.asarray(values, dtype=float)
+    ks, vals = np.asarray(ks, dtype=float)[vals != 0], vals[vals != 0]
     denom = r**ks * (ks + 1.0) ** gamma
-    if np.any(denom <= 0):
-        raise EnvelopeOverflowError("cannot cover nonzero values with r == 0")
-    return float(max(M, np.max(vals / denom)))
+    pos = denom > 0
+    out = float(max(M, np.max(vals[pos] / denom[pos]))) if pos.any() else M
+    if not pos.all():
+        if r == 0:
+            raise EnvelopeOverflowError("cannot cover nonzero values with r == 0")
+        # each logarithm and product is off by at most one unit in the last place
+        parts = (np.log(vals[~pos]), -ks[~pos] * math.log(r), -gamma * np.log1p(ks[~pos]))
+        x = sum(parts) + 4.0 * UNIT_ROUNDOFF * sum(np.abs(t) for t in parts)
+        with np.errstate(over="ignore"):
+            out = max(out, float(np.max(np.exp(x))) * (1.0 + 4.0 * UNIT_ROUNDOFF))
+        if not math.isfinite(out):
+            raise EnvelopeOverflowError("covering constant overflows")
+    return out
 
 
 class TruncSeries:

@@ -23,6 +23,12 @@ their coefficients are falling-factorial weighted powers of conj(beta) over
 w_k.  A point is "reproducible of order n" when that series converges; this
 module decides it analytically for dirichlet weights and by ratio certificate
 for custom ones, refusing to guess when the data is inconclusive.
+
+Every kernel quantity (a kernel value, a kernel-Gram entry, a derivative of
+the projection of 1, a projection tail) is a kernel inner product, a scale
+times sum_{k>=start} P_j(k) P_l(k) u**k / w_k, and falling_product_sum is the
+one routine that sums it: each regime only picks the truncation and its
+certified remainder, and one loop adds the terms.
 """
 
 from __future__ import annotations
@@ -457,8 +463,8 @@ def is_reproducible(space: WeightSequence, beta: complex, order: int = 0) -> Rep
     ks = np.arange(n0, n0 + 256)
     terms = np.array(
         [
-            _falling(k, order) ** 2 * rho ** (2 * (k - order)) / space.weight(k)
-            for k in ks
+            fall**2 * rho ** (2 * (k - order)) / space.weight(k)
+            for fall, k in zip(_falling_vec(ks, order), ks)
         ]
     )
     if np.all(terms == 0):
@@ -480,15 +486,8 @@ def is_reproducible(space: WeightSequence, beta: complex, order: int = 0) -> Rep
     )
 
 
-def _falling(k, n):
-    """Falling factorial k (k-1) ... (k-n+1); equals 1 for n = 0."""
-    out = 1.0
-    for j in range(n):
-        out *= k - j
-    return out
-
-
 def _falling_vec(ks: np.ndarray, n: int) -> np.ndarray:
+    """Falling factorials k (k-1) ... (k-n+1) of each k; 1 for n = 0."""
     out = np.ones_like(ks, dtype=float)
     for j in range(n):
         out = out * (ks - j)
@@ -650,15 +649,17 @@ def _integral_tail(space, j, l, K):
 
 
 def falling_product_sum(
-    space: WeightSequence, j: int, l: int, u: complex, eps: float
+    space: WeightSequence, j: int, l: int, u: complex, eps: float, start: int = 0
 ) -> Certified:
-    """Certified evaluation of sum_{k>=0} P_j(k) P_l(k) u**k / w_k.
+    """Certified evaluation of sum_{k>=start} P_j(k) P_l(k) u**k / w_k.
 
-    This single primitive evaluates kernels (l = 0, u = conj(beta) z), kernel
-    Gram entries (u = conj(beta_i) beta_s), and projection norm tails.
-    Interior data (|u| < 1) uses geometric-polynomial tail bounds; boundary
-    data uses two-sided integral comparison when u == 1 and an alternating
-    (Dirichlet-test) remainder bound for unimodular u != 1.
+    The one routine behind every kernel quantity: a kernel inner product
+    (kernel_inner) is this sum times a scale, and so are kernel values, Gram
+    entries, derivatives of phi and projection tails.  Each regime only picks
+    the truncation K, an offset and the certified remainder: interior data
+    (|u| < 1, or growing custom weights) a geometric-polynomial tail bound,
+    u == 1 a two-sided integral bracket, unimodular u != 1 a Dirichlet-test
+    remainder.  One loop then sums the terms from start up to the truncation.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -666,85 +667,39 @@ def falling_product_sum(
     q = abs(u)
     if space.kind == "multiplier":
         raise ValueError("multiplier spaces have no coefficient weights")
-    if q < 1.0 - _BOUNDARY_TOL:
-        return _sum_interior(space, j, l, u, eps)
     if q > 1.0 + _BOUNDARY_TOL:
         raise CannotCertifyError("series with |u| > 1 diverges")
-    # unimodular u
-    if space.kind == "custom":
+    offset, real = 0.0, False
+    if q >= 1.0 - _BOUNDARY_TOL and space.kind == "custom":
         if callable(space.extension):
             raise CannotCertifyError(
                 "callable weight extensions admit no certified boundary sums"
             )
-        if space.ratio > 1.0:
-            # exact geometric continuation dominates the polynomial factor
-            return _sum_interior(space, j, l, u, eps)
-        raise CannotCertifyError(
-            "boundary sums over non-growing custom weights diverge"
-        )
-    alpha = space.alpha
-    if alpha <= j + l + 1:
-        raise CannotCertifyError("boundary sum diverges: alpha <= j + l + 1")
-    numax = max(j, l)
-    x0 = (alpha * numax + j + l) / (alpha - j - l)
-    K = int(max(64, math.ceil(x0) + 2))
-    if abs(u - 1.0) <= _BOUNDARY_TOL:
-        # positive decreasing terms: bracket the tail by integrals
-        while True:
-            hi = _integral_tail(space, j, l, K)
-            lo = _integral_tail(space, j, l, K + 1)
-            half = 0.5 * (hi - lo)
-            if half <= 0.5 * eps or K > 2 * 10**7:
-                break
-            K = min(2 * K, 2 * 10**7 + 1)
-        if half > 0.5 * eps:
-            raise CannotCertifyError("boundary bracketing did not reach eps")
-        partial = 0.0
-        absacc = 0.0
-        for lo_k in range(0, K + 1, _CHUNK):
-            t = _weighted_terms(space, j, l, 1.0 + 0j, lo_k, min(K + 1, lo_k + _CHUNK))
-            partial += float(np.sum(t.real))
-            absacc += float(np.sum(np.abs(t)))
-        value = partial + 0.5 * (hi + lo)
-        return Certified(complex(value), half + 1e-15 * absacc)
-    # unimodular, u != 1: Dirichlet-test remainder 2 a_{K+1} / |1 - u|
-    denom = abs(1.0 - u)
-    while True:
-        aK = _falling(K + 1, j) * _falling(K + 1, l) / (K + 2.0) ** alpha
-        bound = 2.0 * aK / denom
-        if bound <= eps or K > 2 * 10**7:
-            break
-        K = min(2 * K, 2 * 10**7 + 1)
-    if bound > eps:
-        raise CannotCertifyError("oscillatory boundary tail did not reach eps")
-    value = 0j
-    absacc = 0.0
-    for lo_k in range(0, K + 1, _CHUNK):
-        t = _weighted_terms(space, j, l, u, lo_k, min(K + 1, lo_k + _CHUNK))
-        value += complex(np.sum(t))
+        if not space.ratio > 1.0:
+            raise CannotCertifyError(
+                "boundary sums over non-growing custom weights diverge"
+            )
+    if q < 1.0 - _BOUNDARY_TOL or space.kind == "custom":
+        # a growing custom continuation dominates the polynomial factor
+        stop, rem = _interior_truncation(space, j, l, q, eps, start)
+    else:
+        real = abs(u - 1.0) <= _BOUNDARY_TOL
+        u = 1.0 + 0j if real else u
+        stop, offset, rem = _boundary_truncation(space, j, l, u, eps, start)
+    acc, absacc = (0.0 if real else 0j), 0.0
+    for lo_k in range(start, stop, _CHUNK):
+        t = _weighted_terms(space, j, l, u, lo_k, min(stop, lo_k + _CHUNK))
+        acc += float(np.sum(t.real)) if real else complex(np.sum(t))
         absacc += float(np.sum(np.abs(t)))
-    return Certified(value, bound + 1e-15 * absacc)
+    return Certified(complex(acc + offset), rem + 1e-15 * absacc)
 
 
-def _inverse_weight_majorant(space) -> tuple[float, float]:
-    """(Minv, rho_inv) with 1/w_k <= Minv * rho_inv**k for all k (custom kind).
+def _interior_truncation(space, j, l, q, eps, start):
+    """(K, tail): terms start..K-1 are summed; tail bounds those from K on.
 
-    Beyond the prefix, 1/w_k = ratio**(n-1-k) / w_{n-1} exactly, a geometric
-    sequence with base 1/ratio; the prefix is absorbed into the constant.
+    For custom weights 1/w_k = ratio**(n-1-k) / w_{n-1} beyond the prefix, a
+    geometric sequence with base 1/ratio; the prefix goes into the constant.
     """
-    n = space.prefix.size
-    ratio = space.ratio
-    if ratio == 1.0:
-        return 1.0 / float(space.prefix.min()), 1.0
-    Minv = max(
-        float(ratio ** (n - 1) / space.prefix[-1]),
-        max(float(ratio**k / space.prefix[k]) for k in range(n)),
-    )
-    return Minv, 1.0 / ratio
-
-
-def _sum_interior(space, j, l, u, eps):
-    q = abs(u)
     if space.kind == "dirichlet":
         gamma = j + l + max(-space.alpha, 0.0)
         Mw = 1.0
@@ -755,21 +710,56 @@ def _sum_interior(space, j, l, u, eps):
                 "callable weight extensions admit no certified sums"
             )
         gamma = float(j + l)
-        Minv, rho_inv = _inverse_weight_majorant(space)
-        Mw = Minv
+        n, ratio = space.prefix.size, space.ratio
+        if ratio == 1.0:
+            Mw, rho_inv = 1.0 / float(space.prefix.min()), 1.0
+        else:
+            Mw = max(
+                float(ratio ** (n - 1) / space.prefix[-1]),
+                max(float(ratio**k / space.prefix[k]) for k in range(n)),
+            )
+            rho_inv = 1.0 / ratio
         qeff = q * rho_inv
     if qeff >= 1.0:
         raise CannotCertifyError("effective tail ratio reaches 1")
     K = needed_length(Mw, qeff, gamma, 0.5 * eps)
-    K = max(K, max(j, l) + 2, 8)
-    value = 0j
-    absacc = 0.0
-    for lo_k in range(0, K, _CHUNK):
-        t = _weighted_terms(space, j, l, u, lo_k, min(K, lo_k + _CHUNK))
-        value += complex(np.sum(t))
-        absacc += float(np.sum(np.abs(t)))
-    tail = power_tail_bound(Mw, qeff, gamma, K - 1)
-    return Certified(value, tail + 1e-15 * absacc)
+    K = max(K, max(j, l) + 2, 8, start)
+    return K, power_tail_bound(Mw, qeff, gamma, K - 1)
+
+
+def _boundary_truncation(space, j, l, u, eps, start):
+    """(K + 1, offset, remainder) for unimodular u over dirichlet weights:
+    terms start..K are summed, and offset +- remainder holds the rest."""
+    alpha = space.alpha
+    if alpha <= j + l + 1:
+        raise CannotCertifyError("boundary sum diverges: alpha <= j + l + 1")
+    numax = max(j, l)
+    x0 = (alpha * numax + j + l) / (alpha - j - l)
+    K = int(max(64, math.ceil(x0) + 2, start - 1))
+    if u == 1:
+        # positive decreasing terms: bracket the tail by integrals
+        while True:
+            hi = _integral_tail(space, j, l, K)
+            lo = _integral_tail(space, j, l, K + 1)
+            half = 0.5 * (hi - lo)
+            if half <= 0.5 * eps or K > 2 * 10**7:
+                break
+            K = min(2 * K, 2 * 10**7 + 1)
+        if half > 0.5 * eps:
+            raise CannotCertifyError("boundary bracketing did not reach eps")
+        return K + 1, 0.5 * (hi + lo), half
+    # u != 1: Dirichlet-test remainder 2 a_{K+1} / |1 - u|
+    denom = abs(1.0 - u)
+    while True:
+        k1 = np.array([K + 1.0])
+        aK = (_falling_vec(k1, j) * _falling_vec(k1, l))[0] / (K + 2.0) ** alpha
+        bound = 2.0 * aK / denom
+        if bound <= eps or K > 2 * 10**7:
+            break
+        K = min(2 * K, 2 * 10**7 + 1)
+    if bound > eps:
+        raise CannotCertifyError("oscillatory boundary tail did not reach eps")
+    return K + 1, 0.0, float(bound)
 
 
 def kernel_inner(
@@ -799,16 +789,5 @@ def kernel_inner(
 def kernel_eval(
     space: WeightSequence, spec: KernelSpec, z: complex, eps: float = 1e-12
 ) -> Certified:
-    """Certified pointwise value of a derivative-evaluation kernel."""
-    beta = complex(spec.beta)
-    z = complex(z)
-    if spec.flavor != "kernel_for_derivatives":
-        raise ValueError("kernel_eval expects a derivative-evaluation kernel")
-    if beta == 0:
-        length = spec.order + 1
-        c = kernel_coefficients(space, spec, length)
-        return Certified(complex(c[-1]) * z**spec.order, 0.0)
-    scale = np.conj(beta) ** (-spec.order)
-    inner_eps = eps / max(abs(scale), 1e-300)
-    s = falling_product_sum(space, spec.order, 0, np.conj(beta) * z, inner_eps)
-    return Certified(scale * s.value, abs(scale) * s.err)
+    """Certified pointwise value k(z) = <k, k^0_z> of a derivative-evaluation kernel."""
+    return kernel_inner(space, spec, KernelSpec(complex(z), 0), eps)

@@ -11,6 +11,7 @@ from opa.errors import (
 )
 from opa.engine import (
     OpaResult,
+    _coeff_window_M,
     approximant_sweep,
     build_system,
     cyclicity_diagnostic,
@@ -497,6 +498,47 @@ def test_no_stabilization_for_cyclic_polynomial():
     assert report.M is None and report.p_M is None
     report2 = detect_stabilization(H2, CPoly([1, -1]), n_max=12)
     assert not report2.stabilized
+
+
+def _per_M_window(results, eps):
+    """Reference window scan: every M in turn against all later rows."""
+    n = len(results)
+    mat = np.zeros((n, n), dtype=complex)
+    for i, r in enumerate(results):
+        mat[i, : r.p_star.coeffs.size] = r.p_star.coeffs
+    for M in range(n - 1):
+        if float(np.abs(mat[M:] - mat[M]).max()) <= eps:
+            return M
+    return None
+
+
+def test_window_M_matches_the_per_M_scan():
+    b = blaschke_factor(0.5, eps=1e-14, length=300)
+    sweeps = [
+        approximant_sweep(H2, b, ONE, 6),
+        approximant_sweep(H2, series_mul(b, geometric_series(1 / 3, length=300)), ONE, 8),
+        approximant_sweep(D1, CPoly([1, -1]), ONE, 12),
+        approximant_sweep(H2, CPoly([2.0]), ONE, 4),
+        approximant_sweep(H2, CPoly([1, -0.5]), ONE, 0),
+    ]
+    # random sweeps that settle at a random degree, with noise on random rows
+    # on either side of eps: a row off only inside the window passes the
+    # filter on the last row and must still be caught
+    rng = np.random.RandomState(5)
+    for _ in range(80):
+        n = rng.randint(1, 25)
+        settle = rng.randint(0, n + 1)
+        base = rng.randn(settle + 1) + 1j * rng.randn(settle + 1)
+        rows = []
+        for i in range(n + 1):
+            p = rng.randn(i + 1) if i < settle else base.copy()
+            if rng.rand() < 0.3:
+                p = p + 10.0 ** rng.uniform(-12, -6) * rng.randn(p.size)
+            rows.append(OpaResult(i, CPoly(p), 0.0))
+        sweeps.append(rows)
+    for results in sweeps:
+        for eps in (1e-10, 1e-8):
+            assert _coeff_window_M(results, eps) == _per_M_window(results, eps)
 
 
 def test_stabilization_constant_f_exact_certificate():

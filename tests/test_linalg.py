@@ -35,6 +35,16 @@ def test_non_hermitian_rejected():
         check_hermitian(np.array([[1, 2], [3, 1]], dtype=complex))
 
 
+def test_non_finite_entries_rejected():
+    # a NaN once compared false against the tolerance and was ignored by max
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        for i, j in ((1, 0), (0, 1), (1, 1)):
+            a = np.array([[1, 2], [2, 1]], dtype=complex)
+            a[i, j] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                check_hermitian(a)
+
+
 def test_random_hpd_residuals_and_oracle():
     # A^H A + I is Hermitian positive definite; the solver residual contract
     # is 1e-10 relative, and numpy's general solver is an independent oracle

@@ -341,6 +341,55 @@ def test_boundary_zero_sweep_consistency():
     assert abs(d.value**2 - gap) < 1e-12 + 2 * d.err
 
 
+def test_distance_to_poly_against_a_40_digit_reference():
+    # ||p_n f - phi|| with phi built from the computed constants and zeros,
+    # summed at 40 digits: through the horizon L, plus for the boundary case
+    # the tail |C|^2 sum_{t>=L} (t+1)^-2 = |C|^2 zeta(2, L+1).  The value must
+    # lie within err, and on interior zeros err must stay at rounding level
+    # (it once read ~1e-7 on distances of 1e-13 to 1e-11)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    cases = [
+        (H2, HALF, 40),
+        (H2, CPoly([-0.2j, 0.5 + 0.4j, 1]), 40),  # zeros 1/2 and -0.4i
+        (D1, CPoly([-0.6j, 1]), 40),
+        (D2, ONE_MINUS_Z, 60),
+    ]
+    for space, f, n in cases:
+        r = project_unity(space, f, eps=1e-9)
+        pf = approximant_sweep(space, f, ONE, n)[-1].p_star * f
+        L = max(512, 4 * n)
+        d = distance_to_poly(space, pf, r, eps=1e-13, min_length=L)
+        C = [mp.mpc(complex(c)) for c in r.constants]
+        total = mp.mpf(0)
+        for t in range(L):
+            w = mp.mpf(t + 1) ** space.alpha
+            phi = mp.mpc(1 if t == 0 else 0)
+            for c, spec in zip(C, r.basis):
+                if t >= spec.order:
+                    beta = mp.conj(mp.mpc(complex(spec.beta)))
+                    phi += c * mp.ff(t, spec.order) * beta ** (t - spec.order) / w
+            total += w * abs(phi - mp.mpc(complex(pf.coefficient(t)))) ** 2
+        boundary = any(abs(abs(complex(s.beta)) - 1) < 1e-12 for s in r.basis)
+        if boundary:
+            total += abs(C[0]) ** 2 * mp.zeta(2, L + 1)
+        assert abs(mp.sqrt(total) - d.value) <= d.err, (f, n)
+        if not boundary:
+            assert d.err <= 1e-12, (f, d.err)
+
+
+def test_phi_values_and_derivatives_match_coefficient_sums():
+    r = project_unity(H2, HALF_THIRD, eps=1e-12)
+    ks = np.arange(200)
+    coeffs = r.phi_coefficients(ks.size)
+    for z in (0.3 - 0.4j, 0.0, -0.7):
+        v = r.phi_at(z, eps=1e-13)
+        assert abs(v.value - np.sum(coeffs * complex(z) ** ks)) <= v.err + 1e-13
+    # phi'(0) = phi_1: evaluation at 0 goes through the kernel at 0
+    d = r.derivative_at(0.0, 1, eps=1e-13)
+    assert abs(d.value - r.phi_coefficients(2)[1]) <= d.err + 1e-14
+
+
 def test_gram_sweep_oracle_converges_to_phi():
     f = HALF
     r = project_unity(H2, f, eps=1e-12)
@@ -350,9 +399,7 @@ def test_gram_sweep_oracle_converges_to_phi():
         pf = sweep[n].p_star * f
         d = distance_to_poly(H2, pf, r, eps=1e-13)
         dists.append(d.value + d.err)
-    # geometric convergence: ||p_n f - phi||^2 = dist_n^2 - dist_inf^2 ~ 4^-n;
-    # the certified error on a norm is the square root of the squared-norm
-    # error, so the floor sits near 1e-7 regardless of the true distance
+    # geometric convergence: ||p_n f - phi||^2 = dist_n^2 - dist_inf^2 ~ 4^-n
     assert dists[0] < 1e-3 and dists[-1] < 1e-6
     assert dists[0] > dists[1] > dists[2]
     assert abs(sweep[-1].distance_sq - r.dist_sq) < 1e-10

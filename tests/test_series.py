@@ -1,6 +1,7 @@
 """Polynomial arithmetic and certified truncated series."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from opa.errors import CannotCertifyError, EnvelopeOverflowError
 from opa.projection import blaschke_projection
 from opa.series import (
     CPoly,
+    _covering_M,
     TruncSeries,
     blaschke_factor,
     blaschke_product,
@@ -313,3 +315,24 @@ def test_immutability():
     g = geometric_series(0.5, length=10)
     with pytest.raises(ValueError):
         g.coeffs[0] = 5
+
+
+def test_envelope_cover_where_the_power_underflows():
+    # 0.18**k (k+1)**gamma underflows to 0 past k ~ 430, so the covering
+    # constant of a long small-ratio prefix is taken in logarithms; the
+    # length-460 product used to raise EnvelopeOverflowError
+    b = blaschke_product([0.15, -0.18j], length=460)
+    short = blaschke_product([0.15, -0.18j], length=400)
+    assert np.array_equal(b.coeffs[:400], short.coeffs)
+    # the cover is rounded up: it dominates the exact ratios of the doubles
+    ks = [0, 3, 500, 700]
+    vals = [0.0, 0.25, 1e-300, 5e-320]
+    for gamma in (-2, 0, 3):
+        M = _covering_M(0.0, 0.18, float(gamma), ks, vals)
+        for k, v in zip(ks, vals):
+            exact = Fraction(v) / (Fraction(0.18) ** k * Fraction(k + 1) ** gamma)
+            assert Fraction(M) >= exact
+    # zero values need no cover, and r == 0 covers nothing past index 0
+    assert _covering_M(1.0, 0.0, 0.0, [0, 5], [0.5, 0.0]) == 1.0
+    with pytest.raises(EnvelopeOverflowError):
+        _covering_M(1.0, 0.0, 0.0, [0, 5], [0.5, 1e-3])

@@ -12,6 +12,7 @@ from opa.spaces import (
     inner_poly,
     inner_series,
     is_reproducible,
+    kernel_coefficients,
     kernel_eval,
     kernel_inner,
     kernel_series,
@@ -345,3 +346,64 @@ def test_falling_product_sum_interior_matches_closed_form():
     got = falling_product_sum(H2, 1, 0, u, 1e-12)
     want = u / (1 - u) ** 2
     assert abs(got.value - want) <= got.err + 1e-12
+
+
+def _shifted_falling_product(j, l):
+    """Integer c_m with P_j(k) P_l(k) = sum_m c_m (k+1)**m."""
+    c = [1]
+    for nu in list(range(j)) + list(range(l)):
+        # times ((k+1) - (nu+1))
+        c = [a - (nu + 1) * b for a, b in zip([0] + c, c + [0])]
+    return c
+
+
+def test_falling_product_sum_from_start_matches_mpmath():
+    # sum_{k>=L} P_j(k) P_l(k) u^k / w_k at 30 digits, in every regime: with
+    # P_j P_l in powers of k + 1, u = 1 gives Hurwitz zetas zeta(alpha - m, L+1)
+    # and unimodular u != 1 Lerch transcendents; geometric sums are summed
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+
+    def summed(j, l, u, L, w):
+        terms = (mp.ff(k, j) * mp.ff(k, l) * mp.mpc(u) ** k / w(k) for k in range(L, L + 400))
+        return mp.fsum(terms)
+
+    def lerch(j, l, u, L, alpha):
+        u = mp.mpc(u)
+        c = _shifted_falling_product(j, l)
+        if u == 1:
+            return mp.fsum(cm * mp.zeta(alpha - m, L + 1) for m, cm in enumerate(c))
+        return u**L * mp.fsum(cm * mp.lerchphi(u, alpha - m, L + 1) for m, cm in enumerate(c))
+
+    custom = WeightSequence.custom([1.0, 1.3, 1.6])
+    ratio = mp.mpf(1.6) / mp.mpf(1.3)
+    flat = WeightSequence.custom([1.0, 2.0, 2.0], extension="constant")
+    cases = [
+        # interior, dirichlet and custom weights
+        (D1, 1, 2, 0.6 * np.exp(0.7j), 30, lambda k: mp.mpf(k + 1)),
+        (flat, 2, 0, 0.5j, 12, lambda k: mp.mpf(1 if k == 0 else 2)),
+        # a growing custom continuation on the circle
+        (custom, 1, 1, np.exp(2j), 10, lambda k: mp.mpf(1.6) * ratio ** (k - 2)),
+        # u = 1 and unimodular u != 1 over dirichlet weights
+        (WeightSequence.dirichlet(4.0), 1, 1, 1.0, 100, 4.0),
+        (WeightSequence.dirichlet(3.0), 1, 0, np.exp(1j * np.pi / 3), 200, 3.0),
+        (WeightSequence.dirichlet(2.5), 0, 0, -1.0, 70, 2.5),
+    ]
+    for space, j, l, u, L, w in cases:
+        got = falling_product_sum(space, j, l, u, 1e-10, start=L)
+        want = summed(j, l, u, L, w) if callable(w) else lerch(j, l, u, L, w)
+        assert abs(mp.mpc(got.value) - want) <= got.err, (space, j, l, u)
+        assert got.err <= 1e-10 + 1e-14 * abs(got.value)
+
+
+def test_kernel_values_match_coefficient_sums():
+    ks = np.arange(600)
+    for space, spec, z in [
+        (D1, KernelSpec(0.4 + 0.3j, 2), 0.5 - 0.2j),
+        (H2, KernelSpec(-0.6j, 1), 0.7),
+        (D2, KernelSpec(0.0, 3), 0.7 + 0.1j),
+        (D1, KernelSpec(0.5, 0), 0.0),
+    ]:
+        v = kernel_eval(space, spec, z, eps=1e-13)
+        direct = np.sum(kernel_coefficients(space, spec, ks.size) * complex(z) ** ks)
+        assert abs(v.value - direct) <= v.err + 1e-14 * (1 + abs(direct)), (spec, z)
