@@ -47,6 +47,8 @@ def cholesky_factor(matrix: np.ndarray) -> np.ndarray:
     far too large for double precision.
     """
     a = np.asarray(matrix, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
     n = a.shape[0]
     L = np.zeros((n, n), dtype=complex)
     for j in range(n):

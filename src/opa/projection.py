@@ -34,7 +34,7 @@ from .linalg import (
     poly_roots,
     solve_factored,
 )
-from .series import UNIT_ROUNDOFF, CPoly, TruncSeries, blaschke_product
+from .series import UNIT_ROUNDOFF, CPoly, TruncSeries, blaschke_product, power_rounding
 from .spaces import (
     Certified,
     KernelSpec,
@@ -151,7 +151,8 @@ class ProjectionResult:
         for spec, c in zip(self.basis, self.constants):
             g = kernel_inner(self.space, spec, target, eps / max(1, len(self.basis)))
             value += c * g.value
-            err += abs(c) * g.err
+            # the product and the addition round too
+            err += abs(c) * g.err + UNIT_ROUNDOFF * (3.0 * abs(c * g.value) + abs(value))
         return Certified(value, err)
 
     def norm_sq(self, eps: float = 1e-10) -> Certified:
@@ -385,25 +386,11 @@ def blaschke_projection(f: CPoly, eps: float = 1e-12) -> ProjectionResult:
     classification = (
         classify_zeros(space, f_monic) if f.degree >= 1 else ZeroClassification([], [], [])
     )
-    inside = []
-    for beta, mult in classification.zeros:
-        if abs(beta) < 1.0:
-            inside.extend([beta] * mult)
-    if not inside:
-        return ProjectionResult(
-            space,
-            f_monic,
-            classification,
-            [],
-            np.zeros(0, dtype=complex),
-            1.0,
-            0.0,
-            phi_series=TruncSeries([1.0], 0.0, 0.0, 0.0),
-        )
-    B = blaschke_product(inside, eps=eps)
-    B0 = float(np.prod([abs(b) for b in inside]))
-    phi_series = B.scale(B0)
-    phi0 = B0 * B0
+    inside = [beta for beta, mult in classification.zeros if abs(beta) < 1.0 for _ in range(mult)]
+    phi_series, phi0 = TruncSeries([1.0], 0.0, 0.0, 0.0), 1.0
+    if inside:
+        B0 = float(np.prod([abs(b) for b in inside]))
+        phi_series, phi0 = blaschke_product(inside, eps=eps).scale(B0), B0 * B0
     return ProjectionResult(
         space,
         f_monic,
@@ -487,31 +474,27 @@ def recurrence_residual(
     return worst
 
 
-def _pow_rel(m, beta: complex):
-    """Relative rounding of a computed complex power beta**m: it is
-    exp(m log beta), whose exponent carries m (|ln|beta|| + pi) rounding units."""
-    return (3.0 * np.abs(m) * (abs(math.log(abs(beta))) + math.pi) + 4.0) * UNIT_ROUNDOFF
-
-
 def _head_rounding(result: ProjectionResult, absd: np.ndarray, w, head: float) -> float:
     """Bound on the rounding of head = sum_t w_t |phi_t - p_t|^2 as computed.
 
     Model: each elementary operation, exp and log included, is exact up to
-    UNIT_ROUNDOFF relative on normal numbers.  C_b k_b(t), with the kernel
-    coefficient P_n(t) conj(beta)^(t-n) / w_t, is then off by _pow_rel(t - n)
-    plus n + 8 units of itself; summing 1 and the nb terms into phi_t adds nb
-    units of each, and phi_t - p_t one unit of the difference.  An error e_t
-    in d_t moves |d_t|^2 by at most (2|d_t| + e_t) e_t; |.|^2, the weight and
-    the product add 5 units per term, the pairwise sum log2(L) + 20 in all.
+    UNIT_ROUNDOFF relative on normal numbers.  Then phi_t = [t = 0] +
+    sum_b C_b k_b(t) is off by at most kappa_t ([t = 0] + sum_b |C_b k_b(t)|),
+    where kappa_t is the worst zero's power_rounding(t) plus max order + nb + 8
+    units (factorials, weight, products, the nb additions), and phi_t - p_t
+    by one more unit of itself.  An error e_t in d_t moves |d_t|^2 by at most
+    (2|d_t| + e_t) e_t; |.|^2, the weight and the product add 5 units per
+    term, the pairwise sum log2(L) + 20 in all.
     """
-    nb, ks = len(result.basis), np.arange(absd.size)
-    e = UNIT_ROUNDOFF * absd
-    e[0] += nb * UNIT_ROUNDOFF
-    for spec, c in zip(result.basis, result.constants):
-        a = abs(c) * np.abs(kernel_coefficients(result.space, spec, absd.size))
-        units = spec.order + 8 + nb
-        e += a * (_pow_rel(np.maximum(ks - spec.order, 0), spec.beta) + units * UNIT_ROUNDOFF)
-    summing = (math.log2(absd.size) + 25.0) * UNIT_ROUNDOFF
+    ks, basis = np.arange(absd.size), result.basis
+    mags = (ks == 0) + sum(
+        abs(c) * np.abs(kernel_coefficients(result.space, s, ks.size))
+        for s, c in zip(basis, result.constants)
+    )
+    worst = min((abs(s.beta) for s in basis), key=lambda r: -abs(math.log(r)), default=1.0)
+    units = max((s.order for s in basis), default=0) + len(basis) + 8
+    e = UNIT_ROUNDOFF * (absd + units * mags) + power_rounding(ks, worst) * mags
+    summing = (math.log2(ks.size) + 25.0) * UNIT_ROUNDOFF
     return float(np.sum(w * (2.0 * absd + e) * e)) + summing * head
 
 
@@ -550,10 +533,9 @@ def distance_to_poly(
             )
             contrib = scale * s.value
             tail += contrib.real
-            # the scale's two powers and three products, the product with
-            # the sum, and the nb^2 additions
-            units = 12 + nb * nb
-            rel = _pow_rel(sa.order, ba) + _pow_rel(sb.order, bb) + units * UNIT_ROUNDOFF
+            # the scale's two powers and four products, and the nb^2 additions
+            rel = power_rounding(sa.order, abs(ba)) + power_rounding(sb.order, abs(bb))
+            rel += (12 + nb * nb) * UNIT_ROUNDOFF
             tail_err += abs(scale) * s.err + rel * abs(contrib)
     total = head + max(tail, 0.0)
     value = math.sqrt(total)

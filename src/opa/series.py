@@ -29,6 +29,13 @@ TRIM_TOL = 1e-14
 
 # unit roundoff of a double: an exact operation rounds with relative error below it
 UNIT_ROUNDOFF = 2.0**-53
+_TINY = np.finfo(float).tiny
+
+
+def power_rounding(m, rho: float):
+    """Relative rounding of a computed complex power b**m with |b| = rho > 0:
+    it is exp(m log b), whose exponent carries m (|ln rho| + pi) rounding units."""
+    return (3.0 * np.abs(m) * (abs(math.log(rho)) + math.pi) + 4.0) * UNIT_ROUNDOFF
 
 
 def _as_coeff_array(coeffs) -> np.ndarray:
@@ -236,20 +243,22 @@ def needed_length(M: float, r: float, gamma: float, eps: float) -> int:
 def _covering_M(M, r, gamma, ks, values):
     """Smallest M' >= M with values[i] <= M' r**ks[i] (ks[i]+1)**gamma.
 
-    Zero values need no cover.  Where r**k (k+1)**gamma underflows to 0, the
-    ratio is taken in logarithms and rounded up, so the cover stays rigorous.
+    Zero values need no cover.  Where r**k or r**k (k+1)**gamma is not a
+    normal double (it underflowed, or kept fewer than 53 bits), the ratio is
+    taken in logarithms and rounded up, so the cover stays rigorous.
     """
     vals = np.asarray(values, dtype=float)
     ks, vals = np.asarray(ks, dtype=float)[vals != 0], vals[vals != 0]
-    denom = r**ks * (ks + 1.0) ** gamma
-    pos = denom > 0
+    rk = r**ks
+    denom = rk * (ks + 1.0) ** gamma
+    pos = (rk >= _TINY) & (denom >= _TINY)
     out = float(max(M, np.max(vals[pos] / denom[pos]))) if pos.any() else M
     if not pos.all():
         if r == 0:
             raise EnvelopeOverflowError("cannot cover nonzero values with r == 0")
-        # each logarithm and product is off by at most one unit in the last place
+        # each logarithm, product and sum is off by a few units in the last place
         parts = (np.log(vals[~pos]), -ks[~pos] * math.log(r), -gamma * np.log1p(ks[~pos]))
-        x = sum(parts) + 4.0 * UNIT_ROUNDOFF * sum(np.abs(t) for t in parts)
+        x = sum(parts) + 16.0 * UNIT_ROUNDOFF * sum(np.abs(t) for t in parts)
         with np.errstate(over="ignore"):
             out = max(out, float(np.max(np.exp(x))) * (1.0 + 4.0 * UNIT_ROUNDOFF))
         if not math.isfinite(out):
@@ -406,14 +415,6 @@ class TruncSeries:
             )
             M = _covering_M(M, r, gamma, ks, vals)
         return TruncSeries(coeffs, M, r, gamma)
-
-    def sub(self, other: "TruncSeries") -> "TruncSeries":
-        return self.add(other.scale(-1.0))
-
-    def add_poly(self, p: CPoly) -> "TruncSeries":
-        if p.degree >= len(self):
-            raise ValueError("polynomial degree exceeds stored series length")
-        return self.add(TruncSeries.from_poly(p))
 
     def mul_poly(self, p: CPoly, out_len: int | None = None) -> "TruncSeries":
         """Multiply by an exact polynomial factor."""

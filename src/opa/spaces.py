@@ -45,9 +45,11 @@ from .errors import (
     UndecidableError,
 )
 from .series import (
+    UNIT_ROUNDOFF,
     CPoly,
     TruncSeries,
     needed_length,
+    power_rounding,
     power_tail_bound,
 )
 
@@ -181,10 +183,6 @@ class WeightSequence:
     @staticmethod
     def dirichlet(alpha: float) -> "WeightSequence":
         return WeightSequence("dirichlet", alpha=alpha)
-
-    @staticmethod
-    def hardy() -> "WeightSequence":
-        return WeightSequence("dirichlet", alpha=0.0)
 
     @staticmethod
     def custom(prefix, extension="ratio") -> "WeightSequence":
@@ -577,23 +575,13 @@ def kernel_series(
         ginv = max(-space.alpha, 0.0)
         Minv, r_eff = 1.0, rho
     else:
-        nprefix = space.prefix.size
-        if space.ratio < 1.0:
-            # decaying continuation inflates 1/w_k geometrically
-            r_eff = rho / space.ratio
-            if r_eff >= 1.0:
-                raise CannotCertifyError(
-                    "kernel coefficients grow under decaying weights; "
-                    "no geometric envelope exists"
-                )
-            Minv = max(
-                float(1.0 / (space.prefix[-1] * space.ratio ** (1 - nprefix))),
-                max(float(space.ratio**k / space.prefix[k]) for k in range(nprefix)),
+        Minv, rho_inv = _inverse_weight_majorant(space)
+        r_eff, ginv = rho * rho_inv, 0.0
+        if r_eff >= 1.0:
+            raise CannotCertifyError(
+                "kernel coefficients grow under decaying weights; "
+                "no geometric envelope exists"
             )
-        else:
-            Minv = 1.0 / float(space.prefix.min())
-            r_eff = rho
-        ginv = 0.0
     if spec.flavor == "derivative_of_kernel":
         # |coeffs| = (k+1)...(k+n) rho^(k+n) / w_k <= ((n+1)(k+1))^n rho^(k+n) / w_k
         M = Minv * rho**n * (n + 1.0) ** n
@@ -694,32 +682,24 @@ def falling_product_sum(
     return Certified(complex(acc + offset), rem + 1e-15 * absacc)
 
 
-def _interior_truncation(space, j, l, q, eps, start):
-    """(K, tail): terms start..K-1 are summed; tail bounds those from K on.
+def _inverse_weight_majorant(space) -> tuple[float, float]:
+    """(M, rho) with 1/w_k <= M rho**k for every k of a custom space: beyond
+    the prefix 1/w_k = ratio**(n-1-k) / w_{n-1}, a geometric sequence with
+    base 1/ratio, and the prefix goes into the constant."""
+    if callable(space.extension):
+        raise CannotCertifyError("callable weight extensions admit no certified sums")
+    return max(float(space.ratio**k / w) for k, w in enumerate(space.prefix)), 1.0 / space.ratio
 
-    For custom weights 1/w_k = ratio**(n-1-k) / w_{n-1} beyond the prefix, a
-    geometric sequence with base 1/ratio; the prefix goes into the constant.
-    """
+
+def _interior_truncation(space, j, l, q, eps, start):
+    """(K, tail): terms start..K-1 are summed; tail bounds those from K on."""
     if space.kind == "dirichlet":
         gamma = j + l + max(-space.alpha, 0.0)
         Mw = 1.0
         qeff = q
     else:
-        if callable(space.extension):
-            raise CannotCertifyError(
-                "callable weight extensions admit no certified sums"
-            )
-        gamma = float(j + l)
-        n, ratio = space.prefix.size, space.ratio
-        if ratio == 1.0:
-            Mw, rho_inv = 1.0 / float(space.prefix.min()), 1.0
-        else:
-            Mw = max(
-                float(ratio ** (n - 1) / space.prefix[-1]),
-                max(float(ratio**k / space.prefix[k]) for k in range(n)),
-            )
-            rho_inv = 1.0 / ratio
-        qeff = q * rho_inv
+        Mw, rho_inv = _inverse_weight_majorant(space)
+        gamma, qeff = float(j + l), q * rho_inv
     if qeff >= 1.0:
         raise CannotCertifyError("effective tail ratio reaches 1")
     K = needed_length(Mw, qeff, gamma, 0.5 * eps)
@@ -774,12 +754,14 @@ def kernel_inner(
         raise ValueError("kernel_inner expects derivative-evaluation kernels")
     ba, bb = complex(a.beta), complex(b.beta)
     if ba == 0 or bb == 0:
-        # kernel at 0 of order n is the single monomial z^n * n! / w_n
+        # kernel at 0 of order n is the single monomial z^n * n! / w_n, so one
+        # term is nonzero: its factorials, its weight thrice and one power round
         length = max(a.order, b.order) + 1
-        ca = kernel_coefficients(space, a, length + 1)
-        cb = kernel_coefficients(space, b, length + 1)
-        w = space.weights(length + 1)
-        return Certified(complex(np.sum(w * ca * np.conj(cb))), 1e-15)
+        ca = kernel_coefficients(space, a, length)
+        cb = kernel_coefficients(space, b, length)
+        terms = space.weights(length) * ca * np.conj(cb)
+        rel = power_rounding(length, abs(ba + bb) or 1.0) + (2 * length + 16) * UNIT_ROUNDOFF
+        return Certified(complex(np.sum(terms)), rel * float(np.sum(np.abs(terms))))
     scale = np.conj(ba) ** (-a.order) * bb ** (-b.order)
     inner_eps = eps / max(abs(scale), 1e-300)
     s = falling_product_sum(space, a.order, b.order, np.conj(ba) * bb, inner_eps)

@@ -379,15 +379,31 @@ def test_distance_to_poly_against_a_40_digit_reference():
 
 
 def test_phi_values_and_derivatives_match_coefficient_sums():
+    # phi^(n)(z) = delta_n0 + sum_b C_b sum_k P_j(k) P_n(k) conj(beta_b)^(k-j)
+    # z^(k-n) / w_k with the computed constants, summed at 40 digits; values
+    # must lie within err alone, at 0 too (the kernel-at-0 branch), and in a
+    # custom space whose small weights make phi''(0) large
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    tiny = WeightSequence.custom([1.0, 1e-3, 1e-6, 1e-6])
+    for space, f in [(H2, HALF_THIRD), (tiny, CPoly([0.1 + 0.2j, 1]))]:
+        r = project_unity(space, f, eps=1e-12)
+        for z, n in [(0.3 - 0.4j, 0), (0.0, 0), (-0.7, 0), (0.0, 1), (0.0, 2), (0.2j, 1)]:
+            v = r.derivative_at(z, n, eps=1e-13) if n else r.phi_at(z, eps=1e-13)
+            exact = mp.mpc(1 if n == 0 else 0)
+            for spec, c in zip(r.basis, r.constants):
+                beta, j = mp.conj(mp.mpc(complex(spec.beta))), spec.order
+                zz = mp.mpc(complex(z))
+                exact += mp.mpc(complex(c)) * mp.fsum(
+                    mp.ff(k, j) * mp.ff(k, n) * beta ** (k - j) * zz ** (k - n)
+                    / mp.mpf(space.weight(k))
+                    for k in range(max(j, n), 400)
+                )
+            assert abs(mp.mpc(v.value) - exact) <= v.err, (space, z, n)
+    # phi'(0) = phi_1
     r = project_unity(H2, HALF_THIRD, eps=1e-12)
-    ks = np.arange(200)
-    coeffs = r.phi_coefficients(ks.size)
-    for z in (0.3 - 0.4j, 0.0, -0.7):
-        v = r.phi_at(z, eps=1e-13)
-        assert abs(v.value - np.sum(coeffs * complex(z) ** ks)) <= v.err + 1e-13
-    # phi'(0) = phi_1: evaluation at 0 goes through the kernel at 0
     d = r.derivative_at(0.0, 1, eps=1e-13)
-    assert abs(d.value - r.phi_coefficients(2)[1]) <= d.err + 1e-14
+    assert abs(d.value - r.phi_coefficients(2)[1]) <= d.err
 
 
 def test_gram_sweep_oracle_converges_to_phi():

@@ -324,12 +324,12 @@ def test_envelope_cover_where_the_power_underflows():
     b = blaschke_product([0.15, -0.18j], length=460)
     short = blaschke_product([0.15, -0.18j], length=400)
     assert np.array_equal(b.coeffs[:400], short.coeffs)
-    # the cover is rounded up: it dominates the exact ratios of the doubles
-    ks = [0, 3, 500, 700]
-    vals = [0.0, 0.25, 1e-300, 5e-320]
+    # where 0.18**k is subnormal (k = 425..434, a few bits left) or 0, the
+    # cover is rounded up: it dominates the exact ratio of the doubles
+    cases = [(k, 1e-300) for k in range(425, 435)] + [(500, 1e-300), (700, 5e-320)]
     for gamma in (-2, 0, 3):
-        M = _covering_M(0.0, 0.18, float(gamma), ks, vals)
-        for k, v in zip(ks, vals):
+        for k, v in cases:
+            M = _covering_M(0.0, 0.18, float(gamma), [k], [v])
             exact = Fraction(v) / (Fraction(0.18) ** k * Fraction(k + 1) ** gamma)
             assert Fraction(M) >= exact
     # zero values need no cover, and r == 0 covers nothing past index 0

@@ -397,13 +397,44 @@ def test_falling_product_sum_from_start_matches_mpmath():
 
 
 def test_kernel_values_match_coefficient_sums():
-    ks = np.arange(600)
-    for space, spec, z in [
+    # k(z) = sum_k P_n(k) conj(beta)^(k-n) z^k / w_k summed at 40 digits; the
+    # value must lie within err alone.  Kernels at 0 and evaluation at 0 take
+    # the one-term branch, whose error must scale with the value: n! / w_n is
+    # large for Bergman weights and for a custom prefix of small weights
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    tiny = WeightSequence.custom([1.0, 1e-6, 1e-12, 1e-12])
+    cases = [
         (D1, KernelSpec(0.4 + 0.3j, 2), 0.5 - 0.2j),
         (H2, KernelSpec(-0.6j, 1), 0.7),
         (D2, KernelSpec(0.0, 3), 0.7 + 0.1j),
         (D1, KernelSpec(0.5, 0), 0.0),
-    ]:
+        (tiny, KernelSpec(0.0, 2), 0.7 + 0.1j),
+        (tiny, KernelSpec(0.3 - 0.5j, 1), 0.0),
+        (WeightSequence.dirichlet(-1.0), KernelSpec(0.0, 12), 0.9 - 0.3j),
+    ]
+    for space, spec, z in cases:
         v = kernel_eval(space, spec, z, eps=1e-13)
-        direct = np.sum(kernel_coefficients(space, spec, ks.size) * complex(z) ** ks)
-        assert abs(v.value - direct) <= v.err + 1e-14 * (1 + abs(direct)), (spec, z)
+        beta, n, zz = mp.conj(mp.mpc(complex(spec.beta))), spec.order, mp.mpc(complex(z))
+
+        def w(k):
+            if space.kind == "custom":
+                return mp.mpf(space.weight(k))
+            return mp.mpf(k + 1) ** space.alpha
+
+        exact = mp.fsum(mp.ff(k, n) * beta ** (k - n) * zz**k / w(k) for k in range(n, 600))
+        assert abs(mp.mpc(v.value) - exact) <= v.err, (space, spec, z)
+        assert v.err <= 1e-13 * max(1.0, abs(v.value)), (space, spec, z)
+
+
+def test_kernel_series_over_growing_custom_weights_outside_the_disk():
+    # 1/w_k <= M ratio^-k, so the kernel at |beta| = 1.05 < sqrt(1.2), which is
+    # reproducible, has a geometric envelope with r = 1.05 / 1.2 < 1 (r = |beta|
+    # would be no envelope at all); the envelope covers the unstored terms
+    space = WeightSequence.custom([1.0, 1.2, 1.44])
+    for spec in (KernelSpec(1.05, 0), KernelSpec(-1.05j, 1), KernelSpec(0.5, 2)):
+        s = kernel_series(space, spec, eps=1e-12)
+        assert s.tail_r < 1
+        far = kernel_coefficients(space, spec, len(s) + 300)[len(s) :]
+        ks = np.arange(len(s), len(s) + 300)
+        assert np.all(np.abs(far) <= s.tail_M * s.tail_r**ks * (ks + 1.0) ** s.tail_gamma)

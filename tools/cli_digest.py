@@ -4,8 +4,8 @@ Dump: run every CLI job of ``sweep_long`` and ``project_mix`` for the given
 seeds in-process (through ``perfbench/workloads.py``, read-only) and write one
 JSON line per job with its exit code, stdout and stderr::
 
-    python3 tools/cli_digest.py --seeds 1 2 --out new.jsonl
-    python3 tools/cli_digest.py --root ../parent --seeds 1 2 --out old.jsonl
+    python3 tools/cli_digest.py --seeds 1 2 > new.jsonl
+    python3 tools/cli_digest.py --root ../parent --seeds 1 2 > old.jsonl
 
 ``--root`` picks the checkout whose ``src/`` and ``perfbench/`` are used
 (default: the one holding this script), so one copy of the tool dumps any
@@ -128,16 +128,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    ap.add_argument("--out", help="dump file (default: stdout)")
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    if args.out:
-        with open(args.out, "w") as fh:
-            n = dump(args.root.resolve(), args.seeds, fh)
-    else:
-        n = dump(args.root.resolve(), args.seeds, sys.stdout)
+    n = dump(args.root.resolve(), args.seeds, sys.stdout)
     print(f"{n} CLI jobs dumped", file=sys.stderr)
     return 0
 
