@@ -44,7 +44,6 @@ from .spaces import (
 from .linalg import cholesky_solve, poly_roots
 from .engine import (
     CyclicityDiagnostic,
-    GramSystem,
     InnerCertificate,
     OpaResult,
     ShiftOrthogonality,

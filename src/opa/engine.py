@@ -31,7 +31,14 @@ import numpy as np
 
 from .errors import CannotCertifyError, OrthogonalDataError
 from .linalg import cholesky_factor, forward_substitute, poly_roots
-from .series import CPoly, TruncSeries, poly_geometric_sup, power_tail_bound
+from .series import (
+    CPoly,
+    TruncSeries,
+    _covering_M,
+    poly_geometric_sup,
+    power_tail_bound,
+    smallest_certified,
+)
 from .spaces import WeightSequence, norm_sq_any, require_certified, shift_products
 
 # unused here, but bound for perfbench/spans.py, which traces them by these names
@@ -67,19 +74,6 @@ def _effective_degree(space: WeightSequence, x) -> int | None:
     if space.kind == "multiplier":
         d += space.m.degree
     return d
-
-
-@dataclass
-class GramSystem:
-    """The degree-n optimal system for (f, g): G a = rhs."""
-
-    space: WeightSequence
-    f: object
-    g: object
-    n: int
-    matrix: np.ndarray
-    rhs: np.ndarray
-    entry_err: float
 
 
 @dataclass
@@ -166,8 +160,8 @@ class CyclicityDiagnostic:
 
 def build_system(
     space: WeightSequence, f, g, n: int, entry_eps: float = _ENTRY_EPS
-) -> GramSystem:
-    """Assemble G and rhs, exactly for polynomial data, certified otherwise.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(G, rhs, largest entry error): exact for polynomial data, certified otherwise.
 
     One product over the shift matrix F[k, t] = (z^k f)_t gives both,
     G = conj(F) W F^T and rhs = conj(F) W g for the weights W; quotient
@@ -212,7 +206,7 @@ def build_system(
         )
     if series_err is not None:
         require_certified(series_err, entry_eps)
-    return GramSystem(space, f, g, n, G, rhs, max(G_err, float(np.max(rhs_err))))
+    return G, rhs, max(G_err, float(np.max(rhs_err)))
 
 
 def approximant_sweep(
@@ -226,10 +220,10 @@ def approximant_sweep(
     """
     if g is None:
         g = CPoly([1])
-    system = build_system(space, f, g, n_max)
+    G, rhs, entry_err = build_system(space, f, g, n_max)
     gg = norm_sq_any(space, g, _ENTRY_EPS)
-    L = cholesky_factor(system.matrix)
-    y = forward_substitute(L, system.rhs)
+    L = cholesky_factor(G)
+    y = forward_substitute(L, rhs)
     dist = float(gg.value) - np.cumsum(y.real**2 + y.imag**2)
     # L^H X = triu(y 1^T), its right-hand side filled in as each row is reached:
     # a fourth n_max-sized matrix raised long sweeps' peak memory by up to 18 %
@@ -240,7 +234,7 @@ def approximant_sweep(
     results = []
     for n in range(n_max + 1):
         a = X[: n + 1, n]
-        err = max(gg.err + float(np.sum(np.abs(a))) * _ERR_FLOOR, system.entry_err * (n + 2))
+        err = max(gg.err + float(np.sum(np.abs(a))) * _ERR_FLOOR, entry_err * (n + 2))
         results.append(OpaResult(n, CPoly(a), float(dist[n]), err))
     return results
 
@@ -312,18 +306,20 @@ def _series_shift_horizon(space: WeightSequence, f: TruncSeries, eps: float) -> 
     # supremum of (t+1)^gamma (r/rr)^t
     gplus = max(f.tail_gamma, 0.0)
     env_flat = f.tail_M * poly_geometric_sup(gplus, r / rr) if r > 0 else f.tail_M
-    stored = np.arange(len(f))
-    Mhat = max(env_flat, float(np.max(np.abs(f.coeffs) / rr**stored)))
+    Mhat = _covering_M(env_flat, rr, 0.0, np.arange(len(f)), np.abs(f.coeffs))
     W, g, rho = space.tail_weight_majorant(0)
     if rr * rho >= 1.0 or rr * rr * rho >= 1.0:
         raise CannotCertifyError("envelope too weak to bound shifted inner products")
     S = power_tail_bound(W * Mhat**2, rr * rr * rho, g, -1)
-    j = 1
-    while S * (j + 1.0) ** g * (rr * rho) ** j > eps:
-        j += 1
-        if j > 10**6:
-            raise CannotCertifyError("shift horizon did not close")
-    return max(j, 4)
+
+    def bound(j):
+        return S * (j + 1.0) ** g * (rr * rho) ** j
+
+    # the bound rises up to its largest value, poly_geometric_sup's, and falls after it
+    if S * poly_geometric_sup(g, rr * rho) <= eps:
+        return 4
+    peak = max(1, math.ceil(g / -math.log(rr * rho)) - 1)
+    return max(smallest_certified(bound, eps, peak, 10**6), 4)
 
 
 def orthogonal_to_shifts(

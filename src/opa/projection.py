@@ -48,30 +48,6 @@ from .spaces import (
 _ROOT_MATCH_TOL = 1e-7
 
 
-def _series_derivative_at(s: TruncSeries, beta: complex, order: int) -> "Certified":
-    """Certified order-th derivative of a stored series at beta."""
-    from .series import power_tail_bound
-    from .spaces import _falling_vec
-
-    ks = np.arange(len(s))
-    fall = _falling_vec(ks, order)
-    nz = ks >= order
-    value = complex(
-        np.sum(s.coeffs[nz] * fall[nz] * beta ** (ks[nz] - order))
-    )
-    if beta == 0:
-        err = 0.0 if order <= s.order else math.factorial(order) * s.envelope_at(order)
-        return Certified(value, err)
-    # |sum_{t>N} P_order(t) h_t beta^(t-order)| with the envelope bound
-    err = power_tail_bound(
-        s.tail_M * abs(beta) ** (-order) if s.tail_M else 0.0,
-        s.tail_r * abs(beta),
-        s.tail_gamma + order,
-        s.order,
-    )
-    return Certified(value, err)
-
-
 @dataclass(frozen=True)
 class ClassifiedZero:
     beta: complex
@@ -142,9 +118,9 @@ class ProjectionResult:
     def derivative_at(self, beta: complex, order: int, eps: float = 1e-10) -> Certified:
         """Certified phi^(order)(beta) = delta_{order,0} + sum_b C_b <k_b, k^order_beta>;
         it vanishes at classified (beta, order)."""
-        beta = complex(beta)
         if self.phi_series is not None:
-            return _series_derivative_at(self.phi_series, beta, order)
+            raise ValueError("a series-backed projection carries phi0 and its coefficients only")
+        beta = complex(beta)
         value = 1.0 + 0j if order == 0 else 0j
         err = 0.0
         target = KernelSpec(beta, order)
@@ -158,10 +134,7 @@ class ProjectionResult:
     def norm_sq(self, eps: float = 1e-10) -> Certified:
         """||phi||^2, which must agree with phi(0)."""
         if self.phi_series is not None:
-            from .spaces import inner_series
-
-            c = inner_series(self.space, self.phi_series, self.phi_series, eps)
-            return Certified(c.value.real, c.err)
+            raise ValueError("a series-backed projection carries phi0 and its coefficients only")
         value = 1.0 + 0j  # <1, 1> with w_0 = 1
         err = 0.0
         n = max(1, len(self.basis))

@@ -12,6 +12,10 @@ envelope into rigorous truncation-error bounds.  Geometric envelopes
 factor (k+1)**gamma admits kernels at boundary points, whose coefficients
 decay like a power of k rather than geometrically.
 
+Every truncation (a stored length, a kernel sum's cut in spaces, the shift
+horizon in engine) is the smallest K that certifies, from the one search
+smallest_certified; a kernel sum's remainder gets half of its eps.
+
 All values are immutable after construction and safe to share across threads.
 """
 
@@ -220,24 +224,32 @@ def poly_geometric_sup(gamma: float, t: float) -> float:
     return max((k + 1.0) ** gamma * t**k for k in cands)
 
 
-def needed_length(M: float, r: float, gamma: float, eps: float) -> int:
-    """Smallest stored length L so the envelope tail beyond L-1 is <= eps."""
+def smallest_certified(bound, eps: float, lo: int, cap: int) -> int:
+    """Smallest K >= lo with bound(K) <= eps, for a bound non-increasing from lo.
+
+    Steps from lo double until the bound certifies, then bisection finds the
+    first K that does; that K was itself tested, and a NaN bound never
+    certifies.  Raises CannotCertifyError when bound(cap) > eps.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if M == 0.0 or r == 0.0:
-        return 1
-    lo, hi = 1, 1
-    while power_tail_bound(M, r, gamma, hi - 1) > eps:
-        hi *= 2
-        if hi > 10**7:
-            raise CannotCertifyError("required series length exceeds 1e7")
+    hi, step = lo, 1
+    while not bound(hi) <= eps:
+        if hi >= cap:
+            raise CannotCertifyError(f"required series length exceeds {cap:.0e}".replace("e+0", "e"))
+        lo, hi, step = hi + 1, min(hi + step, cap), 2 * step
     while lo < hi:
         mid = (lo + hi) // 2
-        if power_tail_bound(M, r, gamma, mid - 1) <= eps:
+        if bound(mid) <= eps:
             hi = mid
         else:
             lo = mid + 1
-    return lo
+    return hi
+
+
+def needed_length(M: float, r: float, gamma: float, eps: float) -> int:
+    """Smallest stored length L so the envelope tail beyond L-1 is <= eps."""
+    return smallest_certified(lambda L: power_tail_bound(M, r, gamma, L - 1), eps, 1, 10**7)
 
 
 def _covering_M(M, r, gamma, ks, values):

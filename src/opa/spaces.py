@@ -27,8 +27,8 @@ for custom ones, refusing to guess when the data is inconclusive.
 Every kernel quantity (a kernel value, a kernel-Gram entry, a derivative of
 the projection of 1, a projection tail) is a kernel inner product, a scale
 times sum_{k>=start} P_j(k) P_l(k) u**k / w_k, and falling_product_sum is the
-one routine that sums it: each regime only picks the truncation and its
-certified remainder, and one loop adds the terms.
+one routine that sums it: each regime bounds the terms from K on, one search
+takes the smallest K with remainder <= eps/2, and one loop adds the terms.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .series import (
     needed_length,
     power_rounding,
     power_tail_bound,
+    smallest_certified,
 )
 
 _BOUNDARY_TOL = 1e-12
@@ -643,11 +644,13 @@ def falling_product_sum(
 
     The one routine behind every kernel quantity: a kernel inner product
     (kernel_inner) is this sum times a scale, and so are kernel values, Gram
-    entries, derivatives of phi and projection tails.  Each regime only picks
-    the truncation K, an offset and the certified remainder: interior data
-    (|u| < 1, or growing custom weights) a geometric-polynomial tail bound,
-    u == 1 a two-sided integral bracket, unimodular u != 1 a Dirichlet-test
-    remainder.  One loop then sums the terms from start up to the truncation.
+    entries, derivatives of phi and projection tails.  Each regime only gives
+    a first index and, for the terms from K on, an offset and a remainder:
+    interior data (|u| < 1, or growing custom weights) a geometric-polynomial
+    bound, u == 1 a two-sided integral bracket, unimodular u != 1 a
+    Dirichlet-test bound.  series.smallest_certified takes the smallest K with
+    remainder <= eps/2, the other half left to rounding, and one loop sums
+    the terms from start up to K.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -657,7 +660,7 @@ def falling_product_sum(
         raise ValueError("multiplier spaces have no coefficient weights")
     if q > 1.0 + _BOUNDARY_TOL:
         raise CannotCertifyError("series with |u| > 1 diverges")
-    offset, real = 0.0, False
+    real = False
     if q >= 1.0 - _BOUNDARY_TOL and space.kind == "custom":
         if callable(space.extension):
             raise CannotCertifyError(
@@ -669,11 +672,13 @@ def falling_product_sum(
             )
     if q < 1.0 - _BOUNDARY_TOL or space.kind == "custom":
         # a growing custom continuation dominates the polynomial factor
-        stop, rem = _interior_truncation(space, j, l, q, eps, start)
+        first, tail, cap = *_interior_tail(space, j, l, q, start), 10**7
     else:
         real = abs(u - 1.0) <= _BOUNDARY_TOL
         u = 1.0 + 0j if real else u
-        stop, offset, rem = _boundary_truncation(space, j, l, u, eps, start)
+        first, tail, cap = *_boundary_tail(space, j, l, u, start), 2 * 10**7 + 2
+    stop = smallest_certified(lambda K: tail(K)[1], 0.5 * eps, first, cap)
+    offset, rem = tail(stop)
     acc, absacc = (0.0 if real else 0j), 0.0
     for lo_k in range(start, stop, _CHUNK):
         t = _weighted_terms(space, j, l, u, lo_k, min(stop, lo_k + _CHUNK))
@@ -691,8 +696,9 @@ def _inverse_weight_majorant(space) -> tuple[float, float]:
     return max(float(space.ratio**k / w) for k, w in enumerate(space.prefix)), 1.0 / space.ratio
 
 
-def _interior_truncation(space, j, l, q, eps, start):
-    """(K, tail): terms start..K-1 are summed; tail bounds those from K on."""
+def _interior_tail(space, j, l, q, start):
+    """(first, tail): tail(K) is the offset 0 and a geometric-polynomial bound
+    on the terms from K on."""
     if space.kind == "dirichlet":
         gamma = j + l + max(-space.alpha, 0.0)
         Mw = 1.0
@@ -702,44 +708,28 @@ def _interior_truncation(space, j, l, q, eps, start):
         gamma, qeff = float(j + l), q * rho_inv
     if qeff >= 1.0:
         raise CannotCertifyError("effective tail ratio reaches 1")
-    K = needed_length(Mw, qeff, gamma, 0.5 * eps)
-    K = max(K, max(j, l) + 2, 8, start)
-    return K, power_tail_bound(Mw, qeff, gamma, K - 1)
+    return max(max(j, l) + 2, 8, start), lambda K: (0.0, power_tail_bound(Mw, qeff, gamma, K - 1))
 
 
-def _boundary_truncation(space, j, l, u, eps, start):
-    """(K + 1, offset, remainder) for unimodular u over dirichlet weights:
-    terms start..K are summed, and offset +- remainder holds the rest."""
+def _boundary_tail(space, j, l, u, start):
+    """(first, tail) for unimodular u over dirichlet weights: tail(K) is an
+    offset and a remainder holding the terms from K on, which decrease in
+    modulus from first on."""
     alpha = space.alpha
     if alpha <= j + l + 1:
         raise CannotCertifyError("boundary sum diverges: alpha <= j + l + 1")
     numax = max(j, l)
     x0 = (alpha * numax + j + l) / (alpha - j - l)
-    K = int(max(64, math.ceil(x0) + 2, start - 1))
-    if u == 1:
-        # positive decreasing terms: bracket the tail by integrals
-        while True:
-            hi = _integral_tail(space, j, l, K)
-            lo = _integral_tail(space, j, l, K + 1)
-            half = 0.5 * (hi - lo)
-            if half <= 0.5 * eps or K > 2 * 10**7:
-                break
-            K = min(2 * K, 2 * 10**7 + 1)
-        if half > 0.5 * eps:
-            raise CannotCertifyError("boundary bracketing did not reach eps")
-        return K + 1, 0.5 * (hi + lo), half
-    # u != 1: Dirichlet-test remainder 2 a_{K+1} / |1 - u|
-    denom = abs(1.0 - u)
-    while True:
-        k1 = np.array([K + 1.0])
-        aK = (_falling_vec(k1, j) * _falling_vec(k1, l))[0] / (K + 2.0) ** alpha
-        bound = 2.0 * aK / denom
-        if bound <= eps or K > 2 * 10**7:
-            break
-        K = min(2 * K, 2 * 10**7 + 1)
-    if bound > eps:
-        raise CannotCertifyError("oscillatory boundary tail did not reach eps")
-    return K + 1, 0.0, float(bound)
+    first = max(65, math.ceil(x0) + 3, start)
+
+    def tail(K):
+        if u == 1:  # positive decreasing terms: bracket the tail by integrals
+            hi, lo = _integral_tail(space, j, l, K - 1), _integral_tail(space, j, l, K)
+            return 0.5 * (hi + lo), 0.5 * (hi - lo)
+        # u != 1: Dirichlet-test remainder 2 a_K / |1 - u|
+        return 0.0, 2.0 * math.perm(K, j) * math.perm(K, l) / (K + 1.0) ** alpha / abs(1.0 - u)
+
+    return first, tail
 
 
 def kernel_inner(

@@ -12,6 +12,7 @@ from opa.errors import (
 from opa.engine import (
     OpaResult,
     _coeff_window_M,
+    _series_shift_horizon,
     approximant_sweep,
     build_system,
     cyclicity_diagnostic,
@@ -43,6 +44,7 @@ from opa.spaces import (
 
 H2 = WeightSequence.dirichlet(0.0)
 D1 = WeightSequence.dirichlet(1.0)
+D2 = WeightSequence.dirichlet(2.0)
 
 ONE = CPoly([1])
 
@@ -61,19 +63,19 @@ def closed_form_dist_sq(alpha: float, n: int) -> float:
 
 
 def test_build_system_hand_values():
-    system = build_system(H2, CPoly([1, -1]), ONE, 1)
-    assert np.allclose(system.matrix, [[2, -1], [-1, 2]])
-    assert np.allclose(system.rhs, [1, 0])
-    sys_d1 = build_system(D1, CPoly([1, -1]), ONE, 0)
-    assert np.allclose(sys_d1.matrix, [[3]])
-    assert np.allclose(sys_d1.rhs, [1])
+    G, rhs, _ = build_system(H2, CPoly([1, -1]), ONE, 1)
+    assert np.allclose(G, [[2, -1], [-1, 2]])
+    assert np.allclose(rhs, [1, 0])
+    G_d1, rhs_d1, _ = build_system(D1, CPoly([1, -1]), ONE, 0)
+    assert np.allclose(G_d1, [[3]])
+    assert np.allclose(rhs_d1, [1])
 
 
 def test_build_system_constant_f_is_diagonal():
     for space in (H2, D1):
-        system = build_system(space, ONE, ONE, 3)
-        assert np.allclose(system.matrix, np.diag(space.weights(4)))
-        assert np.allclose(system.rhs, [1, 0, 0, 0])
+        G, rhs, _ = build_system(space, ONE, ONE, 3)
+        assert np.allclose(G, np.diag(space.weights(4)))
+        assert np.allclose(rhs, [1, 0, 0, 0])
 
 
 def reference_shift(f, k):
@@ -151,10 +153,10 @@ def test_build_system_matches_pairwise_reference():
     cases += [(H2, f, series, 10), (quot, series, g, 8)]
     for space, ff, gg, n in cases:
         G, rhs, err = reference_system(space, ff, gg, n, 1e-9)
-        system = build_system(space, ff, gg, n, 1e-9)
-        assert np.max(np.abs(system.matrix - G)) <= 1e-14 * np.max(np.abs(G))
-        assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
-        assert abs(system.entry_err - err) <= 1e-12 * err
+        G_b, rhs_b, err_b = build_system(space, ff, gg, n, 1e-9)
+        assert np.max(np.abs(G_b - G)) <= 1e-14 * np.max(np.abs(G))
+        assert np.max(np.abs(rhs_b - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+        assert abs(err_b - err) <= 1e-12 * err
 
 
 def test_build_system_refuses_short_prefixes_like_reference():
@@ -398,6 +400,26 @@ def test_blaschke_factor_inner_within_tolerance():
     assert cert.is_inner
     assert not cert.exact
     assert cert.max_residual < 1e-10
+
+
+def test_blaschke_product_inner_with_a_long_stored_prefix():
+    # from stored length ~1650 on rr**t underflows, so the shift horizon's
+    # majorant of the stored coefficients must not divide by it
+    assert is_inner(H2, blaschke_product([0.3, -0.25j], length=2000)).is_inner
+
+
+def test_series_shift_horizon_passes_the_majorant_peak():
+    # in D2 the majorant S (j+1)^2 rr^j of |<f, z^j f>| rises up to j ~ 18 and
+    # falls after; the horizon lies past every j where it exceeds eps
+    f = blaschke_factor(0.8, length=300).scale(1e-7)
+    rr = 0.9  # halfway between the envelope ratio 0.8 and 1
+    Mhat = max(f.tail_M, max(abs(c) / rr**t for t, c in enumerate(f.coeffs)))
+    S = power_tail_bound(Mhat**2, rr * rr, 2.0, -1)
+    js = np.arange(2000)
+    bound = S * (js + 1.0) ** 2 * rr**js
+    J = _series_shift_horizon(D2, f, 1e-10)
+    assert bound[18] > 1e-10
+    assert bound[J - 1] > 1e-10 >= bound[J:].max()
 
 
 def test_z_not_inner_in_dirichlet_weighting():

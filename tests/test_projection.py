@@ -265,6 +265,15 @@ def test_blaschke_projection_no_interior_zeros():
     assert fast.cyclic and fast.phi0 == 1.0
 
 
+def test_series_backed_projection_refuses_kernel_evaluators():
+    # the fast path carries phi0 and phi's coefficients, but no kernels to
+    # evaluate phi, its derivatives or its norm from
+    fast = blaschke_projection(HALF)
+    for call in (lambda: fast.derivative_at(0.5, 0), lambda: fast.phi_at(0.2), fast.norm_sq):
+        with pytest.raises(ValueError):
+            call()
+
+
 # -- equivalence ---------------------------------------------------------------------
 
 

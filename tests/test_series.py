@@ -1,10 +1,12 @@
 """Polynomial arithmetic and certified truncated series."""
 
+import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opa.errors import CannotCertifyError, EnvelopeOverflowError
 from opa.projection import blaschke_projection
@@ -20,6 +22,7 @@ from opa.series import (
     power_tail_bound,
     reciprocal_taylor,
     series_mul,
+    smallest_certified,
     taylor_truncate,
 )
 
@@ -220,6 +223,38 @@ def test_needed_length_meets_eps():
         assert power_tail_bound(M, r, gamma, L - 1) <= eps
         if L > 1:
             assert power_tail_bound(M, r, gamma, L - 2) > eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    peaked=st.booleans(),
+    C=st.floats(1e-3, 1e3),
+    p=st.floats(0.5, 4.0),
+    q=st.floats(0.5, 0.99),
+    lo=st.integers(0, 300),
+    span=st.integers(0, 3000),
+    log_eps=st.floats(-12.0, 0.0),
+)
+def test_smallest_certified_matches_linear_scan(peaked, C, p, q, lo, span, log_eps):
+    # monotone bounds: C (K+1)^-p, and C (K+1)^p q^K searched from its peak
+    if peaked:
+        lo += max(0, math.ceil(p / -math.log(q)) - 1)
+
+        def bound(K):
+            return C * (K + 1.0) ** p * q**K
+    else:
+
+        def bound(K):
+            return C * (K + 1.0) ** -p
+
+    cap, eps = lo + span, 10.0**log_eps
+    want = next((K for K in range(lo, cap + 1) if bound(K) <= eps), None)
+    if want is None:
+        assert bound(cap) > eps
+        with pytest.raises(CannotCertifyError):
+            smallest_certified(bound, eps, lo, cap)
+    else:
+        assert smallest_certified(bound, eps, lo, cap) == want
 
 
 def test_envelope_validity_rules():

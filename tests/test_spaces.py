@@ -1,12 +1,16 @@
 """Weighted spaces: inner products, kernels, reproducibility certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
+import opa.spaces
 from opa.errors import CannotCertifyError, NotReproducibleError
 from opa.series import CPoly, TruncSeries, blaschke_factor, geometric_series
 from opa.spaces import (
     KernelSpec,
+    _integral_tail,
     WeightSequence,
     falling_product_sum,
     inner_poly,
@@ -346,6 +350,29 @@ def test_falling_product_sum_interior_matches_closed_form():
     got = falling_product_sum(H2, 1, 0, u, 1e-12)
     want = u / (1 - u) ** 2
     assert abs(got.value - want) <= got.err + 1e-12
+
+
+def test_boundary_truncation_is_the_smallest_that_certifies(monkeypatch):
+    # the sum stops at the first K whose remainder, the integral bracket for
+    # u = 1 and the Dirichlet-test bound 2 a_K / |1 - u| otherwise, is <= eps/2
+    eps, stops = 1e-10, []
+    terms = opa.spaces._weighted_terms
+
+    def recording(space, j, l, u, k_lo, k_hi):
+        stops.append(k_hi)
+        return terms(space, j, l, u, k_lo, k_hi)
+
+    monkeypatch.setattr(opa.spaces, "_weighted_terms", recording)
+    for alpha, j, l, u in [(2, 0, 0, 1), (4, 1, 1, 1), (2.5, 0, 0, -1), (3, 1, 0, np.exp(1j * np.pi / 3))]:
+        space = WeightSequence.dirichlet(alpha)
+
+        def remainder(K):
+            if u == 1:
+                return 0.5 * (_integral_tail(space, j, l, K - 1) - _integral_tail(space, j, l, K))
+            return 2.0 * math.perm(K, j) * math.perm(K, l) / (K + 1.0) ** alpha / abs(1 - u)
+
+        falling_product_sum(space, j, l, u, eps)
+        assert remainder(stops[-1]) <= eps / 2 < remainder(stops[-1] - 1), (alpha, j, l, u)
 
 
 def _shifted_falling_product(j, l):

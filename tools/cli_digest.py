@@ -14,8 +14,11 @@ commit.
 Compare: ``python3 tools/cli_digest.py --compare old.jsonl new.jsonl`` prints
 each job whose exit code, stderr or stdout differ; for JSON stdout it lists
 every differing field path (list indices as ``[]``) with the largest relative
-change, then a summary per path over all jobs.  The exit code is 1 when any
-job differs, else 0.
+change, then a summary per path over all jobs.  A changed value that carries
+an error bar in the same payload (``ERROR_BARS``) is also set against it: the
+largest ``|new - old| / (old err + new err)`` per path, flagged when above 1,
+since a change within the two bars is one both runs certify.  The exit code
+is 1 when any job differs, else 0.
 """
 
 from __future__ import annotations
@@ -27,6 +30,13 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("sweep_long", "project_mix")
+# value path -> path of its certified error bar in the same JSON payload
+ERROR_BARS = {
+    "oracle.approximant_distance": "oracle.approximant_distance_err",
+    "report.constants[].value[]": "report.gram_err",
+    "report.phi0": "report.gram_err",
+    "report.dist_sq": "report.gram_err",
+}
 
 
 def dump(root: Path, seeds, out) -> int:
@@ -90,9 +100,43 @@ def field_diffs(a, b, path: str = "") -> dict:
     return out
 
 
+def leaves(x, path: str = ""):
+    """(path, value) of every scalar in a JSON value, in document order."""
+    if isinstance(x, dict):
+        for key, v in x.items():
+            yield from leaves(v, f"{path}.{key}" if path else key)
+    elif isinstance(x, list):
+        for v in x:
+            yield from leaves(v, path + "[]")
+    else:
+        yield path, x
+
+
+def error_bar_ratios(a, b) -> dict:
+    """Path of ERROR_BARS -> largest |new - old| / (old err + new err)."""
+    va: dict = {}
+    vb: dict = {}
+    for x, vals in ((a, va), (b, vb)):
+        for p, v in leaves(x):
+            vals.setdefault(p, []).append(v)
+    out = {}
+    for p, bar in ERROR_BARS.items():
+        if p not in va or p not in vb or va[p] == vb[p]:
+            continue
+        try:
+            width = va[bar][0] + vb[bar][0]
+            diff = max(abs(x - y) for x, y in zip(va[p], vb[p], strict=True))
+        except (KeyError, TypeError, ValueError):  # no bar, null, or a changed shape
+            out[p] = math.inf
+            continue
+        out[p] = diff / width if width > 0 else math.inf
+    return out
+
+
 def compare(old_path, new_path) -> int:
     old, new = _load(old_path), _load(new_path)
     summary: dict = {}
+    bars: dict = {}
     differing = 0
     for job in sorted(set(old) | set(new)):
         if job not in old or job not in new:
@@ -107,13 +151,17 @@ def compare(old_path, new_path) -> int:
             lines.append(f"  stderr {a['stderr']!r} -> {b['stderr']!r}")
         if a["stdout"] != b["stdout"]:
             try:
-                diffs = field_diffs(json.loads(a["stdout"]), json.loads(b["stdout"]))
+                ja, jb = json.loads(a["stdout"]), json.loads(b["stdout"])
+                diffs, ratios = field_diffs(ja, jb), error_bar_ratios(ja, jb)
             except json.JSONDecodeError:
-                diffs = {"<text stdout>": math.inf}
+                diffs, ratios = {"<text stdout>": math.inf}, {}
             for p, r in diffs.items():
                 lines.append(f"  {p}: {r:.3g}")
                 n, worst = summary.get((b["kind"], p), (0, 0.0))
                 summary[(b["kind"], p)] = (n + 1, max(worst, r))
+            for p, r in ratios.items():
+                lines.append(f"  {p}: {r:.3g} of old + new error bar")
+                bars[(b["kind"], p)] = max(bars.get((b["kind"], p), 0.0), r)
         if lines:
             differing += 1
             print(f"{job} ({b['kind']})")
@@ -121,6 +169,9 @@ def compare(old_path, new_path) -> int:
     print(f"{differing} of {len(set(old) | set(new))} jobs differ")
     for (kind, p), (n, worst) in sorted(summary.items()):
         print(f"  {kind} {p}: {n} jobs, largest relative change {worst:.3g}")
+    for (kind, p), worst in sorted(bars.items()):
+        flag = "  ABOVE 1: outside both error bars" if worst > 1 else ""
+        print(f"  {kind} {p}: largest change {worst:.3g} of old + new error bar{flag}")
     return 1 if differing else 0
 
 
