@@ -551,20 +551,35 @@ def taylor_residuals(space: WeightSequence, f: CPoly, n_max: int) -> list[float]
     """||T_n(1/f) f - 1|| for n = 0..n_max, with T_n the Taylor truncation.
 
     These are the residuals of the naive guess p = T_n(1/f); comparing them
-    against the optimal sweep shows how non-optimal truncation can be.
+    against the optimal sweep shows how non-optimal truncation can be.  With
+    g the Taylor coefficients of 1/f and d = deg f, T_n(1/f) f - 1 vanishes
+    below degree n + 1 and above n + d, so each residual is its window
+    r_s = sum_{s < i <= d} f_i g_{n+1+s-i}, s < d, at degrees n + 1 + s:
+    O(n d^2) work for the whole sweep instead of a product and a norm of
+    length n + d per n.
     """
     from .series import reciprocal_taylor
-    from .spaces import norm_sq_poly
 
     if not isinstance(f, CPoly):
         raise TypeError("Taylor residuals require polynomial f")
     if f.coefficient(0) == 0:
         raise ValueError("Taylor residuals require f(0) != 0")
-    recip = reciprocal_taylor(f, n_max)
-    out = []
-    one = CPoly([1])
-    for n in range(n_max + 1):
-        tn = CPoly(recip.coeffs[: n + 1])
-        res = tn * f - one
-        out.append(math.sqrt(max(norm_sq_poly(space, res), 0.0)))
-    return out
+    d = f.degree
+    # g with d zeros in front, so index n + 1 + s - i + d reads g_{n+1+s-i} or 0
+    g = np.concatenate([np.zeros(d), reciprocal_taylor(f, n_max).padded(n_max + 1)])
+    ns = np.arange(n_max + 1)
+    window = np.zeros((n_max + 1, d), dtype=complex)
+    for s in range(d):
+        for i in range(s + 1, d + 1):
+            window[:, s] += f.coeffs[i] * g[ns + 1 + s - i + d]
+    if space.kind == "multiplier":
+        # ||z^(n+1) r||^2 = ||m r||^2 in H2
+        m = space.m.coeffs
+        res = np.zeros((n_max + 1, d + m.size - 1), dtype=complex)
+        for q, mq in enumerate(m):
+            res[:, q : q + d] += mq * window
+        norm_sq = np.sum(np.abs(res) ** 2, axis=1)
+    else:
+        w = space.weights(n_max + d + 1)
+        norm_sq = np.sum(w[ns[:, None] + 1 + np.arange(d)] * np.abs(window) ** 2, axis=1)
+    return np.sqrt(norm_sq).tolist()

@@ -27,8 +27,11 @@ for custom ones, refusing to guess when the data is inconclusive.
 Every kernel quantity (a kernel value, a kernel-Gram entry, a derivative of
 the projection of 1, a projection tail) is a kernel inner product, a scale
 times sum_{k>=start} P_j(k) P_l(k) u**k / w_k, and falling_product_sum is the
-one routine that sums it: each regime bounds the terms from K on, one search
-takes the smallest K with remainder <= eps/2, and one loop adds the terms.
+one routine that sums it: each regime gives a stop index K with an offset and
+a remainder <= eps/2 for the terms from K on (one search takes the smallest K
+that certifies inside the disk and for unimodular u != 1; at u = 1 the
+Euler-Maclaurin tail from K = max(64, start) takes the smallest order whose
+Bernoulli remainder certifies), and one loop adds the terms before K.
 """
 
 from __future__ import annotations
@@ -202,25 +205,27 @@ class WeightSequence:
     def weight(self, k: int) -> float:
         if k < 0:
             raise ValueError("weight index must be non-negative")
-        if self.kind == "dirichlet":
-            return (k + 1.0) ** self.alpha
-        if self.kind == "custom":
-            n = self.prefix.size
-            if k < n:
-                return float(self.prefix[k])
-            if callable(self.extension):
-                w = float(self.extension(k))
-                if not w > 0:  # also refuses NaN
-                    raise ValueError("extension rule produced a non-positive weight")
-                return w
-            return float(self.prefix[-1] * self.ratio ** (k - n + 1))
-        raise ValueError("multiplier spaces have no coefficient weights")
+        return float(self.weights(k + 1, k)[0])
 
-    def weights(self, n: int) -> np.ndarray:
-        """The first n weights as an array."""
+    def weights(self, n: int, start: int = 0) -> np.ndarray:
+        """The weights w_start, ..., w_{n-1} as an array."""
+        ks = np.arange(start, n)
         if self.kind == "dirichlet":
-            return (np.arange(n) + 1.0) ** self.alpha
-        return np.array([self.weight(k) for k in range(n)])
+            return (ks + 1.0) ** self.alpha
+        if self.kind != "custom":
+            raise ValueError("multiplier spaces have no coefficient weights")
+        size = self.prefix.size
+        beyond = ks[ks >= size]
+        if callable(self.extension):
+            ext = np.array([float(self.extension(int(k))) for k in beyond])
+            if not np.all(ext > 0):  # also refuses NaN
+                raise ValueError("extension rule produced a non-positive weight")
+        else:
+            with np.errstate(over="ignore"):
+                ext = self.prefix[-1] * self.ratio ** (beyond - size + 1)
+            if not np.all(np.isfinite(ext)):
+                raise OverflowError("custom weights overflow the double range")
+        return np.concatenate([self.prefix[ks[ks < size]], ext])
 
     @property
     def growth_gamma(self) -> float | None:
@@ -603,16 +608,24 @@ def kernel_series(
 
 _CHUNK = 1 << 14
 
+# B_2i / (2i)! for i = 1..30: the Euler-Maclaurin coefficients up to order 60
+_EM_COEFFS = np.array([
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+    9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
+    -1.5174548844682903e-35, 3.843758125454189e-37, -9.736353072646691e-39,
+    2.466247044200681e-40, -6.247076741820743e-42, 1.5824030244644914e-43,
+    -4.008273685948936e-45, 1.0153075855569557e-46, -2.5718041582418717e-48,
+])
+
 
 def _weighted_terms(space, j, l, u, k_lo, k_hi):
     ks = np.arange(k_lo, k_hi)
-    p = _falling_vec(ks, j) * _falling_vec(ks, l)
-    w = (
-        (ks + 1.0) ** space.alpha
-        if space.kind == "dirichlet"
-        else np.array([space.weight(int(k)) for k in ks])
-    )
-    return p * u**ks / w
+    return _falling_vec(ks, j) * _falling_vec(ks, l) * u**ks / space.weights(k_hi, k_lo)
 
 
 def _poly_in_shifted_basis(j, l):
@@ -624,19 +637,6 @@ def _poly_in_shifted_basis(j, l):
     return coeffs  # index m -> coefficient of t^m
 
 
-def _integral_tail(space, j, l, K):
-    """integral_K^inf P_j(x) P_l(x) (x+1)**(-alpha) dx for dirichlet spaces."""
-    alpha = space.alpha
-    c = _poly_in_shifted_basis(j, l)
-    total = 0.0
-    for m, cm in enumerate(c):
-        expo = m - alpha
-        if expo >= -1.0:
-            raise CannotCertifyError("boundary tail integral diverges")
-        total += cm * (K + 1.0) ** (expo + 1.0) / (-expo - 1.0)
-    return total
-
-
 def falling_product_sum(
     space: WeightSequence, j: int, l: int, u: complex, eps: float, start: int = 0
 ) -> Certified:
@@ -644,13 +644,14 @@ def falling_product_sum(
 
     The one routine behind every kernel quantity: a kernel inner product
     (kernel_inner) is this sum times a scale, and so are kernel values, Gram
-    entries, derivatives of phi and projection tails.  Each regime only gives
-    a first index and, for the terms from K on, an offset and a remainder:
-    interior data (|u| < 1, or growing custom weights) a geometric-polynomial
-    bound, u == 1 a two-sided integral bracket, unimodular u != 1 a
-    Dirichlet-test bound.  series.smallest_certified takes the smallest K with
-    remainder <= eps/2, the other half left to rounding, and one loop sums
-    the terms from start up to K.
+    entries, derivatives of phi and projection tails.  Each regime gives a
+    stop index K and, for the terms from K on, an offset and a certified
+    remainder of at most eps/2, the other half left to rounding: interior
+    data (|u| < 1, or growing custom weights) a geometric-polynomial bound,
+    unimodular u != 1 a Dirichlet-test bound, both with the smallest such K
+    from series.smallest_certified, and u == 1 the Euler-Maclaurin tail from
+    K = max(64, start) with its Bernoulli remainder.  One loop sums the terms
+    from start up to K.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -672,13 +673,14 @@ def falling_product_sum(
             )
     if q < 1.0 - _BOUNDARY_TOL or space.kind == "custom":
         # a growing custom continuation dominates the polynomial factor
-        first, tail, cap = *_interior_tail(space, j, l, q, start), 10**7
+        stop, offset, rem = _interior_tail(space, j, l, q, start, 0.5 * eps)
+    elif space.alpha <= j + l + 1:
+        raise CannotCertifyError("boundary sum diverges: alpha <= j + l + 1")
+    elif abs(u - 1.0) <= _BOUNDARY_TOL:
+        real, u = True, 1.0 + 0j
+        stop, offset, rem = _euler_maclaurin_tail(space.alpha, j, l, start, 0.5 * eps)
     else:
-        real = abs(u - 1.0) <= _BOUNDARY_TOL
-        u = 1.0 + 0j if real else u
-        first, tail, cap = *_boundary_tail(space, j, l, u, start), 2 * 10**7 + 2
-    stop = smallest_certified(lambda K: tail(K)[1], 0.5 * eps, first, cap)
-    offset, rem = tail(stop)
+        stop, offset, rem = _dirichlet_test_tail(space.alpha, j, l, u, start, 0.5 * eps)
     acc, absacc = (0.0 if real else 0j), 0.0
     for lo_k in range(start, stop, _CHUNK):
         t = _weighted_terms(space, j, l, u, lo_k, min(stop, lo_k + _CHUNK))
@@ -696,9 +698,9 @@ def _inverse_weight_majorant(space) -> tuple[float, float]:
     return max(float(space.ratio**k / w) for k, w in enumerate(space.prefix)), 1.0 / space.ratio
 
 
-def _interior_tail(space, j, l, q, start):
-    """(first, tail): tail(K) is the offset 0 and a geometric-polynomial bound
-    on the terms from K on."""
+def _interior_tail(space, j, l, q, start, eps):
+    """(stop, 0, rem): the smallest stop whose geometric-polynomial bound rem
+    on the terms from stop on is <= eps."""
     if space.kind == "dirichlet":
         gamma = j + l + max(-space.alpha, 0.0)
         Mw = 1.0
@@ -708,28 +710,73 @@ def _interior_tail(space, j, l, q, start):
         gamma, qeff = float(j + l), q * rho_inv
     if qeff >= 1.0:
         raise CannotCertifyError("effective tail ratio reaches 1")
-    return max(max(j, l) + 2, 8, start), lambda K: (0.0, power_tail_bound(Mw, qeff, gamma, K - 1))
+
+    def bound(K):
+        return power_tail_bound(Mw, qeff, gamma, K - 1)
+
+    stop = smallest_certified(bound, eps, max(max(j, l) + 2, 8, start), 10**7)
+    return stop, 0.0, bound(stop)
 
 
-def _boundary_tail(space, j, l, u, start):
-    """(first, tail) for unimodular u over dirichlet weights: tail(K) is an
-    offset and a remainder holding the terms from K on, which decrease in
-    modulus from first on."""
-    alpha = space.alpha
-    if alpha <= j + l + 1:
-        raise CannotCertifyError("boundary sum diverges: alpha <= j + l + 1")
+def _dirichlet_test_tail(alpha, j, l, u, start, eps):
+    """(stop, 0, rem) for unimodular u != 1 over dirichlet weights: the terms
+    decrease in modulus from the first candidate on, so the Dirichlet test
+    bounds those from K on by 2 a_K / |1 - u|; stop is the smallest K with
+    that bound <= eps."""
     numax = max(j, l)
     x0 = (alpha * numax + j + l) / (alpha - j - l)
     first = max(65, math.ceil(x0) + 3, start)
 
-    def tail(K):
-        if u == 1:  # positive decreasing terms: bracket the tail by integrals
-            hi, lo = _integral_tail(space, j, l, K - 1), _integral_tail(space, j, l, K)
-            return 0.5 * (hi + lo), 0.5 * (hi - lo)
-        # u != 1: Dirichlet-test remainder 2 a_K / |1 - u|
-        return 0.0, 2.0 * math.perm(K, j) * math.perm(K, l) / (K + 1.0) ** alpha / abs(1.0 - u)
+    def bound(K):
+        return 2.0 * math.perm(K, j) * math.perm(K, l) / (K + 1.0) ** alpha / abs(1.0 - u)
 
-    return first, tail
+    stop = smallest_certified(bound, eps, first, 2 * 10**7 + 2)
+    return stop, 0.0, bound(stop)
+
+
+def _euler_maclaurin_tail(alpha, j, l, start, eps):
+    """(stop, offset, err) for u = 1 over dirichlet weights, alpha > j + l + 1:
+    the terms from stop = max(64, start) on sum to offset within err.
+
+    With t = x + 1, F(x) = P_j(x) P_l(x) t**-alpha = sum_m c_m t**(m - alpha),
+    and for K = stop
+        sum_{k>=K} F(k) = int_K^inf F + F(K)/2 - sum_{i<=p} B_2i/(2i)! F^(2i-1)(K) + R_p,
+        |R_p| <= |B_2p|/(2p)! int_K^inf |F^(2p)|,
+    every piece a closed-form sum over m.  p is the smallest order, up to
+    2p = 60, whose bound on R_p is <= eps (series.smallest_certified); with
+    K + 1 >= 65 that bound falls with p wherever it is a normal double.
+
+    err is that bound plus the rounding of the parts summed, each operation
+    exact up to UNIT_ROUNDOFF relative on normal numbers: a part of
+    derivative order r takes at most 6 + 3r operations, its power
+    t**(m + 1 - alpha) is off by |m + 1 - alpha| ln t more units through the
+    rounded exponent, and the sum of the N parts (remainder included) adds
+    N + 1 units of their magnitudes.
+    """
+    stop = max(64, start)
+    t = stop + 1.0
+    c = _poly_in_shifted_basis(j, l)
+    m = np.arange(c.size)[:, None]
+    r = np.arange(2 * _EM_COEFFS.size + 1)
+    # D[m, r] = c_m (m - alpha)(m - alpha - 1)...(m - alpha - r + 1) t**(m - alpha - r + 1),
+    # so F^(r)(K) = sum_m D[m, r] / t; a power that underflowed stays 0
+    lead = c[:, None] * t ** ((m + 1) - alpha)
+    D = np.cumprod(np.hstack([lead, ((m - r[:-1]) - alpha) / t]), axis=1)
+    units = 6.0 + np.abs((m + 1) - alpha) * math.log(t) + 3.0 * r
+    # int_K^inf |F^(2p)| <= sum_m |D[m, 2p]| / (2p - 1 - m + alpha), p = 1..30
+    rem_parts = np.abs(_EM_COEFFS * D[:, 2::2]) / (((r[2::2] - 1) - m) + alpha)
+    rems = rem_parts.sum(axis=0)
+    p = smallest_certified(lambda p: rems[p - 1], eps, 1, _EM_COEFFS.size)
+    parts = np.hstack([
+        D[:, :1] / ((-1 - m) + alpha),  # the integral
+        D[:, :1] / (2.0 * t),  # F(K) / 2
+        -_EM_COEFFS[:p] * D[:, 1 : 2 * p : 2] / t,  # the corrections
+    ])
+    part_units = np.hstack([units[:, :1], units[:, :1], units[:, 1 : 2 * p : 2]])
+    n_parts = parts.size + c.size
+    rounding = np.sum(np.abs(parts) * (part_units + n_parts + 1))
+    rounding += np.sum(rem_parts[:, p - 1] * (units[:, 2 * p] + n_parts + 1))
+    return stop, float(np.sum(parts)), float(rems[p - 1] + UNIT_ROUNDOFF * rounding)
 
 
 def kernel_inner(

@@ -31,6 +31,7 @@ from opa.series import (
     blaschke_product,
     geometric_series,
     power_tail_bound,
+    reciprocal_taylor,
     series_mul,
 )
 from opa.spaces import (
@@ -39,6 +40,7 @@ from opa.spaces import (
     WeightSequence,
     inner_poly,
     kernel_series,
+    norm_sq_poly,
     shift_products,
 )
 
@@ -619,6 +621,24 @@ def test_taylor_residuals_grow_while_optimal_shrinks():
         assert taylor[n] > np.sqrt(sweep[n].distance_sq)
     assert taylor[-1] > taylor[0]
     assert sweep[-1].distance_sq < sweep[0].distance_sq
+
+
+def test_taylor_residuals_match_the_full_product():
+    # the residual T_n(1/f) f - 1 read from its window of degrees n+1..n+d
+    # agrees with the whole product and its weighted norm up to rounding
+    rng = np.random.default_rng(7)
+    bergman = WeightSequence.dirichlet(-1.0)
+    custom = WeightSequence.custom([1.0, 1.5, 2.0])
+    for space in (H2, D1, bergman, custom, WeightSequence.multiplier(CPoly([1, -0.5j]))):
+        for d in range(1, 5):
+            zeros = rng.uniform(0.5, 1.6, d) * np.exp(2j * np.pi * rng.random(d))
+            f = CPoly(np.poly(zeros)[::-1])
+            got = taylor_residuals(space, f, 60)
+            recip = reciprocal_taylor(f, 60)
+            for n in range(61):
+                res = CPoly(recip.coeffs[: n + 1]) * f - ONE
+                want = np.sqrt(max(norm_sq_poly(space, res), 0.0))
+                assert got[n] == pytest.approx(want, rel=1e-12, abs=1e-14), (space, d, n)
 
 
 # -- tracer contract -------------------------------------------------------------------

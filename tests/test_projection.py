@@ -1,5 +1,6 @@
 """Closed-form projections of 1, their oracles, and the factorial conversion."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -356,7 +357,6 @@ def test_distance_to_poly_against_a_40_digit_reference():
     # the tail |C|^2 sum_{t>=L} (t+1)^-2 = |C|^2 zeta(2, L+1).  The value must
     # lie within err, and on interior zeros err must stay at rounding level
     # (it once read ~1e-7 on distances of 1e-13 to 1e-11)
-    mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     cases = [
         (H2, HALF, 40),
@@ -392,7 +392,6 @@ def test_phi_values_and_derivatives_match_coefficient_sums():
     # z^(k-n) / w_k with the computed constants, summed at 40 digits; values
     # must lie within err alone, at 0 too (the kernel-at-0 branch), and in a
     # custom space whose small weights make phi''(0) large
-    mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     tiny = WeightSequence.custom([1.0, 1e-3, 1e-6, 1e-6])
     for space, f in [(H2, HALF_THIRD), (tiny, CPoly([0.1 + 0.2j, 1]))]:

@@ -1,7 +1,9 @@
 """Weighted spaces: inner products, kernels, reproducibility certificates."""
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from opa.errors import CannotCertifyError, NotReproducibleError
 from opa.series import CPoly, TruncSeries, blaschke_factor, geometric_series
 from opa.spaces import (
     KernelSpec,
-    _integral_tail,
     WeightSequence,
     falling_product_sum,
     inner_poly,
@@ -44,6 +45,33 @@ def test_custom_weights_ratio_and_constant_extension():
     assert abs(w.weight(4) - 3.3 * 1.1) < 1e-12
     wc = WeightSequence.custom([1, 2, 3], extension="constant")
     assert wc.weight(10) == 3.0
+
+
+def test_custom_weights_vectorized_from_any_start():
+    # weights(n, start) continues the prefix in closed form, bit-equal to
+    # weight(k) on both sides of the prefix end, and within rounding of the
+    # rule w_{n-1} ratio**(k - n + 1); a callable extension is asked once per
+    # index.  Dirichlet weights from any start are bit-equal to weight(k) too
+    for space in (D2, WeightSequence.dirichlet(-1.0), WeightSequence.dirichlet(2.7)):
+        assert space.weights(300, 7).tolist() == [space.weight(k) for k in range(7, 300)]
+    for ext, ratio in (("ratio", 2.1 / 1.7), ("constant", 1.0)):
+        w = WeightSequence.custom([1.0, 1.3, 1.7, 2.1], extension=ext)
+        for start, n in [(0, 40), (2, 9), (3, 5), (4, 30), (17, 18), (5, 5)]:
+            got = w.weights(n, start)
+            assert got.tolist() == [w.weight(k) for k in range(start, n)], (ext, start)
+            closed = [[1.0, 1.3, 1.7, 2.1][k] if k < 4 else 2.1 * ratio ** (k - 3) for k in range(start, n)]
+            assert np.allclose(got, closed, rtol=1e-14, atol=0), (ext, start)
+    asked = []
+
+    def rule(k):
+        asked.append(k)
+        return 2.0 + k
+
+    w = WeightSequence.custom([1.0, 2.0, 3.0], extension=rule)
+    assert w.weights(7, 1).tolist() == [2.0, 3.0, 5.0, 6.0, 7.0, 8.0]
+    assert asked == [3, 4, 5, 6]
+    with pytest.raises(OverflowError):  # 1.5**k leaves the double range
+        WeightSequence.custom([1.0, 1.5, 2.25]).weights(2000, 1990)
 
 
 def test_custom_weight_validation():
@@ -353,26 +381,96 @@ def test_falling_product_sum_interior_matches_closed_form():
 
 
 def test_boundary_truncation_is_the_smallest_that_certifies(monkeypatch):
-    # the sum stops at the first K whose remainder, the integral bracket for
-    # u = 1 and the Dirichlet-test bound 2 a_K / |1 - u| otherwise, is <= eps/2
-    eps, stops = 1e-10, []
-    terms = opa.spaces._weighted_terms
+    # u = 1 stops the sum at K = max(64, start) with the smallest
+    # Euler-Maclaurin order p whose Bernoulli remainder
+    # |B_2p|/(2p)! sum_m |c_m (m - alpha)_(2p)| (K+1)^(m-alpha-2p+1) / (2p-1-m+alpha)
+    # is <= eps/2; unimodular u != 1 stops at the first K whose Dirichlet-test
+    # bound 2 a_K / |1 - u| is <= eps/2
+    eps, stops, searched = 1e-10, [], []
+    terms, search = opa.spaces._weighted_terms, opa.spaces.smallest_certified
 
     def recording(space, j, l, u, k_lo, k_hi):
         stops.append(k_hi)
         return terms(space, j, l, u, k_lo, k_hi)
 
+    def recording_search(*args):
+        searched.append(search(*args))
+        return searched[-1]
+
     monkeypatch.setattr(opa.spaces, "_weighted_terms", recording)
-    for alpha, j, l, u in [(2, 0, 0, 1), (4, 1, 1, 1), (2.5, 0, 0, -1), (3, 1, 0, np.exp(1j * np.pi / 3))]:
+    monkeypatch.setattr(opa.spaces, "smallest_certified", recording_search)
+    for alpha, j, l, start in [(2, 0, 0, 0), (4, 1, 1, 0), (3.5, 2, 0, 300)]:
+        space, K = WeightSequence.dirichlet(alpha), max(64, start)
+        c = _shifted_falling_product(j, l)
+
+        def remainder(p):
+            coeff = abs(float(_bernoulli(2 * p) / math.factorial(2 * p)))
+            return coeff * sum(
+                abs(cm * math.prod(m - alpha - i for i in range(2 * p)))
+                * (K + 1.0) ** (m - alpha - 2 * p + 1) / (2 * p - 1 - m + alpha)
+                for m, cm in enumerate(c)
+            )
+
+        stops.clear()
+        falling_product_sum(space, j, l, 1.0, eps, start)
+        p = searched[-1]
+        assert stops[-1:] == ([K] if start < K else []), (alpha, j, l)
+        assert remainder(p) <= eps / 2 and (p == 1 or remainder(p - 1) > eps / 2), (alpha, j, l)
+    for alpha, j, l, u in [(2.5, 0, 0, -1), (3, 1, 0, np.exp(1j * np.pi / 3))]:
         space = WeightSequence.dirichlet(alpha)
 
         def remainder(K):
-            if u == 1:
-                return 0.5 * (_integral_tail(space, j, l, K - 1) - _integral_tail(space, j, l, K))
             return 2.0 * math.perm(K, j) * math.perm(K, l) / (K + 1.0) ** alpha / abs(1 - u)
 
         falling_product_sum(space, j, l, u, eps)
         assert remainder(stops[-1]) <= eps / 2 < remainder(stops[-1] - 1), (alpha, j, l, u)
+
+
+def _bernoulli(n):
+    """The Bernoulli number B_n as an exact fraction (B_1 = -1/2)."""
+    b = [Fraction(1)]
+    for i in range(1, n + 1):
+        b.append(-sum(math.comb(i + 1, k) * b[k] for k in range(i)) / (i + 1))
+    return b[n]
+
+
+def test_euler_maclaurin_coefficients_are_the_bernoulli_ratios():
+    # the stored table is B_2i / (2i)! rounded to nearest, i = 1..30
+    table = opa.spaces._EM_COEFFS
+    assert table.size == 30
+    for i, coeff in enumerate(table, start=1):
+        assert coeff == float(_bernoulli(2 * i) / math.factorial(2 * i)), i
+
+
+def test_boundary_sums_at_one_match_hurwitz_zeta(monkeypatch):
+    # sum_{k>=start} P_j(k) P_l(k) / (k+1)^alpha = sum_m c_m zeta(alpha - m, start + 1)
+    # at 40 digits: every value within its err alone, err at most eps plus
+    # rounding, and no u = 1 call evaluating more than 256 terms
+    mp.mp.dps = 40
+    counted = []
+    terms = opa.spaces._weighted_terms
+
+    def counting(space, j, l, u, k_lo, k_hi):
+        counted[-1] += k_hi - k_lo
+        return terms(space, j, l, u, k_lo, k_hi)
+
+    monkeypatch.setattr(opa.spaces, "_weighted_terms", counting)
+    for alpha in (2, 2.5, 3, 4, 5.5, 7):
+        space = WeightSequence.dirichlet(alpha)
+        for j in range(3):
+            for l in range(3):
+                if alpha <= j + l + 1:
+                    continue
+                c = _shifted_falling_product(j, l)
+                for start in (0, 5, 64, 256, 1000):
+                    want = mp.fsum(cm * mp.zeta(alpha - m, start + 1) for m, cm in enumerate(c))
+                    for eps in (1e-10, 1e-13):
+                        counted.append(0)
+                        got = falling_product_sum(space, j, l, 1.0, eps, start=start)
+                        case = (alpha, j, l, start, eps)
+                        assert abs(mp.mpc(got.value) - want) <= got.err, case
+                        assert got.err <= eps + 1e-14 * abs(got.value), case
+                        assert counted[-1] <= 256, case
 
 
 def _shifted_falling_product(j, l):
@@ -388,7 +486,6 @@ def test_falling_product_sum_from_start_matches_mpmath():
     # sum_{k>=L} P_j(k) P_l(k) u^k / w_k at 30 digits, in every regime: with
     # P_j P_l in powers of k + 1, u = 1 gives Hurwitz zetas zeta(alpha - m, L+1)
     # and unimodular u != 1 Lerch transcendents; geometric sums are summed
-    mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
 
     def summed(j, l, u, L, w):
@@ -428,7 +525,6 @@ def test_kernel_values_match_coefficient_sums():
     # value must lie within err alone.  Kernels at 0 and evaluation at 0 take
     # the one-term branch, whose error must scale with the value: n! / w_n is
     # large for Bergman weights and for a custom prefix of small weights
-    mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     tiny = WeightSequence.custom([1.0, 1e-6, 1e-12, 1e-12])
     cases = [
