@@ -13,13 +13,15 @@ coefficient arrays are formatted as whole blocks instead of value by value.
 Data goes to stdout (or --out); diagnostics go to stderr.  Complex numbers
 serialize as two-element [re, im] arrays everywhere.
 
-Exit codes: 0 success, 1 usage or unsupported request, 2 orthogonal data
-(<g, f> = 0), 3 solver failure, 4 undecidable zero classification.
+Exit codes: 0 success (also for --help), 1 command-line, usage or unsupported
+request error, 2 orthogonal data (<g, f> = 0), 3 solver failure, 4 undecidable
+zero classification.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -421,9 +423,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser for every job of the process, built by the first call to main
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one CLI job and return its exit code.
+
+    The argument parser is built once per process, on the first call, and
+    serves every later job; parsing leaves it unchanged.  A command-line
+    usage error exits with EXIT_USAGE (argparse's own code, 2, is taken by
+    orthogonal data); ``--help`` exits with 0.
+    """
+    try:
+        args = _shared_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         job = parse_job(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -132,7 +132,7 @@ def condition_estimate(L: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _eval_with_derivative(coeffs: np.ndarray, z: complex):
+def _eval_with_derivative(coeffs: np.ndarray | list[complex], z: complex):
     p = 0j
     dp = 0j
     for c in coeffs[::-1]:
@@ -189,12 +189,22 @@ def poly_roots(
     angles = 2.0 * math.pi * np.arange(d) / d + offset
     z = radius * np.exp(1j * angles)
     monic = work / lead
+    monic_list = monic.tolist()
+    # off[i]: every index but i, in order, so that row i of the difference
+    # table holds z[i] - z[j] for j != i
+    off = np.array([[j for j in range(d) if j != i] for i in range(d)])
     for _ in range(max_sweeps):
         moved = 0.0
+        # Horner on Python complex numbers; storing into complex arrays hands
+        # numpy scalars to the Newton quotients, so every division below
+        # still rounds as numpy does
         pv = np.empty(d, dtype=complex)
         dv = np.empty(d, dtype=complex)
-        for i in range(d):
-            pv[i], dv[i] = _eval_with_derivative(monic, z[i])
+        for i, zi in enumerate(z.tolist()):
+            pv[i], dv[i] = _eval_with_derivative(monic_list, zi)
+        diffs = z[:, None] - z[off]
+        diffs[diffs == 0] = 1e-300
+        sums = (1.0 / diffs).sum(axis=1)
         new_z = z.copy()
         for i in range(d):
             if pv[i] == 0:
@@ -203,10 +213,7 @@ def poly_roots(
                 newton = pv[i] / (dv[i] + 1e-300)
             else:
                 newton = pv[i] / dv[i]
-            diffs = z[i] - np.delete(z, i)
-            diffs[diffs == 0] = 1e-300
-            s = np.sum(1.0 / diffs)
-            denom = 1.0 - newton * s
+            denom = 1.0 - newton * sums[i]
             if denom == 0:
                 denom = 1e-300
             step = newton / denom

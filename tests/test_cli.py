@@ -10,6 +10,7 @@ from opa import cli
 from opa.cli import (
     EXIT_OK,
     EXIT_ORTHOGONAL,
+    EXIT_SOLVER,
     EXIT_UNDECIDABLE,
     EXIT_USAGE,
     JobSpec,
@@ -252,6 +253,46 @@ def test_exit_code_orthogonal_data(capsys):
     assert "orthogonal" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approximate", "--space", H2_DESC, "--f", "[[1,0]]", "--n-max", "abc"],
+        ["approximate", "--f", "[[1,0]]"],  # no --space
+        ["approximate", "--space", H2_DESC, "--f", "[[1,0]]", "--format", "xml"],
+        ["bogus"],
+        [],
+    ],
+)
+def test_command_line_error_is_a_usage_error_not_orthogonal_data(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, ["project", "--help"])
+    assert code == EXIT_OK
+    assert out.startswith("usage: opa project")
+    assert err == ""
+
+
+# (z - (0.4 + 1.45i))^2: the root sweep does not converge on this double zero
+NO_CONVERGENCE_F = "[[-1.9425,1.16],[-0.8,-2.9],[1,0]]"
+
+
+def test_one_parser_serves_many_jobs(capsys):
+    good = ["project", "--space", D2_DESC, "--f", "[[1,0],[-0.5,0]]", "--n-max", "6"]
+    first = run(capsys, good)
+    assert run(capsys, ["approximate", "--n-max", "abc"])[0] == EXIT_USAGE
+    assert run(capsys, ["--help"])[0] == EXIT_OK
+    failing = run(capsys, ["project", "--space", H2_DESC, "--f", NO_CONVERGENCE_F])
+    assert failing[0] == EXIT_SOLVER and "no convergence" in failing[2]
+    assert run(capsys, good) == first
+    assert first[0] == EXIT_OK and first[1]
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_exit_code_usage_on_bad_json(capsys):
     code, _, err = run(capsys, ["approximate", "--space", "{bad", "--f", "[[1,0]]"])
     assert code == EXIT_USAGE
@@ -290,8 +331,6 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
 
 def test_exit_code_solver_failure(capsys):
     # f so small the Gram pivot collapses below threshold
-    from opa.cli import EXIT_SOLVER
-
     code, out, err = run(
         capsys,
         ["approximate", "--space", H2_DESC, "--f", "[[1e-8,0]]", "--n-max", "1"],

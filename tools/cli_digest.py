@@ -1,11 +1,13 @@
 """Dump, and compare, the output of every CLI job of two benchmark workloads.
 
-Dump: run every CLI job of ``sweep_long`` and ``project_mix`` for the given
-seeds in-process (through ``perfbench/workloads.py``, read-only) and write one
-JSON line per job with its exit code, stdout and stderr::
+Dump: run every CLI job of ``sweep_long`` and ``project_mix`` (or only those
+named by ``--workloads``) for the given seeds in-process (through
+``perfbench/workloads.py``, read-only) and write one JSON line per job with
+its exit code, stdout and stderr::
 
     python3 tools/cli_digest.py --seeds 1 2 > new.jsonl
     python3 tools/cli_digest.py --root ../parent --seeds 1 2 > old.jsonl
+    python3 tools/cli_digest.py --workloads project_mix --seeds 1 2 3 > roots.jsonl
 
 ``--root`` picks the checkout whose ``src/`` and ``perfbench/`` are used
 (default: the one holding this script), so one copy of the tool dumps any
@@ -39,14 +41,14 @@ ERROR_BARS = {
 }
 
 
-def dump(root: Path, seeds, out) -> int:
+def dump(root: Path, names, seeds, out) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import opa
     import opa.cli  # noqa: F401  (run_cli reaches it as an attribute)
     import workloads
 
     count = 0
-    for name in WORKLOADS:
+    for name in names:
         for seed in seeds:
             for job in workloads.GENERATORS[name](seed):
                 if job.argv is None:
@@ -178,12 +180,13 @@ def compare(old_path, new_path) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    n = dump(args.root.resolve(), args.seeds, sys.stdout)
+    n = dump(args.root.resolve(), args.workloads, args.seeds, sys.stdout)
     print(f"{n} CLI jobs dumped", file=sys.stderr)
     return 0
 
