@@ -19,7 +19,7 @@ _HERM_RTOL = 1e-13
 _CLUSTER_RADIUS = 1e-7
 
 
-def check_hermitian(matrix: np.ndarray, rtol: float = _HERM_RTOL) -> np.ndarray:
+def check_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Validate (and return) a square Hermitian matrix."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -32,7 +32,7 @@ def check_hermitian(matrix: np.ndarray, rtol: float = _HERM_RTOL) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     scale = max([1.0] + row_max)
     dev = max([0.0] + [float(np.max(np.abs(a[i, i:] - np.conj(a[i:, i])))) for i in rows])
-    if dev > rtol * scale:
+    if dev > _HERM_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 
@@ -149,17 +149,13 @@ def _eval_scale(coeffs: np.ndarray, z: complex) -> float:
     return max(s, 1e-300)
 
 
-def poly_roots(
-    p: CPoly,
-    max_sweeps: int = 200,
-    cluster_radius: float = _CLUSTER_RADIUS,
-) -> list[tuple[complex, int]]:
+def poly_roots(p: CPoly, max_sweeps: int = 200) -> list[tuple[complex, int]]:
     """All roots with multiplicities, via simultaneous (Ehrlich-Aberth) iteration.
 
     Starting points sit on a deterministic circle of radius
     1 + max|coeff|/|lead| with a fixed phase offset; iterates are polished by
     multiplicity-aware Newton steps after clustering.  Roots within pairwise
-    distance ``cluster_radius`` merge into one root with summed multiplicity,
+    distance _CLUSTER_RADIUS merge into one root with summed multiplicity,
     so exactly repeated roots (e.g. squared factors) are detected while
     clusters tighter than the stagnation radius of double precision are not
     separated.  The returned multiplicities always sum to deg p.
@@ -226,7 +222,7 @@ def poly_roots(
         raise RootFindingError(
             f"no convergence after {max_sweeps} sweeps", best=z.copy()
         )
-    clusters = _cluster(z, cluster_radius)
+    clusters = _cluster(z, _CLUSTER_RADIUS)
     for center, mult in clusters:
         root = _polish(monic, center, mult)
         results.append((root, mult))

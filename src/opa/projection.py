@@ -14,6 +14,12 @@ the subspace is 1 - Re phi(0) = -sum_i Re C_{i,0} by the Pythagorean identity
 with ||phi||^2 = phi(0); reports carry phi(0) alongside so both conventions
 are visible.
 
+Every phi quantity is a bilinear form in the kernels, and one kernel Gram
+G[s, b] = <k_b, k_s> (summed from an index start on) gives them all: the
+interpolation system, ||phi||^2 = 1 + 2 Re sum_{order 0} C_b + C^H G C, and
+the tail C^H G_L C of a distance ||p - phi||^2 beyond its horizon L.  phi's
+coefficients come from one matrix K[b, t] = k_b(t).
+
 Two independent oracles exercise the construction: the Gram-sweep approximants
 p_n* f converge to phi in norm, and the Maclaurin coefficients of phi satisfy
 a constant-coefficient recurrence driven by the coefficients of f (both are
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedError, UndecidableError
+from .errors import IllConditionedError, NotPositiveDefiniteError, UndecidableError
 from .linalg import (
     cholesky_factor,
     condition_estimate,
@@ -39,7 +45,7 @@ from .spaces import (
     Certified,
     KernelSpec,
     WeightSequence,
-    falling_product_sum,
+    falling_product_sum,  # noqa: F401  (bound here for perfbench/spans.py to trace)
     is_reproducible,
     kernel_coefficients,
     kernel_inner,
@@ -105,11 +111,29 @@ class ProjectionResult:
             if length > len(self.phi_series):
                 raise ValueError("stored phi series shorter than requested length")
             return self.phi_series.coeffs[:length].copy()
-        out = np.zeros(length, dtype=complex)
-        out[0] = 1.0
-        for spec, c in zip(self.basis, self.constants):
-            out += c * kernel_coefficients(self.space, spec, length)
+        out = self.constants @ self._kernel_matrix(length)
+        out[0] += 1.0
         return out
+
+    def _kernel_matrix(self, length: int) -> np.ndarray:
+        """K[b, t] = k_b(t) for t < length, so that phi_t = [t = 0] + (C K)_t."""
+        self._require_kernels()
+        rows = [kernel_coefficients(self.space, s, length) for s in self.basis]
+        return np.array(rows, dtype=complex).reshape(len(self.basis), length)
+
+    def _require_kernels(self) -> None:
+        if self.phi_series is not None:
+            raise ValueError("a series-backed projection carries phi0 and its coefficients only")
+
+    def _kernel_form(self, eps: float, start: int = 0) -> Certified:
+        """Certified C^H G C = sum_{t >= start} w_t |sum_b C_b k_b(t)|^2 over
+        the kernel Gram G summed from start on (each entry to eps): the
+        entries' errors, and the rounding of the products and 2 nb additions."""
+        self._require_kernels()
+        G, err = _kernel_gram(self.space, self.basis, eps, start)
+        c, a = self.constants, np.abs(self.constants)
+        rounding = (2 * c.size + 8) * UNIT_ROUNDOFF * (a @ np.abs(G) @ a)
+        return Certified(complex(np.conj(c) @ G @ c), float(a @ err @ a + rounding))
 
     def phi_at(self, z: complex, eps: float = 1e-10) -> Certified:
         """Certified pointwise value of phi."""
@@ -118,8 +142,7 @@ class ProjectionResult:
     def derivative_at(self, beta: complex, order: int, eps: float = 1e-10) -> Certified:
         """Certified phi^(order)(beta) = delta_{order,0} + sum_b C_b <k_b, k^order_beta>;
         it vanishes at classified (beta, order)."""
-        if self.phi_series is not None:
-            raise ValueError("a series-backed projection carries phi0 and its coefficients only")
+        self._require_kernels()
         beta = complex(beta)
         value = 1.0 + 0j if order == 0 else 0j
         err = 0.0
@@ -132,25 +155,15 @@ class ProjectionResult:
         return Certified(value, err)
 
     def norm_sq(self, eps: float = 1e-10) -> Certified:
-        """||phi||^2, which must agree with phi(0)."""
-        if self.phi_series is not None:
-            raise ValueError("a series-backed projection carries phi0 and its coefficients only")
-        value = 1.0 + 0j  # <1, 1> with w_0 = 1
-        err = 0.0
+        """||phi||^2 = 1 + 2 Re sum_{order 0} C_b + C^H G C, which must agree
+        with phi(0): <1, k_b> = conj(k_b(0)) and <k_b, 1> = k_b(0) are both
+        delta_{order,0}, since the order-0 kernel has constant term 1."""
         n = max(1, len(self.basis))
-        for spec, c in zip(self.basis, self.constants):
-            # <1, k_b> = conj(k_b(0)) and <k_b, 1> = k_b(0): both are
-            # delta_{order,0} since the order-0 kernel has constant term 1
-            k0 = 1.0 if spec.order == 0 else 0.0
-            value += c * k0
-            value += np.conj(c) * k0
-            for spec2, c2 in zip(self.basis, self.constants):
-                g = kernel_inner(self.space, spec, spec2, eps / (n * n))
-                value += c * np.conj(c2) * g.value
-                err += abs(c) * abs(c2) * g.err
-        return Certified(value, err)
+        form = self._kernel_form(eps / (n * n))
+        c0 = sum((c for c, s in zip(self.constants, self.basis) if s.order == 0), start=0j)
+        return Certified(1.0 + 2.0 * c0.real + form.value, form.err)
 
-    def to_report(self, eps: float = 1e-10) -> dict:
+    def to_report(self) -> dict:
         zeros = [
             {
                 "beta": [z.beta.real, z.beta.imag],
@@ -268,6 +281,20 @@ def _kernel_basis(classification: ZeroClassification) -> list:
     return specs
 
 
+def _kernel_gram(space: WeightSequence, basis: list, eps: float, start: int = 0):
+    """(G, err): the kernel Gram G[s, b] = <k_b, k_s> summed from index start
+    on, each entry certified to eps with its error in err: nb (nb + 1) / 2
+    kernel sums for the upper triangle, mirrored into the lower one."""
+    n = len(basis)
+    G, err = np.zeros((n, n), dtype=complex), np.zeros((n, n))
+    for s, row_spec in enumerate(basis):
+        for b in range(s, n):
+            g = kernel_inner(space, basis[b], row_spec, eps, start)
+            G[s, b], G[b, s] = g.value, np.conj(g.value)
+            err[s, b] = err[b, s] = g.err
+    return G, err
+
+
 def project_unity(
     space: WeightSequence, f: CPoly, eps: float = 1e-10
 ) -> ProjectionResult:
@@ -296,21 +323,13 @@ def project_unity(
         return ProjectionResult(
             space, f_monic, classification, [], np.zeros(0, dtype=complex), 1.0, 0.0
         )
-    n = len(basis)
     entry_eps = eps / 10.0
-    G = np.zeros((n, n), dtype=complex)
-    for irow, row_spec in enumerate(basis):
-        for icol, col_spec in enumerate(basis):
-            if icol < irow:
-                continue
-            # system row (s, l): coefficient of C_b is <k_b, k^l_{beta_s}>
-            g = kernel_inner(space, col_spec, row_spec, entry_eps)
-            G[irow, icol] = g.value
-            G[icol, irow] = np.conj(g.value)
+    # system row (s, l): coefficient of C_b is <k_b, k^l_{beta_s}>
+    G, _ = _kernel_gram(space, basis, entry_eps)
     rhs = np.array([-1.0 if s.order == 0 else 0.0 for s in basis], dtype=complex)
     try:
         L = cholesky_factor(G)
-    except Exception as exc:
+    except NotPositiveDefiniteError as exc:
         raise IllConditionedError(
             f"kernel Gram system is not numerically positive definite: {exc}",
             condition_estimate=None,
@@ -330,7 +349,7 @@ def project_unity(
     phi0 = 1.0 + sum(
         (c for c, s in zip(constants, basis) if s.order == 0), start=0j
     )
-    gram_err = entry_eps * n
+    gram_err = entry_eps * len(basis)
     dist_sq = 1.0 - phi0.real
     return ProjectionResult(
         space,
@@ -432,38 +451,26 @@ def recurrence_residual(
     """
     if f.degree < 1:
         return 0.0
-    fm = f.monic()
-    d = fm.degree
-    a = fm.coeffs
-    length = K + d + 1
-    phi = result.phi_coefficients(length)
-    w = space.weights(length)
-    worst = 0.0
-    for k in range(1, K + 1):
-        acc = w[k + d] * phi[k + d]
-        for j in range(d):
-            acc += w[k + j] * np.conj(a[j]) * phi[k + j]
-        worst = max(worst, abs(acc))
-    return worst
+    a = f.monic().coeffs
+    length = K + a.size
+    Phi = space.weights(length) * result.phi_coefficients(length)
+    # np.correlate conjugates a: entry k is sum_j w_{k+j} phi_{k+j} conj(a_j)
+    return float(np.max(np.abs(np.correlate(Phi, a, "valid")[1:]), initial=0.0))
 
 
-def _head_rounding(result: ProjectionResult, absd: np.ndarray, w, head: float) -> float:
+def _head_rounding(result: ProjectionResult, mags, absd: np.ndarray, w, head: float) -> float:
     """Bound on the rounding of head = sum_t w_t |phi_t - p_t|^2 as computed.
 
     Model: each elementary operation, exp and log included, is exact up to
     UNIT_ROUNDOFF relative on normal numbers.  Then phi_t = [t = 0] +
-    sum_b C_b k_b(t) is off by at most kappa_t ([t = 0] + sum_b |C_b k_b(t)|),
-    where kappa_t is the worst zero's power_rounding(t) plus max order + nb + 8
-    units (factorials, weight, products, the nb additions), and phi_t - p_t
-    by one more unit of itself.  An error e_t in d_t moves |d_t|^2 by at most
-    (2|d_t| + e_t) e_t; |.|^2, the weight and the product add 5 units per
-    term, the pairwise sum log2(L) + 20 in all.
+    sum_b C_b k_b(t) is off by at most kappa_t mags_t, mags_t = [t = 0] +
+    sum_b |C_b k_b(t)|, where kappa_t is the worst zero's power_rounding(t)
+    plus max order + nb + 8 units (factorials, weight, products, the nb
+    additions), and phi_t - p_t by one more unit of itself.  An error e_t in
+    d_t moves |d_t|^2 by at most (2|d_t| + e_t) e_t; |.|^2, the weight and
+    the product add 5 units per term, the pairwise sum log2(L) + 20 in all.
     """
     ks, basis = np.arange(absd.size), result.basis
-    mags = (ks == 0) + sum(
-        abs(c) * np.abs(kernel_coefficients(result.space, s, ks.size))
-        for s, c in zip(basis, result.constants)
-    )
     worst = min((abs(s.beta) for s in basis), key=lambda r: -abs(math.log(r)), default=1.0)
     units = max((s.order for s in basis), default=0) + len(basis) + 8
     e = UNIT_ROUNDOFF * (absd + units * mags) + power_rounding(ks, worst) * mags
@@ -480,39 +487,29 @@ def distance_to_poly(
 ) -> Certified:
     """Certified ||p - phi|| in the space norm, for polynomial p.
 
-    Coefficients are compared through a horizon L past deg p, with the
-    rounding of that stored head bounded; the tail sum_{t>=L} w_t |phi_t|^2
-    expands into kernel cross-sums, each a falling_product_sum from L on.
+    Coefficients are compared through a horizon L past deg p, read from one
+    matrix K[b, t] = k_b(t) with the rounding of that stored head bounded;
+    the tail sum_{t>=L} w_t |phi_t|^2 is C^H G_L C over the kernel Gram
+    summed from L on.  A series-backed result has no kernels to sum the tail
+    from and is refused (ValueError).
     """
     L = max(p.degree + 1, min_length)
-    phi = result.phi_coefficients(L)
-    diff = phi.copy()
+    K = result._kernel_matrix(L)
+    diff = result.constants @ K
+    diff[0] += 1.0
     diff[: p.coeffs.size] -= p.coeffs
     w = space.weights(L)
     absd = np.abs(diff)
     head = float(np.sum(w * absd**2))
-    head_err = _head_rounding(result, absd, w, head)
-    # tail: sum_{t >= L} w_t phi_t conj(phi_t) over the kernel expansion
-    tail = 0.0
-    tail_err = 0.0
+    mags = np.abs(result.constants) @ np.abs(K)
+    mags[0] += 1.0
+    head_err = _head_rounding(result, mags, absd, w, head)
     nb = len(result.basis)
-    inner_eps = eps / (nb * nb + 1)
-    for sa, ca in zip(result.basis, result.constants):
-        for sb, cb in zip(result.basis, result.constants):
-            ba, bb = complex(sa.beta), complex(sb.beta)
-            scale = ca * np.conj(cb) * np.conj(ba) ** (-sa.order) * bb ** (-sb.order)
-            s = falling_product_sum(
-                space, sa.order, sb.order, np.conj(ba) * bb, inner_eps, start=L
-            )
-            contrib = scale * s.value
-            tail += contrib.real
-            # the scale's two powers and four products, and the nb^2 additions
-            rel = power_rounding(sa.order, abs(ba)) + power_rounding(sb.order, abs(bb))
-            rel += (12 + nb * nb) * UNIT_ROUNDOFF
-            tail_err += abs(scale) * s.err + rel * abs(contrib)
+    tail_form = result._kernel_form(eps / (nb * nb + 1), start=L)
+    tail = tail_form.value.real
     total = head + max(tail, 0.0)
     value = math.sqrt(total)
     # |total - exact| <= delta, and |sqrt(x) - sqrt(y)| <= min(sqrt(delta), delta / sqrt(x))
-    delta = head_err + tail_err + abs(min(tail, 0.0)) + UNIT_ROUNDOFF * total
+    delta = head_err + tail_form.err + abs(min(tail, 0.0)) + UNIT_ROUNDOFF * total
     err = min(math.sqrt(delta), delta / value) if value > 0 else math.sqrt(delta)
     return Certified(value, err + UNIT_ROUNDOFF * value)

@@ -428,20 +428,16 @@ class TruncSeries:
             M = _covering_M(M, r, gamma, ks, vals)
         return TruncSeries(coeffs, M, r, gamma)
 
-    def mul_poly(self, p: CPoly, out_len: int | None = None) -> "TruncSeries":
-        """Multiply by an exact polynomial factor."""
+    def mul_poly(self, p: CPoly) -> "TruncSeries":
+        """Multiply by an exact polynomial factor, keeping the stored length."""
         if p.is_zero:
             return TruncSeries([0], 0.0, 0.0, 0.0)
         if self.tail_M == 0.0:
             prod = np.convolve(p.coeffs, self.coeffs)
             return TruncSeries(prod, 0.0, 0.0, 0.0)
-        d = p.degree
-        if out_len is None:
-            out_len = len(self)
-        if out_len > len(self):
-            raise ValueError("out_len beyond exact convolution range")
+        d, out_len = p.degree, len(self)
         if out_len <= d:
-            raise ValueError("out_len must exceed the polynomial degree")
+            raise ValueError("stored length must exceed the polynomial degree")
         coeffs = np.convolve(p.coeffs, self.coeffs)[:out_len]
         r = self.tail_r
         gamma = self.tail_gamma
@@ -453,8 +449,8 @@ class TruncSeries:
             M *= ((out_len - d + 1.0) / (out_len + 1.0)) ** gamma
         return TruncSeries(coeffs, M, r, gamma)
 
-    def mul(self, other: "TruncSeries", out_len: int | None = None) -> "TruncSeries":
-        return series_mul(self, other, out_len)
+    def mul(self, other: "TruncSeries") -> "TruncSeries":
+        return series_mul(self, other)
 
     def __repr__(self):
         return (
@@ -463,31 +459,24 @@ class TruncSeries:
         )
 
 
-def series_mul(a: TruncSeries, b: TruncSeries, out_len: int | None = None) -> TruncSeries:
+def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     """Convolution of stored prefixes with a recomputed, provable envelope.
 
-    Coefficients are exact through out_len - 1, which must not exceed the
-    shorter stored length.  The output envelope comes from global geometric
-    majorants of both factors: the (k+1) cross-term count is absorbed into
-    the polynomial part of the envelope.
+    Coefficients are exact through the shorter stored length of a factor
+    with a tail (two polynomials give their full product).  The output
+    envelope comes from global geometric majorants of both factors: the
+    (k+1) cross-term count is absorbed into the polynomial part of the
+    envelope.
     """
     if a.tail_M == 0.0 and b.tail_M == 0.0:
-        prod = np.convolve(a.coeffs, b.coeffs)
-        if out_len is not None:
-            if out_len > prod.size:
-                raise ValueError("out_len beyond product length")
-            prod = prod[:out_len]
-        return TruncSeries(prod, 0.0, 0.0, 0.0)
+        return TruncSeries(np.convolve(a.coeffs, b.coeffs), 0.0, 0.0, 0.0)
     # a factor with zero tail is exactly zero beyond its stored prefix, so it
     # does not limit the exact convolution range
     usable = min(
         len(a) if a.tail_M > 0 else 10**9,
         len(b) if b.tail_M > 0 else 10**9,
     )
-    if out_len is None:
-        out_len = min(usable, len(a) + len(b) - 1)
-    if out_len > usable:
-        raise ValueError("out_len exceeds exact convolution range")
+    out_len = min(usable, len(a) + len(b) - 1)
     rhat = max(a.tail_r, b.tail_r)
     if rhat >= 1.0:
         # the product envelope would need ratio 1 with positive polynomial

@@ -780,12 +780,14 @@ def _euler_maclaurin_tail(alpha, j, l, start, eps):
 
 
 def kernel_inner(
-    space: WeightSequence, a: KernelSpec, b: KernelSpec, eps: float = 1e-12
+    space: WeightSequence, a: KernelSpec, b: KernelSpec, eps: float = 1e-12, start: int = 0
 ) -> Certified:
-    """Certified <k_a, k_b> for two derivative-evaluation kernels.
+    """Certified <k_a, k_b> for two derivative-evaluation kernels, summed over
+    the coefficients from index start on.
 
     <k^j_bi, k^l_bs> = conj(bi)^(-j) bs^(-l) sum_k P_j(k) P_l(k)
-                        (conj(bi) bs)^k / w_k.
+                        (conj(bi) bs)^k / w_k;
+    the error adds the rounding of the scale's two powers and its products.
     """
     if a.flavor != "kernel_for_derivatives" or b.flavor != "kernel_for_derivatives":
         raise ValueError("kernel_inner expects derivative-evaluation kernels")
@@ -796,13 +798,16 @@ def kernel_inner(
         length = max(a.order, b.order) + 1
         ca = kernel_coefficients(space, a, length)
         cb = kernel_coefficients(space, b, length)
-        terms = space.weights(length) * ca * np.conj(cb)
+        terms = (space.weights(length) * ca * np.conj(cb))[start:]
         rel = power_rounding(length, abs(ba + bb) or 1.0) + (2 * length + 16) * UNIT_ROUNDOFF
         return Certified(complex(np.sum(terms)), rel * float(np.sum(np.abs(terms))))
     scale = np.conj(ba) ** (-a.order) * bb ** (-b.order)
     inner_eps = eps / max(abs(scale), 1e-300)
-    s = falling_product_sum(space, a.order, b.order, np.conj(ba) * bb, inner_eps)
-    return Certified(scale * s.value, abs(scale) * s.err)
+    s = falling_product_sum(space, a.order, b.order, np.conj(ba) * bb, inner_eps, start)
+    value = scale * s.value
+    # the two powers, the scale's product and the product with the sum
+    rel = power_rounding(a.order, abs(ba)) + power_rounding(b.order, abs(bb)) + 4 * UNIT_ROUNDOFF
+    return Certified(value, abs(scale) * s.err + rel * abs(value))
 
 
 def kernel_eval(

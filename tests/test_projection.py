@@ -4,12 +4,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import opa.projection
 from opa.engine import approximant_sweep, is_inner, orthogonal_to_shifts
 from opa.errors import UndecidableError
 from opa.projection import (
     blaschke_projection,
     classify_zeros,
     distance_to_poly,
+    _kernel_gram,
     factorial_basis_matrix,
     falling_factorial,
     project_unity,
@@ -18,7 +20,7 @@ from opa.projection import (
     rising_factorial,
 )
 from opa.series import CPoly, TruncSeries
-from opa.spaces import WeightSequence, kernel_series, KernelSpec
+from opa.spaces import WeightSequence, kernel_inner, kernel_series, KernelSpec
 
 H2 = WeightSequence.dirichlet(0.0)
 D1 = WeightSequence.dirichlet(1.0)
@@ -268,9 +270,15 @@ def test_blaschke_projection_no_interior_zeros():
 
 def test_series_backed_projection_refuses_kernel_evaluators():
     # the fast path carries phi0 and phi's coefficients, but no kernels to
-    # evaluate phi, its derivatives or its norm from
+    # evaluate phi, its derivatives or its norm from, nor to sum the tail of
+    # a distance from (which would otherwise drop phi beyond the horizon)
     fast = blaschke_projection(HALF)
-    for call in (lambda: fast.derivative_at(0.5, 0), lambda: fast.phi_at(0.2), fast.norm_sq):
+    for call in (
+        lambda: fast.derivative_at(0.5, 0),
+        lambda: fast.phi_at(0.2),
+        fast.norm_sq,
+        lambda: distance_to_poly(H2, CPoly([0]), fast, min_length=10),
+    ):
         with pytest.raises(ValueError):
             call()
 
@@ -296,6 +304,71 @@ def test_recurrence_residuals():
     assert recurrence_residual(D2, ONE_MINUS_Z, r2, 40) < 1e-9
     r3 = project_unity(D1, ONE_MINUS_Z)  # cyclic: phi = 1
     assert recurrence_residual(D1, ONE_MINUS_Z, r3, 40) == 0.0
+
+
+def _recurrence_loop(space, f, result, K):
+    """The recurrence residual summed term by term, and the largest sum of
+    the terms' moduli over k."""
+    fm = f.monic()
+    d, a = fm.degree, fm.coeffs
+    phi = result.phi_coefficients(K + d + 1)
+    w = space.weights(K + d + 1)
+    worst, scale = 0.0, 0.0
+    for k in range(1, K + 1):
+        acc = w[k + d] * phi[k + d]
+        mag = abs(acc)
+        for j in range(d):
+            acc += w[k + j] * np.conj(a[j]) * phi[k + j]
+            mag += abs(w[k + j] * a[j] * phi[k + j])
+        worst, scale = max(worst, abs(acc)), max(scale, mag)
+    return worst, scale
+
+
+def test_recurrence_residual_matches_the_term_by_term_loop():
+    cases = [
+        (H2, HALF),
+        (H2, HALF_SQ),
+        (H2, HALF_THIRD),
+        (D2, ONE_MINUS_Z),
+        (D1, CPoly([-0.2j, 0.5 + 0.4j, 1])),
+        (WeightSequence.custom([1.0, 1.3, 1.6]), CPoly([0.2, -0.1 + 0.3j, 0.4, 1])),
+    ]
+    for space, f in cases:
+        r = project_unity(space, f, eps=1e-11)
+        for K in (1, 40):
+            got = recurrence_residual(space, f, r, K)
+            want, scale = _recurrence_loop(space, f, r, K)
+            assert abs(got - want) <= 4 * (f.degree + 2) * 2.0**-53 * scale, (f, K)
+
+
+def test_kernel_gram_is_the_mirrored_per_pair_sums(monkeypatch):
+    # G[s, b] = <k_b, k_s> from start on: nb (nb + 1) / 2 kernel sums, each
+    # entry equal to its per-pair kernel_inner value, mirrored below
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return kernel_inner(*args)
+
+    monkeypatch.setattr(opa.projection, "kernel_inner", counting)
+    cubic = CPoly([0.2 - 0.1j, 1]) * HALF_SQ
+    for space, f in [(H2, cubic), (D2, ONE_MINUS_Z), (D1, HALF_THIRD)]:
+        basis = project_unity(space, f, eps=1e-11).basis
+        nb = len(basis)
+        for start in (0, 30):
+            calls.clear()
+            G, err = _kernel_gram(space, basis, 1e-12, start)
+            assert len(calls) == nb * (nb + 1) // 2
+            for s in range(nb):
+                for b in range(s, nb):
+                    g = kernel_inner(space, basis[b], basis[s], 1e-12, start)
+                    if b > s:
+                        assert G[s, b] == g.value
+                    assert G[b, s] == np.conj(g.value)
+                    assert err[s, b] == err[b, s] == g.err
+            off = ~np.eye(nb, dtype=bool)
+            assert np.array_equal(G[off], G.conj().T[off])
+            assert np.all(np.abs(np.diag(G).imag) <= np.diag(err))
 
 
 def test_recurrence_detects_wrong_kernel_point():

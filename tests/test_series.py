@@ -118,6 +118,13 @@ def test_blaschke_factor_coefficients():
     assert np.allclose(prod.coeffs[:4], b.coeffs[:4])
 
 
+def test_mul_poly_refuses_a_stored_length_within_the_degree():
+    # the product keeps the stored length, which must exceed deg p
+    with pytest.raises(ValueError):
+        geometric_series(0.5, length=3).mul_poly(CPoly([1, 0, 0, 1]))
+    assert len(geometric_series(0.5, length=4).mul_poly(CPoly([1, 0, 0, 1]))) == 4
+
+
 def test_series_mul_zero_factor():
     g = geometric_series(0.5, length=20)
     z = TruncSeries.from_poly(CPoly([0]))

@@ -520,6 +520,47 @@ def test_falling_product_sum_from_start_matches_mpmath():
         assert got.err <= 1e-10 + 1e-14 * abs(got.value)
 
 
+def test_kernel_inner_from_start_matches_40_digit_sums():
+    # <k_a, k_b> from index start on is sum_{k>=start} P_j(k) P_l(k)
+    # conj(beta_a)^(k-j) beta_b^(k-l) / w_k; at u = conj(beta_a) beta_b = 1
+    # it is the scale times Hurwitz zetas.  Each value must lie within err
+    # alone: interior points, the u = 1 boundary, and a kernel at 0 with start
+    # below its order (one term) and above it (nothing left)
+    mp.mp.dps = 40
+
+    def summed(space, a, b, start):
+        ca, cb = mp.conj(mp.mpc(complex(a.beta))), mp.mpc(complex(b.beta))
+        j, l = a.order, b.order
+        return mp.fsum(
+            mp.ff(k, j) * mp.ff(k, l) * ca ** (k - j) * cb ** (k - l) / mp.mpf(k + 1) ** space.alpha
+            for k in range(max(start, j, l), 600)
+        )
+
+    def at_one(space, a, b, start):
+        scale = mp.conj(mp.mpc(complex(a.beta))) ** -a.order * mp.mpc(complex(b.beta)) ** -b.order
+        c = _shifted_falling_product(a.order, b.order)
+        return scale * mp.fsum(cm * mp.zeta(space.alpha - m, start + 1) for m, cm in enumerate(c))
+
+    edge = np.exp(0.3j)
+    cases = [
+        (D1, KernelSpec(0.5 + 0.2j, 1), KernelSpec(0.3 - 0.4j, 2), (0, 7, 40), summed),
+        (H2, KernelSpec(-0.6j, 0), KernelSpec(0.5, 1), (0, 3, 25), summed),
+        (WeightSequence.dirichlet(3.5), KernelSpec(edge, 1), KernelSpec(edge, 0), (0, 10, 300), at_one),
+        (WeightSequence.dirichlet(4.0), KernelSpec(1.0, 1), KernelSpec(1.0, 1), (0, 100), at_one),
+        (D1, KernelSpec(0.0, 2), KernelSpec(0.4 + 0.1j, 1), (0, 1, 2, 3), summed),
+        (D2, KernelSpec(0.3j, 1), KernelSpec(0.0, 1), (1, 2), summed),
+    ]
+    for space, a, b, starts, reference in cases:
+        for start in starts:
+            got = kernel_inner(space, a, b, eps=1e-12, start=start)
+            want = reference(space, a, b, start)
+            assert abs(mp.mpc(got.value) - want) <= got.err, (space, a, b, start)
+            assert got.err <= 1e-11 + 1e-13 * abs(got.value), (space, a, b, start)
+    # a kernel at 0 has one nonzero coefficient, at its order: from past it, 0
+    past = kernel_inner(D1, KernelSpec(0.0, 2), KernelSpec(0.4 + 0.1j, 1), start=3)
+    assert past.value == 0 and past.err == 0
+
+
 def test_kernel_values_match_coefficient_sums():
     # k(z) = sum_k P_n(k) conj(beta)^(k-n) z^k / w_k summed at 40 digits; the
     # value must lie within err alone.  Kernels at 0 and evaluation at 0 take

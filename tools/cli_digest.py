@@ -19,8 +19,10 @@ every differing field path (list indices as ``[]``) with the largest relative
 change, then a summary per path over all jobs.  A changed value that carries
 an error bar in the same payload (``ERROR_BARS``) is also set against it: the
 largest ``|new - old| / (old err + new err)`` per path, flagged when above 1,
-since a change within the two bars is one both runs certify.  The exit code
-is 1 when any job differs, else 0.
+since a change within the two bars is one both runs certify.  A residual
+(``RESIDUALS``) is rounding-sized when all is well, so its relative change
+says nothing: its largest old and new values are printed instead.  The exit
+code is 1 when any job differs, else 0.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ ERROR_BARS = {
     "report.phi0": "report.gram_err",
     "report.dist_sq": "report.gram_err",
 }
+# value paths that are residuals, reported by their largest old and new values
+RESIDUALS = (
+    "oracle.recurrence_residual",
+    "oracle.plateau_delta",
+    "rows[].taylor_residual",
+    "identity_max_dev",
+)
 
 
 def dump(root: Path, names, seeds, out) -> int:
@@ -114,13 +123,31 @@ def leaves(x, path: str = ""):
         yield path, x
 
 
+def _values(x) -> dict:
+    """Path -> list of the scalars at that path in a JSON value."""
+    out: dict = {}
+    for p, v in leaves(x):
+        out.setdefault(p, []).append(v)
+    return out
+
+
+def residual_maxima(a, b) -> dict:
+    """Path of RESIDUALS whose values differ -> (largest old, largest new)."""
+    va, vb = _values(a), _values(b)
+
+    def largest(vals):  # nulls and other non-numbers are skipped
+        return max((v for v in vals if isinstance(v, (int, float))), default=math.nan)
+
+    return {
+        p: (largest(va[p]), largest(vb[p]))
+        for p in RESIDUALS
+        if p in va and p in vb and va[p] != vb[p]
+    }
+
+
 def error_bar_ratios(a, b) -> dict:
     """Path of ERROR_BARS -> largest |new - old| / (old err + new err)."""
-    va: dict = {}
-    vb: dict = {}
-    for x, vals in ((a, va), (b, vb)):
-        for p, v in leaves(x):
-            vals.setdefault(p, []).append(v)
+    va, vb = _values(a), _values(b)
     out = {}
     for p, bar in ERROR_BARS.items():
         if p not in va or p not in vb or va[p] == vb[p]:
@@ -139,6 +166,7 @@ def compare(old_path, new_path) -> int:
     old, new = _load(old_path), _load(new_path)
     summary: dict = {}
     bars: dict = {}
+    residuals: dict = {}
     differing = 0
     for job in sorted(set(old) | set(new)):
         if job not in old or job not in new:
@@ -155,9 +183,16 @@ def compare(old_path, new_path) -> int:
             try:
                 ja, jb = json.loads(a["stdout"]), json.loads(b["stdout"])
                 diffs, ratios = field_diffs(ja, jb), error_bar_ratios(ja, jb)
+                maxima = residual_maxima(ja, jb)
             except json.JSONDecodeError:
-                diffs, ratios = {"<text stdout>": math.inf}, {}
+                diffs, ratios, maxima = {"<text stdout>": math.inf}, {}, {}
+            for p, (x, y) in maxima.items():
+                lines.append(f"  {p}: largest old {x:.3g}, new {y:.3g}")
+                n, wx, wy = residuals.get((b["kind"], p), (0, 0.0, 0.0))
+                residuals[(b["kind"], p)] = (n + 1, max(wx, x), max(wy, y))
             for p, r in diffs.items():
+                if p in maxima:
+                    continue
                 lines.append(f"  {p}: {r:.3g}")
                 n, worst = summary.get((b["kind"], p), (0, 0.0))
                 summary[(b["kind"], p)] = (n + 1, max(worst, r))
@@ -171,6 +206,8 @@ def compare(old_path, new_path) -> int:
     print(f"{differing} of {len(set(old) | set(new))} jobs differ")
     for (kind, p), (n, worst) in sorted(summary.items()):
         print(f"  {kind} {p}: {n} jobs, largest relative change {worst:.3g}")
+    for (kind, p), (n, x, y) in sorted(residuals.items()):
+        print(f"  {kind} {p}: {n} jobs, largest old {x:.3g}, largest new {y:.3g}")
     for (kind, p), worst in sorted(bars.items()):
         flag = "  ABOVE 1: outside both error bars" if worst > 1 else ""
         print(f"  {kind} {p}: largest change {worst:.3g} of old + new error bar{flag}")
