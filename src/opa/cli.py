@@ -276,7 +276,7 @@ def cmd_stabilize(job: JobSpec) -> tuple[str, int]:
             for r in report.sweep
         ],
     }
-    if report.stabilized and job.g.degree == 0 and job.g.coefficient(0) == 1:
+    if report.stabilized and job.space.monomials_orthogonal and job.g.coeffs.tolist() == [1]:
         dossier = stabilization_dossier(job.space, job.f, report)
         payload["dossier"] = {
             "M": dossier.M,

@@ -39,7 +39,7 @@ from .series import (
     power_tail_bound,
     smallest_certified,
 )
-from .spaces import WeightSequence, norm_sq_any, require_certified, shift_products
+from .spaces import WeightSequence, _coerce_series, norm_sq_any, require_certified, shift_products
 
 # unused here, but bound for perfbench/spans.py, which traces them by these names
 from .linalg import cholesky_border, solve_factored  # noqa: F401
@@ -382,10 +382,10 @@ def detect_stabilization(
 
     A coefficient window within eps is only a candidate: for polynomial f the
     report is upgraded to an exact orthogonality certificate by verifying
-    <p_M* f, z^k f> = 0 over the finite range where such inner products can
-    be nonzero (floating plateaus that fail this are reported as not
-    stabilized).  For stored series the exact check is unavailable and the
-    certificate remains 'tolerance_window'.
+    the optimality conditions <p_M* f - g, z^k f> = 0 (any g, quotient spaces
+    too) where such inner products can be nonzero (floating plateaus that
+    fail this are reported as not stabilized).  For stored series the exact
+    check is unavailable and the certificate remains 'tolerance_window'.
     """
     if g is None:
         g = CPoly([1])
@@ -397,13 +397,14 @@ def detect_stabilization(
     d = _effective_degree(space, f)
     if d is not None:
         pf = _mul_poly(f, p_M)
-        # exactness threshold is relative to the data scale: the finite sums
-        # are exact up to rounding of terms of size ~ ||p f|| ||f||
-        npf = norm_sq_any(space, pf, 1e-9).value.real
-        nf = norm_sq_any(space, f, 1e-9).value.real
-        scale = math.sqrt(max(npf * nf, 0.0))
+        # exactness threshold is relative to the data scale: the finite sums are
+        # exact up to rounding of terms ~ ||p f|| ||f||, plus ||g|| ||f|| unless g = 1
+        npf, nf, ng = (norm_sq_any(space, x, 1e-9).value.real for x in (pf, f, g))
+        one = isinstance(g, CPoly) and g.degree == 0 and g.coefficient(0) == 1
+        scale = math.sqrt(max(npf * nf, 0.0)) + (0.0 if one else math.sqrt(max(ng * nf, 0.0)))
+        h = _coerce_series(pf).add(-_coerce_series(g))
         check = orthogonal_to_shifts(
-            space, f, pf, eps=max(1e-10 * max(1.0, scale), 10 * _ENTRY_EPS)
+            space, f, h, eps=max(1e-10 * max(1.0, scale), 10 * _ENTRY_EPS)
         )
         if check.orthogonal:
             return StabilizationReport(True, M, "exact_orthogonality", p_M, results)
@@ -572,6 +573,8 @@ def taylor_residuals(space: WeightSequence, f: CPoly, n_max: int) -> list[float]
     for s in range(d):
         for i in range(s + 1, d + 1):
             window[:, s] += f.coeffs[i] * g[ns + 1 + s - i + d]
+    top = np.frexp(np.abs(window).max(axis=1, initial=0.0))[1]  # rows scaled so no square overflows
+    window = window * np.ldexp(1.0, -top)[:, None]
     if space.kind == "multiplier":
         # ||z^(n+1) r||^2 = ||m r||^2 in H2
         m = space.m.coeffs
@@ -582,4 +585,4 @@ def taylor_residuals(space: WeightSequence, f: CPoly, n_max: int) -> list[float]
     else:
         w = space.weights(n_max + d + 1)
         norm_sq = np.sum(w[ns[:, None] + 1 + np.arange(d)] * np.abs(window) ** 2, axis=1)
-    return np.sqrt(norm_sq).tolist()
+    return np.ldexp(np.sqrt(norm_sq), top).tolist()

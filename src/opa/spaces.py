@@ -27,15 +27,15 @@ for custom ones, refusing to guess when the data is inconclusive.
 Every kernel quantity (a kernel value, a kernel-Gram entry, a derivative of
 the projection of 1, a projection tail) is a kernel inner product, a scale
 times sum_{k>=start} P_j(k) P_l(k) u**k / w_k, and falling_product_sum is the
-one routine that sums it: each regime gives a stop index K with an offset and
-a remainder <= eps/2 for the terms from K on (one search takes the smallest K
-that certifies inside the disk and for unimodular u != 1; at u = 1 the
-Euler-Maclaurin tail from K = max(64, start) takes the smallest order whose
-Bernoulli remainder certifies), and one loop adds the terms before K.
+one routine that sums it, in two regimes: inside the disk the smallest K that
+certifies a geometric bound, on the circle (u = e^z) one Euler-Maclaurin tail
+from K = max(64, ceil(40/|z|), start).  Only a boundary kernel paired with
+itself sums at exactly u = 1; a u near 1 gets a covering bar or a refusal.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -621,11 +621,15 @@ _EM_COEFFS = np.array([
     2.466247044200681e-40, -6.247076741820743e-42, 1.5824030244644914e-43,
     -4.008273685948936e-45, 1.0153075855569557e-46, -2.5718041582418717e-48,
 ])
+# C(n, i) for n, i <= 60 (0 for i > n), rounded to nearest: the Leibniz coefficients
+_BINOM = np.array([[math.comb(n, i) for i in range(61)] for n in range(61)], dtype=float)
 
 
-def _weighted_terms(space, j, l, u, k_lo, k_hi):
+def _weighted_terms(space, j, l, power, k_lo, k_hi):
+    """P_j(k) P_l(k) power(k) / w_k for k_lo <= k < k_hi (0 where w_k overflows)."""
     ks = np.arange(k_lo, k_hi)
-    return _falling_vec(ks, j) * _falling_vec(ks, l) * u**ks / space.weights(k_hi, k_lo)
+    with np.errstate(over="ignore"):
+        return _falling_vec(ks, j) * _falling_vec(ks, l) * power(ks) / space.weights(k_hi, k_lo)
 
 
 def _poly_in_shifted_basis(j, l):
@@ -640,18 +644,20 @@ def _poly_in_shifted_basis(j, l):
 def falling_product_sum(
     space: WeightSequence, j: int, l: int, u: complex, eps: float, start: int = 0
 ) -> Certified:
-    """Certified evaluation of sum_{k>=start} P_j(k) P_l(k) u**k / w_k.
+    """Certified evaluation of sum_{k>=start} P_j(k) P_l(k) u**k / w_k, the sum
+    behind every kernel quantity (kernel_inner scales it).
 
-    The one routine behind every kernel quantity: a kernel inner product
-    (kernel_inner) is this sum times a scale, and so are kernel values, Gram
-    entries, derivatives of phi and projection tails.  Each regime gives a
-    stop index K and, for the terms from K on, an offset and a certified
-    remainder of at most eps/2, the other half left to rounding: interior
-    data (|u| < 1, or growing custom weights) a geometric-polynomial bound,
-    unimodular u != 1 a Dirichlet-test bound, both with the smallest such K
-    from series.smallest_certified, and u == 1 the Euler-Maclaurin tail from
-    K = max(64, start) with its Bernoulli remainder.  One loop sums the terms
-    from start up to K.
+    Each regime gives a stop index K and, for the terms from K on, an offset
+    and a remainder of at most eps/2: inside the disk (|u| < 1, or growing
+    custom weights) a geometric-polynomial bound with the smallest such K
+    (series.smallest_certified), on the circle the Euler-Maclaurin tail of
+    u = e^z, u = 1 being z = 0; 1 < |u| <= 1 + tol is on the circle (as in
+    is_reproducible), summed at u/|u|.  One loop sums the terms before K,
+    rounding 1e-15 sum|terms|; on the circle off u = 1 a term k counts 2 units
+    (complex operands) per unit of: exp(zk), 3k|z| + 4 (series.power_rounding);
+    factorials, weight and quotient, j + l + 3; np.sum's pairwise tree over a
+    chunk of 2^14 terms, 32; the running total, one a chunk.  Raises
+    CannotCertifyError when the total exceeds eps by more than 1e-14 of the value.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -661,32 +667,36 @@ def falling_product_sum(
         raise ValueError("multiplier spaces have no coefficient weights")
     if q > 1.0 + _BOUNDARY_TOL:
         raise CannotCertifyError("series with |u| > 1 diverges")
-    real = False
+    real, z = False, 0.0
     if q >= 1.0 - _BOUNDARY_TOL and space.kind == "custom":
         if callable(space.extension):
-            raise CannotCertifyError(
-                "callable weight extensions admit no certified boundary sums"
-            )
+            raise CannotCertifyError("callable weight extensions admit no certified boundary sums")
         if not space.ratio > 1.0:
-            raise CannotCertifyError(
-                "boundary sums over non-growing custom weights diverge"
-            )
+            raise CannotCertifyError("boundary sums over non-growing custom weights diverge")
     if q < 1.0 - _BOUNDARY_TOL or space.kind == "custom":
         # a growing custom continuation dominates the polynomial factor
         stop, offset, rem = _interior_tail(space, j, l, q, start, 0.5 * eps)
     elif space.alpha <= j + l + 1:
         raise CannotCertifyError("boundary sum diverges: alpha <= j + l + 1")
-    elif abs(u - 1.0) <= _BOUNDARY_TOL:
-        real, u = True, 1.0 + 0j
-        stop, offset, rem = _euler_maclaurin_tail(space.alpha, j, l, start, 0.5 * eps)
     else:
-        stop, offset, rem = _dirichlet_test_tail(space.alpha, j, l, u, start, 0.5 * eps)
-    acc, absacc = (0.0 if real else 0j), 0.0
+        z = cmath.log(u) if q < 1.0 else 1j * cmath.phase(u)
+        if real := not z:  # u/|u| = 1
+            u, z = 1.0 + 0j, 0.0
+        stop, offset, rem = _euler_maclaurin_tail(space.alpha, j, l, z, start, 0.5 * eps)
+    acc, absacc, kacc = (0.0 if real else 0j), 0.0, 0.0
+    power = (lambda ks: np.exp(z * ks)) if z else (lambda ks: u**ks)
     for lo_k in range(start, stop, _CHUNK):
-        t = _weighted_terms(space, j, l, u, lo_k, min(stop, lo_k + _CHUNK))
+        hi_k = min(stop, lo_k + _CHUNK)
+        t = _weighted_terms(space, j, l, power, lo_k, hi_k)
         acc += float(np.sum(t.real)) if real else complex(np.sum(t))
         absacc += float(np.sum(np.abs(t)))
-    return Certified(complex(acc + offset), rem + 1e-15 * absacc)
+        kacc += float(np.dot(np.arange(lo_k, hi_k), np.abs(t))) if z else 0.0
+    value = complex(acc + offset)
+    units = 3.0 * abs(z) * kacc + (j + l + 40 + math.ceil((stop - start) / _CHUNK)) * absacc
+    err = rem + (2.0 * UNIT_ROUNDOFF * units if z else 1e-15 * absacc)
+    if not err <= eps + 1e-14 * abs(value):
+        raise CannotCertifyError(f"kernel sum error {err:.3g} exceeds eps={eps:.3g}")
+    return Certified(value, err)
 
 
 def _inverse_weight_majorant(space) -> tuple[float, float]:
@@ -718,65 +728,70 @@ def _interior_tail(space, j, l, q, start, eps):
     return stop, 0.0, bound(stop)
 
 
-def _dirichlet_test_tail(alpha, j, l, u, start, eps):
-    """(stop, 0, rem) for unimodular u != 1 over dirichlet weights: the terms
-    decrease in modulus from the first candidate on, so the Dirichlet test
-    bounds those from K on by 2 a_K / |1 - u|; stop is the smallest K with
-    that bound <= eps."""
-    numax = max(j, l)
-    x0 = (alpha * numax + j + l) / (alpha - j - l)
-    first = max(65, math.ceil(x0) + 3, start)
+def _euler_maclaurin_tail(alpha, j, l, z, start, eps):
+    """(stop, offset, err) over dirichlet weights, alpha > j + l + 1, u = e^z,
+    Re z <= 0 (z = 0.0 at u = 1): the terms from K = stop = max(64, ceil(40/|z|),
+    start) <= 1e7 on sum to offset within err.
 
-    def bound(K):
-        return 2.0 * math.perm(K, j) * math.perm(K, l) / (K + 1.0) ** alpha / abs(1.0 - u)
+    With t = x + 1, g(x) = P_j(x) P_l(x) t**-alpha = sum_m c_m t**(m - alpha)
+    and F(x) = g(x) e^(zx), whose F^(r) = e^(zx) sum_i C(r, i) z^(r-i) g^(i),
+        sum_{k>=K} F(k) = int_K^inf F + F(K)/2 - sum_{s<=p} B_2s/(2s)! F^(2s-1)(K) + R_p,
+        |R_p| <= |B_2p|/(2p)! int_K^inf |F^(2p)| <= |B_2p|/(2p)! sum_i C(2p, i) |z|^(2p-i) A_i,
+    A_i a closed-form sum over m bounding int_K^inf |g^(i)|.  So is the integral
+    at z = 0; else q integrations by parts give e^(zK) sum_{i<q} (-1/z)^(i+1)
+    g^(i)(K) within A_q / |z|^q.  p and q (2p, q <= 60) are the smallest
+    orders whose remainders are <= eps, half each when z != 0; with K >= 64
+    and K |z| >= 40 both fall with the order while normal doubles.
 
-    stop = smallest_certified(bound, eps, first, 2 * 10**7 + 2)
-    return stop, 0.0, bound(stop)
-
-
-def _euler_maclaurin_tail(alpha, j, l, start, eps):
-    """(stop, offset, err) for u = 1 over dirichlet weights, alpha > j + l + 1:
-    the terms from stop = max(64, start) on sum to offset within err.
-
-    With t = x + 1, F(x) = P_j(x) P_l(x) t**-alpha = sum_m c_m t**(m - alpha),
-    and for K = stop
-        sum_{k>=K} F(k) = int_K^inf F + F(K)/2 - sum_{i<=p} B_2i/(2i)! F^(2i-1)(K) + R_p,
-        |R_p| <= |B_2p|/(2p)! int_K^inf |F^(2p)|,
-    every piece a closed-form sum over m.  p is the smallest order, up to
-    2p = 60, whose bound on R_p is <= eps (series.smallest_certified); with
-    K + 1 >= 65 that bound falls with p wherever it is a normal double.
-
-    err is that bound plus the rounding of the parts summed, each operation
-    exact up to UNIT_ROUNDOFF relative on normal numbers: a part of
-    derivative order r takes at most 6 + 3r operations, its power
-    t**(m + 1 - alpha) is off by |m + 1 - alpha| ln t more units through the
-    rounded exponent, and the sum of the N parts (remainder included) adds
-    N + 1 units of their magnitudes.
+    err adds the rounding of the N parts summed, each operation within
+    UNIT_ROUNDOFF on normal numbers: a part of derivative order r takes 6 + 3r
+    operations, its power t**(m + 1 - alpha) |m + 1 - alpha| ln t units, their
+    sum N + 1; off z = 0 a part also sums n = max(q, 2p) products of a Bernoulli
+    ratio, a binomial and a power of z or -|z|/z (6 units a factor, z has 3)
+    and takes e^(zK), off by 3K|z| + 4 (series.power_rounding).
     """
-    stop = max(64, start)
-    t = stop + 1.0
-    c = _poly_in_shifted_basis(j, l)
+    stop = max(64, start, math.ceil(40 / abs(z)) if z else 0)
+    if stop > 10**7:
+        raise CannotCertifyError("required series length exceeds 1e7")
+    t, c, r = stop + 1.0, _poly_in_shifted_basis(j, l), np.arange(2 * _EM_COEFFS.size + 1)
     m = np.arange(c.size)[:, None]
-    r = np.arange(2 * _EM_COEFFS.size + 1)
-    # D[m, r] = c_m (m - alpha)(m - alpha - 1)...(m - alpha - r + 1) t**(m - alpha - r + 1),
-    # so F^(r)(K) = sum_m D[m, r] / t; a power that underflowed stays 0
+    # D[m, r] = c_m (m - alpha)(m - alpha - 1)...(m - alpha - r + 1) t**(m - alpha - r + 1), so
+    # g^(r)(K) = sum_m D[m, r] / t, A_r = sum_m |D[m, r]| / den[m, r]; an underflowed power stays 0
     lead = c[:, None] * t ** ((m + 1) - alpha)
     D = np.cumprod(np.hstack([lead, ((m - r[:-1]) - alpha) / t]), axis=1)
+    den = ((r - 1) - m) + alpha
     units = 6.0 + np.abs((m + 1) - alpha) * math.log(t) + 3.0 * r
-    # int_K^inf |F^(2p)| <= sum_m |D[m, 2p]| / (2p - 1 - m + alpha), p = 1..30
-    rem_parts = np.abs(_EM_COEFFS * D[:, 2::2]) / (((r[2::2] - 1) - m) + alpha)
+    rem_parts = np.abs(_EM_COEFFS * D[:, 2::2]) / den[:, 2::2]  # p = 1..30, at z = 0
+    q, extra, int_parts = 0, 0.0, np.zeros_like(D)
+    if z:
+        # C(2p, i) |z|^(2p-i) (C(n, i) = 0 for i > n); Dz[m, r] = D[m, r] / |z|^r,
+        # whose steps K |z| >= 40 keep from overflowing
+        Cz = _BINOM[2 * r[1:31]] * (abs(z) ** r)[np.maximum(2 * r[1:31, None] - r, 0)]
+        rem_parts = np.abs(_EM_COEFFS) * ((np.abs(D) / den) @ Cz.T)
+        Dz = np.cumprod(np.hstack([lead, ((m - r[:-1]) - alpha) / (t * abs(z))]), axis=1)
+        int_parts = np.abs(Dz) / den
+        q = smallest_certified(lambda q: int_parts[:, q].sum(), eps / 2, 1, r[-1])
     rems = rem_parts.sum(axis=0)
-    p = smallest_certified(lambda p: rems[p - 1], eps, 1, _EM_COEFFS.size)
-    parts = np.hstack([
-        D[:, :1] / ((-1 - m) + alpha),  # the integral
-        D[:, :1] / (2.0 * t),  # F(K) / 2
-        -_EM_COEFFS[:p] * D[:, 1 : 2 * p : 2] / t,  # the corrections
-    ])
-    part_units = np.hstack([units[:, :1], units[:, :1], units[:, 1 : 2 * p : 2]])
+    p = smallest_certified(lambda p: rems[p - 1], eps / 2 if z else eps, 1, _EM_COEFFS.size)
+    n, s = max(q, 2 * p), r[1 : p + 1]
+    # G[:, s - 1] = t e^(-zK) F^(2s-1)(K), the correction of order 2s - 1
+    integral, G = D[:, :1] / ((-1 - m) + alpha), D[:, 1 : 2 * p : 2]
+    int_mags, G_mags = np.abs(integral), np.abs(G)
+    if z:
+        Zc = _BINOM[2 * s - 1, r[:n, None]] * (z ** r)[np.maximum((2 * s - 1) - r[:n, None], 0)]
+        G, G_mags = D[:, :n] @ Zc, np.abs(D[:, :n]) @ np.abs(Zc)
+        integral = -(Dz[:, :q] @ (-abs(z) / z) ** r[:q])[:, None] / (z * t)
+        int_mags = np.abs(Dz[:, :q]).sum(axis=1, keepdims=True) / (abs(z) * t)
+        extra = 3.0 * stop * abs(z) + 8.0 * n + 16.0
+    parts = np.hstack([integral, D[:, :1] / (2.0 * t), -_EM_COEFFS[:p] * G / t])
+    mags = np.hstack([int_mags, np.abs(parts[:, 1:2]), np.abs(_EM_COEFFS[:p]) * G_mags / t])
+    part_units = np.hstack([units[:, [max(q - 1, 0), 0]], units[:, 1 : 2 * p : 2]]) + extra
     n_parts = parts.size + c.size
-    rounding = np.sum(np.abs(parts) * (part_units + n_parts + 1))
-    rounding += np.sum(rem_parts[:, p - 1] * (units[:, 2 * p] + n_parts + 1))
-    return stop, float(np.sum(parts)), float(rems[p - 1] + UNIT_ROUNDOFF * rounding)
+    rounding = np.sum(mags * (part_units + n_parts + 1))
+    rounding += np.sum(rem_parts[:, p - 1] * (units[:, 2 * p] + extra + n_parts + 1))
+    rounding += np.sum(int_parts[:, q] * (units[:, q] + extra + n_parts + 1))
+    err = rems[p - 1] + int_parts[:, q].sum() + UNIT_ROUNDOFF * rounding
+    return stop, np.sum(parts * np.exp(z * stop)) if z else np.sum(parts), float(err)
 
 
 def kernel_inner(
@@ -788,6 +803,7 @@ def kernel_inner(
     <k^j_bi, k^l_bs> = conj(bi)^(-j) bs^(-l) sum_k P_j(k) P_l(k)
                         (conj(bi) bs)^k / w_k;
     the error adds the rounding of the scale's two powers and its products.
+    Only a boundary kernel paired with itself sums at u = |bi|^2 = 1 exactly.
     """
     if a.flavor != "kernel_for_derivatives" or b.flavor != "kernel_for_derivatives":
         raise ValueError("kernel_inner expects derivative-evaluation kernels")
@@ -803,7 +819,8 @@ def kernel_inner(
         return Certified(complex(np.sum(terms)), rel * float(np.sum(np.abs(terms))))
     scale = np.conj(ba) ** (-a.order) * bb ** (-b.order)
     inner_eps = eps / max(abs(scale), 1e-300)
-    s = falling_product_sum(space, a.order, b.order, np.conj(ba) * bb, inner_eps, start)
+    u = 1.0 if ba == bb and abs(abs(ba) - 1.0) <= _BOUNDARY_TOL else np.conj(ba) * bb
+    s = falling_product_sum(space, a.order, b.order, u, inner_eps, start)
     value = scale * s.value
     # the two powers, the scale's product and the product with the sum
     rel = power_rounding(a.order, abs(ba)) + power_rounding(b.order, abs(bb)) + 4 * UNIT_ROUNDOFF

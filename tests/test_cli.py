@@ -456,3 +456,14 @@ def test_stabilize_report(capsys):
     assert payload["stabilized"] is True and payload["M"] == 0
     assert payload["certificate"] == "exact_orthogonality"
     assert payload["dossier"]["all_passed"] is True
+
+
+def test_stabilize_in_a_quotient_space_has_no_dossier(capsys):
+    # p_0* = 1 is optimal for f = 1 in {h/m}, but the dossier's identities
+    # need orthogonal monomials, so the report comes without one
+    space = '{"kind":"multiplier","m":[[1,0],[-0.5,0]]}'
+    code, out, _ = run(capsys, ["stabilize", "--space", space, "--f", "[[1,0]]", "--n-max", "4"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["stabilized"] is True and payload["M"] == 0
+    assert "dossier" not in payload

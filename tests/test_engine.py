@@ -573,6 +573,22 @@ def test_stabilization_constant_f_exact_certificate():
     assert dossier.all_passed
 
 
+def test_stabilization_checks_the_optimality_conditions_for_any_g():
+    # p_M* = p_{M+1}* = ... exactly when <p_M* f - g, z^k f> = 0 for all
+    # k >= 1; <p_M* f, z^k f> = 0 is that condition only for g = 1 in a
+    # space whose monomials are orthogonal
+    report = detect_stabilization(H2, ONE, CPoly([1, 1]), n_max=6)
+    assert report.stabilized and report.M == 1
+    assert report.certificate == "exact_orthogonality"
+    f = CPoly([1, 0, 0.5])
+    report = detect_stabilization(H2, f, f, n_max=6)
+    assert report.stabilized and report.M == 0
+    report = detect_stabilization(WeightSequence.multiplier(CPoly([1, -0.5])), ONE, n_max=6)
+    assert report.stabilized and report.M == 0
+    # a plateau that is not optimal still fails: 1 - z never stabilizes
+    assert not detect_stabilization(H2, CPoly([1, -1]), CPoly([1, 0.5]), n_max=8).stabilized
+
+
 def test_dossier_blaschke_identities():
     b = blaschke_factor(0.5, eps=1e-14, length=260)
     report = detect_stabilization(H2, b, n_max=5)
@@ -639,6 +655,26 @@ def test_taylor_residuals_match_the_full_product():
                 res = CPoly(recip.coeffs[: n + 1]) * f - ONE
                 want = np.sqrt(max(norm_sq_poly(space, res), 0.0))
                 assert got[n] == pytest.approx(want, rel=1e-12, abs=1e-14), (space, d, n)
+
+
+def test_taylor_residuals_stay_finite_past_the_square_root_of_the_double_range():
+    # the zero at 0.2i makes row 250 about 1.6e178, whose square overflows:
+    # each row is scaled by a power of two, so it matches a 50-digit sum
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    zeros = (1.3, -0.5 + 0.4j, 0.2j)
+    f = CPoly(np.poly(zeros)[::-1])
+    got = taylor_residuals(D2, f, 260)
+    fm = [mp.mpc(c) for c in f.coeffs]
+    g = [1 / fm[0]]  # the Taylor coefficients of 1/f
+    for k in range(1, 255):
+        g.append(-mp.fsum(fm[i] * g[k - i] for i in range(1, min(k, 3) + 1)) / fm[0])
+    n = 250
+    window = [mp.fsum(fm[i] * g[n + 1 + s - i] for i in range(s + 1, 4)) for s in range(3)]
+    want = mp.sqrt(mp.fsum((n + 2 + s) ** 2 * abs(r) ** 2 for s, r in enumerate(window)))
+    assert abs(got[n] - want) <= 1e-12 * want
+    assert all(np.isfinite(got))
 
 
 # -- tracer contract -------------------------------------------------------------------

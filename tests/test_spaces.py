@@ -1,5 +1,6 @@
 """Weighted spaces: inner products, kernels, reproducibility certificates."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -380,50 +381,55 @@ def test_falling_product_sum_interior_matches_closed_form():
     assert abs(got.value - want) <= got.err + 1e-12
 
 
-def test_boundary_truncation_is_the_smallest_that_certifies(monkeypatch):
-    # u = 1 stops the sum at K = max(64, start) with the smallest
-    # Euler-Maclaurin order p whose Bernoulli remainder
-    # |B_2p|/(2p)! sum_m |c_m (m - alpha)_(2p)| (K+1)^(m-alpha-2p+1) / (2p-1-m+alpha)
-    # is <= eps/2; unimodular u != 1 stops at the first K whose Dirichlet-test
-    # bound 2 a_K / |1 - u| is <= eps/2
-    eps, stops, searched = 1e-10, [], []
-    terms, search = opa.spaces._weighted_terms, opa.spaces.smallest_certified
-
-    def recording(space, j, l, u, k_lo, k_hi):
-        stops.append(k_hi)
-        return terms(space, j, l, u, k_lo, k_hi)
+def test_boundary_truncation_is_the_smallest_that_certifies(monkeypatch, summed_terms):
+    # on the circle, u = e^z, the sum stops at K = max(64, ceil(40/|z|), start)
+    # with the smallest Euler-Maclaurin order p whose Bernoulli remainder
+    # |B_2p|/(2p)! sum_i C(2p, i) |z|^(2p-i) A_i, where
+    # A_i = sum_m |c_m (m - alpha)_(i)| (K+1)^(m-alpha-i+1) / (alpha+i-1-m),
+    # is <= eps/2 at u = 1; off u = 1 it gets eps/4, and the number q of
+    # integrations by parts is the smallest whose remainder A_q / |z|^q is <= eps/4
+    eps, searched = 1e-10, []
+    search = opa.spaces.smallest_certified
 
     def recording_search(*args):
         searched.append(search(*args))
         return searched[-1]
 
-    monkeypatch.setattr(opa.spaces, "_weighted_terms", recording)
     monkeypatch.setattr(opa.spaces, "smallest_certified", recording_search)
-    for alpha, j, l, start in [(2, 0, 0, 0), (4, 1, 1, 0), (3.5, 2, 0, 300)]:
-        space, K = WeightSequence.dirichlet(alpha), max(64, start)
+    cases = [
+        (2, 0, 0, 1.0, 0),
+        (4, 1, 1, 1.0, 0),
+        (3.5, 2, 0, 1.0, 300),
+        (2.5, 0, 0, -1.0, 0),
+        (3, 1, 0, np.exp(1j * np.pi / 3), 0),
+        (4, 1, 1, np.exp(0.01j), 100),
+        (5.5, 2, 1, 1j, 0),
+    ]
+    for alpha, j, l, u, start in cases:
+        z = abs(cmath.log(u))
+        K = max(64, math.ceil(40 / z) if z else 0, start)
         c = _shifted_falling_product(j, l)
 
-        def remainder(p):
-            coeff = abs(float(_bernoulli(2 * p) / math.factorial(2 * p)))
-            return coeff * sum(
-                abs(cm * math.prod(m - alpha - i for i in range(2 * p)))
-                * (K + 1.0) ** (m - alpha - 2 * p + 1) / (2 * p - 1 - m + alpha)
+        def A(i):
+            return sum(
+                abs(cm * math.prod(m - alpha - k for k in range(i)))
+                * (K + 1.0) ** (m - alpha - i + 1) / (alpha + i - 1 - m)
                 for m, cm in enumerate(c)
             )
 
-        stops.clear()
-        falling_product_sum(space, j, l, 1.0, eps, start)
-        p = searched[-1]
-        assert stops[-1:] == ([K] if start < K else []), (alpha, j, l)
-        assert remainder(p) <= eps / 2 and (p == 1 or remainder(p - 1) > eps / 2), (alpha, j, l)
-    for alpha, j, l, u in [(2.5, 0, 0, -1), (3, 1, 0, np.exp(1j * np.pi / 3))]:
-        space = WeightSequence.dirichlet(alpha)
+        def remainder(p):
+            coeff = abs(float(_bernoulli(2 * p) / math.factorial(2 * p)))
+            return coeff * sum(math.comb(2 * p, i) * z ** (2 * p - i) * A(i) for i in range(2 * p + 1))
 
-        def remainder(K):
-            return 2.0 * math.perm(K, j) * math.perm(K, l) / (K + 1.0) ** alpha / abs(1 - u)
-
-        falling_product_sum(space, j, l, u, eps)
-        assert remainder(stops[-1]) <= eps / 2 < remainder(stops[-1] - 1), (alpha, j, l, u)
+        summed_terms.clear()
+        falling_product_sum(WeightSequence.dirichlet(alpha), j, l, u, eps, start)
+        case = (alpha, j, l, u, start)
+        assert [hi for _, hi in summed_terms][-1:] == ([K] if start < K else []), case
+        p, share = searched[-1], (eps / 4 if z else eps / 2)
+        assert remainder(p) <= share and (p == 1 or remainder(p - 1) > share), case
+        if z:
+            q = searched[-2]
+            assert A(q) / z**q <= eps / 4 < A(q - 1) / z ** (q - 1), case
 
 
 def _bernoulli(n):
@@ -442,19 +448,11 @@ def test_euler_maclaurin_coefficients_are_the_bernoulli_ratios():
         assert coeff == float(_bernoulli(2 * i) / math.factorial(2 * i)), i
 
 
-def test_boundary_sums_at_one_match_hurwitz_zeta(monkeypatch):
+def test_boundary_sums_at_one_match_hurwitz_zeta(summed_terms):
     # sum_{k>=start} P_j(k) P_l(k) / (k+1)^alpha = sum_m c_m zeta(alpha - m, start + 1)
     # at 40 digits: every value within its err alone, err at most eps plus
     # rounding, and no u = 1 call evaluating more than 256 terms
     mp.mp.dps = 40
-    counted = []
-    terms = opa.spaces._weighted_terms
-
-    def counting(space, j, l, u, k_lo, k_hi):
-        counted[-1] += k_hi - k_lo
-        return terms(space, j, l, u, k_lo, k_hi)
-
-    monkeypatch.setattr(opa.spaces, "_weighted_terms", counting)
     for alpha in (2, 2.5, 3, 4, 5.5, 7):
         space = WeightSequence.dirichlet(alpha)
         for j in range(3):
@@ -465,12 +463,12 @@ def test_boundary_sums_at_one_match_hurwitz_zeta(monkeypatch):
                 for start in (0, 5, 64, 256, 1000):
                     want = mp.fsum(cm * mp.zeta(alpha - m, start + 1) for m, cm in enumerate(c))
                     for eps in (1e-10, 1e-13):
-                        counted.append(0)
+                        summed_terms.clear()
                         got = falling_product_sum(space, j, l, 1.0, eps, start=start)
                         case = (alpha, j, l, start, eps)
                         assert abs(mp.mpc(got.value) - want) <= got.err, case
                         assert got.err <= eps + 1e-14 * abs(got.value), case
-                        assert counted[-1] <= 256, case
+                        assert sum(hi - lo for lo, hi in summed_terms) <= 256, case
 
 
 def _shifted_falling_product(j, l):
@@ -518,6 +516,81 @@ def test_falling_product_sum_from_start_matches_mpmath():
         want = summed(j, l, u, L, w) if callable(w) else lerch(j, l, u, L, w)
         assert abs(mp.mpc(got.value) - want) <= got.err, (space, j, l, u)
         assert got.err <= 1e-10 + 1e-14 * abs(got.value)
+
+
+def test_circle_sums_match_polylog(summed_terms):
+    # sum_{k>=start} P_j(k) P_l(k) u^k / (k+1)^alpha on the circle is
+    # sum_m c_m (Li_{alpha-m}(u)/u - sum_{k<start} u^k (k+1)^(m-alpha)) at
+    # 30 digits: every value within its err alone, err at most eps plus
+    # rounding, and at most max(64, start) + ceil(40/|theta|) terms summed
+    mp.mp.dps = 30
+    refs, inverse_powers = {}, {}
+
+    def shifted_sum(s, u, start):  # start is 0 or 100
+        if (s, u) not in refs:
+            w = mp.mpc(u) / abs(mp.mpc(u))
+            if s not in inverse_powers:
+                inverse_powers[s] = [mp.mpf(k + 1) ** -s for k in range(100)]
+            head, wk = mp.mpf(0), mp.mpf(1)
+            for inv in inverse_powers[s]:
+                head, wk = head + wk * inv, wk * w
+            refs[s, u] = mp.polylog(s, w) / w, head
+        return refs[s, u][0] - (refs[s, u][1] if start else 0)
+
+    for alpha in (2, 2.5, 3, 4, 5.5, 7):
+        space = WeightSequence.dirichlet(alpha)
+        for j, l in [(j, l) for j in range(3) for l in range(3) if alpha > j + l + 1]:
+            c = _shifted_falling_product(j, l)
+            for u in (-1.0, 1j, np.exp(0.01j), np.exp(0.001j)):
+                for start in (0, 100):
+                    summed_terms.clear()
+                    got = falling_product_sum(space, j, l, u, 1e-10, start)
+                    want = mp.fsum(cm * shifted_sum(alpha - m, u, start) for m, cm in enumerate(c))
+                    case = (alpha, j, l, u, start)
+                    assert abs(mp.mpc(got.value) - want) <= got.err, case
+                    assert got.err <= 1e-10 + 1e-14 * abs(got.value), case
+                    budget = max(64, start) + math.ceil(40 / abs(np.angle(u)))
+                    assert sum(hi - lo for lo, hi in summed_terms) <= budget, case
+
+
+def test_sums_near_one_cover_or_refuse():
+    # S(u) is only Hoelder-continuous at u = 1, so u within 1e-12 of 1 is
+    # summed where it is: a bar that covers the 40-digit polylog value, or a
+    # CannotCertifyError (those u need about 40/|u - 1| terms), never S(1)
+    mp.mp.dps = 40
+    cases = [
+        (WeightSequence.dirichlet(1.1), 0, 0, 1 - 1e-13),
+        (WeightSequence.dirichlet(1.1), 0, 0, 1 - 1e-15),
+        (WeightSequence.dirichlet(3.1), 1, 1, 1 - 1e-13),
+        (WeightSequence.dirichlet(3.1), 1, 1, np.exp(1e-13j)),
+    ]
+    for space, j, l, u in cases:
+        w = mp.mpc(u)
+        want = mp.fsum(
+            cm * mp.polylog(space.alpha - m, w) for m, cm in enumerate(_shifted_falling_product(j, l))
+        ) / w
+        try:
+            if j == 0:  # the kernel at the boundary point 1, evaluated at u
+                got = kernel_eval(space, KernelSpec(1.0, 0), u, eps=1e-12)
+            else:
+                got = falling_product_sum(space, j, l, u, 1e-12)
+        except CannotCertifyError:
+            continue
+        assert abs(mp.mpc(got.value) - want) <= got.err, (space, j, l, u)
+    # a boundary kernel paired with itself sums at exactly u = 1, although
+    # conj(beta) beta rounds to below 1 here
+    space, beta = WeightSequence.dirichlet(3.1), np.exp(1.6j)
+    assert np.conj(beta) * beta != 1.0
+    got = kernel_inner(space, KernelSpec(beta, 1), KernelSpec(beta, 1), eps=1e-12)
+    want = mp.fsum(cm * mp.zeta(3.1 - m) for m, cm in enumerate(_shifted_falling_product(1, 1)))
+    assert abs(mp.mpc(got.value) - want) <= got.err
+
+
+def test_kernel_sums_refuse_bars_above_eps():
+    # the terms P_8(k)^2 (-0.855i)^k reach about 1e27 and cancel: the
+    # rounding bar (about 2e12, above the value) exceeds eps, so it is refused
+    with pytest.raises(CannotCertifyError):
+        kernel_inner(H2, KernelSpec(0.9j, 8), KernelSpec(0.95, 8), 1e-13)
 
 
 def test_kernel_inner_from_start_matches_40_digit_sums():
