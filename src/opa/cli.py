@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -119,6 +120,8 @@ def parse_job(args: argparse.Namespace) -> JobSpec:
     space = parse_space(args.space)
     f = parse_coeffs(args.f)
     g = parse_coeffs(args.g) if getattr(args, "g", None) else CPoly([1])
+    if not 0.0 < args.eps < math.inf:  # NaN too, which fails every certificate's test
+        raise ValueError(f"eps must be a positive finite number, got {args.eps!r}")
     return JobSpec(
         command=args.command,
         space=space,

@@ -3,9 +3,9 @@
 For f, g in a space with <g, f> != 0, the degree-n optimal approximant p_n*
 is the polynomial of degree <= n minimizing ||p f - g||; its coefficients
 solve the Hermitian system G a = rhs with G[k, j] = <z^j f, z^k f> and
-rhs[k] = <g, z^k f>.  The spans of {z^k f : k <= n} are nested, so a sweep
-factors G once and reads every degree, with its squared distance
-||p_n* f - g||^2 (non-increasing in n), from that one Cholesky factor.
+rhs[k] = <g, z^k f>, from two spaces.shift_products calls.  The nested spans
+of {z^k f : k <= n} let a sweep factor G once and read every degree, with its
+squared distance ||p_n* f - g||^2 (non-increasing in n), from that factor.
 
 On top of the sweeps this module certifies structural properties, each
 reading <h, z^k f> for all its k from one call of spaces.shift_products:
@@ -161,52 +161,29 @@ class CyclicityDiagnostic:
 def build_system(
     space: WeightSequence, f, g, n: int, entry_eps: float = _ENTRY_EPS
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(G, rhs, largest entry error): exact for polynomial data, certified otherwise.
-
-    One product over the shift matrix F[k, t] = (z^k f)_t gives both,
-    G = conj(F) W F^T and rhs = conj(F) W g for the weights W; quotient
-    spaces multiply f and g by m and use W = 1.
+    """(G, rhs, largest entry error) with G[k, j] = <z^j f, z^k f> and
+    rhs[k] = <g, z^k f>, each entry with the error shift_products certifies
+    for it: rounding only for polynomial data.  Errors of entries with a
+    stored series in them must not exceed entry_eps.
 
     Raises OrthogonalDataError when |<g, f>| does not exceed the combined
     certified error: the minimization then has no meaningful solution.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    fm, gm = f, g
-    if space.kind == "multiplier":
-        fm, gm = _mul_poly(f, space.m), _mul_poly(g, space.m)
-    size, fc, gc = n + 1, fm.coeffs, gm.coeffs
-    # rows 0..n of A hold F, row n + 1 holds g
-    A = np.zeros((size + 1, max(n + fc.size, gc.size)), dtype=complex)
-    for k in range(size):
-        A[k, k : k + fc.size] = fc
-    A[size, : gc.size] = gc
-    Fw = A[:size].conj()
-    if space.kind != "multiplier":
-        Fw *= space.weights(A.shape[1])
-    M = Fw @ A.T
-    G, rhs = M[:, :size], M[:, size]
-    # exact polynomial sums carry rounding only; by Cauchy-Schwarz the largest
-    # entry of G is on its diagonal
-    G_err = 1e-16 * (1.0 + float(np.max(G.diagonal().real)))
-    rhs_err = 1e-16 * (1.0 + np.abs(rhs))
-    series_err = None
-    if not (isinstance(f, CPoly) and isinstance(g, CPoly)):
-        # entries with a stored series in them carry the error shift_products
-        # certifies: rhs[k] = <g, z^k f>, and G's column j is <z^j f, z^k f>
-        rhs_err = shift_products(space, g, f, n)[1]
-        series_err = float(np.max(rhs_err))
-        if not isinstance(f, CPoly):
-            G_err = max(float(np.max(shift_products(space, f.shift(j), f, j)[1])) for j in range(size))
-            series_err = max(series_err, G_err)
+    G, G_err = shift_products(space, f, f, n, n)
+    (rhs,), (rhs_err,) = shift_products(space, g, f, n)
+    # an entry with a stored series in it (f is in all, g in rhs) is certified
+    series_errs = [e for e, x in ((G_err, f), (rhs_err, f), (rhs_err, g)) if not isinstance(x, CPoly)]
+    if series_errs:
         require_certified(rhs_err[0], entry_eps)
     if abs(rhs[0]) <= rhs_err[0] + _ERR_FLOOR:
         raise OrthogonalDataError(
             f"<g, f> = {rhs[0]:.3g} is zero within certified error {rhs_err[0]:.3g}"
         )
-    if series_err is not None:
-        require_certified(series_err, entry_eps)
-    return G, rhs, max(G_err, float(np.max(rhs_err)))
+    if series_errs:
+        require_certified(max(float(e.max()) for e in series_errs), entry_eps)
+    return G.T, rhs, max(float(G_err.max()), float(rhs_err.max()))
 
 
 def approximant_sweep(
@@ -231,12 +208,10 @@ def approximant_sweep(
     for i in range(n_max, -1, -1):
         X[i, i:] = y[i]
         X[i] = (X[i] - np.conj(L[i + 1 :, i]) @ X[i + 1 :]) / np.conj(L[i, i])
-    results = []
-    for n in range(n_max + 1):
-        a = X[: n + 1, n]
-        err = max(gg.err + float(np.sum(np.abs(a))) * _ERR_FLOOR, entry_err * (n + 2))
-        results.append(OpaResult(n, CPoly(a), float(dist[n]), err))
-    return results
+    # column n of X holds p_n*'s coefficients above zeros
+    ns = np.arange(n_max + 1)
+    errs = np.maximum(gg.err + np.abs(X).sum(axis=0) * _ERR_FLOOR, entry_err * (ns + 2))
+    return [OpaResult(n, CPoly(X[: n + 1, n]), float(dist[n]), float(errs[n])) for n in ns.tolist()]
 
 
 def optimal_approximant(
@@ -258,7 +233,7 @@ def _certified_shifts(space: WeightSequence, h, f, K: int, eps: float, first: in
     """<h, z^k f> for k = first..K and their largest error, which must not
     exceed eps unless h and f are polynomials (exact sums)."""
     values, errs = shift_products(space, h, f, K)
-    values, err = values[first:], float(np.max(errs[first:]))
+    values, err = values[0, first:], float(np.max(errs[0, first:]))
     if not (isinstance(h, CPoly) and isinstance(f, CPoly)):
         require_certified(err, eps)
     return values, err

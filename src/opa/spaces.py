@@ -14,9 +14,9 @@ w_{k+1}/w_k -> 1; the inner product weights Maclaurin coefficients,
   computed isometrically as <m a, m b> in the unweighted space.  Monomials
   are NOT orthogonal here, so the coefficient-weight machinery is bypassed.
 
-One function, shift_products, gives <h, z^k f> for every k = 0..K with the
-bound certified for each pair (rounding, the stretch where one stored prefix
-has ended, the tail beyond both); inner_series is its k = 0 case.
+One function, shift_products, gives <z^j h, z^k f> for all j <= J, k <= K with
+the bound certified for each pair (rounding, the stretch where one stored
+prefix has ended, the tail beyond both); Gram systems use J = K, the rest J = 0.
 
 Derivative-evaluation kernels are the elements representing h -> h^(n)(beta);
 their coefficients are falling-factorial weighted powers of conj(beta) over
@@ -241,24 +241,23 @@ class WeightSequence:
             return None
         return None
 
-    def tail_weight_majorant(self, k0: int):
-        """(W, g, rho) with w_k <= W * (k+1)**g * rho**k for all k >= k0."""
+    def tail_weight_majorant(self, k0):
+        """(W, g, rho) with w_k <= W * (k+1)**g * rho**k for all k >= k0; for an
+        array of starts W is one bound per start, or a float if all are equal."""
         if self.kind == "dirichlet":
             return 1.0, max(self.alpha, 0.0), 1.0
-        if self.kind == "custom":
-            if callable(self.extension):
-                raise CannotCertifyError(
-                    "callable weight extensions carry no certified growth bound"
-                )
-            n = self.prefix.size
-            if self.ratio <= 1.0:
-                return float(self.prefix.max()), 0.0, 1.0
-            rho = self.ratio
-            W = float(self.prefix[-1] * rho ** (1 - n))
-            for k in range(k0, n):
-                W = max(W, float(self.prefix[k] / rho**k))
-            return W, 0.0, rho
-        raise ValueError("multiplier spaces have no coefficient weights")
+        if self.kind != "custom":
+            raise ValueError("multiplier spaces have no coefficient weights")
+        if callable(self.extension):
+            raise CannotCertifyError("callable weight extensions carry no certified growth bound")
+        n, rho = self.prefix.size, self.ratio
+        if rho <= 1.0:
+            return float(self.prefix.max()), 0.0, 1.0
+        # w_k / rho**k over the prefix, then the continuation's constant; the
+        # bound from each start is the largest of these from there on
+        over = np.append(self.prefix / rho ** np.arange(n), self.prefix[-1] * rho ** (1 - n))
+        W = np.maximum.accumulate(over[::-1])[::-1][np.minimum(k0, n)]
+        return (float(W) if W.ndim == 0 else W), 0.0, rho
 
     # -- serialization ------------------------------------------------------
 
@@ -344,8 +343,8 @@ def inner_series(space: WeightSequence, a, b, eps: float = 1e-12) -> Certified:
     shift_products; raises rather than guessing when the stored prefixes
     cannot certify eps (construction sites size them via needed_length)."""
     values, errs = shift_products(space, a, b, 0)
-    require_certified(errs[0], eps)
-    return Certified(complex(values[0]), float(errs[0]))
+    require_certified(errs[0, 0], eps)
+    return Certified(complex(values[0, 0]), float(errs[0, 0]))
 
 
 def require_certified(err: float, eps: float) -> None:
@@ -359,51 +358,73 @@ def require_certified(err: float, eps: float) -> None:
         )
 
 
-def shift_products(space: WeightSequence, h, f, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """<h, z^k f> for k = 0..K, each with the error certified for that pair.
-
-    One correlation against f's coefficients gives every value, summed over
-    the stored overlap.  Two polynomials carry rounding only; otherwise the
-    error adds the stretch where only the shorter prefix has ended (its
-    envelope against the other's coefficients) and the tail beyond both
-    (envelopes summed in closed form), the envelope of z^k f re-based as
-    TruncSeries.shift gives it.  Comparing the errors with eps is the caller's.
-    """
+def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """<z^j h, z^k f> for j = 0..J and k = 0..K, as (J+1) x (K+1) arrays of
+    values and of the error certified for each pair, summed over the stored
+    overlap: one correlation when J = 0 (O(K + L) memory for long horizons),
+    else one product with f's shift matrix.  Two polynomials carry rounding
+    only; otherwise the error adds the stretch where only one stored prefix
+    has ended (its envelope against the other's coefficients) and the tail
+    beyond both, the envelopes of z^j h and z^k f (in a quotient space, of
+    (z^j h) m and (z^k f) m at their stored lengths) re-based as
+    TruncSeries.shift does.  Comparing the errors with eps is the caller's."""
     poly = isinstance(h, CPoly) and isinstance(f, CPoly)
-    a, b = _coerce_series(h), _coerce_series(f)
-    ks = np.arange(K + 1)
-    beta = b.coeffs
-    Mb = b.shift_tail_M(ks) if b.tail_M > 0 else np.zeros(K + 1)
-    if space.kind == "multiplier":
-        # <h m, z^k f m> in H2; (z^k f) m keeps z^k f's stored length, and its
-        # envelope covers the shifted coefficients, not those of f m
+    a, b = (h, f) if poly else (_coerce_series(h), _coerce_series(f))
+    m, alpha, beta = None, a.coeffs, b.coeffs
+    if space.kind == "multiplier":  # <h m, z^k f m> in H2
         m, space = space.m, _H2
-        a, beta = a.mul_poly(m), np.convolve(m.coeffs, beta)
-        if b.tail_M > 0:
-            beta = beta[: len(b)]
-            Mb = np.array([b.shift(k).mul_poly(m).tail_M for k in ks])
-    La, Lb = len(a), beta.size + ks  # stored lengths of h and of each z^k f
-    P = int(Lb[-1])
-    w, t = space.weights(max(P, La)), np.arange(max(P, La))
-    wa = np.zeros(P, dtype=complex)
-    wa[: min(La, P)] = (w[:La] * a.coeffs)[:P]
-    values = np.correlate(wa, beta, "valid")
+        keep = [None if poly or x.tail_M == 0 else len(x) for x in (a, b)]  # a series keeps its length
+        alpha, beta = (np.convolve(m.coeffs, x.coeffs)[:n] for x, n in zip((a, b), keep))
+    width = max(alpha.size + J, beta.size + K)
+    w, t = space.weights(width), np.arange(width)
+    wA = w * _shift_matrix(alpha, J, width)
+    values = _against_shifts(wA, beta, K)
     if poly:
         return values, 1e-16 * (1.0 + np.abs(values))
-    errs = 1e-16 * np.correlate(np.abs(wa), np.abs(beta), "valid")
-    if a.tail_M > 0 and P > La:  # h ended first
-        env = w[:P] * a.tail_M * a.tail_r ** t[:P] * (t[:P] + 1.0) ** a.tail_gamma
-        errs += np.correlate(np.where(t[:P] >= La, env, 0.0), np.abs(beta), "valid")
-    if b.tail_M > 0 and La > Lb[0]:  # z^k f ended first: the sum from index Lb[k] on
-        terms = w[:La] * np.abs(a.coeffs) * b.tail_r ** t[:La] * (t[:La] + 1.0) ** b.tail_gamma
-        errs += Mb * np.append(np.cumsum(terms[::-1])[::-1], 0.0)[np.minimum(Lb, La)]
+    La, Lb = alpha.size + np.arange(J + 1), beta.size + np.arange(K + 1)  # stored lengths
+    Ma, Mb = _shift_envelopes(a, J, m), _shift_envelopes(b, K, m)
+    # the rounding of each summed term, and z^j h's envelope where it has ended
+    bound = 1e-16 * np.abs(wA)
+    if a.tail_M > 0 and La[0] < Lb[-1]:
+        env = w * a.tail_r**t * (t + 1.0) ** a.tail_gamma
+        np.multiply(Ma[:, None], env, out=bound, where=t >= La[:, None])
+    errs = _against_shifts(bound, np.abs(beta), K)
+    if b.tail_M > 0 and La[-1] > Lb[0]:  # z^k f ended first: the sum from index Lb[k] on
+        terms = np.abs(wA) * (b.tail_r**t * (t + 1.0) ** b.tail_gamma)
+        suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+        errs += Mb * np.append(suffix, np.zeros((J + 1, 1)), axis=1)[:, Lb]
     if a.tail_M > 0 and b.tail_M > 0:
-        Lmax = np.maximum(La, Lb)
-        W = np.array([space.tail_weight_majorant(k0)[0] for k0 in Lmax.tolist()])
-        _, g, rho = space.tail_weight_majorant(La)  # the same from any start
+        Lmax = np.maximum(La[:, None], Lb)
+        W, g, rho = space.tail_weight_majorant(Lmax)
         q, gamma = a.tail_r * b.tail_r * rho, a.tail_gamma + b.tail_gamma + g
-        errs += a.tail_M * Mb * W * power_tail_bound(1.0, q, gamma, Lmax - 1)
+        errs += Ma[:, None] * Mb * W * power_tail_bound(1.0, q, gamma, Lmax - 1)
     return values, errs
+
+
+def _shift_envelopes(x: TruncSeries, n: int, m) -> np.ndarray:
+    """tail_M of z^i x, or of (z^i x) m in a quotient space, for i = 0..n."""
+    if x.tail_M == 0:
+        return np.zeros(n + 1)
+    if m is not None:
+        return np.array([x.shift(i).mul_poly(m).tail_M for i in range(n + 1)])
+    return x.shift_tail_M(np.arange(n + 1)) if n else np.array([x.tail_M])
+
+
+def _shift_matrix(c: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Rows z^i c for i = 0..n, zero-padded to width >= c.size + n columns: c
+    starts each row of buf, and read at a stride of width, row i starts i later."""
+    buf = np.zeros((n + 1, width + 1), dtype=c.dtype)
+    buf[:, : c.size] = c
+    return buf.ravel()[: (n + 1) * width].reshape(n + 1, width)
+
+
+def _against_shifts(rows: np.ndarray, c: np.ndarray, K: int) -> np.ndarray:
+    """sum_t rows[j, t] conj((z^k c)_t) for every row j and k = 0..K: one
+    correlation for a single row, one product with c's shift matrix otherwise."""
+    P = c.size + K
+    if rows.shape[0] == 1:
+        return np.correlate(rows[0, :P], c, "valid")[None]
+    return rows[:, :P] @ _shift_matrix(c, K, P).conj().T
 
 
 def inner_any(space: WeightSequence, a, b, eps: float = 1e-12) -> Certified:

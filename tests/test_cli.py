@@ -319,6 +319,14 @@ def test_exit_code_usage_on_bad_json(capsys):
         ["approximate", "--space", '{"kind":"dirichlet","alpha":NaN}', "--f", "[[1,0]]"],
         ["approximate", "--space", '{"kind":"dirichlet","alpha":1e400}', "--f", "[[1,0]]"],
         ["approximate", "--space", '{"kind":"dirichlet","alpha":true}', "--f", "[[1,0]]"],
+        # an eps that is not a positive finite number certifies nothing: NaN
+        # fails every comparison, so no window or truncation would ever pass
+        ["stabilize", "--space", H2_DESC, "--f", "[1]", "--n-max", "4", "--eps", "nan"],
+        ["stabilize", "--space", H2_DESC, "--f", "[1]", "--eps", "0"],
+        ["approximate", "--space", H2_DESC, "--f", "[1]", "--eps=-1e-9"],
+        ["project", "--space", H2_DESC, "--f", "[[1,0],[-0.5,0]]", "--eps", "nan"],
+        ["kernel", "--space", H2_DESC, "--beta", "[0.5,0]", "--eps", "nan"],
+        ["kernel", "--space", H2_DESC, "--beta", "[0.5,0]", "--eps", "inf"],
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):

@@ -40,6 +40,7 @@ from opa.spaces import (
     WeightSequence,
     inner_poly,
     kernel_series,
+    norm_sq_any,
     norm_sq_poly,
     shift_products,
 )
@@ -232,6 +233,41 @@ def test_shift_products_match_pairwise_reference():
         assert np.all(np.abs(errs - ref_errs) <= 1e-12 * ref_errs), (space, K)
 
 
+def test_shift_products_rows_match_pairwise_reference():
+    # z^j h against z^k f for j >= 1: each row's envelope re-based like f's
+    for space, h, f, K in _shift_cases():
+        J = min(K, 6)
+        values, errs = shift_products(space, h, f, K, J)
+        assert values.shape == errs.shape == (J + 1, K + 1)
+        refs = [
+            [reference_inner(space, reference_shift(h, j), reference_shift(f, k), np.inf) for k in range(K + 1)]
+            for j in range(J + 1)
+        ]
+        ref_values = np.array([[c.value for c in row] for row in refs])
+        ref_errs = np.array([[c.err for c in row] for row in refs])
+        assert np.max(np.abs(values - ref_values)) <= 1e-14 * np.max(np.abs(ref_values))
+        assert np.all(np.abs(errs - ref_errs) <= 1e-12 * ref_errs), (space, K)
+
+
+def test_build_system_makes_two_shift_products_calls(monkeypatch):
+    import opa.engine
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return shift_products(*args)
+
+    monkeypatch.setattr(opa.engine, "shift_products", counted)
+    quot = WeightSequence.multiplier(CPoly([1, -0.5 + 0.2j]))
+    f = CPoly([0.7, -1.1 + 0.3j, 0.4, 0.2j])
+    for space, ff in ((D1, f), (H2, _series_f(200)), (quot, f), (quot, _series_f(200))):
+        for n in (0, 1, 12):
+            calls.clear()
+            build_system(space, ff, ONE, n, 1e-9)
+            assert len(calls) == 2, (space, n)
+
+
 def test_shift_certificates_match_pairwise_reference():
     p = CPoly([0.3, -0.2 + 0.1j, 0.05])
     for space, h, f, K in _shift_cases():
@@ -316,6 +352,12 @@ def test_sweep_matches_independent_solves():
             sweep[n].p_star.padded(n + 1), solo.p_star.padded(n + 1), atol=1e-12
         )
         assert abs(sweep[n].distance_sq - solo.distance_sq) < 1e-12
+    # each degree's bar, summed on its own: ||g||^2's error plus 1e-12 sum |a_k|,
+    # or n + 2 entry errors
+    gg_err, entry_err = norm_sq_any(H2, ONE).err, build_system(H2, f, ONE, 8)[2]
+    for r in sweep:
+        want = max(gg_err + float(np.sum(np.abs(r.p_star.coeffs))) * 1e-12, entry_err * (r.n + 2))
+        assert r.err == pytest.approx(want, rel=1e-15)
 
 
 def test_sweep_distance_closed_form_and_monotone():

@@ -98,6 +98,25 @@ def test_growth_gamma():
     assert w.growth_gamma >= 1.0
 
 
+def test_tail_weight_majorant_takes_an_array_of_starts():
+    spaces = [
+        D2,
+        WeightSequence.custom([1.0, 1.4, 1.5, 1.45]),  # decaying ratio
+        WeightSequence.custom([1.0, 1.3, 1.2], extension="constant"),
+        WeightSequence.custom([1.0, 1.3, 1.1, 1.25, 1.2, 1.22, 1.25, 1.28]),  # growing ratio
+    ]
+    for space in spaces:
+        n = 8 if space.prefix is None else space.prefix.size
+        # below, at and past the prefix's end, in any order and shape
+        starts = np.array([[0, 1, n - 2, n - 1], [n, n + 1, 40, 3]])
+        W, g, rho = space.tail_weight_majorant(starts)
+        assert np.shape(W) in ((), starts.shape)
+        for k0, Wk in zip(starts.ravel().tolist(), np.broadcast_to(W, starts.shape).ravel()):
+            assert (Wk, g, rho) == space.tail_weight_majorant(k0)
+            ks = np.arange(k0, k0 + 60)
+            assert np.all(space.weights(k0 + 60, k0) <= Wk * (ks + 1.0) ** g * rho**ks * (1 + 1e-15))
+
+
 def test_descriptor_round_trip():
     for space in (
         H2,

@@ -1,13 +1,20 @@
-"""Dump, and compare, the output of every CLI job of two benchmark workloads.
+"""Dump, and compare, the outcome of every job of the benchmark workloads.
 
-Dump: run every CLI job of ``sweep_long`` and ``project_mix`` (or only those
-named by ``--workloads``) for the given seeds in-process (through
-``perfbench/workloads.py``, read-only) and write one JSON line per job with
-its exit code, stdout and stderr::
+Dump: run every job of ``sweep_long``, ``project_mix`` and ``series_certify``
+(or only those named by ``--workloads``) for the given seeds in-process
+(through ``perfbench/workloads.py``, read-only) and write one JSON line per
+job with its exit code, stdout and stderr::
 
     python3 tools/cli_digest.py --seeds 1 2 > new.jsonl
     python3 tools/cli_digest.py --root ../parent --seeds 1 2 > old.jsonl
     python3 tools/cli_digest.py --workloads project_mix --seeds 1 2 3 > roots.jsonl
+
+CLI jobs run through ``workloads.run_cli``.  A ``series_certify`` job is a
+library job on a stored series, run through ``workloads.run_series``: its
+outcome (``stabilized``, ``M``, ``p_M`` with each coefficient as an
+``[re, im]`` pair, ``is_inner``, ``orthogonal``, ``dossier_passed``) is its
+JSON stdout with exit code 0, and a typed refusal (``OpaError``) is exit
+code 1 with the exception as stderr.
 
 ``--root`` picks the checkout whose ``src/`` and ``perfbench/`` are used
 (default: the one holding this script), so one copy of the tool dumps any
@@ -33,7 +40,7 @@ import math
 import sys
 from pathlib import Path
 
-WORKLOADS = ("sweep_long", "project_mix")
+WORKLOADS = ("sweep_long", "project_mix", "series_certify")
 # value path -> path of its certified error bar in the same JSON payload
 ERROR_BARS = {
     "oracle.approximant_distance": "oracle.approximant_distance_err",
@@ -61,12 +68,24 @@ def dump(root: Path, names, seeds, out) -> int:
         for seed in seeds:
             for job in workloads.GENERATORS[name](seed):
                 if job.argv is None:
-                    continue
-                res = workloads.run_cli(opa, job.argv)
+                    res = series_row(opa, workloads, job.params)
+                else:
+                    res = workloads.run_cli(opa, job.argv)
                 row = {"job": f"{name}/{seed}/{job.index}", "kind": job.kind, **res}
                 out.write(json.dumps(row) + "\n")
                 count += 1
     return count
+
+
+def series_row(opa, workloads, params) -> dict:
+    """A series_certify job as a row like a CLI job's."""
+    try:
+        out = workloads.run_series(opa, params)
+    except opa.errors.OpaError as exc:
+        return {"code": 1, "stdout": "", "stderr": f"{type(exc).__name__}: {exc}"}
+    if out["p_M"] is not None:
+        out["p_M"] = [[c.real, c.imag] for c in out["p_M"]]
+    return {"code": out.pop("code"), "stdout": json.dumps(out), "stderr": ""}
 
 
 def _load(path) -> dict:
@@ -224,7 +243,7 @@ def main(argv=None) -> int:
     if args.compare:
         return compare(*args.compare)
     n = dump(args.root.resolve(), args.workloads, args.seeds, sys.stdout)
-    print(f"{n} CLI jobs dumped", file=sys.stderr)
+    print(f"{n} jobs dumped", file=sys.stderr)
     return 0
 
 
