@@ -7,6 +7,13 @@ rhs[k] = <g, z^k f>, from two spaces.shift_products calls.  The nested spans
 of {z^k f : k <= n} let a sweep factor G once and read every degree, with its
 squared distance ||p_n* f - g||^2 (non-increasing in n), from that factor.
 
+For f a polynomial of degree d (d + deg m in the quotient space of m), G and
+its factor L are banded: G[k, j] = 0 for |k - j| > d.  The Gram band is
+built and factored along its d + 1 diagonals only, in O(n d^2) work, each
+forward solve takes O(n d) and the approximants' coefficients O(n^2 d); a
+stored series is the same loop with band n.  Everything but the coefficients reads
+y = L^-1 rhs: the distances, and (p_n* f)(0) through one more forward solve.
+
 On top of the sweeps this module certifies structural properties, each
 reading <h, z^k f> for all its k from one call of spaces.shift_products:
 
@@ -186,6 +193,21 @@ def build_system(
     return G.T, rhs, max(float(G_err.max()), float(rhs_err.max()))
 
 
+def _factored_system(space: WeightSequence, f, g, n_max: int):
+    """(L, y, band, dist, norm_err, entry_err): the factor L of the degree-n_max
+    system along its band (the effective degree of f, or n_max for a stored
+    series), y = L^-1 rhs, dist[n] = ||g||^2 - sum_{i<=n} |y_i|^2, and the
+    errors of ||g||^2 and of the largest Gram or right-hand-side entry."""
+    G, rhs, entry_err = build_system(space, f, g, n_max)
+    d = _effective_degree(space, f)
+    band = n_max if d is None else min(d, n_max)
+    gg = norm_sq_any(space, g, _ENTRY_EPS)
+    L = cholesky_factor(G, band)
+    y = forward_substitute(L, rhs, band)
+    dist = float(gg.value) - np.cumsum(y.real**2 + y.imag**2)
+    return L, y, band, dist, gg.err, entry_err
+
+
 def approximant_sweep(
     space: WeightSequence, f, g=None, n_max: int = 10
 ) -> list[OpaResult]:
@@ -197,20 +219,18 @@ def approximant_sweep(
     """
     if g is None:
         g = CPoly([1])
-    G, rhs, entry_err = build_system(space, f, g, n_max)
-    gg = norm_sq_any(space, g, _ENTRY_EPS)
-    L = cholesky_factor(G)
-    y = forward_substitute(L, rhs)
-    dist = float(gg.value) - np.cumsum(y.real**2 + y.imag**2)
+    L, y, band, dist, norm_err, entry_err = _factored_system(space, f, g, n_max)
     # L^H X = triu(y 1^T), its right-hand side filled in as each row is reached:
-    # a fourth n_max-sized matrix raised long sweeps' peak memory by up to 18 %
+    # a fourth n_max-sized matrix raised long sweeps' peak memory by up to 18 %.
+    # Row i reads the band of L's column i, rows i+1..i+band
     X = np.zeros_like(L)
     for i in range(n_max, -1, -1):
+        hi = i + band + 1
         X[i, i:] = y[i]
-        X[i] = (X[i] - np.conj(L[i + 1 :, i]) @ X[i + 1 :]) / np.conj(L[i, i])
+        X[i] = (X[i] - np.conj(L[i + 1 : hi, i]) @ X[i + 1 : hi]) / np.conj(L[i, i])
     # column n of X holds p_n*'s coefficients above zeros
     ns = np.arange(n_max + 1)
-    errs = np.maximum(gg.err + np.abs(X).sum(axis=0) * _ERR_FLOOR, entry_err * (ns + 2))
+    errs = np.maximum(norm_err + np.abs(X).sum(axis=0) * _ERR_FLOOR, entry_err * (ns + 2))
     return [OpaResult(n, CPoly(X[: n + 1, n]), float(dist[n]), float(errs[n])) for n in ns.tolist()]
 
 
@@ -478,6 +498,8 @@ def cyclicity_diagnostic(
 ) -> CyclicityDiagnostic:
     """Distance table for g = 1 with the identity dist^2 = 1 - (p_n* f)(0).
 
+    p_n*(0) is row 0 of X in approximant_sweep, sum_{i<=n} conj(v_i) y_i with
+    v = L^-1 e_0: one more forward solve along the band, and no coefficients.
     The verdict is 'cyclic_consistent' when the distances head to zero,
     'non_cyclic' when they plateau at a positive level (matched against
     ``reference_dist_sq`` when provided, e.g. a computed projection
@@ -487,16 +509,14 @@ def cyclicity_diagnostic(
         raise ValueError("diagnostic requires f(0) != 0")
     if not space.monomials_orthogonal:
         raise ValueError("diagnostic identities require orthogonal monomials")
-    g = CPoly([1])
-    results = approximant_sweep(space, f, g, n_max)
-    f0 = _at_zero(f)
-    rows = []
-    dev = 0.0
-    for r in results:
-        pf0 = r.p_star.coefficient(0) * f0
-        alt = 1.0 - pf0.real
-        rows.append((r.n, r.distance_sq, alt))
-        dev = max(dev, abs(r.distance_sq - alt), abs(pf0.imag))
+    L, y, band, dist, _, _ = _factored_system(space, f, CPoly([1]), n_max)
+    e0 = np.zeros(n_max + 1, dtype=complex)
+    e0[0] = 1.0
+    v = forward_substitute(L, e0, band)
+    pf0 = _at_zero(f) * np.cumsum(np.conj(v) * y)
+    alt = 1.0 - pf0.real
+    dev = float(max(np.max(np.abs(dist - alt)), np.max(np.abs(pf0.imag))))
+    rows = list(zip(range(n_max + 1), dist.tolist(), alt.tolist()))
     last = rows[-1][1]
     plateau = None
     if reference_dist_sq is not None:

@@ -1,8 +1,12 @@
-"""Dense Hermitian positive-definite solver and complex polynomial roots.
+"""Banded Hermitian positive-definite solver and complex polynomial roots.
 
-Both algorithms are implemented in-house: the systems are small (n_max + 1
-unknowns, degrees up to ~12) and deterministic, portable behavior matters
-more than peak performance.  All functions are pure and reentrant.
+Both algorithms are implemented in-house: deterministic, portable behavior
+matters more than peak performance.  The Cholesky factor and the forward
+solve take the lower bandwidth b of the matrix (b = d for the Gram matrix of
+a degree-d polynomial) and touch only the b diagonals below the main one, so
+a factor costs O(n b^2) and a solve O(n b); without a band they run the same
+loop with b = n, the dense case (stored series, kernel Gram matrices).  The
+matrices are stored dense either way.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -37,28 +41,33 @@ def check_hermitian(matrix: np.ndarray) -> np.ndarray:
     return a
 
 
-def cholesky_factor(matrix: np.ndarray) -> np.ndarray:
+def cholesky_factor(matrix: np.ndarray, band: int | None = None) -> np.ndarray:
     """Lower-triangular L with matrix = L L^H.
 
     Reads the diagonal and the lower triangle only: the Gram matrices factored
     here are Hermitian by construction, and cholesky_solve checks its input.
-    Raises NotPositiveDefiniteError when a pivot falls to 1e-14 or below (or
-    is NaN), which signals either a (near-)singular Gram matrix or a degree
-    far too large for double precision.
+    With ``band`` b the entries more than b below the diagonal are zero, and so
+    are L's: column j reads rows j+1..j+b and columns j-b..j-1 only.  Raises
+    NotPositiveDefiniteError when a pivot falls to 1e-14 or below (or is NaN),
+    which signals either a (near-)singular Gram matrix or a degree far too
+    large for double precision.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     n = a.shape[0]
+    b = n if band is None else band
     L = np.zeros((n, n), dtype=complex)
     for j in range(n):
-        d = (a[j, j] - np.vdot(L[j, :j], L[j, :j])).real
+        lo, hi = max(j - b, 0), j + b + 1
+        row = L[j, lo:j]
+        d = (a[j, j] - np.vdot(row, row)).real
         if not d > _PIVOT_TOL:  # also refuses NaN
             raise NotPositiveDefiniteError(
                 f"pivot {d:.3g} at index {j} is not positive"
             )
         L[j, j] = math.sqrt(d)
-        L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ np.conj(L[j, :j])) / L[j, j]
+        L[j + 1 : hi, j] = (a[j + 1 : hi, j] - L[j + 1 : hi, lo:j] @ np.conj(row)) / L[j, j]
     return L
 
 
@@ -80,11 +89,15 @@ def cholesky_border(L: np.ndarray, column: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_substitute(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+def forward_substitute(L: np.ndarray, b: np.ndarray, band: int | None = None) -> np.ndarray:
+    """Solve L y = b, reading the ``band`` diagonals below L's main one (all
+    of them by default)."""
     n = L.shape[0]
+    w = n if band is None else band
     y = np.zeros(n, dtype=complex)
     for i in range(n):
-        y[i] = (b[i] - np.dot(L[i, :i], y[:i])) / L[i, i]
+        lo = max(i - w, 0)
+        y[i] = (b[i] - np.dot(L[i, lo:i], y[lo:i])) / L[i, i]
     return y
 
 

@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import (
     CannotCertifyError,
+    EnvelopeOverflowError,
     NotReproducibleError,
     UndecidableError,
 )
@@ -362,7 +363,9 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
     """<z^j h, z^k f> for j = 0..J and k = 0..K, as (J+1) x (K+1) arrays of
     values and of the error certified for each pair, summed over the stored
     overlap: one correlation when J = 0 (O(K + L) memory for long horizons),
-    else one product with f's shift matrix.  Two polynomials carry rounding
+    else one product with f's shift matrix, taken only over the diagonals
+    where the shifted supports meet when h and f are polynomials (the
+    banded Gram matrix of a polynomial).  Two polynomials carry rounding
     only; otherwise the error adds the stretch where only one stored prefix
     has ended (its envelope against the other's coefficients) and the tail
     beyond both, the envelopes of z^j h and z^k f (in a quotient space, of
@@ -377,6 +380,9 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
         alpha, beta = (np.convolve(m.coeffs, x.coeffs)[:n] for x, n in zip((a, b), keep))
     width = max(alpha.size + J, beta.size + K)
     w, t = space.weights(width), np.arange(width)
+    if poly and J > 0:
+        values = _banded_products(w, alpha, beta, J, K)
+        return values, 1e-16 * (1.0 + np.abs(values))
     wA = w * _shift_matrix(alpha, J, width)
     values = _against_shifts(wA, beta, K)
     if poly:
@@ -397,7 +403,13 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
         Lmax = np.maximum(La[:, None], Lb)
         W, g, rho = space.tail_weight_majorant(Lmax)
         q, gamma = a.tail_r * b.tail_r * rho, a.tail_gamma + b.tail_gamma + g
-        errs += Ma[:, None] * Mb * W * power_tail_bound(1.0, q, gamma, Lmax - 1)
+        # each M r^-i is finite, but two of them may overflow before the small
+        # tail factor: refused, not turned into NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = Ma[:, None] * Mb * W * power_tail_bound(1.0, q, gamma, Lmax - 1)
+        if not np.isfinite(tail).all():
+            raise EnvelopeOverflowError("product of shifted envelopes overflows the double range")
+        errs += tail
     return values, errs
 
 
@@ -411,11 +423,28 @@ def _shift_envelopes(x: TruncSeries, n: int, m) -> np.ndarray:
 
 
 def _shift_matrix(c: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Rows z^i c for i = 0..n, zero-padded to width >= c.size + n columns: c
-    starts each row of buf, and read at a stride of width, row i starts i later."""
+    """Rows z^i c for i = 0..n (z^i c[i] when c holds one row per i), zero-padded
+    to width >= c.shape[-1] + n columns: c starts each row of buf, and read at a
+    stride of width, row i starts i later."""
     buf = np.zeros((n + 1, width + 1), dtype=c.dtype)
-    buf[:, : c.size] = c
+    buf[:, : c.shape[-1]] = c
     return buf.ravel()[: (n + 1) * width].reshape(n + 1, width)
+
+
+def _banded_products(w: np.ndarray, alpha: np.ndarray, beta: np.ndarray, J: int, K: int) -> np.ndarray:
+    """sum_t w_t alpha_{t-j} conj(beta_{t-k}) for j <= J, k <= K, the same terms
+    as _against_shifts of w times alpha's shift matrix, but only on the diagonals
+    -deg beta <= k - j <= deg alpha where the two supports meet; every other
+    entry is an exact zero.  O(J deg alpha (deg alpha + deg beta)) products,
+    written into the dense (J+1) x (K+1) output."""
+    da, db = alpha.size - 1, beta.size - 1
+    # wA[j, u] = w_{j+u} alpha_u; column c of B is conj(beta) reversed and shifted
+    # so that (wA @ B)[j, c] is the entry at k = j + c - db
+    wA = w[np.arange(J + 1)[:, None] + np.arange(da + 1)] * alpha
+    diagonals = wA @ _shift_matrix(np.conj(beta[::-1]), da, da + db + 1)
+    # row j of the diagonals starts at column j, then the columns k = 0..K are kept
+    width = max(J + da + db + 1, K + db + 1)
+    return _shift_matrix(diagonals, J, width)[:, db : db + K + 1]
 
 
 def _against_shifts(rows: np.ndarray, c: np.ndarray, K: int) -> np.ndarray:

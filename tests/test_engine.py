@@ -1,7 +1,10 @@
 """Optimal systems, sweeps, stabilization, and structural certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from opa.errors import (
     CannotCertifyError,
@@ -24,6 +27,7 @@ from opa.engine import (
     stabilization_dossier,
     taylor_residuals,
 )
+from opa.linalg import cholesky_factor
 from opa.series import (
     CPoly,
     TruncSeries,
@@ -313,6 +317,55 @@ def test_nan_data_never_passes_the_factor():
     space = WeightSequence.custom([1.0, 1.1, 1.2], extension=lambda k: np.nan)
     with pytest.raises(ValueError):
         approximant_sweep(space, CPoly([1, -0.5, 0.25, 0.1]), ONE, 2)
+
+
+def test_overflowing_envelope_product_is_refused_without_warning():
+    # each shifted envelope M r^-k is finite, their product for k, j near 200
+    # is not; the bound used to turn into NaN with two RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnvelopeOverflowError):
+            build_system(H2, blaschke_factor(0.1, length=40), ONE, 200)
+
+
+QUOT = WeightSequence.multiplier(CPoly([1, -0.5 + 0.2j, 0.1j]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(
+        st.complex_numbers(max_magnitude=2.0, allow_subnormal=False), min_size=1, max_size=6
+    ),
+    space=st.sampled_from([WeightSequence.dirichlet(a) for a in (-1.0, 0.0, 1.0, 2.0, 3.0)] + [QUOT]),
+    n=st.integers(0, 30),
+)
+def test_banded_sweep_matches_lapack_on_the_pairwise_gram(coeffs, space, n):
+    f = CPoly(coeffs)
+    assume(abs(f.coefficient(0)) >= 0.1)
+    G, rhs, _ = reference_system(space, f, ONE, n, np.inf)
+    gg = norm_sq_any(space, ONE).value
+    cond = np.linalg.cond(G)
+    assume(cond < 1e10)
+    y = np.linalg.solve(np.linalg.cholesky(G), rhs)
+    dist = gg - np.cumsum(np.abs(y) ** 2)
+    sweep = approximant_sweep(space, f, ONE, n)
+    for r in sweep:
+        a = np.linalg.solve(G[: r.n + 1, : r.n + 1], rhs[: r.n + 1])
+        tol = 1e-14 * cond
+        assert abs(r.distance_sq - dist[r.n]) <= tol * gg, (r.n, cond)
+        assert np.max(np.abs(r.p_star.padded(r.n + 1) - a)) <= tol * np.max(np.abs(a)), (r.n, cond)
+
+
+def test_polynomial_gram_and_factor_vanish_outside_the_band():
+    f = CPoly([0.7, -1.1 + 0.3j, 0.4, 0.2j])
+    for space, d in ((H2, 3), (D2, 3), (QUOT, 5)):
+        G, _, _ = build_system(space, f, ONE, 40)
+        assert np.all(np.tril(G, -d - 1) == 0) and np.all(np.triu(G, d + 1) == 0)
+        assert np.count_nonzero(np.tril(G, -d)) > 0
+        L = cholesky_factor(G, d)
+        assert np.all(np.tril(L, -d - 1) == 0)
+        L_dense = cholesky_factor(G)
+        assert np.max(np.abs(L - L_dense)) <= 1e-13 * np.max(np.abs(L_dense))
 
 
 def test_build_system_rejects_orthogonal_data():
@@ -660,6 +713,32 @@ def test_diagnostic_constant_f_all_zero():
     diag = cyclicity_diagnostic(H2, ONE, n_max=5)
     assert all(abs(d) < 1e-13 for _, d, _ in diag.rows)
     assert diag.verdict == "cyclic_consistent"
+
+
+def test_diagnostic_value_at_zero_matches_the_sweep_coefficients():
+    custom = WeightSequence.custom([1.0, 1.4, 1.5, 1.45])
+    f = CPoly([0.7 - 0.2j, -1.1 + 0.3j, 0.4, 0.2j])
+    for space in (H2, D1, D2, WeightSequence.dirichlet(-1.0), custom):
+        diag = cyclicity_diagnostic(space, f, n_max=60)
+        sweep = approximant_sweep(space, f, ONE, 60)
+        for (n, dist, alt), r in zip(diag.rows, sweep):
+            assert n == r.n and dist == r.distance_sq
+            assert abs(alt - (1.0 - (r.p_star.coefficient(0) * f.coefficient(0)).real)) <= 1e-13
+
+
+def test_diagnostic_closed_forms_at_degree_1000():
+    n_max = 1000
+    m = np.arange(1, n_max + 3, dtype=float)
+    for space, alpha in ((H2, 0.0), (D2, 2.0)):
+        diag = cyclicity_diagnostic(space, CPoly([1, -1]), n_max=n_max)
+        # dist^2_n = 1 / sum_{m <= n+2} m^-alpha; in H2 that is 1/(n+2)
+        exact = 1.0 / np.cumsum(m**-alpha)[1:]
+        dist = np.array([d for _, d, _ in diag.rows])
+        alt = np.array([a for _, _, a in diag.rows])
+        # both are 1 minus a sum of n + 1 terms: about a rounding unit each
+        tol = (n_max + 2) * 2.2e-16
+        assert np.max(np.abs(dist - exact)) <= tol
+        assert np.max(np.abs(alt - exact)) <= tol
 
 
 def test_diagnostic_requires_nonvanishing_at_zero():

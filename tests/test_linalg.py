@@ -16,6 +16,7 @@ from opa.linalg import (
     cholesky_border,
     cholesky_factor,
     cholesky_solve,
+    forward_substitute,
     poly_roots,
 )
 from opa.series import CPoly
@@ -77,6 +78,58 @@ def test_bordered_factor_matches_full_factor():
         L = cholesky_border(L, G[: k + 1, k])
     L_full = cholesky_factor(G)
     assert np.max(np.abs(L - L_full)) < 1e-11
+
+
+def _dense_factor_reference(a):
+    """The dense Cholesky loop as it stood before factors took a band."""
+    n = a.shape[0]
+    L = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        d = (a[j, j] - np.vdot(L[j, :j], L[j, :j])).real
+        L[j, j] = math.sqrt(d)
+        L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ np.conj(L[j, :j])) / L[j, j]
+    return L
+
+
+def _dense_forward_reference(L, b):
+    n = L.shape[0]
+    y = np.zeros(n, dtype=complex)
+    for i in range(n):
+        y[i] = (b[i] - np.dot(L[i, :i], y[:i])) / L[i, i]
+    return y
+
+
+def test_dense_factor_and_solve_are_bit_identical_to_the_dense_loop():
+    rng = np.random.RandomState(31)
+    for n in (1, 2, 5, 17, 64, 130):
+        A = rng.randn(n, n) + 1j * rng.randn(n, n)
+        G = A.conj().T @ A + np.eye(n)
+        b = rng.randn(n) + 1j * rng.randn(n)
+        L_ref = _dense_factor_reference(G)
+        y_ref = _dense_forward_reference(L_ref, b)
+        # no band, and a band as wide as the matrix, run the dense slices
+        for band in (None, n - 1, n):
+            L = cholesky_factor(G, band)
+            assert L.tobytes() == L_ref.tobytes(), (n, band)
+            assert forward_substitute(L, b, band).tobytes() == y_ref.tobytes(), (n, band)
+
+
+def test_banded_factor_matches_dense_and_keeps_its_band():
+    rng = np.random.RandomState(37)
+    n = 60
+    for band in (0, 1, 3, 7):
+        G = np.zeros((n, n), dtype=complex)
+        for s in range(band + 1):
+            v = rng.randn(n - s) + 1j * rng.randn(n - s)
+            G += np.diag(v, -s) + np.diag(v.conj(), s)
+        G += np.eye(n) * (4.0 * band + 4.0 - np.diag(G).real)  # diagonally dominant
+        L = cholesky_factor(G, band)
+        assert np.all(np.tril(L, -band - 1) == 0)
+        L_dense = cholesky_factor(G)
+        assert np.max(np.abs(L - L_dense)) <= 1e-14 * np.max(np.abs(L_dense))
+        b = rng.randn(n) + 1j * rng.randn(n)
+        y = forward_substitute(L, b, band)
+        assert np.max(np.abs(L @ y - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 # -- roots -------------------------------------------------------------------

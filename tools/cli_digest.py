@@ -21,9 +21,15 @@ code 1 with the exception as stderr.
 commit.
 
 Compare: ``python3 tools/cli_digest.py --compare old.jsonl new.jsonl`` prints
-each job whose exit code, stderr or stdout differ; for JSON stdout it lists
-every differing field path (list indices as ``[]``) with the largest relative
-change, then a summary per path over all jobs.  A changed value that carries
+each job whose exit code, stderr or stdout differ; it lists every differing
+field path (list indices as ``[]``) with the largest relative and the largest
+absolute change, then a summary per path over all jobs.  JSON stdout is
+compared field by field, CSV stdout cell by cell: row r's cell in column
+``dist_sq`` is at ``csv[].dist_sq``, and numbered columns share one path with
+the number as an index (``coeff_3_re`` is at ``csv[].coeff_[]_re[]``).  The
+absolute change tells a value at rounding level (a distance of a cyclic f
+that moves from 1e-16 to 3e-17) from a real one, where the relative change
+alone cannot.  A changed value that carries
 an error bar in the same payload (``ERROR_BARS``) is also set against it: the
 largest ``|new - old| / (old err + new err)`` per path, flagged when above 1,
 since a change within the two bars is one both runs certify.  A residual
@@ -37,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -93,41 +100,76 @@ def _load(path) -> dict:
         return {row["job"]: row for row in map(json.loads, fh)}
 
 
-def _rel(a, b) -> float:
+def _change(a, b) -> tuple:
+    """(relative, absolute) change from a to b; inf for non-numbers that differ."""
     if a == b:
-        return 0.0
+        return 0.0, 0.0
     if isinstance(a, bool) or isinstance(b, bool):
-        return math.inf
+        return math.inf, math.inf
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         scale = max(abs(a), abs(b))
-        return abs(a - b) / scale if scale > 0 else math.inf
-    return math.inf
+        return (abs(a - b) / scale if scale > 0 else math.inf), abs(a - b)
+    return math.inf, math.inf
 
 
 def field_diffs(a, b, path: str = "") -> dict:
-    """Differing field paths of two JSON values -> largest relative change."""
+    """Differing field paths of two JSON values -> (largest relative change,
+    largest absolute change)."""
     out: dict = {}
 
-    def note(p, r):
-        out[p] = max(out.get(p, 0.0), r)
+    def note(p, change):
+        old = out.get(p, (0.0, 0.0))
+        out[p] = (max(old[0], change[0]), max(old[1], change[1]))
 
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             p = f"{path}.{key}" if path else key
             if key not in a or key not in b:
-                note(p, math.inf)
+                note(p, (math.inf, math.inf))
             else:
-                for q, r in field_diffs(a[key], b[key], p).items():
-                    note(q, r)
+                for q, c in field_diffs(a[key], b[key], p).items():
+                    note(q, c)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            note(path + "[]", math.inf)
+            note(path + "[]", (math.inf, math.inf))
         for x, y in zip(a, b):
-            for q, r in field_diffs(x, y, path + "[]").items():
-                note(q, r)
+            for q, c in field_diffs(x, y, path + "[]").items():
+                note(q, c)
     elif a != b:
-        note(path or "<root>", _rel(a, b))
+        note(path or "<root>", _change(a, b))
     return out
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def parse_stdout(text: str):
+    """JSON stdout as parsed; any other stdout as CSV, ``{"csv": rows}`` with
+    one dict per data row.  A column whose name holds a number is gathered with
+    the other columns of that name, the number read as a list index."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        pass
+    lines = text.splitlines()
+    header = lines[0].split(",") if lines else []
+    rows = []
+    for line in lines[1:]:
+        row: dict = {}
+        for name, cell in zip(header, line.split(",")):
+            folded = re.sub(r"\d+", "[]", name)
+            if folded == name:
+                row[name] = _cell(cell)
+            else:
+                row.setdefault(folded, []).append(_cell(cell))
+        rows.append(row)
+    return {"csv": rows}
 
 
 def leaves(x, path: str = ""):
@@ -199,22 +241,19 @@ def compare(old_path, new_path) -> int:
         if a["stderr"] != b["stderr"]:
             lines.append(f"  stderr {a['stderr']!r} -> {b['stderr']!r}")
         if a["stdout"] != b["stdout"]:
-            try:
-                ja, jb = json.loads(a["stdout"]), json.loads(b["stdout"])
-                diffs, ratios = field_diffs(ja, jb), error_bar_ratios(ja, jb)
-                maxima = residual_maxima(ja, jb)
-            except json.JSONDecodeError:
-                diffs, ratios, maxima = {"<text stdout>": math.inf}, {}, {}
+            ja, jb = parse_stdout(a["stdout"]), parse_stdout(b["stdout"])
+            diffs, ratios = field_diffs(ja, jb), error_bar_ratios(ja, jb)
+            maxima = residual_maxima(ja, jb)
             for p, (x, y) in maxima.items():
                 lines.append(f"  {p}: largest old {x:.3g}, new {y:.3g}")
                 n, wx, wy = residuals.get((b["kind"], p), (0, 0.0, 0.0))
                 residuals[(b["kind"], p)] = (n + 1, max(wx, x), max(wy, y))
-            for p, r in diffs.items():
+            for p, (r, d) in diffs.items():
                 if p in maxima:
                     continue
-                lines.append(f"  {p}: {r:.3g}")
-                n, worst = summary.get((b["kind"], p), (0, 0.0))
-                summary[(b["kind"], p)] = (n + 1, max(worst, r))
+                lines.append(f"  {p}: relative {r:.3g}, absolute {d:.3g}")
+                n, worst, worst_abs = summary.get((b["kind"], p), (0, 0.0, 0.0))
+                summary[(b["kind"], p)] = (n + 1, max(worst, r), max(worst_abs, d))
             for p, r in ratios.items():
                 lines.append(f"  {p}: {r:.3g} of old + new error bar")
                 bars[(b["kind"], p)] = max(bars.get((b["kind"], p), 0.0), r)
@@ -223,8 +262,8 @@ def compare(old_path, new_path) -> int:
             print(f"{job} ({b['kind']})")
             print("\n".join(lines))
     print(f"{differing} of {len(set(old) | set(new))} jobs differ")
-    for (kind, p), (n, worst) in sorted(summary.items()):
-        print(f"  {kind} {p}: {n} jobs, largest relative change {worst:.3g}")
+    for (kind, p), (n, worst, worst_abs) in sorted(summary.items()):
+        print(f"  {kind} {p}: {n} jobs, largest relative change {worst:.3g}, largest absolute change {worst_abs:.3g}")
     for (kind, p), (n, x, y) in sorted(residuals.items()):
         print(f"  {kind} {p}: {n} jobs, largest old {x:.3g}, largest new {y:.3g}")
     for (kind, p), worst in sorted(bars.items()):
