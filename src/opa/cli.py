@@ -8,14 +8,30 @@ of 1 with oracle residuals), diagnose (cyclicity distance table), and kernel
 Output is deterministic: identical jobs produce byte-identical text.  JSON
 is exactly ``json.dumps(payload, indent=2)`` plus a newline (fixed field order,
 shortest round-trip floats, ``Infinity``/``NaN`` for non-finite values); every
-CSV float cell is ``"%.17g" % x``.  One bulk writer produces both: complex
-coefficient arrays are formatted as whole blocks instead of value by value.
-Data goes to stdout (or --out); diagnostics go to stderr.  Complex numbers
-serialize as two-element [re, im] arrays everywhere.
+CSV float cell is ``"%.17g" % x``.  Data goes to stdout (or --out);
+diagnostics go to stderr.  Complex numbers serialize as two-element [re, im]
+arrays everywhere.
+
+Printing sets the cost of a sweep: approximate and stabilize print every
+coefficient of every p_n*, Theta(n^2) doubles per job, against an O(n^2 d)
+banded sweep.  In a cProfile of three passes of the benchmark's sweep_long
+job list (seed 1), per-value ``float.__repr__`` for JSON blocks took 58% of
+the time and ``'%.17g'`` CSV rows 19%, against 10% for approximant_sweep.  So
+every coefficient array of a payload goes through one
+``textfmt.join_floats`` batch, which computes the digits in integer
+arithmetic on arrays (Schubfach for the shortest digits) and writes the text
+CPython would, byte for byte; the same profile then reads 63% in
+join_floats, 19% in approximant_sweep, in half the total time.  Non-finite
+values, subnormals with a mantissa below 2^10, ``'%.17g'`` values that are
+possibly half-way (exact decimals such as 0.5) and batches of at most
+``textfmt.BULK_MIN`` values take the reference calls, as do all scalar
+fields and cells.  The JSON walk leaves a placeholder for each array and the
+batch fills them; CSV zero padding is a constant run of ``,0``.
 
 Exit codes: 0 success (also for --help), 1 command-line, usage or unsupported
-request error, 2 orthogonal data (<g, f> = 0), 3 solver failure, 4 undecidable
-zero classification.
+request error (a kernel at a point that is not reproducible, an --out path
+that cannot be written), 2 orthogonal data (<g, f> = 0), 3 solver failure, 4
+undecidable zero classification.
 """
 
 from __future__ import annotations
@@ -29,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textfmt
 from .engine import (
     approximant_sweep,
     cyclicity_diagnostic,
@@ -40,6 +57,7 @@ from .errors import (
     CannotCertifyError,
     IllConditionedError,
     NotPositiveDefiniteError,
+    NotReproducibleError,
     OrthogonalDataError,
     RootFindingError,
     UndecidableError,
@@ -169,27 +187,15 @@ _SCALARS = {
 }
 
 
-def _complex_block(z: np.ndarray, pad: str) -> str:
-    """A contiguous 1-D complex array as json's indented [[re, im], ...] text,
-    in one format."""
-    if not z.size:
-        return "[]"
-    inner = pad + "  "
-    pair = f"[{inner}  %s,{inner}  %s{inner}]"
-    texts = list(map(float.__repr__, z.view(float).tolist()))
-    if not np.isfinite(z).all():
-        texts = [_NONFINITE.get(t, t) for t in texts]
-    template = "[" + inner + ("," + inner).join([pair] * z.size) + pad + "]"
-    return template % tuple(texts)
-
-
-def _json_text(obj, pad: str) -> str:
-    """obj as json's indent=2 text; pad is the newline and indent of its line."""
+def _json_text(obj, pad: str, arrays: list) -> str:
+    """obj as json's indent=2 text; pad is the newline and indent of its line.
+    A numpy array becomes a NUL placeholder, and (array, pad) goes to arrays."""
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
     if isinstance(obj, np.ndarray):
-        return _complex_block(obj, pad)
+        arrays.append((obj, pad))
+        return "\0"
     inner = pad + "  "
     # the rest (numpy floats, containers) in json's order of checks
     if isinstance(obj, str):
@@ -201,13 +207,13 @@ def _json_text(obj, pad: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = ("," + inner).join([_json_text(v, inner) for v in obj])
+        body = ("," + inner).join([_json_text(v, inner, arrays) for v in obj])
         return f"[{inner}{body}{pad}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         body = ("," + inner).join(
-            [f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+            [f"{_encode_str(k)}: {_json_text(v, inner, arrays)}" for k, v in obj.items()]
         )
         return f"{{{inner}{body}{pad}}}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -215,8 +221,20 @@ def _json_text(obj, pad: str) -> str:
 
 def _json_dump(obj) -> str:
     """``json.dumps(obj, indent=2) + "\\n"``, where a numpy array stands for
-    the list of its [re, im] pairs."""
-    return _json_text(obj, "\n") + "\n"
+    the list of its [re, im] pairs.  All arrays of the payload are formatted
+    in one batch and put in place of their placeholders."""
+    arrays: list = []
+    text = _json_text(obj, "\n", arrays) + "\n"
+    if not arrays:
+        return text
+    pieces = text.split("\0")
+    seps = []
+    for i, (z, pad) in enumerate(arrays):
+        inner = pad + "  "
+        pieces[i] += f"[{inner}[{inner}  " if z.size else "[]"
+        seps.append((f",{inner}  ", f"{inner}],{inner}[{inner}  ", f"{inner}]{pad}]"))
+    segments = [z.view(float) for z, _ in arrays]
+    return textfmt.join_floats(pieces, segments, seps, shortest=True, ref=_float_text)
 
 
 def _csv(header: list, rows) -> str:
@@ -242,13 +260,17 @@ def cmd_approximate(job: JobSpec) -> tuple[str, int]:
             header.append("taylor_residual")
         for k in range(width):
             header += [f"coeff_{k}_re", f"coeff_{k}_im"]
-        rows = (
-            (r.n, r.distance_sq)
-            + (() if taylor is None else (taylor[r.n],))
-            + tuple(r.p_star.padded(width).view(float).tolist())
-            for r in results
-        )
-        return _csv(header, rows), EXIT_OK
+        # the scalar cells through the reference calls, the coefficients in
+        # one batch, then the zeros up to the widest row as a constant run
+        row_format = "\n%s" + ",%.17g" * (len(header) - 1 - 2 * width) + ","
+        pieces = [",".join(header)]
+        for r in results:
+            pieces[-1] += row_format % ((r.n, r.distance_sq) + (() if taylor is None else (taylor[r.n],)))
+            pieces.append(",0" * (2 * (width - r.p_star.coeffs.size)))
+        pieces[-1] += "\n"
+        segments = [r.p_star.coeffs.view(float) for r in results]
+        text = textfmt.join_floats(pieces, segments, [(",", ",", "")] * len(segments), shortest=False)
+        return text, EXIT_OK
     rows = []
     for r in results:
         row = {
@@ -353,9 +375,9 @@ def cmd_kernel(job: JobSpec) -> tuple[str, int]:
     spec = KernelSpec(job.beta, job.order, job.flavor)
     series = kernel_series(job.space, spec, eps=job.eps)
     if job.fmt == "csv":
-        pairs = series.coeffs.view(float).reshape(-1, 2).tolist()
-        rows = ((k, re, im) for k, (re, im) in enumerate(pairs))
-        return _csv(["k", "re", "im"], rows), EXIT_OK
+        pairs = textfmt.join_floats(["", ""], [series.coeffs.view(float)], [(",", "\n", "")], shortest=False)
+        lines = [f"{k},{pair}" for k, pair in enumerate(pairs.split("\n"))]
+        return "\n".join(["k,re,im"] + lines) + "\n", EXIT_OK
     payload = {
         "space": job.space.to_descriptor(),
         "beta": [job.beta.real, job.beta.imag],
@@ -459,10 +481,14 @@ def main(argv=None) -> int:
     except UndecidableError as exc:
         print(f"opa: {job.command}: undecidable classification: {exc}", file=sys.stderr)
         return EXIT_UNDECIDABLE
-    except ValueError as exc:
+    except (ValueError, NotReproducibleError) as exc:
         print(f"opa: {job.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(text, getattr(args, "out", None))
+    try:
+        _emit(text, getattr(args, "out", None))
+    except OSError as exc:
+        print(f"opa: {job.command}: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

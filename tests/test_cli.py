@@ -157,6 +157,11 @@ def test_json_writer_matches_json_module():
             np.array([0.1 + 0.2j, complex(math.inf, -0.0), complex(math.nan, -math.inf)]),
         ],
         "coeffs": CPoly([1, -0.5j, 1e-300]).coeffs,
+        # enough values for the bulk formatter, non-finite ones among them
+        "bulk": [
+            np.arange(400) * (0.1 - 0.3j),
+            np.array([complex(0.5, math.inf), complex(-math.inf, 1e-310), complex(math.nan, -0.0)] * 100),
+        ],
     }
     assert cli._json_dump(payload) == json.dumps(as_lists(payload), indent=2) + "\n"
     assert cli._json_dump([]) == "[]\n"
@@ -475,3 +480,45 @@ def test_stabilize_in_a_quotient_space_has_no_dossier(capsys):
     payload = json.loads(out)
     assert payload["stabilized"] is True and payload["M"] == 0
     assert "dossier" not in payload
+
+
+def test_full_size_outputs_keep_the_byte_contract(capsys):
+    # every coefficient goes through the bulk formatter: JSON must still be
+    # json.dumps(..., indent=2) and every CSV cell %.17g, at full size
+    argv = ["approximate", "--space", D1_DESC, "--f", "[[1,0],[-0.5,0.2],[0.3,-0.1]]", "--n-max", "200"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+    code, out, _ = run(capsys, argv + ["--format", "csv", "--taylor"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 202 and all(line.count(",") == 404 for line in lines)
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert cells[0] == str(int(cells[0]))
+        assert all(cell == format(float(cell), ".17g") for cell in cells[1:])
+    # p_M and rows[M].coeffs are one array, printed at two indents; g = f q
+    # with q of degree 25 makes p_n* = q from n = 25 on
+    q = [0.5 * 0.9**k * (-1 if k % 3 == 0 else 1) for k in range(26)]
+    g = json.dumps([[c, 0] for c in np.convolve([1, -0.5], q).tolist()])
+    argv = ["stabilize", "--space", H2_DESC, "--f", "[[1,0],[-0.5,0]]", "--g", g, "--n-max", "40"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+    payload = json.loads(out)
+    assert payload["M"] == 25 and payload["p_M"] == payload["rows"][25]["coeffs"]
+    assert 2 * sum(len(r["coeffs"]) for r in payload["rows"]) > cli.textfmt.BULK_MIN
+
+
+def test_kernel_at_a_point_that_is_not_reproducible_is_a_usage_error(capsys):
+    code, out, err = run(capsys, ["kernel", "--space", H2_DESC, "--beta", "[1.5,0]"])
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("opa: kernel: ") and "not reproducible" in err
+
+
+@pytest.mark.parametrize("target", ["missing/rows.json", "."])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, target):
+    argv = ["approximate", "--space", H2_DESC, "--f", "[[1,0],[-1,0]]", "--n-max", "2"]
+    code, out, err = run(capsys, argv + ["--out", str(tmp_path / target)])
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("opa: approximate: ")

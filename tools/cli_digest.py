@@ -35,7 +35,9 @@ largest ``|new - old| / (old err + new err)`` per path, flagged when above 1,
 since a change within the two bars is one both runs certify.  A residual
 (``RESIDUALS``) is rounding-sized when all is well, so its relative change
 says nothing: its largest old and new values are printed instead.  The exit
-code is 1 when any job differs, else 0.
+code is 1 when any job differs, else 0.  A job whose stdout bytes differ
+while every parsed value is equal (``1e-05`` against ``1e-5``) is reported
+as "stdout bytes differ, values equal" and differs too.
 """
 
 from __future__ import annotations
@@ -241,6 +243,7 @@ def compare(old_path, new_path) -> int:
         if a["stderr"] != b["stderr"]:
             lines.append(f"  stderr {a['stderr']!r} -> {b['stderr']!r}")
         if a["stdout"] != b["stdout"]:
+            value_lines = len(lines)
             ja, jb = parse_stdout(a["stdout"]), parse_stdout(b["stdout"])
             diffs, ratios = field_diffs(ja, jb), error_bar_ratios(ja, jb)
             maxima = residual_maxima(ja, jb)
@@ -257,6 +260,8 @@ def compare(old_path, new_path) -> int:
             for p, r in ratios.items():
                 lines.append(f"  {p}: {r:.3g} of old + new error bar")
                 bars[(b["kind"], p)] = max(bars.get((b["kind"], p), 0.0), r)
+            if len(lines) == value_lines:  # e.g. 1e-05 printed as 1e-5
+                lines.append("  stdout bytes differ, values equal")
         if lines:
             differing += 1
             print(f"{job} ({b['kind']})")
