@@ -23,9 +23,11 @@ arithmetic on arrays (Schubfach for the shortest digits) and writes the text
 CPython would, byte for byte; the same profile then reads 63% in
 join_floats, 19% in approximant_sweep, in half the total time.  Non-finite
 values, subnormals with a mantissa below 2^10, ``'%.17g'`` values that are
-possibly half-way (exact decimals such as 0.5) and batches of at most
-``textfmt.BULK_MIN`` values take the reference calls, as do all scalar
-fields and cells.  The JSON walk leaves a placeholder for each array and the
+possibly half-way (exact decimals such as 0.5) take the reference calls, as
+do all scalar fields and cells, and so does a whole batch that is too small
+to repay the arrays (``textfmt.BULK_MIN``) or that comes before the process
+has asked for enough values to repay building the tables
+(``textfmt.WARMUP``): a one-shot job with a small output never builds them.  The JSON walk leaves a placeholder for each array and the
 batch fills them; CSV zero padding is a constant run of ``,0``.
 
 Exit codes: 0 success (also for --help), 1 command-line, usage or unsupported
@@ -484,10 +486,13 @@ def main(argv=None) -> int:
     except (ValueError, NotReproducibleError) as exc:
         print(f"opa: {job.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out_path = getattr(args, "out", None)
     try:
-        _emit(text, getattr(args, "out", None))
+        _emit(text, out_path)
     except OSError as exc:
-        print(f"opa: {job.command}: cannot write the output: {exc}", file=sys.stderr)
+        if not out_path:  # a failing stdout (a closed pipe) keeps its own exception
+            raise
+        print(f"opa: {job.command}: cannot write {out_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code
 

@@ -3,13 +3,17 @@
 ``join_floats`` writes a text made of given pieces and of the values of
 float64 arrays, each value byte for byte as ``float.__repr__`` (shortest
 round-trip digits) or ``'%.17g' %`` (17 correctly rounded digits) prints it,
-without a Python call per value.  A batch of at most ``BULK_MIN`` values is
-cheaper through the reference calls and takes them.
+without a Python call per value.  The arrays' fixed cost, about 0.3 ms a
+batch, and the tables they need, about 2-3 ms a style on first use, are
+repaid only by enough values: a batch takes the reference calls when it has
+at most ``BULK_MIN`` values, or while no more than ``WARMUP`` values have
+been asked for in its style since the process began (so a process that
+prints one small output never builds the tables).
 
 Shortest digits come from Schubfach (R. Giulietti, "The Schubfach way to
 render doubles", 2020; the algorithm of JDK 19's ``Double.toString``): the
 double ``c 2^q`` is scaled by a 126-bit power of ten ``g ~ 10^-k`` (617 of
-them, k = -324..292; the 17-digit scaling also needs k down to -341) and the
+them, k = -324..292; the 17-digit scaling also needs k = -341..323) and the
 decimals of the rounding interval are read off three round-to-odd products.  The ``'%.17g'`` digits come from the same kind
 of product, scaled so that the value has 18 integer digits, and are rounded
 half-even to 17 from its low bits.  The 64 x 64 -> 128-bit products are split
@@ -44,6 +48,8 @@ import numpy as np
 
 CHUNK = 4096
 BULK_MIN = 512  # a batch of at most this many values takes the reference calls
+WARMUP = 10_000  # and so do all batches of a style until it has asked for more
+_asked = {True: 0, False: 0}  # values asked for per style (shortest or not)
 WIDTH = 24  # the longest text, "-2.2250738585072014e-308"
 
 _M32 = np.uint64(0xFFFFFFFF)
@@ -83,7 +89,7 @@ def _flog10_three_quarters_pow2(e):
     return (e * 661_971_961_083 - 274_743_187_321) >> 41
 
 
-_K_MIN, _K_MAX = -341, 292  # every power of ten the two scalings use
+_K_MIN, _K_MAX = -341, 323  # every power of ten the tables use
 
 
 @functools.cache
@@ -92,16 +98,22 @@ def _powers():
     (int64), and the words of g = floor(10^-k 2^(125 - F)) + 1, so that
     2^125 < g <= 2^126: g1 and the 32-bit halves of g1 and of g0, where
     g = g1 2^63 + g0 (uint64, one row of the (5, n) array per word)."""
-    fs, words = [], []
-    for k in range(_K_MIN, _K_MAX + 1):
-        num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
-        f = num.bit_length() - 1 if k <= 0 else -den.bit_length()
-        num, den = (num << 125 - f, den) if f <= 125 else (num, den << f - 125)
-        g = num // den + 1
-        g1, g0 = g >> 63, g & (2**63 - 1)
+    fs, gs = [], []
+    p = 10**-_K_MIN
+    for _ in range(_K_MIN, 1):  # 10^-k = p
+        f = p.bit_length() - 1
         fs.append(f)
-        words.append((g1, g1 & 0xFFFFFFFF, g1 >> 32, g0 & 0xFFFFFFFF, g0 >> 32))
-    return np.array(fs, dtype=np.int64), np.array(words, dtype=np.uint64).T.copy()
+        gs.append((p << 125 - f if f <= 125 else p >> f - 125) + 1)
+        p //= 10
+    p = 1
+    for _ in range(_K_MAX):  # 10^-k = 1 / p
+        p *= 10
+        fs.append(-p.bit_length())
+        gs.append((1 << 125 + p.bit_length()) // p + 1)
+    g1 = np.array([g >> 63 for g in gs], dtype=np.uint64)
+    g0 = np.array([g & 2**63 - 1 for g in gs], dtype=np.uint64)
+    words = np.stack([g1, g1 & _M32, g1 >> 32, g0 & _M32, g0 >> 32])
+    return np.array(fs, dtype=np.int64), words
 
 
 def _scaling(q, k):
@@ -133,62 +145,60 @@ def _g17_table():
     which scale v to 18 integer digits."""
     q = np.arange(-_Q17, 973)
     e = _flog10pow2(q + 52)
-    bound = []
-    for qi, ei in zip(q.tolist(), e.tolist()):  # ceil(10^(e + 1) / 2^q)
-        num, den = (10 ** (ei + 1), 1) if ei >= -1 else (1, 10 ** -(ei + 1))
-        num, den = (num, den << qi) if qi >= 0 else (num << -qi, den)
-        bound.append(min(-(-num // den), 2**53))
+    # the least c is ceil(10^(e + 1) / 2^q) = ceil(X / 2^s) for X = 10^(e + 1)
+    # 2^(125 - F) and s = 125 - F + q in 70..73, where floor(X) = g - 1 for
+    # g = g(-(e + 1)); the quotient is whole only if 2^q divides 10^(e + 1)
+    f, words = _powers()
+    i = -(e + 1) - _K_MIN
+    g1, g0 = words[0, i], words[3, i] | words[4, i]
+    floor = (g1 - (g0 == 0)) >> (125 - f[i] + q - 63).astype(np.uint64)
+    exact = (e + 1 >= 0) & (q <= e + 1)
+    bound = np.minimum(floor + ~exact, 2**53)
     e10 = np.stack([e, e + 1], axis=1).ravel()
-    return (np.array(bound, dtype=np.uint64), e10) + _scaling(np.repeat(q, 2), e10 - 17)
+    return (bound, e10) + _scaling(np.repeat(q, 2), e10 - 17)
 
 
 @functools.cache
 def _quads():
     """The 10^4 x 4 ASCII digit table as uint32 words, and trailing-zero
     counts of each quad (4 for 0000)."""
-    quad = np.arange(10_000, dtype=np.int16)
-    powers = np.array([1000, 100, 10, 1], dtype=np.int16)
-    chars = (quad[:, None] // powers % 10 + ord("0")).astype(np.uint8)
-    trailing = (quad[:, None] % (10 * powers) == 0).sum(axis=1)
-    return chars.view(np.uint32).ravel(), trailing.astype(np.intp)
+    digits = np.stack(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1), axis=1)
+    zero = (digits == 0).astype(np.intp)
+    trailing = zero[:, 3] * (1 + zero[:, 2] * (1 + zero[:, 1] * (1 + zero[:, 0])))
+    return (digits + ord("0")).view(np.uint32).ravel(), trailing
 
 
-def _text_columns(form: int, neg: int, n: int, shortest: bool) -> list[int]:
-    """The source columns of the text of a layout key (format_float_short)."""
+def _text_columns(form: int, n: int, shortest: bool) -> list[int]:
+    """The source columns of the text of a nonnegative value's layout
+    (format_float_short)."""
     digits = list(range(_DIG, _DIG + n))
-    cols = [_MINUS] if neg else []
     if form < 21:
         decpt = form - 3
         if decpt <= 0:
-            cols += [_ZERO, _DOT] + [_ZERO] * -decpt + digits
-        elif decpt < n:
-            cols += digits[:decpt] + [_DOT] + digits[decpt:]
-        else:
-            cols += digits + [_ZERO] * (decpt - n) + ([_DOT, _ZERO] if shortest else [])
-    else:
-        exp_neg, three = divmod(form - 21, 2)
-        cols += digits[:1] + ([_DOT] + digits[1:] if n > 1 else [])
-        cols += [_E, _MINUS if exp_neg else _PLUS] + list(range(_EXP + 2 - three, _EXP + 4))
-    return cols
+            return [_ZERO, _DOT] + [_ZERO] * -decpt + digits
+        if decpt < n:
+            return digits[:decpt] + [_DOT] + digits[decpt:]
+        return digits + [_ZERO] * (decpt - n) + ([_DOT, _ZERO] if shortest else [])
+    exp_neg, three = divmod(form - 21, 2)
+    cols = digits[:1] + ([_DOT] + digits[1:] if n > 1 else [])
+    return cols + [_E, _MINUS if exp_neg else _PLUS] + list(range(_EXP + 2 - three, _EXP + 4))
 
 
 @functools.cache
 def _layouts(shortest: bool):
     """Per layout key, the source columns of each output character (padded
     with the NUL column) and the text length."""
-    lay = np.full((_KEYS, WIDTH), _NUL, dtype=np.intp)
-    lens = np.zeros(_KEYS, dtype=np.int64)
+    rows = [b""] * _KEYS  # every column is below 256: one byte each
     for form in range(_FORMS):
-        for neg in (0, 1):
-            for n in range(1, _DIGITS):
-                cols = _text_columns(form, neg, n, shortest)
-                key = (form * 2 + neg) * _DIGITS + n
-                lay[key, : len(cols)] = cols
-                lens[key] = len(cols)
+        for n in range(1, _DIGITS):
+            cols = bytes(_text_columns(form, n, shortest))
+            rows[form * 2 * _DIGITS + n] = cols
+            rows[(form * 2 + 1) * _DIGITS + n] = bytes([_MINUS]) + cols
     for length in range(1, WIDTH + 1):
-        lay[_TEXT_KEY + length, :length] = range(_TEXT, _TEXT + length)
-        lens[_TEXT_KEY + length] = length
-    return lay, lens
+        rows[_TEXT_KEY + length] = bytes(range(_TEXT, _TEXT + length))
+    lens = np.array(list(map(len, rows)), dtype=np.int64)
+    lay = b"".join(row.ljust(WIDTH, bytes([_NUL])) for row in rows)
+    return np.frombuffer(lay, dtype=np.uint8).reshape(_KEYS, WIDTH).astype(np.intp), lens
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +290,9 @@ def join_floats(pieces, segments, seps, shortest: bool, ref=None) -> str:
     ``'%.17g' % x``: the reference call.  ``ref``, which may spell non-finite
     values differently but must agree with the reference call on finite ones,
     gives the text of the values that take the reference call (see the module
-    docstring) and of every value of a batch of at most ``BULK_MIN``, where
-    the arrays' fixed cost exceeds that of the reference calls.
+    docstring) and of every value of a batch that takes the reference calls
+    (at most ``BULK_MIN`` values, or no more than ``WARMUP`` asked for in its
+    style so far).
 
     The text is written into one buffer sized for the longest possible text,
     whose pages are touched only as far as the text goes; nothing else holds
@@ -290,17 +301,22 @@ def join_floats(pieces, segments, seps, shortest: bool, ref=None) -> str:
     ref = ref or reference
     lengths = [len(a) for a in segments]
     total = sum(lengths)
-    if total <= BULK_MIN:
+    _asked[shortest] += total
+    if total <= BULK_MIN or _asked[shortest] <= WARMUP:
         out = [pieces[0]]
         for x, (even, odd, last), piece in zip(segments, seps, pieces[1:]):
-            # ref differs from the reference call on non-finite values only
-            finite = ref is reference or np.isfinite(x).all()
-            texts = list(map(reference if finite else ref, x.tolist()))
-            after = [even, odd] * (len(texts) // 2) + [even] * (len(texts) % 2)
-            if texts:
-                after[-1] = last
-            out += [t + sep for t, sep in zip(texts, after)]
-            out.append(piece)
+            # one % operation per segment; '%r' is float.__repr__, and ref
+            # differs from the reference call on non-finite values only
+            values = x.tolist()
+            if ref is reference or np.isfinite(x).all():
+                spec = "%r" if shortest else "%.17g"
+            else:
+                spec, values = "%s", list(map(ref, values))
+            even, odd, last = (sep.replace("%", "%%") for sep in (even, odd, last))
+            m = len(values)
+            form = (spec + even + spec + odd) * (m // 2) + (spec + even) * (m % 2)
+            form = form[: len(form) - len(even if m % 2 else odd)] + last if m else ""
+            out += [form % tuple(values), piece]
         return "".join(out)
     triples = {t: i for i, t in enumerate(dict.fromkeys(seps))}
     sep_texts = [sep.encode("ascii") for t in triples for sep in t]

@@ -133,7 +133,8 @@ def test_json_output_deterministic(capsys):
     csv_out(kernel)
 
 
-def test_json_writer_matches_json_module():
+def test_json_writer_matches_json_module(monkeypatch):
+    monkeypatch.setattr(cli.textfmt, "WARMUP", 0)  # the bulk batch takes the arrays
     def as_lists(obj):
         if isinstance(obj, np.ndarray):
             return [[float(c.real), float(c.imag)] for c in obj]
@@ -482,9 +483,10 @@ def test_stabilize_in_a_quotient_space_has_no_dossier(capsys):
     assert "dossier" not in payload
 
 
-def test_full_size_outputs_keep_the_byte_contract(capsys):
+def test_full_size_outputs_keep_the_byte_contract(capsys, monkeypatch):
     # every coefficient goes through the bulk formatter: JSON must still be
     # json.dumps(..., indent=2) and every CSV cell %.17g, at full size
+    monkeypatch.setattr(cli.textfmt, "WARMUP", 0)
     argv = ["approximate", "--space", D1_DESC, "--f", "[[1,0],[-0.5,0.2],[0.3,-0.1]]", "--n-max", "200"]
     code, out, _ = run(capsys, argv)
     assert code == EXIT_OK
@@ -522,3 +524,15 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, target):
     code, out, err = run(capsys, argv + ["--out", str(tmp_path / target)])
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("opa: approximate: ")
+
+
+def test_a_failing_stdout_keeps_its_own_exception(monkeypatch):
+    # only an --out path is reported as unwritable; a closed pipe on stdout
+    # (opa ... | head) is not a usage error
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli.sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["approximate", "--space", H2_DESC, "--f", "[[1,0],[-1,0]]", "--n-max", "2"])

@@ -54,6 +54,7 @@ STYLES = [(True, float.__repr__), (False, "%.17g".__mod__)]
 def bulk_path(monkeypatch):
     """Send every batch through the arrays, however small."""
     monkeypatch.setattr(textfmt, "BULK_MIN", 0)
+    monkeypatch.setattr(textfmt, "WARMUP", 0)
 
 
 def texts(values, shortest):
@@ -153,8 +154,8 @@ def test_empty_segments_and_reference_text(monkeypatch, bulk_min):
 def test_small_batches_take_the_reference_calls(monkeypatch, shortest, reference):
     rng = np.random.default_rng(7)
     segments = np.split(rng.standard_normal(40) * 1e-3, [0, 5, 6, 20])
-    seps = [(",", ";", "."), ("", "  ", "]"), (",", ";", "."), ("a", "b", "c"), (",", ";", ".")]
-    pieces = list("ABCDEF")
+    seps = [(",", ";", "."), ("", "  ", "]"), (",", ";", "."), ("a%", "%%b", "%c"), (",", ";", ".")]
+    pieces = list("ABCDE") + ["%F"]
     bulk = join_floats(pieces, segments, seps, shortest)
     monkeypatch.setattr(textfmt, "BULK_MIN", 40)
     assert join_floats(pieces, segments, seps, shortest) == bulk
@@ -177,6 +178,26 @@ def test_product_shifts_keep_the_fallback_sound():
     assert 1 <= shift.min() and shift.max() <= 11
 
 
+def test_tables_match_exact_integers():
+    # the powers of ten and the '%.17g' digit-count bounds, against big-int
+    # arithmetic row by row
+    f, words = textfmt._powers()
+    f = f.tolist()
+    for i, k in enumerate(range(textfmt._K_MIN, textfmt._K_MAX + 1)):
+        num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
+        a, b = (num, den << f[i]) if f[i] >= 0 else (num << -f[i], den)
+        assert b <= a < 2 * b  # f = floor(log2(10^-k))
+        g = (num << 125 - f[i]) // den + 1 if f[i] <= 125 else num // (den << f[i] - 125) + 1
+        g1, g0 = g >> 63, g & 2**63 - 1
+        assert words[:, i].tolist() == [g1, g1 & 2**32 - 1, g1 >> 32, g0 & 2**32 - 1, g0 >> 32]
+    bound = textfmt._g17_table()[0].tolist()
+    for i, q in enumerate(range(-textfmt._Q17, 973)):
+        e = textfmt._flog10pow2(q + 52)
+        num, den = (10 ** (e + 1), 1) if e >= -1 else (1, 10 ** -(e + 1))
+        num, den = (num, den << q) if q >= 0 else (num << -q, den)
+        assert bound[i] == min(-(-num // den), 2**53)  # the least c with c 2^q >= 10^(e + 1)
+
+
 def _floor_log10(num: int, den: int) -> int:
     """floor(log10(num / den)) for positive integers, exactly."""
 
@@ -193,13 +214,18 @@ def _floor_log10(num: int, den: int) -> int:
 
 def test_tables_are_built_on_first_use():
     # importing the CLI builds no table (that would add to every job's set-up
-    # time); the first call builds them
+    # time), nor does a first output of at most WARMUP values; the batch that
+    # takes a style past WARMUP builds that style's tables
     probe = (
-        "import opa.cli, opa.textfmt as t; "
-        "print([f.cache_info().currsize for f in (t._shortest_table, t._g17_table, t._layouts, t._quads)])"
+        "import numpy as np, opa.cli, opa.textfmt as t\n"
+        "def built(): print([f.cache_info().currsize for f in (t._shortest_table, t._g17_table, t._layouts)])\n"
+        "built()\n"
+        "x = np.linspace(0.1, 1, t.WARMUP // 2)\n"
+        "t.join_floats(['', ''], [x], [(',', ',', '')], True)\n"
+        "built()\n"
+        "t.join_floats(['', '', ''], [x, x[:2]], [(',', ',', '')] * 2, True)\n"
+        "built()\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(textfmt.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
-    assert done.stdout.strip() == "[0, 0, 0, 0]"
-    assert texts([0.1], True) == ["0.1"]
-    assert textfmt._shortest_table.cache_info().currsize == 1
+    assert done.stdout.split("\n") == ["[0, 0, 0]", "[0, 0, 0]", "[1, 0, 1]", ""]
