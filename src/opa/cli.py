@@ -27,8 +27,9 @@ possibly half-way (exact decimals such as 0.5) take the reference calls, as
 do all scalar fields and cells, and so does a whole batch that is too small
 to repay the arrays (``textfmt.BULK_MIN``) or that comes before the process
 has asked for enough values to repay building the tables
-(``textfmt.WARMUP``): a one-shot job with a small output never builds them.  The JSON walk leaves a placeholder for each array and the
-batch fills them; CSV zero padding is a constant run of ``,0``.
+(``textfmt.WARMUP``): a one-shot job with a small output never builds them.
+The JSON walk leaves a placeholder for each array and the batch fills them;
+CSV zero padding is a constant run of ``,0``.
 
 Exit codes: 0 success (also for --help), 1 command-line, usage or unsupported
 request error (a kernel at a point that is not reproducible, an --out path
