@@ -14,27 +14,18 @@ arrays everywhere.
 
 Printing sets the cost of a sweep: approximate and stabilize print every
 coefficient of every p_n*, Theta(n^2) doubles per job, against an O(n^2 d)
-banded sweep.  In a cProfile of three passes of the benchmark's sweep_long
-job list (seed 1), per-value ``float.__repr__`` for JSON blocks took 58% of
-the time and ``'%.17g'`` CSV rows 19%, against 10% for approximant_sweep.  So
-every coefficient array of a payload goes through one
-``textfmt.join_floats`` batch, which computes the digits in integer
-arithmetic on arrays (Schubfach for the shortest digits) and writes the text
-CPython would, byte for byte; the same profile then reads 63% in
-join_floats, 19% in approximant_sweep, in half the total time.  Non-finite
-values, subnormals with a mantissa below 2^10, ``'%.17g'`` values that are
-possibly half-way (exact decimals such as 0.5) take the reference calls, as
-do all scalar fields and cells, and so does a whole batch that is too small
-to repay the arrays (``textfmt.BULK_MIN``) or that comes before the process
-has asked for enough values to repay building the tables
-(``textfmt.WARMUP``): a one-shot job with a small output never builds them.
+banded sweep.  So every coefficient array of a payload goes through one
+``textfmt.join_floats`` batch, which writes the text CPython would, byte for
+byte (README "Performance notes" has the profile; textfmt says which values
+and batches take the reference calls, as all scalar fields and cells do).
 The JSON walk leaves a placeholder for each array and the batch fills them;
 CSV zero padding is a constant run of ``,0``.
 
 Exit codes: 0 success (also for --help), 1 command-line, usage or unsupported
 request error (a kernel at a point that is not reproducible, an --out path
-that cannot be written), 2 orthogonal data (<g, f> = 0), 3 solver failure, 4
-undecidable zero classification.
+that cannot be written, data whose weights, inner products or distances
+overflow the double range), 2 orthogonal data (<g, f> = 0), 3 solver failure,
+4 undecidable zero classification.
 """
 
 from __future__ import annotations
@@ -53,6 +44,7 @@ from .engine import (
     approximant_sweep,
     cyclicity_diagnostic,
     detect_stabilization,
+    optimal_approximant,
     stabilization_dossier,
     taylor_residuals,
 )
@@ -327,9 +319,9 @@ def cmd_project(job: JobSpec) -> tuple[str, int]:
     if job.fmt == "csv":
         raise ValueError("project emits a structured report; use --format json")
     result = project_unity(job.space, job.f, eps=min(job.eps, 1e-9))
-    sweep = approximant_sweep(job.space, job.f, CPoly([1]), job.n_max)
-    plateau_delta = abs(sweep[-1].distance_sq - result.dist_sq)
-    pf = sweep[-1].p_star * job.f
+    approx = optimal_approximant(job.space, job.f, CPoly([1]), job.n_max)
+    plateau_delta = abs(approx.distance_sq - result.dist_sq)
+    pf = approx.p_star * job.f
     oracle_dist = distance_to_poly(
         job.space, pf, result, eps=1e-13, min_length=max(512, 4 * job.n_max)
     )
@@ -339,7 +331,7 @@ def cmd_project(job: JobSpec) -> tuple[str, int]:
         "report": result.to_report(),
         "oracle": {
             "sweep_n": job.n_max,
-            "sweep_dist_sq": sweep[-1].distance_sq,
+            "sweep_dist_sq": approx.distance_sq,
             "plateau_delta": plateau_delta,
             "approximant_distance": oracle_dist.value,
             "approximant_distance_err": oracle_dist.err,
@@ -484,7 +476,7 @@ def main(argv=None) -> int:
     except UndecidableError as exc:
         print(f"opa: {job.command}: undecidable classification: {exc}", file=sys.stderr)
         return EXIT_UNDECIDABLE
-    except (ValueError, NotReproducibleError) as exc:
+    except (ValueError, OverflowError, NotReproducibleError) as exc:
         print(f"opa: {job.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_path = getattr(args, "out", None)

@@ -9,10 +9,12 @@ squared distance ||p_n* f - g||^2 (non-increasing in n), from that factor.
 
 For f a polynomial of degree d (d + deg m in the quotient space of m), G and
 its factor L are banded: G[k, j] = 0 for |k - j| > d.  The Gram band is
-built and factored along its d + 1 diagonals only, in O(n d^2) work, each
-forward solve takes O(n d) and the approximants' coefficients O(n^2 d); a
-stored series is the same loop with band n.  Everything but the coefficients reads
-y = L^-1 rhs: the distances, and (p_n* f)(0) through one more forward solve.
+built and factored along its d + 1 diagonals only, in O(n d^2) work, and each
+forward or back substitution takes O(n d) a right-hand side: a sweep solves
+for every degree in one linalg.backward_substitute_H call, O(n^2 d), and
+optimal_approximant for its one degree, O(n d).  A stored series is the same
+loop with band n.  The distances read only y = L^-1 rhs, and (p_n* f)(0) one
+more forward solve.
 
 On top of the sweeps this module certifies structural properties, each
 reading <h, z^k f> for all its k from one call of spaces.shift_products:
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CannotCertifyError, OrthogonalDataError
-from .linalg import cholesky_factor, forward_substitute, poly_roots
+from .linalg import backward_substitute_H, cholesky_factor, forward_substitute, poly_roots
 from .series import (
     CPoly,
     TruncSeries,
@@ -165,13 +167,11 @@ class CyclicityDiagnostic:
 # ---------------------------------------------------------------------------
 
 
-def build_system(
-    space: WeightSequence, f, g, n: int, entry_eps: float = _ENTRY_EPS
-) -> tuple[np.ndarray, np.ndarray, float]:
+def build_system(space: WeightSequence, f, g, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(G, rhs, largest entry error) with G[k, j] = <z^j f, z^k f> and
     rhs[k] = <g, z^k f>, each entry with the error shift_products certifies
     for it: rounding only for polynomial data.  Errors of entries with a
-    stored series in them must not exceed entry_eps.
+    stored series in them must not exceed _ENTRY_EPS.
 
     Raises OrthogonalDataError when |<g, f>| does not exceed the combined
     certified error: the minimization then has no meaningful solution.
@@ -183,13 +183,13 @@ def build_system(
     # an entry with a stored series in it (f is in all, g in rhs) is certified
     series_errs = [e for e, x in ((G_err, f), (rhs_err, f), (rhs_err, g)) if not isinstance(x, CPoly)]
     if series_errs:
-        require_certified(rhs_err[0], entry_eps)
+        require_certified(rhs_err[0], _ENTRY_EPS)
     if abs(rhs[0]) <= rhs_err[0] + _ERR_FLOOR:
         raise OrthogonalDataError(
             f"<g, f> = {rhs[0]:.3g} is zero within certified error {rhs_err[0]:.3g}"
         )
     if series_errs:
-        require_certified(max(float(e.max()) for e in series_errs), entry_eps)
+        require_certified(max(float(e.max()) for e in series_errs), _ENTRY_EPS)
     return G.T, rhs, max(float(G_err.max()), float(rhs_err.max()))
 
 
@@ -197,48 +197,47 @@ def _factored_system(space: WeightSequence, f, g, n_max: int):
     """(L, y, band, dist, norm_err, entry_err): the factor L of the degree-n_max
     system along its band (the effective degree of f, or n_max for a stored
     series), y = L^-1 rhs, dist[n] = ||g||^2 - sum_{i<=n} |y_i|^2, and the
-    errors of ||g||^2 and of the largest Gram or right-hand-side entry."""
+    errors of ||g||^2 and of the largest Gram or right-hand-side entry (an
+    OverflowError when ||g||^2 or a distance overflows)."""
     G, rhs, entry_err = build_system(space, f, g, n_max)
     d = _effective_degree(space, f)
     band = n_max if d is None else min(d, n_max)
-    gg = norm_sq_any(space, g, _ENTRY_EPS)
     L = cholesky_factor(G, band)
     y = forward_substitute(L, rhs, band)
-    dist = float(gg.value) - np.cumsum(y.real**2 + y.imag**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gg = norm_sq_any(space, g, _ENTRY_EPS)
+        dist = float(gg.value) - np.cumsum(y.real**2 + y.imag**2)
+    if not (np.isfinite(dist).all() and math.isfinite(gg.err)):
+        raise OverflowError("||g||^2 or a squared distance overflows the double range")
     return L, y, band, dist, gg.err, entry_err
 
 
-def approximant_sweep(
-    space: WeightSequence, f, g=None, n_max: int = 10
-) -> list[OpaResult]:
-    """All optimal approximants for n = 0..n_max from one Cholesky factor L.
-
-    Degree n solves the leading block of G, whose factor leads L.  With
-    y = L^-1 rhs, dist^2_n = ||g||^2 - sum_{i<=n} |y_i|^2, and column n of X
-    with L^H X = triu(y 1^T) is p_n*: its right-hand side is zero below row n.
-    """
-    if g is None:
-        g = CPoly([1])
+def _approximants(space: WeightSequence, f, g, n_max: int, ns: np.ndarray) -> list[OpaResult]:
+    """The optimal approximants of the ascending degrees ns <= n_max from one
+    factor L of the degree-n_max system.  Degree n solves the leading block of
+    G, whose factor leads L: with y = L^-1 rhs, dist^2_n = ||g||^2 -
+    sum_{i<=n} |y_i|^2, and p_n* solves L^H a = (y_0, ..., y_n, 0, ...)."""
+    g = CPoly([1]) if g is None else g
     L, y, band, dist, norm_err, entry_err = _factored_system(space, f, g, n_max)
-    # L^H X = triu(y 1^T), its right-hand side filled in as each row is reached:
-    # a fourth n_max-sized matrix raised long sweeps' peak memory by up to 18 %.
-    # Row i reads the band of L's column i, rows i+1..i+band
-    X = np.zeros_like(L)
-    for i in range(n_max, -1, -1):
-        hi = i + band + 1
-        X[i, i:] = y[i]
-        X[i] = (X[i] - np.conj(L[i + 1 : hi, i]) @ X[i + 1 : hi]) / np.conj(L[i, i])
-    # column n of X holds p_n*'s coefficients above zeros
-    ns = np.arange(n_max + 1)
+    # column c: the right-hand side of degree ns[c], then its solution
+    X = np.where(np.arange(y.size)[:, None] <= ns, y[:, None], 0)
+    backward_substitute_H(L, X, band)
     errs = np.maximum(norm_err + np.abs(X).sum(axis=0) * _ERR_FLOOR, entry_err * (ns + 2))
-    return [OpaResult(n, CPoly(X[: n + 1, n]), float(dist[n]), float(errs[n])) for n in ns.tolist()]
+    cols = enumerate(ns.tolist())
+    return [OpaResult(n, CPoly(X[: n + 1, c]), float(dist[n]), float(errs[c])) for c, n in cols]
 
 
-def optimal_approximant(
-    space: WeightSequence, f, g=None, n: int = 0
-) -> OpaResult:
-    """The degree-n optimal approximant and its squared distance."""
-    return approximant_sweep(space, f, g, n)[-1]
+def approximant_sweep(space: WeightSequence, f, g=None, n_max: int = 10) -> list[OpaResult]:
+    """All optimal approximants for n = 0..n_max from one Cholesky factor,
+    O(n_max^2 d) for the coefficients when f has degree d."""
+    return _approximants(space, f, g, n_max, np.arange(n_max + 1))
+
+
+def optimal_approximant(space: WeightSequence, f, g=None, n: int = 0) -> OpaResult:
+    """The degree-n optimal approximant and its squared distance, from the
+    degree-n factor as in approximant_sweep and one back substitution for
+    degree n alone: O(n d) for the coefficients when f has degree d."""
+    return _approximants(space, f, g, n, np.array([n]))[0]
 
 
 def orthogonality_residual(space: WeightSequence, f, g, result: OpaResult) -> float:

@@ -1,12 +1,13 @@
 """Banded Hermitian positive-definite solver and complex polynomial roots.
 
 Both algorithms are implemented in-house: deterministic, portable behavior
-matters more than peak performance.  The Cholesky factor and the forward
-solve take the lower bandwidth b of the matrix (b = d for the Gram matrix of
-a degree-d polynomial) and touch only the b diagonals below the main one, so
-a factor costs O(n b^2) and a solve O(n b); without a band they run the same
-loop with b = n, the dense case (stored series, kernel Gram matrices).  The
-matrices are stored dense either way.  All functions are pure and reentrant.
+matters more than peak performance.  The Cholesky factor and both
+substitutions take the lower bandwidth b (b = d for the Gram matrix of a
+degree-d polynomial) and touch only the b diagonals below the main one: a
+factor costs O(n b^2), a solve O(n b) a right-hand side; without a band they
+run the same loop with b = n, the dense case (stored series, kernel Gram
+matrices).  The matrices are stored dense either way.  All functions are
+reentrant and pure, but backward_substitute_H overwrites its right-hand side.
 """
 
 from __future__ import annotations
@@ -101,13 +102,16 @@ def forward_substitute(L: np.ndarray, b: np.ndarray, band: int | None = None) ->
     return y
 
 
-def backward_substitute_H(L: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve L^H x = y."""
+def backward_substitute_H(L: np.ndarray, b: np.ndarray, band: int | None = None) -> np.ndarray:
+    """Solve L^H x = b in place and return b, now x: a complex vector, or a
+    matrix with one right-hand side per column.  Row i reads the ``band``
+    entries below L's diagonal in column i (all of them by default)."""
     n = L.shape[0]
-    x = np.zeros(n, dtype=complex)
+    w = n if band is None else band
     for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - np.dot(np.conj(L[i + 1 :, i]), x[i + 1 :])) / np.conj(L[i, i])
-    return x
+        hi = i + w + 1
+        b[i] = (b[i] - np.conj(L[i + 1 : hi, i]) @ b[i + 1 : hi]) / np.conj(L[i, i])
+    return b
 
 
 def solve_factored(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -380,13 +380,18 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
         alpha, beta = (np.convolve(m.coeffs, x.coeffs)[:n] for x, n in zip((a, b), keep))
     width = max(alpha.size + J, beta.size + K)
     w, t = space.weights(width), np.arange(width)
-    if poly and J > 0:
-        values = _banded_products(w, alpha, beta, J, K)
-        return values, 1e-16 * (1.0 + np.abs(values))
+    if poly:  # finite data whose sums overflow is refused (NaN data goes on, to fail the factor)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if J:
+                values = _banded_products(w, alpha, beta, J, K)
+            else:
+                values = _against_shifts(w * _shift_matrix(alpha, 0, width), beta, K)
+            errs = 1e-16 * (1.0 + np.abs(values))
+        if not math.isfinite(errs.max()) and np.isfinite(alpha).all() and np.isfinite(beta).all():
+            raise OverflowError("inner products overflow the double range")
+        return values, errs
     wA = w * _shift_matrix(alpha, J, width)
     values = _against_shifts(wA, beta, K)
-    if poly:
-        return values, 1e-16 * (1.0 + np.abs(values))
     La, Lb = alpha.size + np.arange(J + 1), beta.size + np.arange(K + 1)  # stored lengths
     Ma, Mb = _shift_envelopes(a, J, m), _shift_envelopes(b, K, m)
     # the rounding of each summed term, and z^j h's envelope where it has ended

@@ -536,3 +536,23 @@ def test_a_failing_stdout_keeps_its_own_exception(monkeypatch):
     monkeypatch.setattr(cli.sys, "stdout", ClosedPipe())
     with pytest.raises(BrokenPipeError):
         main(["approximate", "--space", H2_DESC, "--f", "[[1,0],[-1,0]]", "--n-max", "2"])
+
+
+@pytest.mark.parametrize(
+    "space, f, g, what",
+    [
+        ('{"kind":"custom","weights":[1,1e307,1.5e307]}', "[[1,0],[-0.5,0]]", "[[1,0]]", "weights"),
+        (H2_DESC, "[[1e300,0],[-1e300,0]]", "[[1,0]]", "inner products"),
+        (H2_DESC, "[[1e160,0],[-1e160,0]]", "[[1,0]]", "inner products"),
+        (H2_DESC, "[[1,0],[-0.5,0]]", "[[1e300,0],[1e300,0]]", "distance"),
+    ],
+    ids=["weights", "f_1e300", "f_1e160", "g_1e300"],
+)
+def test_overflow_is_an_unsupported_request(capsys, space, f, g, what):
+    # the suite turns RuntimeWarnings into errors, so an overflow that leaks
+    # inf or NaN into the output (or into the factor) fails here as well
+    argv = ["approximate", "--space", space, "--f", f, "--g", g, "--n-max", "10"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("opa: approximate: ") and err.count("\n") == 1
+    assert what in err and "overflow" in err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from opa import engine
 from opa.errors import (
     CannotCertifyError,
     EnvelopeOverflowError,
@@ -148,7 +149,8 @@ def _series_f(length):
     return series_mul(b, geometric_series(0.4 - 0.2j, length=length))
 
 
-def test_build_system_matches_pairwise_reference():
+def test_build_system_matches_pairwise_reference(monkeypatch):
+    monkeypatch.setattr(engine, "_ENTRY_EPS", 1e-9)  # the bound asked of series entries
     quot = WeightSequence.multiplier(CPoly([1, -0.5 + 0.2j]))
     custom = WeightSequence.custom([1.0, 1.4, 1.5, 1.45])
     f = CPoly([0.7, -1.1 + 0.3j, 0.4, 0.2j])
@@ -160,23 +162,25 @@ def test_build_system_matches_pairwise_reference():
     cases += [(H2, f, series, 10), (quot, series, g, 8)]
     for space, ff, gg, n in cases:
         G, rhs, err = reference_system(space, ff, gg, n, 1e-9)
-        G_b, rhs_b, err_b = build_system(space, ff, gg, n, 1e-9)
+        G_b, rhs_b, err_b = build_system(space, ff, gg, n)
         assert np.max(np.abs(G_b - G)) <= 1e-14 * np.max(np.abs(G))
         assert np.max(np.abs(rhs_b - rhs)) <= 1e-14 * np.max(np.abs(rhs))
         assert abs(err_b - err) <= 1e-12 * err
 
 
-def test_build_system_refuses_short_prefixes_like_reference():
+def test_build_system_refuses_short_prefixes_like_reference(monkeypatch):
     quot = WeightSequence.multiplier(CPoly([1, -0.5]))
     outcomes = []
     for space in (H2, quot):
         for length in (40, 60, 80, 120):
             f = _series_f(length)
             for eps in (1e-12, 1e-9):
+                monkeypatch.setattr(engine, "_ENTRY_EPS", eps)
                 raised = []
-                for build in (reference_system, build_system):
+                builds = (lambda: reference_system(space, f, ONE, 6, eps), lambda: build_system(space, f, ONE, 6))
+                for build in builds:
                     try:
-                        build(space, f, ONE, 6, eps)
+                        build()
                         raised.append(False)
                     except CannotCertifyError:
                         raised.append(True)
@@ -263,12 +267,13 @@ def test_build_system_makes_two_shift_products_calls(monkeypatch):
         return shift_products(*args)
 
     monkeypatch.setattr(opa.engine, "shift_products", counted)
+    monkeypatch.setattr(opa.engine, "_ENTRY_EPS", 1e-9)
     quot = WeightSequence.multiplier(CPoly([1, -0.5 + 0.2j]))
     f = CPoly([0.7, -1.1 + 0.3j, 0.4, 0.2j])
     for space, ff in ((D1, f), (H2, _series_f(200)), (quot, f), (quot, _series_f(200))):
         for n in (0, 1, 12):
             calls.clear()
-            build_system(space, ff, ONE, n, 1e-9)
+            build_system(space, ff, ONE, n)
             assert len(calls) == 2, (space, n)
 
 
@@ -349,11 +354,38 @@ def test_banded_sweep_matches_lapack_on_the_pairwise_gram(coeffs, space, n):
     y = np.linalg.solve(np.linalg.cholesky(G), rhs)
     dist = gg - np.cumsum(np.abs(y) ** 2)
     sweep = approximant_sweep(space, f, ONE, n)
-    for r in sweep:
+    solo = optimal_approximant(space, f, ONE, n)
+    for r in sweep + [solo]:
         a = np.linalg.solve(G[: r.n + 1, : r.n + 1], rhs[: r.n + 1])
         tol = 1e-14 * cond
         assert abs(r.distance_sq - dist[r.n]) <= tol * gg, (r.n, cond)
         assert np.max(np.abs(r.p_star.padded(r.n + 1) - a)) <= tol * np.max(np.abs(a)), (r.n, cond)
+
+
+def _sweep_reference(space, f, g, n_max):
+    """(X, dist, errs) of the sweep as it stood before it shared its back
+    substitution: L^H X = triu(y 1^T), the right-hand side filled in as each
+    row is reached."""
+    L, y, band, dist, norm_err, entry_err = engine._factored_system(space, f, g, n_max)
+    X = np.zeros_like(L)
+    for i in range(n_max, -1, -1):
+        hi = i + band + 1
+        X[i, i:] = y[i]
+        X[i] = (X[i] - np.conj(L[i + 1 : hi, i]) @ X[i + 1 : hi]) / np.conj(L[i, i])
+    ns = np.arange(n_max + 1)
+    errs = np.maximum(norm_err + np.abs(X).sum(axis=0) * 1e-12, entry_err * (ns + 2))
+    return X, dist, errs
+
+
+def test_sweep_is_bit_identical_to_the_fill_as_you_go_loop():
+    f = CPoly([0.7, -1.1 + 0.3j, 0.4, 0.2j])
+    g = CPoly([1.0, 0.5j, -0.25])
+    cases = [(H2, f, ONE, 40), (D2, f, g, 40), (QUOT, f, ONE, 30), (H2, _series_f(200), ONE, 12)]
+    for space, ff, gg, n_max in cases:
+        X, dist, errs = _sweep_reference(space, ff, gg, n_max)
+        for r in approximant_sweep(space, ff, gg, n_max):
+            assert r.p_star.coeffs.tobytes() == CPoly(X[: r.n + 1, r.n]).coeffs.tobytes(), (space, r.n)
+            assert (r.distance_sq, r.err) == (dist[r.n], errs[r.n]), (space, r.n)
 
 
 def test_polynomial_gram_and_factor_vanish_outside_the_band():
@@ -397,14 +429,18 @@ def test_blaschke_series_constant_approximant():
 
 
 def test_sweep_matches_independent_solves():
+    # optimal_approximant factors the degree-n system and solves for degree n alone
     f = CPoly([0.3, -1.1, 1])
+    for space, ff in ((H2, f), (D2, f), (QUOT, f), (H2, _series_f(200))):
+        sweep = approximant_sweep(space, ff, ONE, 8)
+        for n in (0, 3, 8):
+            solo = optimal_approximant(space, ff, ONE, n)
+            assert solo.n == n
+            assert np.allclose(
+                sweep[n].p_star.padded(n + 1), solo.p_star.padded(n + 1), atol=1e-12
+            )
+            assert abs(sweep[n].distance_sq - solo.distance_sq) < 1e-12
     sweep = approximant_sweep(H2, f, ONE, 8)
-    for n in (0, 3, 8):
-        solo = optimal_approximant(H2, f, ONE, n)
-        assert np.allclose(
-            sweep[n].p_star.padded(n + 1), solo.p_star.padded(n + 1), atol=1e-12
-        )
-        assert abs(sweep[n].distance_sq - solo.distance_sq) < 1e-12
     # each degree's bar, summed on its own: ||g||^2's error plus 1e-12 sum |a_k|,
     # or n + 2 entry errors
     gg_err, entry_err = norm_sq_any(H2, ONE).err, build_system(H2, f, ONE, 8)[2]

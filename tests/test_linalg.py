@@ -12,12 +12,14 @@ from opa.linalg import (
     _eval_with_derivative,
     _polish,
     _sorted_roots,
+    backward_substitute_H,
     check_hermitian,
     cholesky_border,
     cholesky_factor,
     cholesky_solve,
     forward_substitute,
     poly_roots,
+    solve_factored,
 )
 from opa.series import CPoly
 
@@ -99,6 +101,15 @@ def _dense_forward_reference(L, b):
     return y
 
 
+def _dense_backward_reference(L, y):
+    """The dense back substitution as it stood before it took a band."""
+    n = L.shape[0]
+    x = np.zeros(n, dtype=complex)
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - np.dot(np.conj(L[i + 1 :, i]), x[i + 1 :])) / np.conj(L[i, i])
+    return x
+
+
 def test_dense_factor_and_solve_are_bit_identical_to_the_dense_loop():
     rng = np.random.RandomState(31)
     for n in (1, 2, 5, 17, 64, 130):
@@ -107,11 +118,16 @@ def test_dense_factor_and_solve_are_bit_identical_to_the_dense_loop():
         b = rng.randn(n) + 1j * rng.randn(n)
         L_ref = _dense_factor_reference(G)
         y_ref = _dense_forward_reference(L_ref, b)
+        x_ref = _dense_backward_reference(L_ref, y_ref)
+        assert solve_factored(L_ref, b).tobytes() == x_ref.tobytes(), n
         # no band, and a band as wide as the matrix, run the dense slices
         for band in (None, n - 1, n):
             L = cholesky_factor(G, band)
             assert L.tobytes() == L_ref.tobytes(), (n, band)
             assert forward_substitute(L, b, band).tobytes() == y_ref.tobytes(), (n, band)
+            y = y_ref.copy()
+            assert backward_substitute_H(L, y, band) is y  # in place
+            assert y.tobytes() == x_ref.tobytes(), (n, band)
 
 
 def test_banded_factor_matches_dense_and_keeps_its_band():
@@ -130,6 +146,13 @@ def test_banded_factor_matches_dense_and_keeps_its_band():
         b = rng.randn(n) + 1j * rng.randn(n)
         y = forward_substitute(L, b, band)
         assert np.max(np.abs(L @ y - b)) <= 1e-13 * np.max(np.abs(b))
+        # one right-hand side per column, each as if solved alone
+        B = rng.randn(n, 3) + 1j * rng.randn(n, 3)
+        X = backward_substitute_H(L, B.copy(), band)
+        assert np.max(np.abs(L.conj().T @ X - B)) <= 1e-13 * np.max(np.abs(B))
+        for c in range(3):
+            x = backward_substitute_H(L, B[:, c].copy(), band)
+            assert np.max(np.abs(x - X[:, c])) <= 1e-14 * np.max(np.abs(x))
 
 
 # -- roots -------------------------------------------------------------------
