@@ -10,7 +10,6 @@ from .errors import (
     OpaError,
     OrthogonalDataError,
     RootFindingError,
-    UndecidableError,
 )
 from .series import (
     CPoly,

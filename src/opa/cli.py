@@ -24,8 +24,7 @@ CSV zero padding is a constant run of ``,0``.
 Exit codes: 0 success (also for --help), 1 command-line, usage or unsupported
 request error (a kernel at a point that is not reproducible, an --out path
 that cannot be written, data whose weights, inner products or distances
-overflow the double range), 2 orthogonal data (<g, f> = 0), 3 solver failure,
-4 undecidable zero classification.
+overflow the double range), 2 orthogonal data (<g, f> = 0), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .errors import (
     NotReproducibleError,
     OrthogonalDataError,
     RootFindingError,
-    UndecidableError,
 )
 from .projection import distance_to_poly, project_unity, recurrence_residual
 from .series import CPoly
@@ -65,7 +63,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ORTHOGONAL = 2
 EXIT_SOLVER = 3
-EXIT_UNDECIDABLE = 4
 
 
 @dataclass
@@ -344,10 +341,7 @@ def cmd_project(job: JobSpec) -> tuple[str, int]:
 def cmd_diagnose(job: JobSpec) -> tuple[str, int]:
     reference = None
     if isinstance(job.f, CPoly) and job.f.coefficient(0) != 0 and job.space.monomials_orthogonal:
-        try:
-            reference = project_unity(job.space, job.f, eps=1e-9).dist_sq
-        except UndecidableError:
-            reference = None
+        reference = project_unity(job.space, job.f, eps=1e-9).dist_sq
     diag = cyclicity_diagnostic(
         job.space, job.f, n_max=job.n_max, reference_dist_sq=reference
     )
@@ -461,7 +455,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         job = parse_job(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"opa: bad job: {exc}", file=sys.stderr)
         return EXIT_USAGE
     handler = _COMMANDS[job.command]
@@ -473,9 +467,6 @@ def main(argv=None) -> int:
     except (NotPositiveDefiniteError, RootFindingError, IllConditionedError, CannotCertifyError) as exc:
         print(f"opa: {job.command}: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except UndecidableError as exc:
-        print(f"opa: {job.command}: undecidable classification: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDABLE
     except (ValueError, OverflowError, NotReproducibleError) as exc:
         print(f"opa: {job.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,10 +35,6 @@ class NotReproducibleError(OpaError):
     at the requested order, so the kernel series diverges."""
 
 
-class UndecidableError(OpaError):
-    """Reproducibility cannot be decided from the available weight data."""
-
-
 class RootFindingError(OpaError):
     """The root finder did not converge; ``best`` carries the last iterate."""
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedError, NotPositiveDefiniteError, UndecidableError
+from .errors import IllConditionedError, NotPositiveDefiniteError
 from .linalg import (
     cholesky_factor,
     condition_estimate,
@@ -67,7 +67,6 @@ class ZeroClassification:
 
     zeros: list  # all roots as (beta, multiplicity)
     classified: list  # ClassifiedZero entries with non-empty orders
-    undecided: list  # (beta, order) pairs the space could not decide
 
     @property
     def R(self) -> int | None:
@@ -249,27 +248,20 @@ def falling_factorial(k: int, n: int) -> int:
 
 def classify_zeros(space: WeightSequence, f: CPoly) -> ZeroClassification:
     """Classify each zero of f by reproducible derivative orders below its
-    multiplicity.  Undecidable orders are reported per zero, never guessed."""
+    multiplicity."""
     if not isinstance(f, CPoly):
         raise TypeError("classification requires a polynomial")
     if f.coefficient(0) == 0:
         raise ValueError("classification requires f(0) != 0")
     if f.degree < 1:
-        return ZeroClassification([], [], [])
+        return ZeroClassification([], [])
     roots = poly_roots(f)
     classified = []
-    undecided = []
     for beta, mult in roots:
-        orders = []
-        for j in range(mult):
-            cert = is_reproducible(space, beta, j)
-            if cert.reproducible is None:
-                undecided.append((beta, j))
-            elif cert.reproducible:
-                orders.append(j)
+        orders = [j for j in range(mult) if is_reproducible(space, beta, j).reproducible]
         if orders:
             classified.append(ClassifiedZero(beta, mult, tuple(orders)))
-    return ZeroClassification(roots, classified, undecided)
+    return ZeroClassification(roots, classified)
 
 
 def _kernel_basis(classification: ZeroClassification) -> list:
@@ -314,10 +306,6 @@ def project_unity(
         raise ValueError("projection formulas require coefficient weights")
     f_monic = f.monic() if f.degree >= 1 else CPoly([1])
     classification = classify_zeros(space, f_monic)
-    if classification.undecided:
-        raise UndecidableError(
-            f"reproducibility undecided for {classification.undecided}"
-        )
     basis = _kernel_basis(classification)
     if not basis:
         return ProjectionResult(
@@ -376,7 +364,7 @@ def blaschke_projection(f: CPoly, eps: float = 1e-12) -> ProjectionResult:
         raise ValueError("projection requires f(0) != 0")
     f_monic = f.monic() if f.degree >= 1 else CPoly([1])
     classification = (
-        classify_zeros(space, f_monic) if f.degree >= 1 else ZeroClassification([], [], [])
+        classify_zeros(space, f_monic) if f.degree >= 1 else ZeroClassification([], [])
     )
     inside = [beta for beta, mult in classification.zeros if abs(beta) < 1.0 for _ in range(mult)]
     phi_series, phi0 = TruncSeries([1.0], 0.0, 0.0, 0.0), 1.0

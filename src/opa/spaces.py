@@ -6,9 +6,9 @@ w_{k+1}/w_k -> 1; the inner product weights Maclaurin coefficients,
 
 * ``dirichlet(alpha)``  -- w_k = (k+1)**alpha; alpha = 0 is the classical
   Hardy space, alpha = 1 the Dirichlet space, alpha = -1 the Bergman space.
-* ``custom``            -- a stored positive prefix plus a continuation rule
-  ('ratio' continues with the final stored ratio, 'constant' repeats the
-  final weight, or a callable giving w_k directly).
+* ``custom``            -- a stored positive prefix plus one of two closed-form
+  continuation rules: 'ratio' continues with the final stored ratio,
+  'constant' repeats the final weight.
 * ``multiplier(m)``     -- the quotient space {h/m : h in H2} for a
   polynomial m with no zeros in the open unit disk; inner products are
   computed isometrically as <m a, m b> in the unweighted space.  Monomials
@@ -21,8 +21,8 @@ prefix has ended, the tail beyond both); Gram systems use J = K, the rest J = 0.
 Derivative-evaluation kernels are the elements representing h -> h^(n)(beta);
 their coefficients are falling-factorial weighted powers of conj(beta) over
 w_k.  A point is "reproducible of order n" when that series converges; this
-module decides it analytically for dirichlet weights and by ratio certificate
-for custom ones, refusing to guess when the data is inconclusive.
+module decides it analytically for dirichlet and quotient weights and from
+the exact ratio limit of the continuation for custom ones.
 
 Every kernel quantity (a kernel value, a kernel-Gram entry, a derivative of
 the projection of 1, a projection tail) is a kernel inner product, a scale
@@ -42,12 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CannotCertifyError,
-    EnvelopeOverflowError,
-    NotReproducibleError,
-    UndecidableError,
-)
+from .errors import CannotCertifyError, EnvelopeOverflowError, NotReproducibleError
 from .series import (
     UNIT_ROUNDOFF,
     CPoly,
@@ -96,16 +91,11 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class Reproducibility:
-    """Three-valued certificate: decided True/False, or None (undecidable)."""
+    """A decided verdict, the rule that decided it and why."""
 
-    reproducible: bool | None
+    reproducible: bool
     certificate: str
     detail: str = ""
-
-    def require(self) -> bool:
-        if self.reproducible is None:
-            raise UndecidableError(self.detail or "reproducibility undecided")
-        return self.reproducible
 
 
 def _finite_real(x, what: str) -> float:
@@ -150,7 +140,7 @@ class WeightSequence:
                 self.ratio = float(arr[-1] / arr[-2])
             elif extension == "constant":
                 self.ratio = 1.0
-            elif not callable(extension):
+            else:
                 raise ValueError(f"unknown extension rule: {extension}")
             self._screen_ratios(arr)
         elif kind == "multiplier":
@@ -217,30 +207,11 @@ class WeightSequence:
             raise ValueError("multiplier spaces have no coefficient weights")
         size = self.prefix.size
         beyond = ks[ks >= size]
-        if callable(self.extension):
-            ext = np.array([float(self.extension(int(k))) for k in beyond])
-            if not np.all(ext > 0):  # also refuses NaN
-                raise ValueError("extension rule produced a non-positive weight")
-        else:
-            with np.errstate(over="ignore"):
-                ext = self.prefix[-1] * self.ratio ** (beyond - size + 1)
-            if not np.all(np.isfinite(ext)):
-                raise OverflowError("custom weights overflow the double range")
+        with np.errstate(over="ignore"):
+            ext = self.prefix[-1] * self.ratio ** (beyond - size + 1)
+        if not np.all(np.isfinite(ext)):
+            raise OverflowError("custom weights overflow the double range")
         return np.concatenate([self.prefix[ks[ks < size]], ext])
-
-    @property
-    def growth_gamma(self) -> float | None:
-        """Certified exponent with w_k <= (k+1)**gamma for all k, if any."""
-        if self.kind == "dirichlet":
-            return max(self.alpha, 0.0)
-        if self.kind == "custom" and not callable(self.extension):
-            if self.ratio <= 1.0 + 1e-15:
-                k = np.arange(1, self.prefix.size)
-                with np.errstate(divide="ignore"):
-                    g = np.log(self.prefix[1:]) / np.log(k + 1.0)
-                return float(max(0.0, g.max()))
-            return None
-        return None
 
     def tail_weight_majorant(self, k0):
         """(W, g, rho) with w_k <= W * (k+1)**g * rho**k for all k >= k0; for an
@@ -249,8 +220,6 @@ class WeightSequence:
             return 1.0, max(self.alpha, 0.0), 1.0
         if self.kind != "custom":
             raise ValueError("multiplier spaces have no coefficient weights")
-        if callable(self.extension):
-            raise CannotCertifyError("callable weight extensions carry no certified growth bound")
         n, rho = self.prefix.size, self.ratio
         if rho <= 1.0:
             return float(self.prefix.max()), 0.0, 1.0
@@ -266,8 +235,6 @@ class WeightSequence:
         if self.kind == "dirichlet":
             return {"kind": "dirichlet", "alpha": self.alpha}
         if self.kind == "custom":
-            if callable(self.extension):
-                raise ValueError("callable extensions are not serializable")
             return {
                 "kind": "custom",
                 "weights": [float(w) for w in self.prefix],
@@ -289,8 +256,11 @@ class WeightSequence:
         if kind == "dirichlet":
             return WeightSequence.dirichlet(desc["alpha"])
         if kind == "custom":
+            weights = desc["weights"]
+            if not isinstance(weights, list):
+                raise ValueError("custom weights must be a list of numbers")
             return WeightSequence.custom(
-                desc["weights"], desc.get("extension", "ratio")
+                [_finite_real(w, "weight") for w in weights], desc.get("extension", "ratio")
             )
         if kind == "multiplier":
             m = desc["m"]
@@ -484,9 +454,10 @@ def is_reproducible(space: WeightSequence, beta: complex, order: int = 0) -> Rep
 
     The defining series sum_k P_order(k)^2 |beta|^(2(k-order)) / w_k is decided
     analytically for dirichlet weights (inside: yes; boundary: iff
-    alpha > 2*order + 1; outside: no) and by an exact ratio certificate for
-    custom continuations.  Callable extensions yield an empirical ratio scan
-    that reports 'undecidable' when inconclusive.
+    alpha > 2*order + 1; outside: no) and for quotient spaces (inside only).
+    For custom weights the term ratio tends to |beta|^2 / ratio, the exact
+    limit of the continuation rule: the series converges below 1 and diverges
+    from 1 on.  Every verdict is decided.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -504,45 +475,15 @@ def is_reproducible(space: WeightSequence, beta: complex, order: int = 0) -> Rep
         if rho < 1.0 - _BOUNDARY_TOL:
             return Reproducibility(True, "analytic", "interior point")
         return Reproducibility(False, "analytic", "boundary/outside point")
-    # custom kind: term ratio tends to |beta|^2 / ratio for geometric
-    # continuations, which is exact
-    if not callable(space.extension):
-        limit = rho**2 / space.ratio
-        if limit < 1.0 - _BOUNDARY_TOL:
-            return Reproducibility(True, "ratio_test", f"ratio limit {limit:.6g} < 1")
-        if limit > 1.0 + _BOUNDARY_TOL:
-            return Reproducibility(False, "ratio_test", f"ratio limit {limit:.6g} > 1")
-        # at the boundary the terms behave like P_order(k)^2 * const, which
-        # never tends to zero
-        return Reproducibility(
-            False, "ratio_test", "ratio limit 1 with non-vanishing terms"
-        )
-    # callable extension: scan term ratios over a window beyond the prefix
-    n0 = space.prefix.size + order + 2
-    ks = np.arange(n0, n0 + 256)
-    terms = np.array(
-        [
-            fall**2 * rho ** (2 * (k - order)) / space.weight(k)
-            for fall, k in zip(_falling_vec(ks, order), ks)
-        ]
-    )
-    if np.all(terms == 0):
-        return Reproducibility(True, "ratio_test", "terms vanish")
-    ratios = terms[1:] / terms[:-1]
-    steps = np.diff(ratios)  # settling: monotone up to 1e-9
-    if ratios.max() <= 1.0 - 1e-6 and np.all(steps <= 1e-9):
-        return Reproducibility(
-            True, "ratio_test", f"window ratios <= {ratios.max():.6g} and settling"
-        )
-    if ratios.min() >= 1.0 + 1e-6 and np.all(steps >= -1e-9):
-        return Reproducibility(
-            False, "ratio_test", f"window ratios >= {ratios.min():.6g} and settling"
-        )
-    return Reproducibility(
-        None,
-        "undecidable",
-        "prefix window admits no conclusive ratio certificate",
-    )
+    # custom kind: the term ratio tends to |beta|^2 / ratio
+    limit = rho**2 / space.ratio
+    if limit < 1.0 - _BOUNDARY_TOL:
+        return Reproducibility(True, "ratio_test", f"ratio limit {limit:.6g} < 1")
+    if limit > 1.0 + _BOUNDARY_TOL:
+        return Reproducibility(False, "ratio_test", f"ratio limit {limit:.6g} > 1")
+    # at the boundary the terms behave like P_order(k)^2 * const, which
+    # never tends to zero
+    return Reproducibility(False, "ratio_test", "ratio limit 1 with non-vanishing terms")
 
 
 def _falling_vec(ks: np.ndarray, n: int) -> np.ndarray:
@@ -612,9 +553,7 @@ def kernel_series(
     """
     beta = complex(spec.beta)
     cert = is_reproducible(space, beta, spec.order)
-    if cert.reproducible is not True:
-        if cert.reproducible is None:
-            cert.require()
+    if not cert.reproducible:
         raise NotReproducibleError(
             f"point {beta} is not reproducible at order {spec.order}: {cert.detail}"
         )
@@ -723,11 +662,8 @@ def falling_product_sum(
     if q > 1.0 + _BOUNDARY_TOL:
         raise CannotCertifyError("series with |u| > 1 diverges")
     real, z = False, 0.0
-    if q >= 1.0 - _BOUNDARY_TOL and space.kind == "custom":
-        if callable(space.extension):
-            raise CannotCertifyError("callable weight extensions admit no certified boundary sums")
-        if not space.ratio > 1.0:
-            raise CannotCertifyError("boundary sums over non-growing custom weights diverge")
+    if q >= 1.0 - _BOUNDARY_TOL and space.kind == "custom" and not space.ratio > 1.0:
+        raise CannotCertifyError("boundary sums over non-growing custom weights diverge")
     if q < 1.0 - _BOUNDARY_TOL or space.kind == "custom":
         # a growing custom continuation dominates the polynomial factor
         stop, offset, rem = _interior_tail(space, j, l, q, start, 0.5 * eps)
@@ -758,8 +694,6 @@ def _inverse_weight_majorant(space) -> tuple[float, float]:
     """(M, rho) with 1/w_k <= M rho**k for every k of a custom space: beyond
     the prefix 1/w_k = ratio**(n-1-k) / w_{n-1}, a geometric sequence with
     base 1/ratio, and the prefix goes into the constant."""
-    if callable(space.extension):
-        raise CannotCertifyError("callable weight extensions admit no certified sums")
     return max(float(space.ratio**k / w) for k, w in enumerate(space.prefix)), 1.0 / space.ratio
 
 

@@ -11,10 +11,8 @@ from opa.cli import (
     EXIT_OK,
     EXIT_ORTHOGONAL,
     EXIT_SOLVER,
-    EXIT_UNDECIDABLE,
     EXIT_USAGE,
     JobSpec,
-    cmd_project,
     main,
     parse_coeffs,
     parse_space,
@@ -364,35 +362,6 @@ def test_diagnose_constant_f_all_zero(capsys):
     assert np.allclose(dists, 0.0, atol=1e-13)
 
 
-def test_exit_code_undecidable_classification(capsys):
-    # callable weight extensions (API-level spaces) can defeat the ratio
-    # certificate; project must then refuse with the dedicated exit code
-    wobble = WeightSequence.custom(
-        [1, 1.5, 1.5], extension=lambda k: 1.5 + 0.4 * (-1) ** k
-    )
-    job = JobSpec(
-        command="project",
-        space=wobble,
-        f=CPoly([-0.5, 1]),
-        g=CPoly([1]),
-        n_max=10,
-        eps=1e-9,
-        fmt="json",
-    )
-    from opa.cli import _COMMANDS
-    from opa.errors import UndecidableError
-
-    with pytest.raises(UndecidableError):
-        cmd_project(job)
-    # and through the dispatcher path used by main():
-    try:
-        _COMMANDS["project"](job)
-        code = EXIT_OK
-    except UndecidableError:
-        code = EXIT_UNDECIDABLE
-    assert code == EXIT_UNDECIDABLE
-
-
 def test_csv_unsupported_for_project(capsys):
     code, _, err = run(
         capsys,
@@ -536,6 +505,28 @@ def test_a_failing_stdout_keeps_its_own_exception(monkeypatch):
     monkeypatch.setattr(cli.sys, "stdout", ClosedPipe())
     with pytest.raises(BrokenPipeError):
         main(["approximate", "--space", H2_DESC, "--f", "[[1,0],[-1,0]]", "--n-max", "2"])
+
+
+@pytest.mark.parametrize(
+    "weights",
+    ["[true,2,3]", '[1,"2",3]', "[1,%d,3]" % 10**400, '{"w1":2}', "3"],
+    ids=["bool", "string", "huge_int", "object", "scalar"],
+)
+def test_descriptor_weights_must_be_numbers(capsys, weights):
+    # true and "2" used to run as the weights [1, 2, 3]; a weight is read as
+    # strictly as alpha and the entries of m
+    space = '{"kind":"custom","weights":%s}' % weights
+    argv = ["approximate", "--space", space, "--f", "[[1,0],[-0.5,0]]", "--n-max", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("opa: bad job: ") and err.count("\n") == 1
+
+
+def test_unknown_extension_rule_is_a_usage_error(capsys):
+    space = '{"kind":"custom","weights":[1,2,3],"extension":"geometric"}'
+    code, out, err = run(capsys, ["approximate", "--space", space, "--f", "[[1,0]]"])
+    assert code == EXIT_USAGE
+    assert out == "" and err == "opa: bad job: unknown extension rule: geometric\n"
 
 
 @pytest.mark.parametrize(

@@ -319,8 +319,8 @@ def test_overflowing_shift_envelope_is_refused():
 def test_nan_data_never_passes_the_factor():
     with pytest.raises(NotPositiveDefiniteError):
         approximant_sweep(WeightSequence.dirichlet(0.0), CPoly([1, np.nan]), ONE, 2)
-    space = WeightSequence.custom([1.0, 1.1, 1.2], extension=lambda k: np.nan)
     with pytest.raises(ValueError):
+        space = WeightSequence.custom([1.0, 1.1, 1.2], extension=lambda k: np.nan)
         approximant_sweep(space, CPoly([1, -0.5, 0.25, 0.1]), ONE, 2)
 
 

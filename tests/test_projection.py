@@ -6,7 +6,6 @@ import pytest
 
 import opa.projection
 from opa.engine import approximant_sweep, is_inner, orthogonal_to_shifts
-from opa.errors import UndecidableError
 from opa.projection import (
     blaschke_projection,
     classify_zeros,
@@ -161,14 +160,6 @@ def test_projection_near_coincident_zeros():
     f_ok = poly_mul(CPoly([-0.5, 1]), CPoly([-0.50001, 1]))
     r = project_unity(H2, f_ok)
     assert abs(r.phi0 - (0.5 * 0.50001) ** 2) < 1e-6
-
-
-def test_projection_undecidable_classification_raises():
-    wobble = WeightSequence.custom(
-        [1, 1.5, 1.5], extension=lambda k: 1.5 + 0.4 * (-1) ** k
-    )
-    with pytest.raises(UndecidableError):
-        project_unity(wobble, HALF)
 
 
 def test_vanishing_conditions():

@@ -51,8 +51,8 @@ def test_custom_weights_ratio_and_constant_extension():
 def test_custom_weights_vectorized_from_any_start():
     # weights(n, start) continues the prefix in closed form, bit-equal to
     # weight(k) on both sides of the prefix end, and within rounding of the
-    # rule w_{n-1} ratio**(k - n + 1); a callable extension is asked once per
-    # index.  Dirichlet weights from any start are bit-equal to weight(k) too
+    # rule w_{n-1} ratio**(k - n + 1).  Dirichlet weights from any start are
+    # bit-equal to weight(k) too
     for space in (D2, WeightSequence.dirichlet(-1.0), WeightSequence.dirichlet(2.7)):
         assert space.weights(300, 7).tolist() == [space.weight(k) for k in range(7, 300)]
     for ext, ratio in (("ratio", 2.1 / 1.7), ("constant", 1.0)):
@@ -62,15 +62,6 @@ def test_custom_weights_vectorized_from_any_start():
             assert got.tolist() == [w.weight(k) for k in range(start, n)], (ext, start)
             closed = [[1.0, 1.3, 1.7, 2.1][k] if k < 4 else 2.1 * ratio ** (k - 3) for k in range(start, n)]
             assert np.allclose(got, closed, rtol=1e-14, atol=0), (ext, start)
-    asked = []
-
-    def rule(k):
-        asked.append(k)
-        return 2.0 + k
-
-    w = WeightSequence.custom([1.0, 2.0, 3.0], extension=rule)
-    assert w.weights(7, 1).tolist() == [2.0, 3.0, 5.0, 6.0, 7.0, 8.0]
-    assert asked == [3, 4, 5, 6]
     with pytest.raises(OverflowError):  # 1.5**k leaves the double range
         WeightSequence.custom([1.0, 1.5, 2.25]).weights(2000, 1990)
 
@@ -84,18 +75,19 @@ def test_custom_weight_validation():
         WeightSequence.custom([1, 2, 8])  # final ratio far from 1
 
 
+def test_custom_continuation_is_a_closed_form_rule():
+    # a custom space is its stored prefix plus 'ratio' or 'constant'; a
+    # callable (whose weights a stored prefix holds just as well) is refused
+    with pytest.raises(ValueError, match="unknown extension rule"):
+        WeightSequence.custom([1.0, 1.6, 1.616], extension=lambda k: 1.6 * 1.01 ** (k - 2))
+    with pytest.raises(ValueError, match="unknown extension rule"):
+        WeightSequence.custom([1.0, 1.6, 1.616], extension="geometric")
+
+
 def test_multiplier_requires_zero_free_polynomial():
     WeightSequence.multiplier(CPoly([1, -0.5]))  # root 2, fine
     with pytest.raises(ValueError):
         WeightSequence.multiplier(CPoly([-0.5, 1]))  # root 1/2 inside
-
-
-def test_growth_gamma():
-    assert H2.growth_gamma == 0.0
-    assert D2.growth_gamma == 2.0
-    assert WeightSequence.dirichlet(-1.0).growth_gamma == 0.0
-    w = WeightSequence.custom([1, 2, 3], extension="constant")
-    assert w.growth_gamma >= 1.0
 
 
 def test_tail_weight_majorant_takes_an_array_of_starts():
@@ -269,15 +261,32 @@ def test_reproducibility_custom_ratio():
     assert is_reproducible(wc, 1.0, 0).reproducible is False  # terms ~ 1/2
 
 
-def test_reproducibility_callable_extension_undecidable():
-    # oscillating continuation: the ratio window never settles
-    wobble = WeightSequence.custom(
-        [1, 1.5, 1.5], extension=lambda k: 1.5 + 0.4 * (-1) ** k
-    )
-    cert = is_reproducible(wobble, 1.0, 0)
-    assert cert.reproducible is None
-    with pytest.raises(Exception):
-        cert.require()
+def test_reproducibility_is_always_decided():
+    # every kind of space gives a bool verdict inside, on and outside the
+    # circle: analytic for dirichlet and quotient weights, the exact ratio
+    # limit |beta|^2 / ratio of the continuation for custom ones
+    spaces = {
+        "bergman": (WeightSequence.dirichlet(-1.0), None),
+        "hardy": (WeightSequence.dirichlet(0.0), None),
+        "dirichlet2": (WeightSequence.dirichlet(2.0), None),
+        "growing": (WeightSequence.custom([1, 1.2, 1.44]), 1.2),
+        "decaying": (WeightSequence.custom([1.0, 1.4, 1.5, 1.45]), 1.45 / 1.5),
+        "constant": (WeightSequence.custom([1, 2, 2], extension="constant"), 1.0),
+        "quotient": (WeightSequence.multiplier(CPoly([1, -0.5])), None),
+    }
+    for name, (space, ratio) in spaces.items():
+        for mod in (0.5, 1.0, 2.0):
+            beta = mod * cmath.exp(0.7j)
+            for order in range(3):
+                verdict = is_reproducible(space, beta, order).reproducible
+                assert type(verdict) is bool, (name, mod, order)
+                if ratio is not None:
+                    expected = mod**2 < ratio
+                elif space.kind == "multiplier":
+                    expected = mod < 1
+                else:
+                    expected = mod < 1 or (mod == 1 and space.alpha > 2 * order + 1)
+                assert verdict is expected, (name, mod, order)
 
 
 def test_reproducibility_multiplier_kind():
