@@ -300,7 +300,7 @@ def _series_shift_horizon(space: WeightSequence, f: TruncSeries, eps: float) -> 
     # supremum of (t+1)^gamma (r/rr)^t
     gplus = max(f.tail_gamma, 0.0)
     env_flat = f.tail_M * poly_geometric_sup(gplus, r / rr) if r > 0 else f.tail_M
-    Mhat = _covering_M(env_flat, rr, 0.0, np.arange(len(f)), np.abs(f.coeffs))
+    Mhat = _covering_M(env_flat, rr, 0.0, np.arange(len(f), dtype=float), np.abs(f.coeffs))
     W, g, rho = space.tail_weight_majorant(0)
     if rr * rho >= 1.0 or rr * rr * rho >= 1.0:
         raise CannotCertifyError("envelope too weak to bound shifted inner products")

@@ -21,6 +21,7 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -216,6 +217,7 @@ def power_tail_bound(M: float, q: float, gamma: float, N: int) -> float:
     return M * poly_geometric_sup(gamma, t) * qhat ** (N + 1) / (1.0 - qhat)
 
 
+@functools.lru_cache(maxsize=256)
 def poly_geometric_sup(gamma: float, t: float) -> float:
     """max over k >= 0 of (k+1)**gamma * t**k for gamma >= 0 and 0 < t < 1,
     attained next to k = gamma / log(1/t) - 1."""
@@ -253,29 +255,42 @@ def needed_length(M: float, r: float, gamma: float, eps: float) -> int:
 
 
 def _covering_M(M, r, gamma, ks, values):
-    """Smallest M' >= M with values[i] <= M' r**ks[i] (ks[i]+1)**gamma.
+    """Smallest M' >= M with values[s] <= M' r**k (k+1)**gamma at k = ks[s];
+    with n more ks than values, one M' for each shift i = 0..n of the values
+    (values[s] at k = ks[s + i]), M a float or one per shift.
 
     Zero values need no cover.  Where r**k or r**k (k+1)**gamma is not a
     normal double (it underflowed, or kept fewer than 53 bits), the ratio is
-    taken in logarithms and rounded up, so the cover stays rigorous.
+    taken in logarithms and rounded up, so the cover stays rigorous.  When
+    every one is normal (the smaller of the two is the denominator when
+    gamma < 0, else r**k) the ratios take one pass.
     """
     vals = np.asarray(values, dtype=float)
-    ks, vals = np.asarray(ks, dtype=float)[vals != 0], vals[vals != 0]
+    ks = np.asarray(ks, dtype=float)
+    # the shifts' denominators are windows of one array
+    win = np.lib.stride_tricks.sliding_window_view if ks.size > vals.size else lambda x, _: x
     rk = r**ks
-    denom = rk * (ks + 1.0) ** gamma
-    pos = (rk >= _TINY) & (denom >= _TINY)
-    out = float(max(M, np.max(vals[pos] / denom[pos]))) if pos.any() else M
-    if not pos.all():
-        if r == 0:
-            raise EnvelopeOverflowError("cannot cover nonzero values with r == 0")
-        # each logarithm, product and sum is off by a few units in the last place
-        parts = (np.log(vals[~pos]), -ks[~pos] * math.log(r), -gamma * np.log1p(ks[~pos]))
-        x = sum(parts) + 16.0 * UNIT_ROUNDOFF * sum(np.abs(t) for t in parts)
-        with np.errstate(over="ignore"):
-            out = max(out, float(np.max(np.exp(x))) * (1.0 + 4.0 * UNIT_ROUNDOFF))
-        if not math.isfinite(out):
-            raise EnvelopeOverflowError("covering constant overflows")
-    return out
+    denom = rk * (ks + 1.0) ** gamma if gamma else rk
+    logged = False
+    if not ks.size or (denom if gamma < 0 else rk).min() >= _TINY:
+        ratios = vals / win(denom, vals.size)
+    else:
+        pos = win((rk >= _TINY) & (denom >= _TINY), vals.size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratios = np.where(pos, vals / win(denom, vals.size), 0.0)
+            cover = ~pos & (vals != 0)
+            if logged := cover.any():
+                if r == 0:
+                    raise EnvelopeOverflowError("cannot cover nonzero values with r == 0")
+                # each logarithm, product and sum is off by a few units in the last place
+                parts = (np.log(vals), win(-ks * math.log(r), vals.size), win(-gamma * np.log1p(ks), vals.size))
+                x = sum(parts) + 16.0 * UNIT_ROUNDOFF * sum(np.abs(t) for t in parts)
+                ratios = np.where(cover, np.exp(x) * (1.0 + 4.0 * UNIT_ROUNDOFF), ratios)
+    # fmax: a NaN value covers nothing, as in Python's max(M, nan)
+    out = np.fmax(M, ratios.max(axis=-1, initial=-np.inf))
+    if logged and not np.isfinite(out).all():
+        raise EnvelopeOverflowError("covering constant overflows")
+    return float(out) if out.ndim == 0 else out
 
 
 class TruncSeries:
@@ -361,7 +376,7 @@ class TruncSeries:
         """
         if r < self.tail_r:
             raise ValueError("majorant ratio below envelope ratio")
-        ks = np.arange(self.coeffs.size)
+        ks = np.arange(self.coeffs.size, dtype=float)
         return _covering_M(self.tail_M, r, self.tail_gamma, ks, np.abs(self.coeffs))
 
     # -- arithmetic ------------------------------------------------------------
@@ -383,20 +398,25 @@ class TruncSeries:
         coeffs = np.concatenate([np.zeros(i, dtype=complex), self.coeffs])
         if self.tail_M == 0.0:
             return TruncSeries(coeffs, 0.0, 0.0, 0.0)
-        return TruncSeries(coeffs, float(self.shift_tail_M([i])[0]), self.tail_r, self.tail_gamma)
+        return TruncSeries(coeffs, float(self.shift_tail_M(i)[-1]), self.tail_r, self.tail_gamma)
 
-    def shift_tail_M(self, ks) -> np.ndarray:
-        """tail_M of z**i times this series (tail_M > 0) for each shift i in ks:
+    def shift_tail_M(self, n: int) -> np.ndarray:
+        """tail_M of z**i times this series (tail_M > 0) for i = 0..n:
         |h_k| = |s_{k-i}| <= M r^(k-i) (k-i+1)^gamma for k > order + i, so
-        M r^-i, times ((order+2)/(order+i+2))^gamma (its worst) when gamma < 0."""
-        ks = np.asarray(ks, dtype=float)
-        with np.errstate(over="ignore", divide="ignore"):
-            M = self.tail_M * self.tail_r**-ks
-            if self.tail_gamma < 0:
-                M = M * ((self.order + 2.0) / (self.order + ks + 2.0)) ** self.tail_gamma
-        if not np.all(np.isfinite(M)):
+        M r^-i, times ((order+2)/(order+i+2))^gamma (its worst) when gamma < 0.
+        The constant grows with i: the largest, in Python floats (whose power
+        raises where numpy's turns to inf), is refused unless finite, and then
+        no other overflows."""
+        M, r, gamma, base = self.tail_M, self.tail_r, self.tail_gamma, self.order + 2.0
+        try:
+            top = M * r**-n * (base / (base + n)) ** min(gamma, 0.0)
+        except (OverflowError, ZeroDivisionError):
+            top = math.inf
+        if not math.isfinite(top):
             raise EnvelopeOverflowError(f"shifted envelope overflows: r={self.tail_r}")
-        return M
+        ks = np.arange(n + 1.0)
+        out = M * r**-ks
+        return out * (base / (base + ks)) ** gamma if gamma < 0 else out
 
     def add(self, other: "TruncSeries") -> "TruncSeries":
         a, b = self, other
@@ -435,19 +455,24 @@ class TruncSeries:
         if self.tail_M == 0.0:
             prod = np.convolve(p.coeffs, self.coeffs)
             return TruncSeries(prod, 0.0, 0.0, 0.0)
-        d, out_len = p.degree, len(self)
-        if out_len <= d:
+        coeffs = np.convolve(p.coeffs, self.coeffs)[: len(self)]
+        return TruncSeries(coeffs, self.shifts_mul_poly_M(p, 0)[0], self.tail_r, self.tail_gamma)
+
+    def shifts_mul_poly_M(self, p: CPoly, n: int) -> np.ndarray:
+        """tail_M of p times z**i times this series (tail_M > 0, p nonzero) at
+        the stored length L + i, for i = 0..n: z**i times the series has a
+        global majorant |h_k| <= Mhat r^k (k+1)^gamma covering its stored
+        coefficients (index s + i) and its re-based envelope, one covering of
+        all shifts; then |(p h)_k| <= Mhat r^k (k+1)^gamma sum_j |p_j| r^-j,
+        with (k-j+1)^gamma <= (k-d+1)^gamma, worst at k = L + i, for gamma < 0."""
+        d, L, r, gamma = p.degree, len(self), self.tail_r, self.tail_gamma
+        if L <= d:
             raise ValueError("stored length must exceed the polynomial degree")
-        coeffs = np.convolve(p.coeffs, self.coeffs)[:out_len]
-        r = self.tail_r
-        gamma = self.tail_gamma
-        Mhat = self._global_majorant(r)
-        weight = float(np.sum(np.abs(p.coeffs) * r ** (-np.arange(d + 1.0))))
-        M = Mhat * weight
-        if gamma < 0:
-            # (k-j+1)^gamma <= (k-d+1)^gamma; worst ratio at k = out_len
-            M *= ((out_len - d + 1.0) / (out_len + 1.0)) ** gamma
-        return TruncSeries(coeffs, M, r, gamma)
+        Ms = self.shift_tail_M(n) if n else np.array([self.tail_M])
+        Mhat = _covering_M(Ms, r, gamma, np.arange(L + n, dtype=float), np.abs(self.coeffs))
+        M = Mhat * float(np.sum(np.abs(p.coeffs) * r ** (-np.arange(d + 1.0))))
+        lengths = L + np.arange(n + 1.0)
+        return M * ((lengths - d + 1.0) / (lengths + 1.0)) ** gamma if gamma < 0 else M
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
         return series_mul(self, other)

@@ -201,8 +201,8 @@ class WeightSequence:
     def weights(self, n: int, start: int = 0) -> np.ndarray:
         """The weights w_start, ..., w_{n-1} as an array."""
         ks = np.arange(start, n)
-        if self.kind == "dirichlet":
-            return (ks + 1.0) ** self.alpha
+        if self.kind == "dirichlet":  # (k+1)**0 is 1 exactly
+            return (ks + 1.0) ** self.alpha if self.alpha else np.ones(ks.size)
         if self.kind != "custom":
             raise ValueError("multiplier spaces have no coefficient weights")
         size = self.prefix.size
@@ -337,9 +337,10 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
     where the shifted supports meet when h and f are polynomials (the
     banded Gram matrix of a polynomial).  Two polynomials carry rounding
     only; otherwise the error adds the stretch where only one stored prefix
-    has ended (its envelope against the other's coefficients) and the tail
-    beyond both, the envelopes of z^j h and z^k f (in a quotient space, of
-    (z^j h) m and (z^k f) m at their stored lengths) re-based as
+    has ended (its envelope against the other's coefficients, summed over
+    the indices [len h, len f + K) or [len f, len h + J) alone) and the tail
+    beyond both, the envelopes of z^j h and z^k f (in a quotient
+    space, of (z^j h) m and (z^k f) m at their stored lengths) re-based as
     TruncSeries.shift does.  Comparing the errors with eps is the caller's."""
     poly = isinstance(h, CPoly) and isinstance(f, CPoly)
     a, b = (h, f) if poly else (_coerce_series(h), _coerce_series(f))
@@ -349,7 +350,7 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
         keep = [None if poly or x.tail_M == 0 else len(x) for x in (a, b)]  # a series keeps its length
         alpha, beta = (np.convolve(m.coeffs, x.coeffs)[:n] for x, n in zip((a, b), keep))
     width = max(alpha.size + J, beta.size + K)
-    w, t = space.weights(width), np.arange(width)
+    w = space.weights(width)
     if poly:  # finite data whose sums overflow is refused (NaN data goes on, to fail the factor)
         with np.errstate(over="ignore", invalid="ignore"):
             if J:
@@ -362,20 +363,26 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
         return values, errs
     wA = w * _shift_matrix(alpha, J, width)
     values = _against_shifts(wA, beta, K)
-    La, Lb = alpha.size + np.arange(J + 1), beta.size + np.arange(K + 1)  # stored lengths
-    Ma, Mb = _shift_envelopes(a, J, m), _shift_envelopes(b, K, m)
-    # the rounding of each summed term, and z^j h's envelope where it has ended
-    bound = 1e-16 * np.abs(wA)
-    if a.tail_M > 0 and La[0] < Lb[-1]:
-        env = w * a.tail_r**t * (t + 1.0) ** a.tail_gamma
-        np.multiply(Ma[:, None], env, out=bound, where=t >= La[:, None])
+    La, Lb = alpha.size, beta.size  # stored lengths of h and f; z^j h and z^k f store j and k more
+    Ma = _shift_envelopes(a, J, m)
+    Mb = Ma if b is a and K == J else _shift_envelopes(b, K, m)  # a Gram matrix's are one
+    abs_wA = np.abs(wA)
+    # the rounding of each summed term, and z^j h's envelope where it has
+    # ended but z^k f is stored: t in [La + j, Lb + k), within [La, Lb + K)
+    bound = 1e-16 * abs_wA
+    if a.tail_M > 0 and La < Lb + K:
+        t = np.arange(La, Lb + K)
+        env = w[La : Lb + K] * a.tail_r**t * (t + 1.0) ** a.tail_gamma
+        np.multiply(Ma[:, None], env, out=bound[:, La : Lb + K], where=t >= La + np.arange(J + 1)[:, None])
     errs = _against_shifts(bound, np.abs(beta), K)
-    if b.tail_M > 0 and La[-1] > Lb[0]:  # z^k f ended first: the sum from index Lb[k] on
-        terms = np.abs(wA) * (b.tail_r**t * (t + 1.0) ** b.tail_gamma)
+    if b.tail_M > 0 and Lb < La + J:  # z^k f has ended first: t in [Lb + k, La + j), within [Lb, La + J)
+        t = np.arange(Lb, La + J)
+        terms = abs_wA[:, Lb : La + J] * (b.tail_r**t * (t + 1.0) ** b.tail_gamma)
         suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
-        errs += Mb * np.append(suffix, np.zeros((J + 1, 1)), axis=1)[:, Lb]
+        k = min(K + 1, suffix.shape[1])
+        errs[:, :k] += Mb[:k] * suffix[:, :k]
     if a.tail_M > 0 and b.tail_M > 0:
-        Lmax = np.maximum(La[:, None], Lb)
+        Lmax = np.maximum(La + np.arange(J + 1)[:, None], Lb + np.arange(K + 1))
         W, g, rho = space.tail_weight_majorant(Lmax)
         q, gamma = a.tail_r * b.tail_r * rho, a.tail_gamma + b.tail_gamma + g
         # each M r^-i is finite, but two of them may overflow before the small
@@ -393,8 +400,8 @@ def _shift_envelopes(x: TruncSeries, n: int, m) -> np.ndarray:
     if x.tail_M == 0:
         return np.zeros(n + 1)
     if m is not None:
-        return np.array([x.shift(i).mul_poly(m).tail_M for i in range(n + 1)])
-    return x.shift_tail_M(np.arange(n + 1)) if n else np.array([x.tail_M])
+        return x.shifts_mul_poly_M(m, n)
+    return x.shift_tail_M(n) if n else np.array([x.tail_M])
 
 
 def _shift_matrix(c: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -578,7 +585,9 @@ def kernel_series(
         Minv, rho_inv = _inverse_weight_majorant(space)
         r_eff, ginv = rho * rho_inv, 0.0
         if r_eff >= 1.0:
-            raise CannotCertifyError(
+            # an unsupported request, not a failed solve: a stored series
+            # with a geometric envelope r < 1 cannot hold growing coefficients
+            raise ValueError(
                 "kernel coefficients grow under decaying weights; "
                 "no geometric envelope exists"
             )

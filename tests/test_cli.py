@@ -487,6 +487,15 @@ def test_kernel_at_a_point_that_is_not_reproducible_is_a_usage_error(capsys):
     assert out == "" and err.startswith("opa: kernel: ") and "not reproducible" in err
 
 
+def test_kernel_whose_coefficients_grow_is_a_usage_error(capsys):
+    # the point is reproducible (0.97^2 / (1.45 / 1.5) < 1), but no stored
+    # series with an envelope ratio below 1 holds its growing coefficients
+    space = '{"kind":"custom","weights":[1,1.4,1.5,1.45]}'
+    code, out, err = run(capsys, ["kernel", "--space", space, "--beta", "[0.97,0]"])
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("opa: kernel: ") and "grow under decaying weights" in err
+
+
 @pytest.mark.parametrize("target", ["missing/rows.json", "."])
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys, target):
     argv = ["approximate", "--space", H2_DESC, "--f", "[[1,0],[-1,0]]", "--n-max", "2"]

@@ -149,6 +149,13 @@ def _series_f(length):
     return series_mul(b, geometric_series(0.4 - 0.2j, length=length))
 
 
+def _certify_f():
+    # the shape a certificate run on stored series meets: a slower Blaschke
+    # product times 1/(1 - c z), stored to 600, shift horizon 186 at 1e-10
+    b = blaschke_product([0.7, -0.5j], length=600)
+    return series_mul(b, geometric_series(0.4 - 0.2j, length=600))
+
+
 def test_build_system_matches_pairwise_reference(monkeypatch):
     monkeypatch.setattr(engine, "_ENTRY_EPS", 1e-9)  # the bound asked of series entries
     quot = WeightSequence.multiplier(CPoly([1, -0.5 + 0.2j]))
@@ -160,6 +167,7 @@ def test_build_system_matches_pairwise_reference(monkeypatch):
     cases = [(space, f, g, 14) for space in (H2, D1, custom, quot)]
     cases += [(space, series, ONE, 10) for space in (H2, quot)]
     cases += [(H2, f, series, 10), (quot, series, g, 8)]
+    cases += [(H2, _certify_f(), ONE, 16)]  # a long series, J = K = 16
     for space, ff, gg, n in cases:
         G, rhs, err = reference_system(space, ff, gg, n, 1e-9)
         G_b, rhs_b, err_b = build_system(space, ff, gg, n)
@@ -204,6 +212,7 @@ def _shift_cases():
     b2 = blaschke_product([0.5, -0.3 + 0.4j], length=60)  # gamma = 1
     boundary = kernel_series(D2, KernelSpec(1.0, 0), length=64)  # r = 1, gamma = -2
     long_b = blaschke_product([0.6, -0.5j, 0.3 + 0.3j], length=400)
+    certify_f = _certify_f()
     return [
         (H2, series, series, 12),
         (D1, series, series, 12),
@@ -228,6 +237,13 @@ def _shift_cases():
         (D1, TruncSeries.from_poly(g), series, 5),
         (H2, geometric_series(0.5, length=30), f, 10),
         (H2, long_b, long_b, 15),
+        # long windows: a series against itself up to its shift horizon, where
+        # z^k f is stored for k more indices after f has ended; an unequal pair
+        # in both orders, where with h the longer both stretch windows (h ended
+        # and f stored, f ended and h stored) are non-empty for every row
+        (H2, certify_f, certify_f, _series_shift_horizon(H2, certify_f, 1e-10)),
+        (D1, _series_f(50), _series_f(120), 80),
+        (D1, _series_f(120), _series_f(50), 80),
     ]
 
 

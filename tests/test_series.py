@@ -125,6 +125,22 @@ def test_mul_poly_refuses_a_stored_length_within_the_degree():
     assert len(geometric_series(0.5, length=4).mul_poly(CPoly([1, 0, 0, 1]))) == 4
 
 
+def test_shifted_products_envelopes_match_one_shift_at_a_time():
+    # one covering for all shifts against shift(i).mul_poly(p) for each i:
+    # a plain series, one whose r**k underflows inside the shifted windows
+    # (the covering in logarithms), and a boundary kernel (gamma < 0)
+    from opa.spaces import KernelSpec, WeightSequence, kernel_series
+
+    p = CPoly([1, -0.5 + 0.2j, 0.1j])
+    boundary = kernel_series(WeightSequence.dirichlet(2.0), KernelSpec(1.0, 0), length=64)
+    for x in (blaschke_product([0.5, -0.3 + 0.4j], length=60), blaschke_factor(0.15, length=370), boundary):
+        n = 40
+        want = np.array([x.shift(i).mul_poly(p).tail_M for i in range(n + 1)])
+        got = x.shifts_mul_poly_M(p, n)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want), x
+        assert got[0] == x.mul_poly(p).tail_M
+
+
 def test_series_mul_zero_factor():
     g = geometric_series(0.5, length=20)
     z = TruncSeries.from_poly(CPoly([0]))
