@@ -21,7 +21,6 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -217,7 +216,6 @@ def power_tail_bound(M: float, q: float, gamma: float, N: int) -> float:
     return M * poly_geometric_sup(gamma, t) * qhat ** (N + 1) / (1.0 - qhat)
 
 
-@functools.lru_cache(maxsize=256)
 def poly_geometric_sup(gamma: float, t: float) -> float:
     """max over k >= 0 of (k+1)**gamma * t**k for gamma >= 0 and 0 < t < 1,
     attained next to k = gamma / log(1/t) - 1."""
@@ -255,35 +253,33 @@ def needed_length(M: float, r: float, gamma: float, eps: float) -> int:
 
 
 def _covering_M(M, r, gamma, ks, values):
-    """Smallest M' >= M with values[s] <= M' r**k (k+1)**gamma at k = ks[s];
-    with n more ks than values, one M' for each shift i = 0..n of the values
-    (values[s] at k = ks[s + i]), M a float or one per shift.
+    """Smallest M' >= M with values[s] <= M' r**k (k+1)**gamma at k = ks[s].
 
-    Zero values need no cover.  Where r**k or r**k (k+1)**gamma is not a
-    normal double (it underflowed, or kept fewer than 53 bits), the ratio is
-    taken in logarithms and rounded up, so the cover stays rigorous.  When
-    every one is normal (the smaller of the two is the denominator when
-    gamma < 0, else r**k) the ratios take one pass.
+    ks and values broadcast together and the cover runs over their last
+    axis: 2-D ks give one M' per row (M a float or one per row), as for the
+    windows of shifted series.  Zero values need no cover.  Where r**k or
+    r**k (k+1)**gamma is not a normal double (it underflowed, or kept fewer
+    than 53 bits), the ratio is taken in logarithms and rounded up, so the
+    cover stays rigorous.  When every one is normal (the smaller of the two
+    is the denominator when gamma < 0, else r**k) the ratios take one pass.
     """
     vals = np.asarray(values, dtype=float)
     ks = np.asarray(ks, dtype=float)
-    # the shifts' denominators are windows of one array
-    win = np.lib.stride_tricks.sliding_window_view if ks.size > vals.size else lambda x, _: x
     rk = r**ks
     denom = rk * (ks + 1.0) ** gamma if gamma else rk
     logged = False
     if not ks.size or (denom if gamma < 0 else rk).min() >= _TINY:
-        ratios = vals / win(denom, vals.size)
+        ratios = vals / denom
     else:
-        pos = win((rk >= _TINY) & (denom >= _TINY), vals.size)
+        pos = (rk >= _TINY) & (denom >= _TINY)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratios = np.where(pos, vals / win(denom, vals.size), 0.0)
+            ratios = np.where(pos, vals / denom, 0.0)
             cover = ~pos & (vals != 0)
             if logged := cover.any():
                 if r == 0:
                     raise EnvelopeOverflowError("cannot cover nonzero values with r == 0")
                 # each logarithm, product and sum is off by a few units in the last place
-                parts = (np.log(vals), win(-ks * math.log(r), vals.size), win(-gamma * np.log1p(ks), vals.size))
+                parts = (np.log(vals), -ks * math.log(r), -gamma * np.log1p(ks))
                 x = sum(parts) + 16.0 * UNIT_ROUNDOFF * sum(np.abs(t) for t in parts)
                 ratios = np.where(cover, np.exp(x) * (1.0 + 4.0 * UNIT_ROUNDOFF), ratios)
     # fmax: a NaN value covers nothing, as in Python's max(M, nan)
@@ -468,8 +464,8 @@ class TruncSeries:
         d, L, r, gamma = p.degree, len(self), self.tail_r, self.tail_gamma
         if L <= d:
             raise ValueError("stored length must exceed the polynomial degree")
-        Ms = self.shift_tail_M(n) if n else np.array([self.tail_M])
-        Mhat = _covering_M(Ms, r, gamma, np.arange(L + n, dtype=float), np.abs(self.coeffs))
+        ks = np.arange(n + 1.0)[:, None] + np.arange(L)  # row i: z**i x's stored indices
+        Mhat = _covering_M(self.shift_tail_M(n), r, gamma, ks, np.abs(self.coeffs))
         M = Mhat * float(np.sum(np.abs(p.coeffs) * r ** (-np.arange(d + 1.0))))
         lengths = L + np.arange(n + 1.0)
         return M * ((lengths - d + 1.0) / (lengths + 1.0)) ** gamma if gamma < 0 else M

@@ -201,8 +201,8 @@ class WeightSequence:
     def weights(self, n: int, start: int = 0) -> np.ndarray:
         """The weights w_start, ..., w_{n-1} as an array."""
         ks = np.arange(start, n)
-        if self.kind == "dirichlet":  # (k+1)**0 is 1 exactly
-            return (ks + 1.0) ** self.alpha if self.alpha else np.ones(ks.size)
+        if self.kind == "dirichlet":
+            return (ks + 1.0) ** self.alpha
         if self.kind != "custom":
             raise ValueError("multiplier spaces have no coefficient weights")
         size = self.prefix.size
@@ -401,7 +401,7 @@ def _shift_envelopes(x: TruncSeries, n: int, m) -> np.ndarray:
         return np.zeros(n + 1)
     if m is not None:
         return x.shifts_mul_poly_M(m, n)
-    return x.shift_tail_M(n) if n else np.array([x.tail_M])
+    return x.shift_tail_M(n)
 
 
 def _shift_matrix(c: np.ndarray, n: int, width: int) -> np.ndarray:
