@@ -4,9 +4,19 @@ Both algorithms are implemented in-house: deterministic, portable behavior
 matters more than peak performance.  The Cholesky factor and both
 substitutions take the lower bandwidth b (b = d for the Gram matrix of a
 degree-d polynomial) and touch only the b diagonals below the main one: a
-factor costs O(n b^2), a solve O(n b) a right-hand side; without a band they
-run the same loop with b = n, the dense case (stored series, kernel Gram
-matrices).  The matrices are stored dense either way.  All functions are
+factor costs O(n b^2), a solve O(n b) a right-hand side.  The matrices are
+stored dense either way.
+
+Two loops do this work.  A band of at most ``SCALAR_BAND_MAX`` diagonals that
+is narrower than the matrix (every polynomial Gram system of the benchmark's
+workloads) runs one loop over Python complex scalars: it reads the band once,
+one list per row, and writes L's band back once, and its sums take a fixed
+order of IEEE operations.  A numpy loop, a few vector calls a column, runs
+everything else: no band or a band of at least n - 1 (the dense case: stored
+series, kernel Gram matrices), wider bands, and a back substitution with more
+than one right-hand side (a sweep's, vectorized across degrees).  Per column,
+the numpy loop costs about 4 us whatever the band, and the scalar loop grows
+as b^2.  The two loops agree to rounding, not bit for bit.  All functions are
 reentrant and pure, but backward_substitute_H overwrites its right-hand side.
 """
 
@@ -19,6 +29,12 @@ import numpy as np
 from .errors import NotPositiveDefiniteError, RootFindingError
 from .series import CPoly
 
+# A band of at most this many diagonals below the main one, and narrower than
+# the matrix, takes the scalar loops.  At n = 41 and n = 401 (2-vCPU host, one
+# BLAS thread, min of 7, interleaved) the scalar factor took 0.67-0.87 of the
+# numpy factor's time at bands 4 and 5 and 1.02 at band 6; the forward
+# substitution stays faster to band 8, a one-column back substitution to 16.
+SCALAR_BAND_MAX = 5
 _PIVOT_TOL = 1e-14
 _HERM_RTOL = 1e-13
 _CLUSTER_RADIUS = 1e-7
@@ -58,6 +74,8 @@ def cholesky_factor(matrix: np.ndarray, band: int | None = None) -> np.ndarray:
         raise ValueError("matrix must be square")
     n = a.shape[0]
     b = n if band is None else band
+    if _scalar(n, b):
+        return _scalar_factor(a, b)
     L = np.zeros((n, n), dtype=complex)
     for j in range(n):
         lo, hi = max(j - b, 0), j + b + 1
@@ -95,6 +113,9 @@ def forward_substitute(L: np.ndarray, b: np.ndarray, band: int | None = None) ->
     of them by default)."""
     n = L.shape[0]
     w = n if band is None else band
+    if _scalar(n, w):
+        rows = _lower_rows(L, w).tolist()
+        return np.array(_scalar_forward(rows, np.ravel(b).tolist(), w), dtype=complex)
     y = np.zeros(n, dtype=complex)
     for i in range(n):
         lo = max(i - w, 0)
@@ -108,10 +129,83 @@ def backward_substitute_H(L: np.ndarray, b: np.ndarray, band: int | None = None)
     entries below L's diagonal in column i (all of them by default)."""
     n = L.shape[0]
     w = n if band is None else band
+    if _scalar(n, w) and (b.ndim == 1 or b.shape[1] == 1):
+        # L^H x = b is a forward substitution in reversed order: row i of
+        # conj(L[::-1, ::-1].T) is column n - 1 - i of L^H, read upwards
+        x = b if b.ndim == 1 else b[:, 0]
+        rows = np.conj(_lower_rows(L[::-1, ::-1].T, w)).tolist()
+        x[::-1] = _scalar_forward(rows, x[::-1].tolist(), w)
+        return b
     for i in range(n - 1, -1, -1):
         hi = i + w + 1
         b[i] = (b[i] - np.conj(L[i + 1 : hi, i]) @ b[i + 1 : hi]) / np.conj(L[i, i])
     return b
+
+
+def _scalar(n: int, band: int) -> bool:
+    return band <= SCALAR_BAND_MAX and band < n - 1
+
+
+def _lower_rows(m: np.ndarray, b: int) -> np.ndarray:
+    """Row i of m's lower band, [m[i, i-b], ..., m[i, i-1], m[i, i]], zero
+    left of column 0: an (n, b + 1) array from one call per diagonal."""
+    rows = np.zeros((m.shape[0], b + 1), dtype=complex)
+    for s in range(b + 1):
+        rows[s:, b - s] = m.diagonal(-s)
+    return rows
+
+
+def _scalar_factor(a: np.ndarray, b: int) -> np.ndarray:
+    """cholesky_factor's loop on Python scalars, a row at a time: L[i, k] =
+    (a[i, k] - sum_m L[i, m] conj(L[k, m])) / L[k, k] for the b columns k
+    left of the diagonal, from the conjugated rows of the b rows above, and
+    the pivot a[i, i] - sum_k |L[i, k]|^2.  Rows before the first are zero,
+    with pivot 1."""
+    n = a.shape[0]
+    above = [([], 1.0)] * b  # (conj(L[k, k-1]), ..., conj(L[k, k-b])) and L[k, k]
+    band, pivots = [], []
+    for i, row in enumerate(_lower_rows(a, b).tolist()):
+        li, conj_li = [], []  # L[i, k-1], L[i, k-2], ..., L[i, i-b] before column k
+        d = row[b]
+        for v, (ck, pivot) in zip(row, above):
+            for x, y in zip(li, ck):
+                v -= x * y
+            v /= pivot
+            c = v.conjugate()
+            d -= v * c
+            li.insert(0, v)
+            conj_li.insert(0, c)
+        d = d.real
+        if not d > _PIVOT_TOL:  # also refuses NaN
+            raise NotPositiveDefiniteError(f"pivot {d:.3g} at index {i} is not positive")
+        pivot = math.sqrt(d)
+        above.append((conj_li, pivot))
+        del above[0]
+        pivots.append(pivot)
+        band.append(li)
+    # band[i][s - 1] is L[i, i-s]: column s - 1 is L's diagonal -s
+    cols = np.array(band, dtype=complex)
+    L = np.zeros((n, n), dtype=complex)
+    flat = L.reshape(-1)
+    flat[:: n + 1] = pivots
+    for s in range(1, b + 1):
+        flat[s * n :: n + 1] = cols[s:, s - 1]
+    return L
+
+
+def _scalar_forward(rows: list, rhs: list, b: int) -> list:
+    """Solve L y = rhs on Python scalars, with L's lower band given as
+    _lower_rows lists."""
+    last = [0j] * b  # y[i-b], ..., y[i-1]
+    y = []
+    for row, v in zip(rows, rhs):
+        for x, z in zip(row, last):
+            v -= x * z
+        v /= row[b]
+        last.append(v)
+        del last[0]
+        y.append(v)
+    return y
 
 
 def solve_factored(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -202,7 +202,10 @@ class WeightSequence:
         """The weights w_start, ..., w_{n-1} as an array."""
         ks = np.arange(start, n)
         if self.kind == "dirichlet":
-            return (ks + 1.0) ** self.alpha
+            # an infinite weight is refused as overflow by the Gram build,
+            # and gives a kernel coefficient of 0, its correctly rounded value
+            with np.errstate(over="ignore"):
+                return (ks + 1.0) ** self.alpha
         if self.kind != "custom":
             raise ValueError("multiplier spaces have no coefficient weights")
         size = self.prefix.size

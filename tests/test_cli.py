@@ -556,3 +556,20 @@ def test_overflow_is_an_unsupported_request(capsys, space, f, g, what):
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("opa: approximate: ") and err.count("\n") == 1
     assert what in err and "overflow" in err
+
+
+def test_infinite_dirichlet_weights_write_no_warning(capsys):
+    # (k + 1)^2000 overflows from k = 1: the Gram build refuses the infinite
+    # weight with one line, and a kernel coefficient divided by it is 0, its
+    # correctly rounded value (below 1e-600); no RuntimeWarning reaches stderr
+    space = '{"kind":"dirichlet","alpha":2000}'
+    for cmd, f in (("approximate", "[[1,0],[-1,0]]"), ("project", "[[1,0],[-2,0]]")):
+        argv = [cmd, "--space", space, "--f", f] + (["--n-max", "3"] if cmd == "approximate" else [])
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"opa: {cmd}: inner products overflow the double range\n"
+    code, out, err = run(capsys, ["kernel", "--space", space, "--beta", "[0.5,0]"])
+    assert code == EXIT_OK and err == ""
+    coeffs = json.loads(out)["coeffs"]
+    assert coeffs[0] == [1.0, 0.0] and len(coeffs) > 1
+    assert all(c == [0.0, 0.0] for c in coeffs[1:])

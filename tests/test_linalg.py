@@ -7,6 +7,7 @@ import pytest
 
 from opa.errors import NotPositiveDefiniteError, RootFindingError
 from opa.linalg import (
+    SCALAR_BAND_MAX,
     _cluster,
     _eval_scale,
     _eval_with_derivative,
@@ -153,6 +154,76 @@ def test_banded_factor_matches_dense_and_keeps_its_band():
         for c in range(3):
             x = backward_substitute_H(L, B[:, c].copy(), band)
             assert np.max(np.abs(x - X[:, c])) <= 1e-14 * np.max(np.abs(x))
+
+
+def _banded_hpd(rng, n, band):
+    """A diagonally dominant Hermitian matrix with ``band`` diagonals below
+    the main one (fewer when n <= band)."""
+    G = np.zeros((n, n), dtype=complex)
+    for s in range(min(band, n - 1) + 1):
+        v = rng.randn(n - s) + 1j * rng.randn(n - s)
+        G += np.diag(v, -s) + np.diag(v.conj(), s)
+    return G + np.eye(n) * (4.0 * band + 4.0 - np.diag(G).real)
+
+
+def test_narrow_bands_match_the_dense_loop():
+    # bands up to SCALAR_BAND_MAX and narrower than the matrix take the scalar
+    # loops, the rest the numpy loop; both agree with the dense loop
+    rng = np.random.RandomState(43)
+    for band in range(SCALAR_BAND_MAX + 2):
+        for n in sorted({1, 2, band, band + 1, 60, 401} - {0}):
+            G = _banded_hpd(rng, n, band)
+            b = rng.randn(n) + 1j * rng.randn(n)
+            L_ref = _dense_factor_reference(G)
+            y_ref = _dense_forward_reference(L_ref, b)
+            x_ref = _dense_backward_reference(L_ref, y_ref)
+            # entries below the band are never read
+            noisy = G + np.tril(rng.randn(n, n), -band - 1)
+            L = cholesky_factor(noisy, band)
+            assert np.all(np.tril(L, -band - 1) == 0), (n, band)
+            assert np.all(np.triu(L, 1) == 0), (n, band)
+            scale = np.max(np.abs(L_ref))
+            assert np.max(np.abs(L - L_ref)) <= 1e-14 * scale, (n, band)
+            y = forward_substitute(L_ref, b, band)
+            assert np.max(np.abs(y - y_ref)) <= 1e-14 * np.max(np.abs(y_ref)), (n, band)
+            # in place, for a vector and for a one-column matrix (a view here)
+            x = y_ref.copy()
+            assert backward_substitute_H(L_ref, x, band) is x
+            assert np.max(np.abs(x - x_ref)) <= 1e-14 * np.max(np.abs(x_ref)), (n, band)
+            B = np.zeros((n, 3), dtype=complex)
+            B[:, 1] = y_ref
+            col = B[:, 1:2]
+            assert backward_substitute_H(L_ref, col, band) is col
+            assert B[:, 1].tobytes() == x.tobytes() and not B[:, 0].any() and not B[:, 2].any()
+
+
+def _refused_at(G, band):
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        cholesky_factor(G, band)
+    return int(str(exc.value).split("at index ")[1].split()[0])
+
+
+def test_narrow_band_refusals_match_the_dense_loop():
+    rng = np.random.RandomState(47)
+    for band in range(SCALAR_BAND_MAX + 2):
+        n = 30
+        for k in (0, 1, band + 1, 17, n - 1):
+            # a negative pivot at k
+            G = _banded_hpd(rng, n, band)
+            G[k, k] = -1.0
+            assert _refused_at(G, band) == _refused_at(G, None) == k, (band, k)
+            # a singular matrix, L0 L0^H with L0[k, k] = 0: its pivot at k is
+            # zero up to rounding
+            L0 = np.linalg.cholesky(_banded_hpd(rng, n, band))
+            L0[k, k] = 0.0
+            S = L0 @ L0.conj().T
+            assert _refused_at(S, band) == _refused_at(S, None) == k, (band, k)
+            # NaN data, on the diagonal or in the band below it
+            for i, j in ((k, k), (k, k - 1), (k, k - band)):
+                if 0 <= j <= i and i - j <= band:
+                    G = _banded_hpd(rng, n, band)
+                    G[i, j] = G[j, i] = np.nan
+                    assert _refused_at(G, band) == _refused_at(G, None) == i, (band, i, j)
 
 
 # -- roots -------------------------------------------------------------------
