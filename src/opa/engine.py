@@ -13,8 +13,8 @@ built and factored along its d + 1 diagonals only, in O(n d^2) work, and each
 forward or back substitution takes O(n d) a right-hand side: a sweep solves
 for every degree in one linalg.backward_substitute_H call, O(n^2 d), and
 optimal_approximant for its one degree, O(n d).  A stored series is the same
-loop with band n.  The distances read only y = L^-1 rhs, and (p_n* f)(0) one
-more forward solve.
+loop with band n.  The distances and the stabilization window read only y =
+L^-1 rhs, and (p_n* f)(0) one more forward solve.
 
 On top of the sweeps this module certifies structural properties, each
 reading <h, z^k f> for all its k from one call of spaces.shift_products:
@@ -24,7 +24,7 @@ reading <h, z^k f> for all its k from one call of spaces.shift_products:
   (<h, z^k f> = 0 for all k >= 1), exact for polynomial data;
 * stabilization (the approximant sequence becoming eventually constant),
   with an exact orthogonality certificate for polynomial f and a
-  tolerance-window certificate otherwise;
+  tolerance-window certificate otherwise: eps bounds ||p_n* f - p_M* f||;
 * the equivalence dossier tying a stabilized approximant to an inner
   factorization of f, and a cyclicity diagnostic based on the identity
   dist^2 = 1 - (p_n* f)(0) when g = 1 and the constant 1 reproduces
@@ -212,10 +212,12 @@ def _factored_system(space: WeightSequence, f, g, n_max: int):
     return L, y, band, dist, gg.err, entry_err
 
 
-def _approximants(space: WeightSequence, f, g, n_max: int, ns: np.ndarray) -> list[OpaResult]:
+def _approximants(
+    space: WeightSequence, f, g, n_max: int, ns: np.ndarray
+) -> tuple[list[OpaResult], np.ndarray]:
     """The optimal approximants of the ascending degrees ns <= n_max from one
-    factor L of the degree-n_max system.  Degree n solves the leading block of
-    G, whose factor leads L: with y = L^-1 rhs, dist^2_n = ||g||^2 -
+    factor L of the degree-n_max system, and y = L^-1 rhs.  Degree n solves
+    the leading block of G, whose factor leads L: dist^2_n = ||g||^2 -
     sum_{i<=n} |y_i|^2, and p_n* solves L^H a = (y_0, ..., y_n, 0, ...)."""
     g = CPoly([1]) if g is None else g
     L, y, band, dist, norm_err, entry_err = _factored_system(space, f, g, n_max)
@@ -224,20 +226,20 @@ def _approximants(space: WeightSequence, f, g, n_max: int, ns: np.ndarray) -> li
     backward_substitute_H(L, X, band)
     errs = np.maximum(norm_err + np.abs(X).sum(axis=0) * _ERR_FLOOR, entry_err * (ns + 2))
     cols = enumerate(ns.tolist())
-    return [OpaResult(n, CPoly(X[: n + 1, c]), float(dist[n]), float(errs[c])) for c, n in cols]
+    return [OpaResult(n, CPoly(X[: n + 1, c]), float(dist[n]), float(errs[c])) for c, n in cols], y
 
 
 def approximant_sweep(space: WeightSequence, f, g=None, n_max: int = 10) -> list[OpaResult]:
     """All optimal approximants for n = 0..n_max from one Cholesky factor,
     O(n_max^2 d) for the coefficients when f has degree d."""
-    return _approximants(space, f, g, n_max, np.arange(n_max + 1))
+    return _approximants(space, f, g, n_max, np.arange(n_max + 1))[0]
 
 
 def optimal_approximant(space: WeightSequence, f, g=None, n: int = 0) -> OpaResult:
     """The degree-n optimal approximant and its squared distance, from the
     degree-n factor as in approximant_sweep and one back substitution for
     degree n alone: O(n d) for the coefficients when f has degree d."""
-    return _approximants(space, f, g, n, np.array([n]))[0]
+    return _approximants(space, f, g, n, np.array([n]))[0][0]
 
 
 def orthogonality_residual(space: WeightSequence, f, g, result: OpaResult) -> float:
@@ -266,18 +268,18 @@ def _certified_shifts(space: WeightSequence, h, f, K: int, eps: float, first: in
 def is_inner(
     space: WeightSequence, f, max_shift: int | None = None, eps: float = 1e-10
 ) -> InnerCertificate:
-    """Certify <f, z^j f> = delta_{j0} within eps: the norm, then f against
-    its own shifts (see orthogonal_to_shifts for the range of j checked).
+    """Certify <f, z^j f> = delta_{j0} within eps from one shift_products row,
+    the norm at j = 0 (see orthogonal_to_shifts for the range of j checked).
 
     For polynomial f the shifts beyond the (embedded) degree vanish
     identically, so checking j <= deg f yields an exact certificate for all j.
     """
-    norm = norm_sq_any(space, f, eps)
-    s = orthogonal_to_shifts(space, f, f, eps, max_shift)
-    ok = abs(norm.value.real - 1.0) <= eps and s.orthogonal
-    return InnerCertificate(
-        ok, s.exact, float(norm.value.real), s.shifts_checked, s.max_abs, max(norm.err, s.err)
-    )
+    K, exact = _shift_range(space, f, eps, max_shift)
+    values, err = _certified_shifts(space, f, f, K, eps)
+    norm_sq = float(values[0].real)
+    worst = float(np.max(np.abs(values[1:]), initial=0.0))
+    ok = abs(norm_sq - 1.0) <= eps and worst <= eps
+    return InnerCertificate(ok, exact, norm_sq, K, worst, err)
 
 
 def _series_shift_horizon(space: WeightSequence, f: TruncSeries, eps: float) -> int:
@@ -316,6 +318,16 @@ def _series_shift_horizon(space: WeightSequence, f: TruncSeries, eps: float) -> 
     return max(smallest_certified(bound, eps, peak, 10**6), 4)
 
 
+def _shift_range(space: WeightSequence, h, eps: float, k_max: int | None) -> tuple[int, bool]:
+    """(K, exact): the shifts 1..K checked against h, k_max when given, else
+    h's (embedded) degree, beyond which the products vanish (exact), or the
+    shift horizon of a stored series."""
+    dh = _effective_degree(space, h)
+    if k_max is None:
+        k_max = max(dh, 1) if dh is not None else _series_shift_horizon(space, h, eps)
+    return k_max, dh is not None and k_max >= max(dh, 1)
+
+
 def orthogonal_to_shifts(
     space: WeightSequence, f, h, eps: float = 1e-10, k_max: int | None = None
 ) -> ShiftOrthogonality:
@@ -328,12 +340,7 @@ def orthogonal_to_shifts(
     certificate for data whose envelopes are too weak, e.g. power-decay
     boundary kernels whose shift inner products cancel structurally).
     """
-    dh = _effective_degree(space, h)
-    if k_max is not None:
-        kmax = k_max
-    else:
-        kmax = max(dh, 1) if dh is not None else _series_shift_horizon(space, h, eps)
-    exact = dh is not None and kmax >= max(dh, 1)
+    kmax, exact = _shift_range(space, h, eps, k_max)
     worst = err = 0.0
     if kmax > 0:
         values, err = _certified_shifts(space, h, f, kmax, eps, first=1)
@@ -346,25 +353,6 @@ def orthogonal_to_shifts(
 # ---------------------------------------------------------------------------
 
 
-def _coeff_window_M(results: list[OpaResult], eps: float) -> int | None:
-    """Smallest M with all later approximants within eps (sup-norm), if any.
-
-    ||p_{n_max} - p_M|| <= eps is necessary, and one pass gives it for every
-    M; only those candidates get the full window check, in ascending order.
-    """
-    n_max = len(results) - 1
-    length = n_max + 1
-    mat = np.zeros((length, length), dtype=complex)
-    for i, r in enumerate(results):
-        mat[i, : r.p_star.coeffs.size] = r.p_star.coeffs
-    to_last = np.abs(mat[n_max] - mat[:n_max]).max(axis=1)
-    for M in np.flatnonzero(to_last <= eps).tolist():
-        devs = np.abs(mat[M:] - mat[M])
-        if float(devs.max()) <= eps:
-            return M
-    return None
-
-
 def detect_stabilization(
     space: WeightSequence,
     f,
@@ -374,19 +362,24 @@ def detect_stabilization(
 ) -> StabilizationReport:
     """Find the smallest M with p_M* = p_{M+1}* = ... = p_{n_max}*.
 
-    A coefficient window within eps is only a candidate: for polynomial f the
-    report is upgraded to an exact orthogonality certificate by verifying
-    the optimality conditions <p_M* f - g, z^k f> = 0 (any g, quotient spaces
-    too) where such inner products can be nonzero (floating plateaus that
-    fail this are reported as not stabilized).  For stored series the exact
-    check is unavailable and the certificate remains 'tolerance_window'.
+    ||p_n* f - p_M* f||^2 = sum_{M<k<=n} |y_k|^2 with y = L^-1 rhs, so the
+    candidate is the smallest M < n_max with sqrt(sum_{M<k<=n_max} |y_k|^2)
+    <= eps, which bounds ||p_n* f - p_M* f|| for every n >= M; it does not
+    move when f is scaled by a power of two.  p_M* is the sweep's row M.  For
+    polynomial f the candidate must pass the optimality conditions
+    <p_M* f - g, z^k f> = 0 (any g, quotient spaces too) for an exact
+    orthogonality certificate, else the report is not stabilized; a stored
+    series keeps the 'tolerance_window' certificate.
     """
     if g is None:
         g = CPoly([1])
-    results = approximant_sweep(space, f, g, n_max)
-    M = _coeff_window_M(results, eps)
-    if M is None or M >= n_max:
+    results, y = _approximants(space, f, g, n_max, np.arange(n_max + 1))
+    # sqrt(sum_{M<k<=n_max} |y_k|^2) for M = 0..n_max-1
+    tail = np.sqrt(np.cumsum((y.real**2 + y.imag**2)[:0:-1])[::-1])
+    window = np.flatnonzero(tail <= eps)
+    if window.size == 0:
         return StabilizationReport(False, None, "none", None, results)
+    M = int(window[0])
     p_M = results[M].p_star
     d = _effective_degree(space, f)
     if d is not None:

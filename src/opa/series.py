@@ -162,7 +162,7 @@ class CPoly:
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"CPoly({list(self.coeffs)})"
+        return f"CPoly({self.coeffs.tolist()})"
 
 
 def poly_mul(a: CPoly, b: CPoly) -> CPoly:

@@ -11,11 +11,11 @@ from opa.errors import (
     CannotCertifyError,
     EnvelopeOverflowError,
     NotPositiveDefiniteError,
+    OpaError,
     OrthogonalDataError,
 )
 from opa.engine import (
     OpaResult,
-    _coeff_window_M,
     _series_shift_horizon,
     approximant_sweep,
     build_system,
@@ -291,6 +291,27 @@ def test_build_system_makes_two_shift_products_calls(monkeypatch):
             calls.clear()
             build_system(space, ff, ONE, n)
             assert len(calls) == 2, (space, n)
+
+
+def test_is_inner_makes_one_shift_products_call(monkeypatch):
+    # the norm is the k = 0 entry of the row that checks the shifts
+    import opa.engine
+    import opa.spaces
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return shift_products(*args)
+
+    monkeypatch.setattr(opa.engine, "shift_products", counted)
+    monkeypatch.setattr(opa.spaces, "shift_products", counted)
+    b = blaschke_factor(0.5, eps=1e-14, length=250)
+    cases = [(H2, b, None), (H2, b, 7), (D1, CPoly([0, 1]), None), (QUOT, CPoly([0.6, -0.8j]), None)]
+    for space, f, max_shift in cases:
+        calls.clear()
+        cert = is_inner(space, f, max_shift=max_shift)
+        assert len(calls) == 1 and calls[0][3] == cert.max_shift_checked, (space, max_shift)
 
 
 def test_shift_certificates_match_pairwise_reference():
@@ -683,33 +704,133 @@ def _per_M_window(results, eps):
     return None
 
 
-def test_window_M_matches_the_per_M_scan():
+def _random_polynomial_cases(rng, count):
+    spaces = (H2, D1, WeightSequence.dirichlet(-1.0), QUOT)
+    for _ in range(count):
+        size = rng.randint(1, 6)
+        f = rng.randn(size) + 1j * rng.randn(size)
+        yield spaces[rng.randint(len(spaces))], CPoly(f), rng.randint(1, 16)
+
+
+def _random_series_cases(rng, count):
+    # Blaschke products of 1-3 zeros, times 1/(1 - c z) in half the cases
+    for _ in range(count):
+        k = rng.randint(1, 4)
+        zeros = 0.7 * np.sqrt(rng.rand(k)) * np.exp(2j * np.pi * rng.rand(k))
+        length = rng.randint(300, 500)
+        f = blaschke_product(zeros.tolist(), length=length)
+        if rng.rand() < 0.5:
+            f = series_mul(f, geometric_series(0.6 * rng.rand() * np.exp(2j * np.pi * rng.rand()), length=length))
+        yield H2, f, rng.randint(1, 12)
+
+
+def test_tolerance_window_M_matches_the_per_M_scan():
+    # the tail of y bounds ||p_n* f - p_M* f||, the per-M scan the coefficients
+    # of p_n* - p_M*: wherever the tail certifies a window, the scan finds it
     b = blaschke_factor(0.5, eps=1e-14, length=300)
-    sweeps = [
-        approximant_sweep(H2, b, ONE, 6),
-        approximant_sweep(H2, series_mul(b, geometric_series(1 / 3, length=300)), ONE, 8),
-        approximant_sweep(D1, CPoly([1, -1]), ONE, 12),
-        approximant_sweep(H2, CPoly([2.0]), ONE, 4),
-        approximant_sweep(H2, CPoly([1, -0.5]), ONE, 0),
+    named = [
+        (H2, b, 6),
+        (H2, series_mul(b, geometric_series(1 / 3, length=300)), 8),
+        (D1, CPoly([1, -1]), 12),
+        (H2, CPoly([2.0]), 4),
+        (H2, CPoly([1, -0.5]), 0),
     ]
-    # random sweeps that settle at a random degree, with noise on random rows
-    # on either side of eps: a row off only inside the window passes the
-    # filter on the last row and must still be caught
     rng = np.random.RandomState(5)
-    for _ in range(80):
-        n = rng.randint(1, 25)
-        settle = rng.randint(0, n + 1)
-        base = rng.randn(settle + 1) + 1j * rng.randn(settle + 1)
-        rows = []
-        for i in range(n + 1):
-            p = rng.randn(i + 1) if i < settle else base.copy()
-            if rng.rand() < 0.3:
-                p = p + 10.0 ** rng.uniform(-12, -6) * rng.randn(p.size)
-            rows.append(OpaResult(i, CPoly(p), 0.0))
-        sweeps.append(rows)
-    for results in sweeps:
+    cases = named + list(_random_polynomial_cases(rng, 40)) + list(_random_series_cases(rng, 40))
+    windows = 0
+    for space, f, n_max in cases:
         for eps in (1e-10, 1e-8):
-            assert _coeff_window_M(results, eps) == _per_M_window(results, eps)
+            report = detect_stabilization(space, f, n_max=n_max, eps=eps)
+            if report.certificate == "tolerance_window":
+                windows += 1
+                assert report.M == _per_M_window(report.sweep, eps), (space, n_max, eps)
+                assert report.p_M is report.sweep[report.M].p_star
+    assert windows >= 40
+
+
+def test_stabilization_edges_of_the_sweep():
+    b = blaschke_factor(0.5, eps=1e-14, length=260)
+    for space, f in ((H2, CPoly([2.0])), (H2, b)):
+        # n_max = 0 leaves no later degree to stabilize at
+        report = detect_stabilization(space, f, n_max=0)
+        assert not report.stabilized and report.M is None and len(report.sweep) == 1
+        report = detect_stabilization(space, f, n_max=1)
+        assert report.stabilized and report.M == 0 and report.p_M is report.sweep[0].p_star
+    for n_max in (0, 1):
+        report = detect_stabilization(H2, CPoly([1, -1]), n_max=n_max)
+        assert not report.stabilized and report.certificate == "none"
+
+
+DYADIC = st.tuples(st.integers(-256, 256), st.integers(-256, 256)).map(
+    lambda p: complex(p[0] / 256, p[1] / 256)
+)
+STAB_SPACES = [WeightSequence.dirichlet(a) for a in (-1.0, 0.0, 1.0, 2.0, 3.0)] + [QUOT]
+
+
+def _dyadic_poly(head, rest):
+    coeffs = [head] + rest
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return CPoly(coeffs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    f0=DYADIC.filter(lambda c: c != 0),
+    f_rest=st.lists(DYADIC, max_size=5),
+    q_rest=st.lists(DYADIC, max_size=5),
+    q_top=DYADIC.filter(lambda c: abs(c) >= 0.1),
+    space=st.sampled_from(STAB_SPACES),
+)
+def test_stabilization_at_the_degree_of_an_exact_quotient(f0, f_rest, q_rest, q_top, space):
+    # g = q f is reached exactly from degree deg q on: y_k = 0 for k > deg q
+    f = _dyadic_poly(f0, f_rest)
+    q = CPoly(q_rest + [q_top])
+    try:
+        report = detect_stabilization(space, f, q * f, n_max=8)
+    except OrthogonalDataError:
+        assume(False)  # <q f, f> = 0, e.g. q = z against a constant f
+    assert report.stabilized and report.M == q.degree
+    assert report.certificate == "exact_orthogonality"
+    assert np.max(np.abs(report.p_M.padded(q.degree + 1) - q.coeffs)) <= 1e-13
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f0=DYADIC.filter(lambda c: c != 0),
+    f_rest=st.lists(DYADIC, max_size=5),
+    q=st.lists(DYADIC, min_size=1, max_size=4),
+    space=st.sampled_from(STAB_SPACES),
+)
+def test_stabilization_is_invariant_under_power_of_two_scaling(f0, f_rest, q, space):
+    # y = L^-1 rhs does not change when f is scaled by 2^k, nor does the window
+    # read from it.  (With g = 1 the exact check's absolute floor of 1e-10 can
+    # accept a near plateau of a scaled-down f, so g = q f here.)
+    f = _dyadic_poly(f0, f_rest)
+    g = CPoly(q) * f
+    try:
+        report = detect_stabilization(space, f, g, n_max=8)
+    except OpaError:
+        assume(False)
+    for k in (-10, -5, 5, 10):
+        scaled = detect_stabilization(space, f * 2.0**k, g, n_max=8)
+        assert (scaled.stabilized, scaled.M, scaled.certificate) == (
+            report.stabilized, report.M, report.certificate
+        ), k
+
+
+def test_tolerance_window_is_invariant_under_power_of_two_scaling():
+    # the whole series decision is the window, and p_M* scales by 2^-k exactly;
+    # at 2^10 the entries' certified errors exceed the absolute _ENTRY_EPS
+    for space, f, n_max in _random_series_cases(np.random.RandomState(7), 20):
+        report = detect_stabilization(space, f, n_max=n_max)
+        for k in (-10, -5, 5):
+            scaled = detect_stabilization(space, f.scale(2.0**k), n_max=n_max)
+            assert (scaled.stabilized, scaled.M, scaled.certificate) == (
+                report.stabilized, report.M, report.certificate
+            ), k
+            if report.stabilized:
+                assert np.array_equal(scaled.p_M.coeffs * 2.0**k, report.p_M.coeffs)
 
 
 def test_stabilization_constant_f_exact_certificate():

@@ -66,6 +66,14 @@ def test_degree_and_trailing_zero_trim():
     assert q.normalize().degree == 0
 
 
+def test_repr_round_trips_through_eval():
+    assert repr(CPoly([0.5, -1j])) == "CPoly([(0.5+0j), (-0-1j)])"
+    rng = np.random.RandomState(3)
+    for p in (CPoly([0]), CPoly([2.0]), CPoly([1e-310, -1e300 + 0.1j, np.pi, -0.0])):
+        for q in (p, CPoly(rng.randn(5) * 10.0 ** rng.randint(-20, 20, 5) + 1j * rng.randn(5))):
+            assert np.array_equal(eval(repr(q), {"CPoly": CPoly}).coeffs, q.coeffs)
+
+
 def test_monic_and_shift_and_derivative():
     p = CPoly([1, -2.5, 0.5])
     m = p.monic()

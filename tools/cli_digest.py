@@ -34,8 +34,10 @@ an error bar in the same payload (``ERROR_BARS``) is also set against it: the
 largest ``|new - old| / (old err + new err)`` per path, flagged when above 1,
 since a change within the two bars is one both runs certify.  A residual
 (``RESIDUALS``) is rounding-sized when all is well, so its relative change
-says nothing: its largest old and new values are printed instead.  The exit
-code is 1 when any job differs, else 0.  A job whose stdout bytes differ
+says nothing: its largest old and new values are printed instead.  Then
+comes one ``<workload>: <d> of <n> jobs differ`` line per workload, and last
+the total, ``<d> of <n> jobs differ``.  The exit code is 1 when any job
+differs, else 0.  A job whose stdout bytes differ
 while every parsed value is equal (``1e-05`` against ``1e-5``) is reported
 as "stdout bytes differ, values equal" and differs too.
 """
@@ -230,11 +232,13 @@ def compare(old_path, new_path) -> int:
     summary: dict = {}
     bars: dict = {}
     residuals: dict = {}
-    differing = 0
+    per_workload: dict = {}  # workload -> [jobs differing, jobs]
     for job in sorted(set(old) | set(new)):
+        counts = per_workload.setdefault(job.split("/")[0], [0, 0])
+        counts[1] += 1
         if job not in old or job not in new:
             print(f"{job}: only in {'new' if job in new else 'old'}")
-            differing += 1
+            counts[0] += 1
             continue
         a, b = old[job], new[job]
         lines = []
@@ -263,10 +267,9 @@ def compare(old_path, new_path) -> int:
             if len(lines) == value_lines:  # e.g. 1e-05 printed as 1e-5
                 lines.append("  stdout bytes differ, values equal")
         if lines:
-            differing += 1
+            counts[0] += 1
             print(f"{job} ({b['kind']})")
             print("\n".join(lines))
-    print(f"{differing} of {len(set(old) | set(new))} jobs differ")
     for (kind, p), (n, worst, worst_abs) in sorted(summary.items()):
         print(f"  {kind} {p}: {n} jobs, largest relative change {worst:.3g}, largest absolute change {worst_abs:.3g}")
     for (kind, p), (n, x, y) in sorted(residuals.items()):
@@ -274,6 +277,10 @@ def compare(old_path, new_path) -> int:
     for (kind, p), worst in sorted(bars.items()):
         flag = "  ABOVE 1: outside both error bars" if worst > 1 else ""
         print(f"  {kind} {p}: largest change {worst:.3g} of old + new error bar{flag}")
+    for name, (d, n) in per_workload.items():
+        print(f"{name}: {d} of {n} jobs differ")
+    differing = sum(d for d, _ in per_workload.values())
+    print(f"{differing} of {len(set(old) | set(new))} jobs differ")
     return 1 if differing else 0
 
 
