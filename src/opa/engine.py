@@ -12,9 +12,10 @@ its factor L are banded: G[k, j] = 0 for |k - j| > d.  The Gram band is
 built and factored along its d + 1 diagonals only, in O(n d^2) work, and each
 forward or back substitution takes O(n d) a right-hand side: a sweep solves
 for every degree in one linalg.backward_substitute_H call, O(n^2 d), and
-optimal_approximant for its one degree, O(n d).  A stored series is the same
-loop with band n.  The distances and the stabilization window read only y =
-L^-1 rhs, and (p_n* f)(0) one more forward solve.
+optimal_approximant for its one degree, O(n d).  For d <= 5, G and L are band
+rows (O(n d) memory) from spaces.gram_band to the last solve; wider bands and
+stored series (band n) stay dense.  The distances and the stabilization window
+read only y = L^-1 rhs, and (p_n* f)(0) one more forward solve.
 
 On top of the sweeps this module certifies structural properties, each
 reading <h, z^k f> for all its k from one call of spaces.shift_products:
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CannotCertifyError, OrthogonalDataError
-from .linalg import backward_substitute_H, cholesky_factor, forward_substitute, poly_roots
+from .linalg import _scalar, backward_substitute_H, cholesky_band, cholesky_factor, forward_substitute, poly_roots
 from .series import (
     CPoly,
     TruncSeries,
@@ -48,7 +49,7 @@ from .series import (
     power_tail_bound,
     smallest_certified,
 )
-from .spaces import WeightSequence, _coerce_series, norm_sq_any, require_certified, shift_products
+from .spaces import WeightSequence, _coerce_series, gram_band, norm_sq_any, require_certified, shift_products
 
 # unused here, but bound for perfbench/spans.py, which traces them by these names
 from .linalg import cholesky_border, solve_factored  # noqa: F401
@@ -179,6 +180,12 @@ def build_system(space: WeightSequence, f, g, n: int) -> tuple[np.ndarray, np.nd
     if n < 0:
         raise ValueError("degree must be non-negative")
     G, G_err = shift_products(space, f, f, n, n)
+    rhs, entry_err = _right_hand_side(space, f, g, n, G_err)
+    return G.T, rhs, entry_err
+
+
+def _right_hand_side(space: WeightSequence, f, g, n: int, G_err) -> tuple[np.ndarray, float]:
+    """build_system's rhs and largest entry error, given G's errors."""
     (rhs,), (rhs_err,) = shift_products(space, g, f, n)
     # an entry with a stored series in it (f is in all, g in rhs) is certified
     series_errs = [e for e, x in ((G_err, f), (rhs_err, f), (rhs_err, g)) if not isinstance(x, CPoly)]
@@ -190,7 +197,7 @@ def build_system(space: WeightSequence, f, g, n: int) -> tuple[np.ndarray, np.nd
         )
     if series_errs:
         require_certified(max(float(e.max()) for e in series_errs), _ENTRY_EPS)
-    return G.T, rhs, max(float(G_err.max()), float(rhs_err.max()))
+    return rhs, max(float(np.max(G_err)), float(rhs_err.max()))
 
 
 def _factored_system(space: WeightSequence, f, g, n_max: int):
@@ -198,11 +205,17 @@ def _factored_system(space: WeightSequence, f, g, n_max: int):
     system along its band (the effective degree of f, or n_max for a stored
     series), y = L^-1 rhs, dist[n] = ||g||^2 - sum_{i<=n} |y_i|^2, and the
     errors of ||g||^2 and of the largest Gram or right-hand-side entry (an
-    OverflowError when ||g||^2 or a distance overflows)."""
-    G, rhs, entry_err = build_system(space, f, g, n_max)
+    OverflowError when ||g||^2 or a distance overflows).  L is band rows when
+    the band of a polynomial f takes linalg's scalar loop, else dense."""
     d = _effective_degree(space, f)
     band = n_max if d is None else min(d, n_max)
-    L = cholesky_factor(G, band)
+    if isinstance(f, CPoly) and _scalar(n_max + 1, band):
+        rows, G_err = gram_band(space, f, n_max, band)
+        rhs, entry_err = _right_hand_side(space, f, g, n_max, G_err)
+        L = cholesky_band(rows, band)
+    else:
+        G, rhs, entry_err = build_system(space, f, g, n_max)
+        L = cholesky_factor(G, band)
     y = forward_substitute(L, rhs, band)
     with np.errstate(over="ignore", invalid="ignore"):
         gg = norm_sq_any(space, g, _ENTRY_EPS)
@@ -390,9 +403,7 @@ def detect_stabilization(
         one = isinstance(g, CPoly) and g.degree == 0 and g.coefficient(0) == 1
         scale = math.sqrt(max(npf * nf, 0.0)) + (0.0 if one else math.sqrt(max(ng * nf, 0.0)))
         h = _coerce_series(pf).add(-_coerce_series(g))
-        check = orthogonal_to_shifts(
-            space, f, h, eps=max(1e-10 * max(1.0, scale), 10 * _ENTRY_EPS)
-        )
+        check = orthogonal_to_shifts(space, f, h, eps=1e-10 * scale)
         if check.orthogonal:
             return StabilizationReport(True, M, "exact_orthogonality", p_M, results)
         return StabilizationReport(False, None, "none", None, results)

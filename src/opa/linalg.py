@@ -4,25 +4,28 @@ Both algorithms are implemented in-house: deterministic, portable behavior
 matters more than peak performance.  The Cholesky factor and both
 substitutions take the lower bandwidth b (b = d for the Gram matrix of a
 degree-d polynomial) and touch only the b diagonals below the main one: a
-factor costs O(n b^2), a solve O(n b) a right-hand side.  The matrices are
-stored dense either way.
+factor costs O(n b^2), a solve O(n b) a right-hand side.
 
 Two loops do this work.  A band of at most ``SCALAR_BAND_MAX`` diagonals that
 is narrower than the matrix (every polynomial Gram system of the benchmark's
-workloads) runs one loop over Python complex scalars: it reads the band once,
-one list per row, and writes L's band back once, and its sums take a fixed
-order of IEEE operations.  A numpy loop, a few vector calls a column, runs
-everything else: no band or a band of at least n - 1 (the dense case: stored
-series, kernel Gram matrices), wider bands, and a back substitution with more
-than one right-hand side (a sweep's, vectorized across degrees).  Per column,
-the numpy loop costs about 4 us whatever the band, and the scalar loop grows
-as b^2.  The two loops agree to rounding, not bit for bit.  All functions are
-reentrant and pure, but backward_substitute_H overwrites its right-hand side.
+workloads) runs one loop over Python complex scalars on band storage, the
+lists [G[i, i-b], ..., G[i, i]] in and [L[i, i-b], ..., L[i, i]] out
+(cholesky_band), with its sums in a fixed order of IEEE operations; a dense
+matrix with such a band is read into those rows and scattered back.  A numpy
+loop, a few vector calls a column, runs everything else on dense matrices: no
+band or a band of at least n - 1 (the dense case: stored series, kernel Gram
+matrices), wider bands, and a back substitution with more than one right-hand
+side (a sweep's, vectorized across degrees).  A back substitution reads L's
+conjugated columns from one band array.  Per column, the numpy loop costs
+about 4 us whatever the band, and the scalar loop grows as b^2.  The two
+loops agree to rounding, not bit for bit.  All functions are reentrant and
+pure, but backward_substitute_H overwrites its right-hand side.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -74,9 +77,13 @@ def cholesky_factor(matrix: np.ndarray, band: int | None = None) -> np.ndarray:
         raise ValueError("matrix must be square")
     n = a.shape[0]
     b = n if band is None else band
-    if _scalar(n, b):
-        return _scalar_factor(a, b)
     L = np.zeros((n, n), dtype=complex)
+    if _scalar(n, b):
+        rows = np.array(cholesky_band(_lower_rows(a, b).tolist(), b))
+        flat = L.reshape(-1)
+        for s in range(b + 1):  # diagonal -s starts at row s, column 0
+            flat[s * n :: n + 1] = rows[s:, b - s]
+        return L
     for j in range(n):
         lo, hi = max(j - b, 0), j + b + 1
         row = L[j, lo:j]
@@ -108,13 +115,14 @@ def cholesky_border(L: np.ndarray, column: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_substitute(L: np.ndarray, b: np.ndarray, band: int | None = None) -> np.ndarray:
+def forward_substitute(L: np.ndarray | list, b: np.ndarray, band: int | None = None) -> np.ndarray:
     """Solve L y = b, reading the ``band`` diagonals below L's main one (all
-    of them by default)."""
-    n = L.shape[0]
+    of them by default).  L is a lower-triangular matrix or, for a band that
+    takes the scalar loop, its band rows as cholesky_band returns them."""
+    n = len(L)
     w = n if band is None else band
     if _scalar(n, w):
-        rows = _lower_rows(L, w).tolist()
+        rows = L if isinstance(L, list) else _lower_rows(L, w).tolist()
         return np.array(_scalar_forward(rows, np.ravel(b).tolist(), w), dtype=complex)
     y = np.zeros(n, dtype=complex)
     for i in range(n):
@@ -123,22 +131,28 @@ def forward_substitute(L: np.ndarray, b: np.ndarray, band: int | None = None) ->
     return y
 
 
-def backward_substitute_H(L: np.ndarray, b: np.ndarray, band: int | None = None) -> np.ndarray:
+def backward_substitute_H(L: np.ndarray | list, b: np.ndarray, band: int | None = None) -> np.ndarray:
     """Solve L^H x = b in place and return b, now x: a complex vector, or a
     matrix with one right-hand side per column.  Row i reads the ``band``
-    entries below L's diagonal in column i (all of them by default)."""
-    n = L.shape[0]
+    entries below L's diagonal in column i (all of them by default).  L is as
+    for forward_substitute."""
+    n = len(L)
     w = n if band is None else band
+    # row i of L^H's band: cols[i, s] = conj(L[i+s, i]), zero below the last row
+    rows = np.array(L) if isinstance(L, list) else None
+    cols = np.zeros((n, w + 1), dtype=complex)
+    for s in range(min(w + 1, n)):
+        cols[: n - s, s] = L.diagonal(-s) if rows is None else rows[s:, w - s]
+    np.conj(cols, out=cols)
     if _scalar(n, w) and (b.ndim == 1 or b.shape[1] == 1):
-        # L^H x = b is a forward substitution in reversed order: row i of
-        # conj(L[::-1, ::-1].T) is column n - 1 - i of L^H, read upwards
+        # L^H x = b is a forward substitution in reversed order, whose row
+        # n - 1 - i is cols[i] reversed
         x = b if b.ndim == 1 else b[:, 0]
-        rows = np.conj(_lower_rows(L[::-1, ::-1].T, w)).tolist()
-        x[::-1] = _scalar_forward(rows, x[::-1].tolist(), w)
+        x[::-1] = _scalar_forward(cols[::-1, ::-1].tolist(), x[::-1].tolist(), w)
         return b
     for i in range(n - 1, -1, -1):
-        hi = i + w + 1
-        b[i] = (b[i] - np.conj(L[i + 1 : hi, i]) @ b[i + 1 : hi]) / np.conj(L[i, i])
+        k = min(w, n - 1 - i)
+        b[i] = (b[i] - cols[i, 1 : k + 1] @ b[i + 1 : i + k + 1]) / cols[i, 0]
     return b
 
 
@@ -155,23 +169,24 @@ def _lower_rows(m: np.ndarray, b: int) -> np.ndarray:
     return rows
 
 
-def _scalar_factor(a: np.ndarray, b: int) -> np.ndarray:
-    """cholesky_factor's loop on Python scalars, a row at a time: L[i, k] =
-    (a[i, k] - sum_m L[i, m] conj(L[k, m])) / L[k, k] for the b columns k
-    left of the diagonal, from the conjugated rows of the b rows above, and
-    the pivot a[i, i] - sum_k |L[i, k]|^2.  Rows before the first are zero,
-    with pivot 1."""
-    n = a.shape[0]
+def cholesky_band(rows: list, b: int) -> list:
+    """cholesky_factor's scalar loop on band storage: the complex lists
+    [G[i, i-b], ..., G[i, i]] in (zero left of column 0), [L[i, i-b], ...,
+    L[i, i]] out.  A row at a time, on Python scalars: L[i, k] = (G[i, k] -
+    sum_m L[i, m] conj(L[k, m])) / L[k, k] for the b columns k left of the
+    diagonal, from the conjugated rows of the b rows above, and the pivot
+    G[i, i] - sum_k |L[i, k]|^2.  Rows before the first are zero, with pivot 1."""
     above = [([], 1.0)] * b  # (conj(L[k, k-1]), ..., conj(L[k, k-b])) and L[k, k]
-    band, pivots = [], []
-    for i, row in enumerate(_lower_rows(a, b).tolist()):
+    out = []
+    conj = complex.conjugate
+    for i, row in enumerate(rows):
         li, conj_li = [], []  # L[i, k-1], L[i, k-2], ..., L[i, i-b] before column k
         d = row[b]
         for v, (ck, pivot) in zip(row, above):
-            for x, y in zip(li, ck):
-                v -= x * y
+            for p in map(mul, li, ck):
+                v -= p
             v /= pivot
-            c = v.conjugate()
+            c = conj(v)
             d -= v * c
             li.insert(0, v)
             conj_li.insert(0, c)
@@ -181,16 +196,10 @@ def _scalar_factor(a: np.ndarray, b: int) -> np.ndarray:
         pivot = math.sqrt(d)
         above.append((conj_li, pivot))
         del above[0]
-        pivots.append(pivot)
-        band.append(li)
-    # band[i][s - 1] is L[i, i-s]: column s - 1 is L's diagonal -s
-    cols = np.array(band, dtype=complex)
-    L = np.zeros((n, n), dtype=complex)
-    flat = L.reshape(-1)
-    flat[:: n + 1] = pivots
-    for s in range(1, b + 1):
-        flat[s * n :: n + 1] = cols[s:, s - 1]
-    return L
+        li.reverse()
+        li.append(complex(pivot))  # as a dense L holds it: solves divide by this complex
+        out.append(li)
+    return out
 
 
 def _scalar_forward(rows: list, rhs: list, b: int) -> list:
@@ -199,8 +208,8 @@ def _scalar_forward(rows: list, rhs: list, b: int) -> list:
     last = [0j] * b  # y[i-b], ..., y[i-1]
     y = []
     for row, v in zip(rows, rhs):
-        for x, z in zip(row, last):
-            v -= x * z
+        for p in map(mul, row, last):
+            v -= p
         v /= row[b]
         last.append(v)
         del last[0]

@@ -17,6 +17,7 @@ w_{k+1}/w_k -> 1; the inner product weights Maclaurin coefficients,
 One function, shift_products, gives <z^j h, z^k f> for all j <= J, k <= K with
 the bound certified for each pair (rounding, the stretch where one stored
 prefix has ended, the tail beyond both); Gram systems use J = K, the rest J = 0.
+gram_band gives a polynomial's Gram entries as band rows, the same bits.
 
 Derivative-evaluation kernels are the elements representing h -> h^(n)(beta);
 their coefficients are falling-factorial weighted powers of conj(beta) over
@@ -202,6 +203,8 @@ class WeightSequence:
         """The weights w_start, ..., w_{n-1} as an array."""
         ks = np.arange(start, n)
         if self.kind == "dirichlet":
+            if self.alpha * math.log(max(n, 1)) <= 709:  # n^alpha < 2^1023: no overflow
+                return (ks + 1.0) ** self.alpha
             # an infinite weight is refused as overflow by the Gram build,
             # and gives a kernel coefficient of 0, its correctly rounded value
             with np.errstate(over="ignore"):
@@ -354,15 +357,15 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
         alpha, beta = (np.convolve(m.coeffs, x.coeffs)[:n] for x, n in zip((a, b), keep))
     width = max(alpha.size + J, beta.size + K)
     w = space.weights(width)
-    if poly:  # finite data whose sums overflow is refused (NaN data goes on, to fail the factor)
+    if poly:
         with np.errstate(over="ignore", invalid="ignore"):
-            if J:
-                values = _banded_products(w, alpha, beta, J, K)
+            if J:  # row j of the diagonals starts at column j; the columns k = 0..K are kept
+                diagonals, db = _banded_products(w, alpha, beta, J), beta.size - 1
+                values = _shift_matrix(diagonals, J, max(J + diagonals.shape[1], K + db + 1))[:, db : db + K + 1]
             else:
                 values = _against_shifts(w * _shift_matrix(alpha, 0, width), beta, K)
             errs = 1e-16 * (1.0 + np.abs(values))
-        if not math.isfinite(errs.max()) and np.isfinite(alpha).all() and np.isfinite(beta).all():
-            raise OverflowError("inner products overflow the double range")
+        _refuse_overflow(errs.max(), alpha, beta)
         return values, errs
     wA = w * _shift_matrix(alpha, J, width)
     values = _against_shifts(wA, beta, K)
@@ -416,20 +419,43 @@ def _shift_matrix(c: np.ndarray, n: int, width: int) -> np.ndarray:
     return buf.ravel()[: (n + 1) * width].reshape(n + 1, width)
 
 
-def _banded_products(w: np.ndarray, alpha: np.ndarray, beta: np.ndarray, J: int, K: int) -> np.ndarray:
-    """sum_t w_t alpha_{t-j} conj(beta_{t-k}) for j <= J, k <= K, the same terms
-    as _against_shifts of w times alpha's shift matrix, but only on the diagonals
-    -deg beta <= k - j <= deg alpha where the two supports meet; every other
-    entry is an exact zero.  O(J deg alpha (deg alpha + deg beta)) products,
-    written into the dense (J+1) x (K+1) output."""
+def _banded_products(w: np.ndarray, alpha: np.ndarray, beta: np.ndarray, J: int) -> np.ndarray:
+    """Row j holds sum_t w_t alpha_{t-j} conj(beta_{t-k}) for k = j - deg beta, ...,
+    j + deg alpha, where the supports meet (every other pair is an exact zero):
+    _against_shifts' terms in O(J deg alpha (deg alpha + deg beta)) products.
+    Entries at k < 0 or past the caller's last k are for the caller to drop."""
     da, db = alpha.size - 1, beta.size - 1
     # wA[j, u] = w_{j+u} alpha_u; column c of B is conj(beta) reversed and shifted
     # so that (wA @ B)[j, c] is the entry at k = j + c - db
     wA = w[np.arange(J + 1)[:, None] + np.arange(da + 1)] * alpha
-    diagonals = wA @ _shift_matrix(np.conj(beta[::-1]), da, da + db + 1)
-    # row j of the diagonals starts at column j, then the columns k = 0..K are kept
-    width = max(J + da + db + 1, K + db + 1)
-    return _shift_matrix(diagonals, J, width)[:, db : db + K + 1]
+    return wA @ _shift_matrix(np.conj(beta[::-1]), da, da + db + 1)
+
+
+def _refuse_overflow(err: float, alpha: np.ndarray, beta: np.ndarray) -> None:
+    """Refuse finite data whose sums overflow (NaN data goes on, to fail the factor)."""
+    if not math.isfinite(err) and np.isfinite(alpha).all() and np.isfinite(beta).all():
+        raise OverflowError("inner products overflow the double range")
+
+
+def gram_band(space: WeightSequence, f: CPoly, n: int, b: int) -> tuple[list, float]:
+    """G[k, j] = <z^j f, z^k f>, j, k <= n, for a polynomial f of (embedded) degree
+    b as band rows [G[i, i-b], ..., G[i, i]] (zero left of column 0), and the largest
+    entry error: shift_products(space, f, f, n, n)'s bits in O(n b) memory."""
+    alpha = f.coeffs
+    if space.kind == "multiplier":
+        alpha, space = np.convolve(space.m.coeffs, alpha), _H2
+    d = alpha.size - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonals = _banded_products(space.weights(alpha.size + n), alpha, alpha, n)
+        # entry (j, c) is at k = j + c - d; those outside G do not count
+        k = np.arange(n + 1)[:, None] + np.arange(2 * d + 1) - d
+        diagonals[(k < 0) | (k > n)] = 0
+        err = 1e-16 * (1.0 + np.abs(diagonals).max())
+    _refuse_overflow(err, alpha, alpha)
+    rows = np.zeros((n + 1, b + 1), dtype=complex)
+    for s in range(b + 1):  # G[i, i-s] = <z^(i-s) f, z^i f> is at (i - s, d + s)
+        rows[s:, b - s] = diagonals[: n + 1 - s, d + s]
+    return rows.tolist(), float(err)
 
 
 def _against_shifts(rows: np.ndarray, c: np.ndarray, K: int) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Optimal systems, sweeps, stabilization, and structural certificates."""
 
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from opa import engine
 from opa.errors import (
@@ -28,7 +30,7 @@ from opa.engine import (
     stabilization_dossier,
     taylor_residuals,
 )
-from opa.linalg import cholesky_factor
+from opa.linalg import _lower_rows, _scalar, _scalar_forward, cholesky_factor
 from opa.series import (
     CPoly,
     TruncSeries,
@@ -403,7 +405,8 @@ def _sweep_reference(space, f, g, n_max):
     """(X, dist, errs) of the sweep as it stood before it shared its back
     substitution: L^H X = triu(y 1^T), the right-hand side filled in as each
     row is reached."""
-    L, y, band, dist, norm_err, entry_err = engine._factored_system(space, f, g, n_max)
+    _, y, band, dist, norm_err, entry_err = engine._factored_system(space, f, g, n_max)
+    L = cholesky_factor(build_system(space, f, g, n_max)[0], band)  # dense, whatever the band
     X = np.zeros_like(L)
     for i in range(n_max, -1, -1):
         hi = i + band + 1
@@ -435,6 +438,128 @@ def test_polynomial_gram_and_factor_vanish_outside_the_band():
         assert np.all(np.tril(L, -d - 1) == 0)
         L_dense = cholesky_factor(G)
         assert np.max(np.abs(L - L_dense)) <= 1e-13 * np.max(np.abs(L_dense))
+
+
+def _dense_band_factor(G, b):
+    """The scalar factor as it stood on dense storage: G's band read from the
+    dense matrix, L's band scattered into a dense one."""
+    n = G.shape[0]
+    above = [([], 1.0)] * b
+    band, pivots = [], []
+    for i, row in enumerate(_lower_rows(G, b).tolist()):
+        li, conj_li = [], []
+        d = row[b]
+        for v, (ck, pivot) in zip(row, above):
+            for x, y in zip(li, ck):
+                v -= x * y
+            v /= pivot
+            c = v.conjugate()
+            d -= v * c
+            li.insert(0, v)
+            conj_li.insert(0, c)
+        d = d.real
+        if not d > 1e-14:
+            raise NotPositiveDefiniteError(f"pivot {d:.3g} at index {i} is not positive")
+        pivot = math.sqrt(d)
+        above.append((conj_li, pivot))
+        del above[0]
+        pivots.append(pivot)
+        band.append(li)
+    L = np.diag(np.array(pivots, dtype=complex))
+    for i, li in enumerate(band):
+        for s, v in enumerate(li, 1):
+            if i - s >= 0:
+                L[i, i - s] = v
+    return L
+
+
+def _dense_band_solves(L, b, rhs, ns):
+    """y = L^-1 rhs by the scalar loop on rows read from the dense L, and the
+    back substitutions of the degrees ns: one column by the scalar loop on
+    L^H's rows, several by the dense numpy loop over L's columns."""
+    y = np.array(_scalar_forward(_lower_rows(L, b).tolist(), rhs.tolist(), b))
+    X = np.where(np.arange(y.size)[:, None] <= ns, y[:, None], 0)
+    if ns.size == 1:
+        rows = np.conj(_lower_rows(L[::-1, ::-1].T, b)).tolist()
+        X[::-1, 0] = _scalar_forward(rows, X[::-1, 0].tolist(), b)
+        return y, X
+    for i in range(y.size - 1, -1, -1):
+        hi = i + b + 1
+        X[i] = (X[i] - np.conj(L[i + 1 : hi, i]) @ X[i + 1 : hi]) / np.conj(L[i, i])
+    return y, X
+
+
+BAND_SPACES = [WeightSequence.dirichlet(a) for a in (-1.0, 0.0, 1.0, 2.0, 3.0)] + [
+    WeightSequence.custom([1.0, 1.5, 1.2, 1.4, 1.35]),
+    WeightSequence.multiplier(CPoly([1, -0.5 + 0.2j])),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    coeffs=st.lists(
+        st.complex_numbers(max_magnitude=2.0, allow_subnormal=False), min_size=2, max_size=6
+    ),
+    space=st.sampled_from(BAND_SPACES),
+    n=st.integers(0, 60),
+)
+# in the Bergman space the product of z^0 f with the part of z^-5 f at
+# nonnegative powers, 2, exceeds every entry of G; it must not count
+@example(coeffs=[1, 0, 0, 0, 0, 2], space=BAND_SPACES[0], n=20)
+def test_band_storage_is_bit_identical_to_the_dense_loops(coeffs, space, n):
+    # a polynomial whose band takes the scalar loop is kept as band rows from
+    # the Gram build to the last solve; the same loops on dense G and L, fed
+    # from build_system, give every output bit for bit
+    f = CPoly(coeffs)
+    band = min(engine._effective_degree(space, f), n)
+    assume(abs(f.coefficient(0)) >= 0.1 and _scalar(n + 1, band))
+    G, rhs, entry_err = build_system(space, f, ONE, n)
+    try:
+        L = _dense_band_factor(G, band)
+    except NotPositiveDefiniteError as exc:
+        with pytest.raises(NotPositiveDefiniteError, match=re.escape(str(exc))):
+            approximant_sweep(space, f, ONE, n)
+        return
+    ns = np.arange(n + 1)
+    y, X = _dense_band_solves(L, band, rhs, ns)
+    _, X1 = _dense_band_solves(L, band, rhs, ns[-1:])
+    _, y_band, _, _, _, err_band = engine._factored_system(space, f, ONE, n)
+    assert y_band.tobytes() == y.tobytes() and err_band == entry_err
+    gg = norm_sq_any(space, ONE)
+    dist = float(gg.value) - np.cumsum(y.real**2 + y.imag**2)
+    errs = np.maximum(gg.err + np.abs(X).sum(axis=0) * 1e-12, entry_err * (ns + 2))
+    for r in approximant_sweep(space, f, ONE, n):
+        assert (r.distance_sq, r.err) == (dist[r.n], errs[r.n])
+        assert r.p_star.coeffs.tobytes() == CPoly(X[: r.n + 1, r.n]).coeffs.tobytes(), r.n
+    solo = optimal_approximant(space, f, ONE, n)
+    assert solo.p_star.coeffs.tobytes() == CPoly(X1[:, 0]).coeffs.tobytes()
+    if space.monomials_orthogonal:
+        e0 = np.zeros(n + 1, dtype=complex)
+        e0[0] = 1.0
+        v = np.array(_scalar_forward(_lower_rows(L, band).tolist(), e0.tolist(), band))
+        pf0 = f.coefficient(0) * np.cumsum(np.conj(v) * y)
+        rows = cyclicity_diagnostic(space, f, n).rows
+        assert [alt for _, _, alt in rows] == (1.0 - pf0.real).tolist()
+
+
+def test_band_storage_reaches_degree_two_hundred_thousand():
+    # 1 - z in D2: dist^2_n = 1/sum_{m<=n+2} m^-2, which tends to 6/pi^2 with a
+    # gap of about 1/n; a dense G would take 640 GB at this degree
+    n = 200_000
+    dist = cyclicity_diagnostic(D2, CPoly([1, -1]), n).rows[-1][1]
+    exact = 1.0 / math.fsum(m**-2.0 for m in range(1, n + 3))
+    assert abs(dist - exact) <= 1e-12 * exact
+    assert 0 < dist - 6 / math.pi**2 < 2e-6
+
+
+def test_one_degree_in_h2_at_degree_ten_thousand():
+    # 1 - z in H2: p_n*(z) = sum_k (1 - (k+1)/(n+2)) z^k and dist^2 = 1/(n+2);
+    # the distance is 1 - sum_k |y_k|^2 over n + 1 terms of size up to 1
+    n = 10_000
+    r = optimal_approximant(H2, CPoly([1, -1]), n=n)
+    assert abs(r.distance_sq - 1 / (n + 2)) <= min(r.err, (n + 1) * np.finfo(float).eps)
+    k = np.arange(n + 1)
+    assert np.max(np.abs(r.p_star.coeffs - (1 - (k + 1) / (n + 2)))) <= n * 1e-14
 
 
 def test_build_system_rejects_orthogonal_data():
@@ -804,8 +929,7 @@ def test_stabilization_at_the_degree_of_an_exact_quotient(f0, f_rest, q_rest, q_
 )
 def test_stabilization_is_invariant_under_power_of_two_scaling(f0, f_rest, q, space):
     # y = L^-1 rhs does not change when f is scaled by 2^k, nor does the window
-    # read from it.  (With g = 1 the exact check's absolute floor of 1e-10 can
-    # accept a near plateau of a scaled-down f, so g = q f here.)
+    # read from it (g = 1 is test_scaled_linear_factors_never_stabilize's)
     f = _dyadic_poly(f0, f_rest)
     g = CPoly(q) * f
     try:
@@ -831,6 +955,21 @@ def test_tolerance_window_is_invariant_under_power_of_two_scaling():
             ), k
             if report.stabilized:
                 assert np.array_equal(scaled.p_M.coeffs * 2.0**k, report.p_M.coeffs)
+
+
+def test_scaled_linear_factors_never_stabilize():
+    # z - beta with beta != 0 never stabilizes for g = 1, at any scale of f:
+    # the exactness threshold of the optimality check is relative to the data,
+    # so a near plateau of a scaled-down f is no certificate; a constant f
+    # stabilizes at M = 0 at every scale
+    for beta in (0.02, 0.05, 0.1, 0.12, 0.2, 0.3):
+        for k in (0, -5, -10, -20):
+            for n_max in (8, 12, 16):
+                report = detect_stabilization(H2, CPoly([-beta, 1]) * 2.0**k, n_max=n_max)
+                assert not report.stabilized, (beta, k, n_max, report.M)
+    for k in (10, 0, -5, -20):
+        report = detect_stabilization(H2, CPoly([2.0**k]), n_max=8)
+        assert (report.stabilized, report.M, report.certificate) == (True, 0, "exact_orthogonality"), k
 
 
 def test_stabilization_constant_f_exact_certificate():

@@ -39,6 +39,14 @@ def test_dirichlet_weights():
     assert np.allclose(D2.weights(4), [1, 4, 9, 16])
 
 
+def test_dirichlet_weights_overflow_quietly_past_the_double_range():
+    # 1024^alpha passes 2^1024 between alpha = 102 and 102.4; the suite turns
+    # an overflow warning into an error, so the power that overflows must run
+    # with the warning off, and one that cannot may skip that
+    for alpha, last in ((102.0, 2.0**1020), (102.4, math.inf), (103.0, math.inf)):
+        assert WeightSequence.dirichlet(alpha).weights(1024)[-1] == last, alpha
+
+
 def test_custom_weights_ratio_and_constant_extension():
     w = WeightSequence.custom([1, 2, 3, 3.3], extension="ratio")
     assert w.weight(0) == 1.0
