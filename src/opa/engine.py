@@ -8,14 +8,14 @@ of {z^k f : k <= n} let a sweep factor G once and read every degree, with its
 squared distance ||p_n* f - g||^2 (non-increasing in n), from that factor.
 
 For f a polynomial of degree d (d + deg m in the quotient space of m), G and
-its factor L are banded: G[k, j] = 0 for |k - j| > d.  The Gram band is
-built and factored along its d + 1 diagonals only, in O(n d^2) work, and each
-forward or back substitution takes O(n d) a right-hand side: a sweep solves
-for every degree in one linalg.backward_substitute_H call, O(n^2 d), and
-optimal_approximant for its one degree, O(n d).  For d <= 5, G and L are band
-rows (O(n d) memory) from spaces.gram_band to the last solve; wider bands and
-stored series (band n) stay dense.  The distances and the stabilization window
-read only y = L^-1 rhs, and (p_n* f)(0) one more forward solve.
+its factor L are banded: G[k, j] = 0 for |k - j| > d.  Whatever d, G is built
+as a band array (spaces.gram_band) and factored along its d + 1 diagonals,
+O(n d^2) work in O(n d) memory, and each substitution takes O(n d) a
+right-hand side: a sweep solves for every degree in one
+linalg.backward_substitute_H call, O(n^2 d), optimal_approximant for its one
+degree, O(n d).  A stored series (band n) is built dense and read into its
+band.  The distances and the stabilization window read only y = L^-1 rhs,
+and (p_n* f)(0) one more forward solve.
 
 On top of the sweeps this module certifies structural properties, each
 reading <h, z^k f> for all its k from one call of spaces.shift_products:
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CannotCertifyError, OrthogonalDataError
-from .linalg import _scalar, backward_substitute_H, cholesky_band, cholesky_factor, forward_substitute, poly_roots
+from .linalg import backward_substitute_H, cholesky_band, cholesky_factor, forward_substitute, poly_roots
 from .series import (
     CPoly,
     TruncSeries,
@@ -201,28 +201,27 @@ def _right_hand_side(space: WeightSequence, f, g, n: int, G_err) -> tuple[np.nda
 
 
 def _factored_system(space: WeightSequence, f, g, n_max: int):
-    """(L, y, band, dist, norm_err, entry_err): the factor L of the degree-n_max
+    """(L, y, dist, norm_err, entry_err): the band factor L of the degree-n_max
     system along its band (the effective degree of f, or n_max for a stored
     series), y = L^-1 rhs, dist[n] = ||g||^2 - sum_{i<=n} |y_i|^2, and the
     errors of ||g||^2 and of the largest Gram or right-hand-side entry (an
-    OverflowError when ||g||^2 or a distance overflows).  L is band rows when
-    the band of a polynomial f takes linalg's scalar loop, else dense."""
+    OverflowError when ||g||^2 or a distance overflows)."""
     d = _effective_degree(space, f)
     band = n_max if d is None else min(d, n_max)
-    if isinstance(f, CPoly) and _scalar(n_max + 1, band):
-        rows, G_err = gram_band(space, f, n_max, band)
+    if isinstance(f, CPoly):
+        G, G_err = gram_band(space, f, n_max, band)
         rhs, entry_err = _right_hand_side(space, f, g, n_max, G_err)
-        L = cholesky_band(rows, band)
+        L = cholesky_band(G)
     else:
         G, rhs, entry_err = build_system(space, f, g, n_max)
         L = cholesky_factor(G, band)
-    y = forward_substitute(L, rhs, band)
+    y = forward_substitute(L, rhs)
     with np.errstate(over="ignore", invalid="ignore"):
         gg = norm_sq_any(space, g, _ENTRY_EPS)
         dist = float(gg.value) - np.cumsum(y.real**2 + y.imag**2)
     if not (np.isfinite(dist).all() and math.isfinite(gg.err)):
         raise OverflowError("||g||^2 or a squared distance overflows the double range")
-    return L, y, band, dist, gg.err, entry_err
+    return L, y, dist, gg.err, entry_err
 
 
 def _approximants(
@@ -233,10 +232,10 @@ def _approximants(
     the leading block of G, whose factor leads L: dist^2_n = ||g||^2 -
     sum_{i<=n} |y_i|^2, and p_n* solves L^H a = (y_0, ..., y_n, 0, ...)."""
     g = CPoly([1]) if g is None else g
-    L, y, band, dist, norm_err, entry_err = _factored_system(space, f, g, n_max)
+    L, y, dist, norm_err, entry_err = _factored_system(space, f, g, n_max)
     # column c: the right-hand side of degree ns[c], then its solution
     X = np.where(np.arange(y.size)[:, None] <= ns, y[:, None], 0)
-    backward_substitute_H(L, X, band)
+    backward_substitute_H(L, X)
     errs = np.maximum(norm_err + np.abs(X).sum(axis=0) * _ERR_FLOOR, entry_err * (ns + 2))
     cols = enumerate(ns.tolist())
     return [OpaResult(n, CPoly(X[: n + 1, c]), float(dist[n]), float(errs[c])) for c, n in cols], y
@@ -512,10 +511,10 @@ def cyclicity_diagnostic(
         raise ValueError("diagnostic requires f(0) != 0")
     if not space.monomials_orthogonal:
         raise ValueError("diagnostic identities require orthogonal monomials")
-    L, y, band, dist, _, _ = _factored_system(space, f, CPoly([1]), n_max)
+    L, y, dist, _, _ = _factored_system(space, f, CPoly([1]), n_max)
     e0 = np.zeros(n_max + 1, dtype=complex)
     e0[0] = 1.0
-    v = forward_substitute(L, e0, band)
+    v = forward_substitute(L, e0)
     pf0 = _at_zero(f) * np.cumsum(np.conj(v) * y)
     alt = 1.0 - pf0.real
     dev = float(max(np.max(np.abs(dist - alt)), np.max(np.abs(pf0.imag))))

@@ -1,25 +1,18 @@
 """Banded Hermitian positive-definite solver and complex polynomial roots.
 
 Both algorithms are implemented in-house: deterministic, portable behavior
-matters more than peak performance.  The Cholesky factor and both
-substitutions take the lower bandwidth b (b = d for the Gram matrix of a
-degree-d polynomial) and touch only the b diagonals below the main one: a
-factor costs O(n b^2), a solve O(n b) a right-hand side.
-
-Two loops do this work.  A band of at most ``SCALAR_BAND_MAX`` diagonals that
-is narrower than the matrix (every polynomial Gram system of the benchmark's
-workloads) runs one loop over Python complex scalars on band storage, the
-lists [G[i, i-b], ..., G[i, i]] in and [L[i, i-b], ..., L[i, i]] out
-(cholesky_band), with its sums in a fixed order of IEEE operations; a dense
-matrix with such a band is read into those rows and scattered back.  A numpy
-loop, a few vector calls a column, runs everything else on dense matrices: no
-band or a band of at least n - 1 (the dense case: stored series, kernel Gram
-matrices), wider bands, and a back substitution with more than one right-hand
-side (a sweep's, vectorized across degrees).  A back substitution reads L's
-conjugated columns from one band array.  Per column, the numpy loop costs
-about 4 us whatever the band, and the scalar loop grows as b^2.  The two
-loops agree to rounding, not bit for bit.  All functions are reentrant and
-pure, but backward_substitute_H overwrites its right-hand side.
+matters more than peak performance.  Every Gram system and Cholesky factor is
+one (n, b + 1) band array (LAPACK's lower band storage): row i holds [G[i,
+i-b], ..., G[i, i]], zero left of column 0, for the bandwidth b (d for the
+Gram matrix of a degree-d polynomial, n - 1 for a dense one).  A factor costs
+O(n b^2) time and O(n b) memory, a solve O(n b) a right-hand side.  Two loops
+do the work, chosen by b: one over Python complex scalars, read and written
+back _CHUNK rows at a time, for a band of at most ``SCALAR_BAND_MAX``
+diagonals narrower than the matrix (every polynomial Gram system of the
+benchmark's workloads), and a numpy loop for the rest (the dense case with
+the dense loop's bits) and for a sweep's back substitution, vectorized across
+degrees.  They agree to rounding, not bit for bit.  All functions are
+reentrant and pure, but backward_substitute_H overwrites its right-hand side.
 """
 
 from __future__ import annotations
@@ -33,11 +26,12 @@ from .errors import NotPositiveDefiniteError, RootFindingError
 from .series import CPoly
 
 # A band of at most this many diagonals below the main one, and narrower than
-# the matrix, takes the scalar loops.  At n = 41 and n = 401 (2-vCPU host, one
-# BLAS thread, min of 7, interleaved) the scalar factor took 0.67-0.87 of the
-# numpy factor's time at bands 4 and 5 and 1.02 at band 6; the forward
-# substitution stays faster to band 8, a one-column back substitution to 16.
+# the matrix, takes the scalar loops.  At n = 41 and 401 (2-vCPU host, one BLAS
+# thread, min of 7, interleaved) the scalar factor took 0.57, 0.70-0.72,
+# 0.84-0.87 and 1.01-1.05 of the numpy factor's time at bands 4 to 7; the forward
+# substitution stays faster to band 8, a one-column back substitution to 12.
 SCALAR_BAND_MAX = 5
+_CHUNK = 1024  # rows a scalar loop turns into Python scalars at a time
 _PIVOT_TOL = 1e-14
 _HERM_RTOL = 1e-13
 _CLUSTER_RADIUS = 1e-7
@@ -62,45 +56,19 @@ def check_hermitian(matrix: np.ndarray) -> np.ndarray:
 
 
 def cholesky_factor(matrix: np.ndarray, band: int | None = None) -> np.ndarray:
-    """Lower-triangular L with matrix = L L^H.
-
-    Reads the diagonal and the lower triangle only: the Gram matrices factored
-    here are Hermitian by construction, and cholesky_solve checks its input.
-    With ``band`` b the entries more than b below the diagonal are zero, and so
-    are L's: column j reads rows j+1..j+b and columns j-b..j-1 only.  Raises
-    NotPositiveDefiniteError when a pivot falls to 1e-14 or below (or is NaN),
-    which signals either a (near-)singular Gram matrix or a degree far too
-    large for double precision.
-    """
+    """cholesky_band of a dense matrix's diagonal and the ``band`` diagonals
+    below it (all by default): the entry point of every system built dense."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     n = a.shape[0]
-    b = n if band is None else band
-    L = np.zeros((n, n), dtype=complex)
-    if _scalar(n, b):
-        rows = np.array(cholesky_band(_lower_rows(a, b).tolist(), b))
-        flat = L.reshape(-1)
-        for s in range(b + 1):  # diagonal -s starts at row s, column 0
-            flat[s * n :: n + 1] = rows[s:, b - s]
-        return L
-    for j in range(n):
-        lo, hi = max(j - b, 0), j + b + 1
-        row = L[j, lo:j]
-        d = (a[j, j] - np.vdot(row, row)).real
-        if not d > _PIVOT_TOL:  # also refuses NaN
-            raise NotPositiveDefiniteError(
-                f"pivot {d:.3g} at index {j} is not positive"
-            )
-        L[j, j] = math.sqrt(d)
-        L[j + 1 : hi, j] = (a[j + 1 : hi, j] - L[j + 1 : hi, lo:j] @ np.conj(row)) / L[j, j]
-    return L
+    return cholesky_band(_lower_rows(a, min(n if band is None else band, max(n - 1, 0))))
 
 
 def cholesky_border(L: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """Extend L (factor of an n x n matrix) by one row for the bordered
-    matrix [[A, c[:-1]], [c[:-1]^H, c[-1]]]."""
-    n = L.shape[0]
+    """Extend L (band factor of an n x n matrix) by one row for the bordered
+    matrix [[A, c[:-1]], [c[:-1]^H, c[-1]]], whose factor has band n."""
+    n, b = L.shape[0], L.shape[1] - 1
     c = np.asarray(column, dtype=complex)
     if c.size != n + 1:
         raise ValueError("border column must have length n + 1")
@@ -109,46 +77,38 @@ def cholesky_border(L: np.ndarray, column: np.ndarray) -> np.ndarray:
     if not d > _PIVOT_TOL:  # also refuses NaN
         raise NotPositiveDefiniteError(f"border pivot {d:.3g} is not positive")
     out = np.zeros((n + 1, n + 1), dtype=complex)
-    out[:n, :n] = L
+    out[:n, n - b :] = L
     out[n, :n] = np.conj(y)
     out[n, n] = math.sqrt(d)
     return out
 
 
-def forward_substitute(L: np.ndarray | list, b: np.ndarray, band: int | None = None) -> np.ndarray:
-    """Solve L y = b, reading the ``band`` diagonals below L's main one (all
-    of them by default).  L is a lower-triangular matrix or, for a band that
-    takes the scalar loop, its band rows as cholesky_band returns them."""
-    n = len(L)
-    w = n if band is None else band
+def forward_substitute(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L y = b for L a band factor."""
+    n, w = L.shape[0], L.shape[1] - 1
     if _scalar(n, w):
-        rows = L if isinstance(L, list) else _lower_rows(L, w).tolist()
-        return np.array(_scalar_forward(rows, np.ravel(b).tolist(), w), dtype=complex)
+        return _scalar_forward(L, np.ravel(b), np.empty(n, dtype=complex))
     y = np.zeros(n, dtype=complex)
     for i in range(n):
         lo = max(i - w, 0)
-        y[i] = (b[i] - np.dot(L[i, lo:i], y[lo:i])) / L[i, i]
+        y[i] = (b[i] - np.dot(L[i, w - i + lo : w], y[lo:i])) / L[i, w]
     return y
 
 
-def backward_substitute_H(L: np.ndarray | list, b: np.ndarray, band: int | None = None) -> np.ndarray:
+def backward_substitute_H(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L^H x = b in place and return b, now x: a complex vector, or a
-    matrix with one right-hand side per column.  Row i reads the ``band``
-    entries below L's diagonal in column i (all of them by default).  L is as
-    for forward_substitute."""
-    n = len(L)
-    w = n if band is None else band
+    matrix with one right-hand side per column, for L a band factor."""
+    n, w = L.shape[0], L.shape[1] - 1
     # row i of L^H's band: cols[i, s] = conj(L[i+s, i]), zero below the last row
-    rows = np.array(L) if isinstance(L, list) else None
     cols = np.zeros((n, w + 1), dtype=complex)
     for s in range(min(w + 1, n)):
-        cols[: n - s, s] = L.diagonal(-s) if rows is None else rows[s:, w - s]
+        cols[: n - s, s] = L[s:, w - s]
     np.conj(cols, out=cols)
     if _scalar(n, w) and (b.ndim == 1 or b.shape[1] == 1):
         # L^H x = b is a forward substitution in reversed order, whose row
         # n - 1 - i is cols[i] reversed
-        x = b if b.ndim == 1 else b[:, 0]
-        x[::-1] = _scalar_forward(cols[::-1, ::-1].tolist(), x[::-1].tolist(), w)
+        x = (b if b.ndim == 1 else b[:, 0])[::-1]
+        _scalar_forward(cols[::-1, ::-1], x, x)
         return b
     for i in range(n - 1, -1, -1):
         k = min(w, n - 1 - i)
@@ -161,60 +121,96 @@ def _scalar(n: int, band: int) -> bool:
 
 
 def _lower_rows(m: np.ndarray, b: int) -> np.ndarray:
-    """Row i of m's lower band, [m[i, i-b], ..., m[i, i-1], m[i, i]], zero
-    left of column 0: an (n, b + 1) array from one call per diagonal."""
+    """The band array of m's b diagonals below the main one: one call per diagonal."""
     rows = np.zeros((m.shape[0], b + 1), dtype=complex)
     for s in range(b + 1):
         rows[s:, b - s] = m.diagonal(-s)
     return rows
 
 
-def cholesky_band(rows: list, b: int) -> list:
-    """cholesky_factor's scalar loop on band storage: the complex lists
-    [G[i, i-b], ..., G[i, i]] in (zero left of column 0), [L[i, i-b], ...,
-    L[i, i]] out.  A row at a time, on Python scalars: L[i, k] = (G[i, k] -
+def cholesky_band(G: np.ndarray) -> np.ndarray:
+    """The band array of L, lower triangular with G = L L^H, from G's.  Raises
+    NotPositiveDefiniteError when a pivot falls to 1e-14 or below (or is NaN):
+    a (near-)singular Gram matrix or a degree far too large for doubles."""
+    G = np.ascontiguousarray(G, dtype=complex)
+    b = G.shape[1] - 1
+    return (_scalar_factor if _scalar(G.shape[0], b) else _vector_factor)(G, b)
+
+
+def _scalar_factor(G: np.ndarray, b: int) -> np.ndarray:
+    """cholesky_band a row at a time on Python scalars: L[i, k] = (G[i, k] -
     sum_m L[i, m] conj(L[k, m])) / L[k, k] for the b columns k left of the
-    diagonal, from the conjugated rows of the b rows above, and the pivot
-    G[i, i] - sum_k |L[i, k]|^2.  Rows before the first are zero, with pivot 1."""
+    diagonal, from the conjugated rows of the b rows above (zero, with pivot
+    1, before the first), and the pivot G[i, i] - sum_k |L[i, k]|^2."""
+    L = np.empty_like(G)
     above = [([], 1.0)] * b  # (conj(L[k, k-1]), ..., conj(L[k, k-b])) and L[k, k]
-    out = []
     conj = complex.conjugate
-    for i, row in enumerate(rows):
-        li, conj_li = [], []  # L[i, k-1], L[i, k-2], ..., L[i, i-b] before column k
-        d = row[b]
-        for v, (ck, pivot) in zip(row, above):
-            for p in map(mul, li, ck):
-                v -= p
-            v /= pivot
-            c = conj(v)
-            d -= v * c
-            li.insert(0, v)
-            conj_li.insert(0, c)
-        d = d.real
+    for start in range(0, G.shape[0], _CHUNK):
+        done = []
+        for i, row in enumerate(_scalar_rows(G[start : start + _CHUNK]), start):
+            li, conj_li = [], []  # L[i, k-1], L[i, k-2], ..., L[i, i-b] before column k
+            d = row[b]
+            for v, (ck, pivot) in zip(row, above):
+                for p in map(mul, li, ck):
+                    v -= p
+                v /= pivot
+                c = conj(v)
+                d -= v * c
+                li.insert(0, v)
+                conj_li.insert(0, c)
+            d = d.real
+            if not d > _PIVOT_TOL:  # also refuses NaN
+                raise NotPositiveDefiniteError(f"pivot {d:.3g} at index {i} is not positive")
+            pivot = math.sqrt(d)
+            above.append((conj_li, pivot))
+            del above[0]
+            li.reverse()
+            li.append(pivot)
+            done += li
+        L.reshape(-1)[start * (b + 1) : start * (b + 1) + len(done)] = done
+    return L
+
+
+def _vector_factor(G: np.ndarray, b: int) -> np.ndarray:
+    """cholesky_band a column at a time: the dense numpy loop, on the views
+    a[i, c] = G[i, b + c - i] and L[i, c] = work[i, 2b + c - i] of G and of an
+    (n, 2b + 1) work array, whose b columns left of L's band stay zero so
+    that L[j+1:j+b+1, j-b:j] reads the zeros a dense L holds there."""
+    n, size = G.shape[0], G.itemsize
+    work = np.zeros((n, 2 * b + 1), dtype=complex)
+    # n x n views of the C-ordered arrays, which numpy checks lie inside them
+    a, L = (np.ndarray((n, n), complex, x, w * size, (x.strides[0] - size, size)) for x, w in ((G, b), (work, 2 * b)))
+    for j in range(n):
+        lo, hi = max(j - b, 0), j + b + 1
+        row = L[j, lo:j]
+        d = (a[j, j] - np.vdot(row, row)).real
         if not d > _PIVOT_TOL:  # also refuses NaN
-            raise NotPositiveDefiniteError(f"pivot {d:.3g} at index {i} is not positive")
-        pivot = math.sqrt(d)
-        above.append((conj_li, pivot))
-        del above[0]
-        li.reverse()
-        li.append(complex(pivot))  # as a dense L holds it: solves divide by this complex
-        out.append(li)
-    return out
+            raise NotPositiveDefiniteError(f"pivot {d:.3g} at index {j} is not positive")
+        L[j, j] = math.sqrt(d)
+        L[j + 1 : hi, j] = (a[j + 1 : hi, j] - L[j + 1 : hi, lo:j] @ np.conj(row)) / L[j, j]
+    return work[:, b:].copy()
 
 
-def _scalar_forward(rows: list, rhs: list, b: int) -> list:
-    """Solve L y = rhs on Python scalars, with L's lower band given as
-    _lower_rows lists."""
+def _scalar_rows(a: np.ndarray):
+    """The rows of a 2-D array as tuples of Python scalars."""
+    return zip(*[iter(a.ravel().tolist())] * a.shape[1])
+
+
+def _scalar_forward(L: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Solve L y = rhs into out (which may be rhs) on Python scalars."""
+    b = L.shape[1] - 1
     last = [0j] * b  # y[i-b], ..., y[i-1]
-    y = []
-    for row, v in zip(rows, rhs):
-        for p in map(mul, row, last):
-            v -= p
-        v /= row[b]
-        last.append(v)
-        del last[0]
-        y.append(v)
-    return y
+    for start in range(0, L.shape[0], _CHUNK):
+        stop, y = start + _CHUNK, []
+        for row, v in zip(_scalar_rows(L[start:stop]), rhs[start:stop].tolist()):
+            for p in map(mul, row, last):
+                v -= p
+            v /= row[b]
+            last.append(v)
+            del last[0]
+            y.append(v)
+        out[start:stop] = y
+    return out
 
 
 def solve_factored(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -241,7 +237,7 @@ def cholesky_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def condition_estimate(L: np.ndarray) -> float:
     """Crude spectral-condition estimate from the Cholesky diagonal."""
-    d = np.abs(np.diag(L))
+    d = np.abs(L[:, -1])
     if d.min() == 0:
         return math.inf
     return float((d.max() / d.min()) ** 2)

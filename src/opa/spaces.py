@@ -17,7 +17,8 @@ w_{k+1}/w_k -> 1; the inner product weights Maclaurin coefficients,
 One function, shift_products, gives <z^j h, z^k f> for all j <= J, k <= K with
 the bound certified for each pair (rounding, the stretch where one stored
 prefix has ended, the tail beyond both); Gram systems use J = K, the rest J = 0.
-gram_band gives a polynomial's Gram entries as band rows, the same bits.
+gram_band gives a polynomial's Gram matrix, of any degree, as linalg's band
+array (row i holds [G[i, i-b], ..., G[i, i]]): the same bits in O(n b) memory.
 
 Derivative-evaluation kernels are the elements representing h -> h^(n)(beta);
 their coefficients are falling-factorial weighted powers of conj(beta) over
@@ -437,10 +438,13 @@ def _refuse_overflow(err: float, alpha: np.ndarray, beta: np.ndarray) -> None:
         raise OverflowError("inner products overflow the double range")
 
 
-def gram_band(space: WeightSequence, f: CPoly, n: int, b: int) -> tuple[list, float]:
-    """G[k, j] = <z^j f, z^k f>, j, k <= n, for a polynomial f of (embedded) degree
-    b as band rows [G[i, i-b], ..., G[i, i]] (zero left of column 0), and the largest
-    entry error: shift_products(space, f, f, n, n)'s bits in O(n b) memory."""
+def gram_band(space: WeightSequence, f: CPoly, n: int, b: int) -> tuple[np.ndarray, float]:
+    """G[k, j] = <z^j f, z^k f>, j, k <= n, as a band array, for a polynomial f of
+    (embedded) degree at most b, or above b = n, and the largest entry error:
+    shift_products(space, f, f, n, n)'s bits in O(n b) memory."""
+    if n == 0:  # one entry, summed as shift_products sums it
+        values, errs = shift_products(space, f, f, 0)
+        return values, float(errs.max())
     alpha = f.coeffs
     if space.kind == "multiplier":
         alpha, space = np.convolve(space.m.coeffs, alpha), _H2
@@ -455,7 +459,7 @@ def gram_band(space: WeightSequence, f: CPoly, n: int, b: int) -> tuple[list, fl
     rows = np.zeros((n + 1, b + 1), dtype=complex)
     for s in range(b + 1):  # G[i, i-s] = <z^(i-s) f, z^i f> is at (i - s, d + s)
         rows[s:, b - s] = diagonals[: n + 1 - s, d + s]
-    return rows.tolist(), float(err)
+    return rows, float(err)
 
 
 def _against_shifts(rows: np.ndarray, c: np.ndarray, K: int) -> np.ndarray:

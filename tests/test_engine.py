@@ -2,12 +2,14 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from band_reference import backward_reference, factor_reference, forward_reference, to_dense
 from opa import engine
 from opa.errors import (
     CannotCertifyError,
@@ -30,7 +32,7 @@ from opa.engine import (
     stabilization_dossier,
     taylor_residuals,
 )
-from opa.linalg import _lower_rows, _scalar, _scalar_forward, cholesky_factor
+from opa.linalg import cholesky_factor
 from opa.series import (
     CPoly,
     TruncSeries,
@@ -405,8 +407,9 @@ def _sweep_reference(space, f, g, n_max):
     """(X, dist, errs) of the sweep as it stood before it shared its back
     substitution: L^H X = triu(y 1^T), the right-hand side filled in as each
     row is reached."""
-    _, y, band, dist, norm_err, entry_err = engine._factored_system(space, f, g, n_max)
-    L = cholesky_factor(build_system(space, f, g, n_max)[0], band)  # dense, whatever the band
+    L, y, dist, norm_err, entry_err = engine._factored_system(space, f, g, n_max)
+    band = L.shape[1] - 1
+    L = to_dense(cholesky_factor(build_system(space, f, g, n_max)[0], band))  # from the dense build
     X = np.zeros_like(L)
     for i in range(n_max, -1, -1):
         hi = i + band + 1
@@ -434,59 +437,18 @@ def test_polynomial_gram_and_factor_vanish_outside_the_band():
         G, _, _ = build_system(space, f, ONE, 40)
         assert np.all(np.tril(G, -d - 1) == 0) and np.all(np.triu(G, d + 1) == 0)
         assert np.count_nonzero(np.tril(G, -d)) > 0
-        L = cholesky_factor(G, d)
+        L = to_dense(cholesky_factor(G, d))
         assert np.all(np.tril(L, -d - 1) == 0)
-        L_dense = cholesky_factor(G)
+        L_dense = to_dense(cholesky_factor(G))
         assert np.max(np.abs(L - L_dense)) <= 1e-13 * np.max(np.abs(L_dense))
 
 
-def _dense_band_factor(G, b):
-    """The scalar factor as it stood on dense storage: G's band read from the
-    dense matrix, L's band scattered into a dense one."""
-    n = G.shape[0]
-    above = [([], 1.0)] * b
-    band, pivots = [], []
-    for i, row in enumerate(_lower_rows(G, b).tolist()):
-        li, conj_li = [], []
-        d = row[b]
-        for v, (ck, pivot) in zip(row, above):
-            for x, y in zip(li, ck):
-                v -= x * y
-            v /= pivot
-            c = v.conjugate()
-            d -= v * c
-            li.insert(0, v)
-            conj_li.insert(0, c)
-        d = d.real
-        if not d > 1e-14:
-            raise NotPositiveDefiniteError(f"pivot {d:.3g} at index {i} is not positive")
-        pivot = math.sqrt(d)
-        above.append((conj_li, pivot))
-        del above[0]
-        pivots.append(pivot)
-        band.append(li)
-    L = np.diag(np.array(pivots, dtype=complex))
-    for i, li in enumerate(band):
-        for s, v in enumerate(li, 1):
-            if i - s >= 0:
-                L[i, i - s] = v
-    return L
-
-
 def _dense_band_solves(L, b, rhs, ns):
-    """y = L^-1 rhs by the scalar loop on rows read from the dense L, and the
-    back substitutions of the degrees ns: one column by the scalar loop on
-    L^H's rows, several by the dense numpy loop over L's columns."""
-    y = np.array(_scalar_forward(_lower_rows(L, b).tolist(), rhs.tolist(), b))
+    """y = L^-1 rhs and the back substitutions of the degrees ns, by the loops
+    that a dense L with b diagonals below the main one took."""
+    y = forward_reference(L, b, rhs)
     X = np.where(np.arange(y.size)[:, None] <= ns, y[:, None], 0)
-    if ns.size == 1:
-        rows = np.conj(_lower_rows(L[::-1, ::-1].T, b)).tolist()
-        X[::-1, 0] = _scalar_forward(rows, X[::-1, 0].tolist(), b)
-        return y, X
-    for i in range(y.size - 1, -1, -1):
-        hi = i + b + 1
-        X[i] = (X[i] - np.conj(L[i + 1 : hi, i]) @ X[i + 1 : hi]) / np.conj(L[i, i])
-    return y, X
+    return y, backward_reference(L, b, X)
 
 
 BAND_SPACES = [WeightSequence.dirichlet(a) for a in (-1.0, 0.0, 1.0, 2.0, 3.0)] + [
@@ -498,7 +460,7 @@ BAND_SPACES = [WeightSequence.dirichlet(a) for a in (-1.0, 0.0, 1.0, 2.0, 3.0)] 
 @settings(max_examples=100, deadline=None)
 @given(
     coeffs=st.lists(
-        st.complex_numbers(max_magnitude=2.0, allow_subnormal=False), min_size=2, max_size=6
+        st.complex_numbers(max_magnitude=2.0, allow_subnormal=False), min_size=2, max_size=13
     ),
     space=st.sampled_from(BAND_SPACES),
     n=st.integers(0, 60),
@@ -506,16 +468,22 @@ BAND_SPACES = [WeightSequence.dirichlet(a) for a in (-1.0, 0.0, 1.0, 2.0, 3.0)] 
 # in the Bergman space the product of z^0 f with the part of z^-5 f at
 # nonnegative powers, 2, exceeds every entry of G; it must not count
 @example(coeffs=[1, 0, 0, 0, 0, 2], space=BAND_SPACES[0], n=20)
+# a band of 12 in H2, and one of 8 in a quotient space as wide as its matrix
+@example(coeffs=[1, -0.5, 0.25, 0, 0, 0, 0, 0, 0.1, 0, 0, 0, 0.3j], space=BAND_SPACES[1], n=40)
+@example(coeffs=[1, 0.3, 0, 0, 0, 0, 0, 0.2], space=BAND_SPACES[-1], n=6)
+# a one-entry system, whose entry and error the dense build sums by a correlation
+@example(coeffs=[1, 1.5, -0.5j, 0.25, 2], space=BAND_SPACES[0], n=0)
 def test_band_storage_is_bit_identical_to_the_dense_loops(coeffs, space, n):
-    # a polynomial whose band takes the scalar loop is kept as band rows from
-    # the Gram build to the last solve; the same loops on dense G and L, fed
-    # from build_system, give every output bit for bit
+    # a polynomial of any degree is kept as a band array from the Gram build
+    # to the last solve; the loops its band took on dense G and L, fed from
+    # build_system, give every output bit for bit: the scalar ones to band 5
+    # (when narrower than the matrix), the numpy ones past it
     f = CPoly(coeffs)
     band = min(engine._effective_degree(space, f), n)
-    assume(abs(f.coefficient(0)) >= 0.1 and _scalar(n + 1, band))
+    assume(abs(f.coefficient(0)) >= 0.1)
     G, rhs, entry_err = build_system(space, f, ONE, n)
     try:
-        L = _dense_band_factor(G, band)
+        L = factor_reference(G, band)
     except NotPositiveDefiniteError as exc:
         with pytest.raises(NotPositiveDefiniteError, match=re.escape(str(exc))):
             approximant_sweep(space, f, ONE, n)
@@ -523,7 +491,7 @@ def test_band_storage_is_bit_identical_to_the_dense_loops(coeffs, space, n):
     ns = np.arange(n + 1)
     y, X = _dense_band_solves(L, band, rhs, ns)
     _, X1 = _dense_band_solves(L, band, rhs, ns[-1:])
-    _, y_band, _, _, _, err_band = engine._factored_system(space, f, ONE, n)
+    _, y_band, _, _, err_band = engine._factored_system(space, f, ONE, n)
     assert y_band.tobytes() == y.tobytes() and err_band == entry_err
     gg = norm_sq_any(space, ONE)
     dist = float(gg.value) - np.cumsum(y.real**2 + y.imag**2)
@@ -536,7 +504,7 @@ def test_band_storage_is_bit_identical_to_the_dense_loops(coeffs, space, n):
     if space.monomials_orthogonal:
         e0 = np.zeros(n + 1, dtype=complex)
         e0[0] = 1.0
-        v = np.array(_scalar_forward(_lower_rows(L, band).tolist(), e0.tolist(), band))
+        v = forward_reference(L, band, e0)
         pf0 = f.coefficient(0) * np.cumsum(np.conj(v) * y)
         rows = cyclicity_diagnostic(space, f, n).rows
         assert [alt for _, _, alt in rows] == (1.0 - pf0.real).tolist()
@@ -550,6 +518,25 @@ def test_band_storage_reaches_degree_two_hundred_thousand():
     exact = 1.0 / math.fsum(m**-2.0 for m in range(1, n + 3))
     assert abs(dist - exact) <= 1e-12 * exact
     assert 0 < dist - 6 / math.pi**2 < 2e-6
+
+
+def test_band_arrays_keep_large_systems_small():
+    # 16 bytes a band entry: G and L of 1 - z at n = 2*10^5 take 6.4 MB each,
+    # and a degree-8 diagnostic at n = 3000 no dense matrix (they took 276 MiB)
+    rng = np.random.default_rng(3)
+    f8 = CPoly(np.poly(1.3 * np.exp(2j * np.pi * rng.random(8)))[::-1])
+    runs = (
+        (25, lambda: engine._factored_system(D2, CPoly([1, -1]), ONE, 200_000)),
+        (5, lambda: cyclicity_diagnostic(D2, f8, 3000)),
+    )
+    for peak_mib, run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= peak_mib * 2**20, (peak_mib, peak / 2**20)
 
 
 def test_one_degree_in_h2_at_degree_ten_thousand():

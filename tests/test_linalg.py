@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from band_reference import dense_factor_reference, factor_reference, to_band, to_dense
 from opa.errors import NotPositiveDefiniteError, RootFindingError
 from opa.linalg import (
     SCALAR_BAND_MAX,
@@ -15,6 +16,7 @@ from opa.linalg import (
     _sorted_roots,
     backward_substitute_H,
     check_hermitian,
+    cholesky_band,
     cholesky_border,
     cholesky_factor,
     cholesky_solve,
@@ -80,18 +82,8 @@ def test_bordered_factor_matches_full_factor():
     for k in range(1, n):
         L = cholesky_border(L, G[: k + 1, k])
     L_full = cholesky_factor(G)
+    assert L.shape == L_full.shape == (n, n)
     assert np.max(np.abs(L - L_full)) < 1e-11
-
-
-def _dense_factor_reference(a):
-    """The dense Cholesky loop as it stood before factors took a band."""
-    n = a.shape[0]
-    L = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        d = (a[j, j] - np.vdot(L[j, :j], L[j, :j])).real
-        L[j, j] = math.sqrt(d)
-        L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ np.conj(L[j, :j])) / L[j, j]
-    return L
 
 
 def _dense_forward_reference(L, b):
@@ -117,17 +109,17 @@ def test_dense_factor_and_solve_are_bit_identical_to_the_dense_loop():
         A = rng.randn(n, n) + 1j * rng.randn(n, n)
         G = A.conj().T @ A + np.eye(n)
         b = rng.randn(n) + 1j * rng.randn(n)
-        L_ref = _dense_factor_reference(G)
+        L_ref = dense_factor_reference(G)
         y_ref = _dense_forward_reference(L_ref, b)
         x_ref = _dense_backward_reference(L_ref, y_ref)
-        assert solve_factored(L_ref, b).tobytes() == x_ref.tobytes(), n
+        assert solve_factored(to_band(L_ref), b).tobytes() == x_ref.tobytes(), n
         # no band, and a band as wide as the matrix, run the dense slices
         for band in (None, n - 1, n):
             L = cholesky_factor(G, band)
-            assert L.tobytes() == L_ref.tobytes(), (n, band)
-            assert forward_substitute(L, b, band).tobytes() == y_ref.tobytes(), (n, band)
+            assert to_dense(L).tobytes() == L_ref.tobytes(), (n, band)
+            assert forward_substitute(L, b).tobytes() == y_ref.tobytes(), (n, band)
             y = y_ref.copy()
-            assert backward_substitute_H(L, y, band) is y  # in place
+            assert backward_substitute_H(L, y) is y  # in place
             assert y.tobytes() == x_ref.tobytes(), (n, band)
 
 
@@ -141,18 +133,20 @@ def test_banded_factor_matches_dense_and_keeps_its_band():
             G += np.diag(v, -s) + np.diag(v.conj(), s)
         G += np.eye(n) * (4.0 * band + 4.0 - np.diag(G).real)  # diagonally dominant
         L = cholesky_factor(G, band)
-        assert np.all(np.tril(L, -band - 1) == 0)
-        L_dense = cholesky_factor(G)
-        assert np.max(np.abs(L - L_dense)) <= 1e-14 * np.max(np.abs(L_dense))
+        assert L.shape == (n, band + 1)
+        Ld = to_dense(L)
+        assert np.all(np.tril(Ld, -band - 1) == 0)
+        L_dense = to_dense(cholesky_factor(G))
+        assert np.max(np.abs(Ld - L_dense)) <= 1e-14 * np.max(np.abs(L_dense))
         b = rng.randn(n) + 1j * rng.randn(n)
-        y = forward_substitute(L, b, band)
-        assert np.max(np.abs(L @ y - b)) <= 1e-13 * np.max(np.abs(b))
+        y = forward_substitute(L, b)
+        assert np.max(np.abs(Ld @ y - b)) <= 1e-13 * np.max(np.abs(b))
         # one right-hand side per column, each as if solved alone
         B = rng.randn(n, 3) + 1j * rng.randn(n, 3)
-        X = backward_substitute_H(L, B.copy(), band)
-        assert np.max(np.abs(L.conj().T @ X - B)) <= 1e-13 * np.max(np.abs(B))
+        X = backward_substitute_H(L, B.copy())
+        assert np.max(np.abs(Ld.conj().T @ X - B)) <= 1e-13 * np.max(np.abs(B))
         for c in range(3):
-            x = backward_substitute_H(L, B[:, c].copy(), band)
+            x = backward_substitute_H(L, B[:, c].copy())
             assert np.max(np.abs(x - X[:, c])) <= 1e-14 * np.max(np.abs(x))
 
 
@@ -174,56 +168,69 @@ def test_narrow_bands_match_the_dense_loop():
         for n in sorted({1, 2, band, band + 1, 60, 401} - {0}):
             G = _banded_hpd(rng, n, band)
             b = rng.randn(n) + 1j * rng.randn(n)
-            L_ref = _dense_factor_reference(G)
+            L_ref = dense_factor_reference(G)
             y_ref = _dense_forward_reference(L_ref, b)
             x_ref = _dense_backward_reference(L_ref, y_ref)
             # entries below the band are never read
             noisy = G + np.tril(rng.randn(n, n), -band - 1)
-            L = cholesky_factor(noisy, band)
+            L = to_dense(cholesky_factor(noisy, band))
             assert np.all(np.tril(L, -band - 1) == 0), (n, band)
             assert np.all(np.triu(L, 1) == 0), (n, band)
             scale = np.max(np.abs(L_ref))
             assert np.max(np.abs(L - L_ref)) <= 1e-14 * scale, (n, band)
-            y = forward_substitute(L_ref, b, band)
+            R = to_band(L_ref, band)
+            y = forward_substitute(R, b)
             assert np.max(np.abs(y - y_ref)) <= 1e-14 * np.max(np.abs(y_ref)), (n, band)
             # in place, for a vector and for a one-column matrix (a view here)
             x = y_ref.copy()
-            assert backward_substitute_H(L_ref, x, band) is x
+            assert backward_substitute_H(R, x) is x
             assert np.max(np.abs(x - x_ref)) <= 1e-14 * np.max(np.abs(x_ref)), (n, band)
             B = np.zeros((n, 3), dtype=complex)
             B[:, 1] = y_ref
             col = B[:, 1:2]
-            assert backward_substitute_H(L_ref, col, band) is col
+            assert backward_substitute_H(R, col) is col
             assert B[:, 1].tobytes() == x.tobytes() and not B[:, 0].any() and not B[:, 2].any()
 
 
-def _refused_at(G, band):
+def _refusal(factor, *args):
     with pytest.raises(NotPositiveDefiniteError) as exc:
-        cholesky_factor(G, band)
-    return int(str(exc.value).split("at index ")[1].split()[0])
+        factor(*args)
+    return str(exc.value)
+
+
+def _refused_at(G, band):
+    return int(_refusal(cholesky_factor, G, band).split("at index ")[1].split()[0])
+
+
+def _assert_refused(G, band, k):
+    # on a band array, with the message of the dense-storage loop of its band
+    # (the scalar one to band 5, the numpy one past it), at the dense loop's index
+    message = _refusal(cholesky_band, to_band(G, band))
+    assert message == _refusal(factor_reference, G, band), band
+    assert _refused_at(G, band) == _refused_at(G, None) == k, (band, k)
 
 
 def test_narrow_band_refusals_match_the_dense_loop():
     rng = np.random.RandomState(47)
-    for band in range(SCALAR_BAND_MAX + 2):
+    for band in range(13):
         n = 30
         for k in (0, 1, band + 1, 17, n - 1):
             # a negative pivot at k
             G = _banded_hpd(rng, n, band)
             G[k, k] = -1.0
-            assert _refused_at(G, band) == _refused_at(G, None) == k, (band, k)
+            _assert_refused(G, band, k)
             # a singular matrix, L0 L0^H with L0[k, k] = 0: its pivot at k is
             # zero up to rounding
             L0 = np.linalg.cholesky(_banded_hpd(rng, n, band))
             L0[k, k] = 0.0
             S = L0 @ L0.conj().T
-            assert _refused_at(S, band) == _refused_at(S, None) == k, (band, k)
+            _assert_refused(S, band, k)
             # NaN data, on the diagonal or in the band below it
             for i, j in ((k, k), (k, k - 1), (k, k - band)):
                 if 0 <= j <= i and i - j <= band:
                     G = _banded_hpd(rng, n, band)
                     G[i, j] = G[j, i] = np.nan
-                    assert _refused_at(G, band) == _refused_at(G, None) == i, (band, i, j)
+                    _assert_refused(G, band, i)
 
 
 # -- roots -------------------------------------------------------------------
