@@ -147,7 +147,7 @@ def _scalar_factor(G: np.ndarray, b: int) -> np.ndarray:
     conj = complex.conjugate
     for start in range(0, G.shape[0], _CHUNK):
         done = []
-        for i, row in enumerate(_scalar_rows(G[start : start + _CHUNK]), start):
+        for i, row in enumerate(G[start : start + _CHUNK].tolist(), start):
             li, conj_li = [], []  # L[i, k-1], L[i, k-2], ..., L[i, i-b] before column k
             d = row[b]
             for v, (ck, pivot) in zip(row, above):
@@ -176,10 +176,9 @@ def _vector_factor(G: np.ndarray, b: int) -> np.ndarray:
     a[i, c] = G[i, b + c - i] and L[i, c] = work[i, 2b + c - i] of G and of an
     (n, 2b + 1) work array, whose b columns left of L's band stay zero so
     that L[j+1:j+b+1, j-b:j] reads the zeros a dense L holds there."""
-    n, size = G.shape[0], G.itemsize
+    n = G.shape[0]
     work = np.zeros((n, 2 * b + 1), dtype=complex)
-    # n x n views of the C-ordered arrays, which numpy checks lie inside them
-    a, L = (np.ndarray((n, n), complex, x, w * size, (x.strides[0] - size, size)) for x, w in ((G, b), (work, 2 * b)))
+    a, L = _skewed(G, b), _skewed(work, 2 * b)
     for j in range(n):
         lo, hi = max(j - b, 0), j + b + 1
         row = L[j, lo:j]
@@ -191,9 +190,10 @@ def _vector_factor(G: np.ndarray, b: int) -> np.ndarray:
     return work[:, b:].copy()
 
 
-def _scalar_rows(a: np.ndarray):
-    """The rows of a 2-D array as tuples of Python scalars."""
-    return zip(*[iter(a.ravel().tolist())] * a.shape[1])
+def _skewed(x: np.ndarray, w: int) -> np.ndarray:
+    """The n x n view m[i, c] = x[i, w + c - i] of a C-ordered array; numpy checks it lies inside x."""
+    n, size = x.shape[0], x.itemsize
+    return np.ndarray((n, n), x.dtype, x, w * size, (x.strides[0] - size, size))
 
 
 def _scalar_forward(L: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -202,7 +202,7 @@ def _scalar_forward(L: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarr
     last = [0j] * b  # y[i-b], ..., y[i-1]
     for start in range(0, L.shape[0], _CHUNK):
         stop, y = start + _CHUNK, []
-        for row, v in zip(_scalar_rows(L[start:stop]), rhs[start:stop].tolist()):
+        for row, v in zip(L[start:stop].tolist(), rhs[start:stop].tolist()):
             for p in map(mul, row, last):
                 v -= p
             v /= row[b]
