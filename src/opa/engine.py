@@ -3,19 +3,20 @@
 For f, g in a space with <g, f> != 0, the degree-n optimal approximant p_n*
 is the polynomial of degree <= n minimizing ||p f - g||; its coefficients
 solve the Hermitian system G a = rhs with G[k, j] = <z^j f, z^k f> and
-rhs[k] = <g, z^k f>, from two spaces.shift_products calls.  The nested spans
-of {z^k f : k <= n} let a sweep factor G once and read every degree, with its
-squared distance ||p_n* f - g||^2 (non-increasing in n), from that factor.
+rhs[k] = <g, z^k f>, which build_system, the one Gram builder, gives for
+every data kind.  The nested spans of {z^k f : k <= n} let a sweep factor G
+once and read every degree, with its squared distance ||p_n* f - g||^2
+(non-increasing in n), from that factor.
 
 For f a polynomial of degree d (d + deg m in the quotient space of m), G and
-its factor L are banded: G[k, j] = 0 for |k - j| > d.  Whatever d, G is built
-as a band array (spaces.gram_band) and factored along its d + 1 diagonals,
-O(n d^2) work in O(n d) memory, and each substitution takes O(n d) a
-right-hand side: a sweep solves for every degree in one
-linalg.backward_substitute_H call, O(n^2 d), optimal_approximant for its one
-degree, O(n d).  A stored series (band n) is built dense and read into its
-band.  The distances and the stabilization window read only y = L^-1 rhs,
-and (p_n* f)(0) one more forward solve.
+its factor L are banded: G[k, j] = 0 for |k - j| > d.  build_system returns G
+as linalg's band array along b = d diagonals (b = n for a stored series with
+a tail), from spaces.gram_band, and it is factored along them, O(n b^2) work
+in O(n b) memory; each substitution takes O(n b) a right-hand side: a sweep
+solves for every degree in one linalg.backward_substitute_H call, O(n^2 b),
+optimal_approximant for its one degree, O(n b).  The distances and the
+stabilization window read only y = L^-1 rhs, and (p_n* f)(0) one more
+forward solve.
 
 On top of the sweeps this module certifies structural properties, each
 reading <h, z^k f> for all its k from one call of spaces.shift_products:
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CannotCertifyError, OrthogonalDataError
-from .linalg import backward_substitute_H, cholesky_band, cholesky_factor, forward_substitute, poly_roots
+from .linalg import backward_substitute_H, cholesky_band, forward_substitute, poly_roots
 from .series import (
     CPoly,
     TruncSeries,
@@ -52,7 +53,7 @@ from .series import (
 from .spaces import WeightSequence, _coerce_series, gram_band, norm_sq_any, require_certified, shift_products
 
 # unused here, but bound for perfbench/spans.py, which traces them by these names
-from .linalg import cholesky_border, solve_factored  # noqa: F401
+from .linalg import cholesky_border, cholesky_factor, solve_factored  # noqa: F401
 from .spaces import inner_any  # noqa: F401
 
 _ERR_FLOOR = 1e-12
@@ -174,21 +175,22 @@ def build_system(space: WeightSequence, f, g, n: int) -> tuple[np.ndarray, np.nd
     for it: rounding only for polynomial data.  Errors of entries with a
     stored series in them must not exceed _ENTRY_EPS.
 
+    G is the (n+1) x (b+1) band array of linalg (row i holds [G[i, i-b], ...,
+    G[i, i]]) for every data kind, b being f's effective degree (n for a
+    series with a tail), at most n.  This is a change of the public API:
+    build_system used to return the dense (n+1) x (n+1) matrix.
+
     Raises OrthogonalDataError when |<g, f>| does not exceed the combined
     certified error: the minimization then has no meaningful solution.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    G, G_err = shift_products(space, f, f, n, n)
-    rhs, entry_err = _right_hand_side(space, f, g, n, G_err)
-    return G.T, rhs, entry_err
-
-
-def _right_hand_side(space: WeightSequence, f, g, n: int, G_err) -> tuple[np.ndarray, float]:
-    """build_system's rhs and largest entry error, given G's errors."""
+    d = _effective_degree(space, f)
+    G, G_err = gram_band(space, f, n, n if d is None else min(d, n))
     (rhs,), (rhs_err,) = shift_products(space, g, f, n)
+    rhs_max = float(rhs_err.max())
     # an entry with a stored series in it (f is in all, g in rhs) is certified
-    series_errs = [e for e, x in ((G_err, f), (rhs_err, f), (rhs_err, g)) if not isinstance(x, CPoly)]
+    series_errs = [e for e, x in ((G_err, f), (rhs_max, f), (rhs_max, g)) if not isinstance(x, CPoly)]
     if series_errs:
         require_certified(rhs_err[0], _ENTRY_EPS)
     if abs(rhs[0]) <= rhs_err[0] + _ERR_FLOOR:
@@ -196,25 +198,17 @@ def _right_hand_side(space: WeightSequence, f, g, n: int, G_err) -> tuple[np.nda
             f"<g, f> = {rhs[0]:.3g} is zero within certified error {rhs_err[0]:.3g}"
         )
     if series_errs:
-        require_certified(max(float(e.max()) for e in series_errs), _ENTRY_EPS)
-    return rhs, max(float(np.max(G_err)), float(rhs_err.max()))
+        require_certified(max(series_errs), _ENTRY_EPS)
+    return G, rhs, max(G_err, rhs_max)
 
 
 def _factored_system(space: WeightSequence, f, g, n_max: int):
     """(L, y, dist, norm_err, entry_err): the band factor L of the degree-n_max
-    system along its band (the effective degree of f, or n_max for a stored
-    series), y = L^-1 rhs, dist[n] = ||g||^2 - sum_{i<=n} |y_i|^2, and the
+    system, y = L^-1 rhs, dist[n] = ||g||^2 - sum_{i<=n} |y_i|^2, and the
     errors of ||g||^2 and of the largest Gram or right-hand-side entry (an
     OverflowError when ||g||^2 or a distance overflows)."""
-    d = _effective_degree(space, f)
-    band = n_max if d is None else min(d, n_max)
-    if isinstance(f, CPoly):
-        G, G_err = gram_band(space, f, n_max, band)
-        rhs, entry_err = _right_hand_side(space, f, g, n_max, G_err)
-        L = cholesky_band(G)
-    else:
-        G, rhs, entry_err = build_system(space, f, g, n_max)
-        L = cholesky_factor(G, band)
+    G, rhs, entry_err = build_system(space, f, g, n_max)
+    L = cholesky_band(G)
     y = forward_substitute(L, rhs)
     with np.errstate(over="ignore", invalid="ignore"):
         gg = norm_sq_any(space, g, _ENTRY_EPS)

@@ -4,8 +4,11 @@ Both algorithms are implemented in-house: deterministic, portable behavior
 matters more than peak performance.  Every Gram system and Cholesky factor is
 one (n, b + 1) band array (LAPACK's lower band storage): row i holds [G[i,
 i-b], ..., G[i, i]], zero left of column 0, for the bandwidth b (d for the
-Gram matrix of a degree-d polynomial, n - 1 for a dense one).  A factor costs
-O(n b^2) time and O(n b) memory, a solve O(n b) a right-hand side.  Two loops
+Gram matrix of a degree-d polynomial, n - 1 for a dense one).  lower_rows is
+the one reader of a dense matrix into a band array: of a stored series' Gram
+matrix, and in cholesky_factor of a dense system (a kernel Gram matrix,
+cholesky_solve's).  A factor costs O(n b^2) time and O(n b) memory, a solve
+O(n b) a right-hand side.  Two loops
 do the work, chosen by b: one over Python complex scalars, read and written
 back _CHUNK rows at a time, for a band of at most ``SCALAR_BAND_MAX``
 diagonals narrower than the matrix (every polynomial Gram system of the
@@ -55,14 +58,13 @@ def check_hermitian(matrix: np.ndarray) -> np.ndarray:
     return a
 
 
-def cholesky_factor(matrix: np.ndarray, band: int | None = None) -> np.ndarray:
-    """cholesky_band of a dense matrix's diagonal and the ``band`` diagonals
-    below it (all by default): the entry point of every system built dense."""
+def cholesky_factor(matrix: np.ndarray) -> np.ndarray:
+    """cholesky_band of a dense matrix's lower triangle, read whole into a
+    band array: the factor of a dense kernel Gram system and cholesky_solve's."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
-    return cholesky_band(_lower_rows(a, min(n if band is None else band, max(n - 1, 0))))
+    return cholesky_band(lower_rows(a, max(a.shape[0] - 1, 0)))
 
 
 def cholesky_border(L: np.ndarray, column: np.ndarray) -> np.ndarray:
@@ -120,8 +122,9 @@ def _scalar(n: int, band: int) -> bool:
     return band <= SCALAR_BAND_MAX and band < n - 1
 
 
-def _lower_rows(m: np.ndarray, b: int) -> np.ndarray:
-    """The band array of m's b diagonals below the main one: one call per diagonal."""
+def lower_rows(m: np.ndarray, b: int) -> np.ndarray:
+    """The band array of a dense matrix m's b diagonals below the main one, one
+    call per diagonal: the one reader of a dense system into its band."""
     rows = np.zeros((m.shape[0], b + 1), dtype=complex)
     for s in range(b + 1):
         rows[s:, b - s] = m.diagonal(-s)

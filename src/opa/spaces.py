@@ -16,9 +16,11 @@ w_{k+1}/w_k -> 1; the inner product weights Maclaurin coefficients,
 
 One function, shift_products, gives <z^j h, z^k f> for all j <= J, k <= K with
 the bound certified for each pair (rounding, the stretch where one stored
-prefix has ended, the tail beyond both); Gram systems use J = K, the rest J = 0.
-gram_band gives a polynomial's Gram matrix, of any degree, as linalg's band
-array (row i holds [G[i, i-b], ..., G[i, i]]): the same bits in O(n b) memory.
+prefix has ended, the tail beyond both), one matrix product for every data
+kind; a stored series' Gram matrix uses J = K, the rest J = 0.  gram_band
+gives the Gram matrix of any data as linalg's band array (row i holds
+[G[i, i-b], ..., G[i, i]]): a polynomial's, of any degree, summed along its
+diagonals in O(n b) memory, a stored series' read off shift_products.
 
 Derivative-evaluation kernels are the elements representing h -> h^(n)(beta);
 their coefficients are falling-factorial weighted powers of conj(beta) over
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CannotCertifyError, EnvelopeOverflowError, NotReproducibleError
+from .linalg import lower_rows
 from .series import (
     UNIT_ROUNDOFF,
     CPoly,
@@ -340,9 +343,8 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
     """<z^j h, z^k f> for j = 0..J and k = 0..K, as (J+1) x (K+1) arrays of
     values and of the error certified for each pair, summed over the stored
     overlap: one correlation when J = 0 (O(K + L) memory for long horizons),
-    else one product with f's shift matrix, taken only over the diagonals
-    where the shifted supports meet when h and f are polynomials (the
-    banded Gram matrix of a polynomial).  Two polynomials carry rounding
+    else one product with f's shift matrix, for every data kind (gram_band
+    sums a polynomial's Gram matrix along its band).  Two polynomials carry rounding
     only; otherwise the error adds the stretch where only one stored prefix
     has ended (its envelope against the other's coefficients, summed over
     the indices [len h, len f + K) or [len f, len h + J) alone) and the tail
@@ -358,18 +360,13 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
         alpha, beta = (np.convolve(m.coeffs, x.coeffs)[:n] for x, n in zip((a, b), keep))
     width = max(alpha.size + J, beta.size + K)
     w = space.weights(width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wA = w * _shift_matrix(alpha, J, width)
+        values = _against_shifts(wA, beta, K)
     if poly:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if J:  # row j of the diagonals starts at column j; the columns k = 0..K are kept
-                diagonals, db = _banded_products(w, alpha, beta, J), beta.size - 1
-                values = _shift_matrix(diagonals, J, max(J + diagonals.shape[1], K + db + 1))[:, db : db + K + 1]
-            else:
-                values = _against_shifts(w * _shift_matrix(alpha, 0, width), beta, K)
-            errs = 1e-16 * (1.0 + np.abs(values))
+        errs = 1e-16 * (1.0 + np.abs(values))
         _refuse_overflow(errs.max(), alpha, beta)
         return values, errs
-    wA = w * _shift_matrix(alpha, J, width)
-    values = _against_shifts(wA, beta, K)
     La, Lb = alpha.size, beta.size  # stored lengths of h and f; z^j h and z^k f store j and k more
     Ma = _shift_envelopes(a, J, m)
     Mb = Ma if b is a and K == J else _shift_envelopes(b, K, m)  # a Gram matrix's are one
@@ -412,24 +409,11 @@ def _shift_envelopes(x: TruncSeries, n: int, m) -> np.ndarray:
 
 
 def _shift_matrix(c: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Rows z^i c for i = 0..n (z^i c[i] when c holds one row per i), zero-padded
-    to width >= c.shape[-1] + n columns: c starts each row of buf, and read at a
-    stride of width, row i starts i later."""
+    """Rows z^i c for i = 0..n, zero-padded to width >= c.size + n columns: c
+    starts each row of buf, and read at a stride of width, row i starts i later."""
     buf = np.zeros((n + 1, width + 1), dtype=c.dtype)
-    buf[:, : c.shape[-1]] = c
+    buf[:, : c.size] = c
     return buf.ravel()[: (n + 1) * width].reshape(n + 1, width)
-
-
-def _banded_products(w: np.ndarray, alpha: np.ndarray, beta: np.ndarray, J: int) -> np.ndarray:
-    """Row j holds sum_t w_t alpha_{t-j} conj(beta_{t-k}) for k = j - deg beta, ...,
-    j + deg alpha, where the supports meet (every other pair is an exact zero):
-    _against_shifts' terms in O(J deg alpha (deg alpha + deg beta)) products.
-    Entries at k < 0 or past the caller's last k are for the caller to drop."""
-    da, db = alpha.size - 1, beta.size - 1
-    # wA[j, u] = w_{j+u} alpha_u; column c of B is conj(beta) reversed and shifted
-    # so that (wA @ B)[j, c] is the entry at k = j + c - db
-    wA = w[np.arange(J + 1)[:, None] + np.arange(da + 1)] * alpha
-    return wA @ _shift_matrix(np.conj(beta[::-1]), da, da + db + 1)
 
 
 def _refuse_overflow(err: float, alpha: np.ndarray, beta: np.ndarray) -> None:
@@ -438,20 +422,26 @@ def _refuse_overflow(err: float, alpha: np.ndarray, beta: np.ndarray) -> None:
         raise OverflowError("inner products overflow the double range")
 
 
-def gram_band(space: WeightSequence, f: CPoly, n: int, b: int) -> tuple[np.ndarray, float]:
-    """G[k, j] = <z^j f, z^k f>, j, k <= n, as a band array, for a polynomial f of
-    (embedded) degree at most b, or above b = n, and the largest entry error:
-    shift_products(space, f, f, n, n)'s bits in O(n b) memory."""
-    if n == 0:  # one entry, summed as shift_products sums it
-        values, errs = shift_products(space, f, f, 0)
-        return values, float(errs.max())
+def gram_band(space: WeightSequence, f, n: int, b: int) -> tuple[np.ndarray, float]:
+    """G[k, j] = <z^j f, z^k f>, j, k <= n, as a band array of b diagonals below
+    the main one, and the largest entry error, for f of (embedded) degree at
+    least b or a stored series.  A polynomial's diagonals are summed where the
+    shifted supports meet (every other entry is an exact zero), O(n b) memory;
+    a stored series, or a single entry, is summed dense by shift_products and
+    read into its band."""
+    if n == 0 or not isinstance(f, CPoly):
+        values, errs = shift_products(space, f, f, n, n)
+        return lower_rows(values.T, b), float(errs.max())
     alpha = f.coeffs
     if space.kind == "multiplier":
         alpha, space = np.convolve(space.m.coeffs, alpha), _H2
     d = alpha.size - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        diagonals = _banded_products(space.weights(alpha.size + n), alpha, alpha, n)
-        # entry (j, c) is at k = j + c - d; those outside G do not count
+        # row j holds w_{j+u} alpha_u, u = 0..d; column c of the shift matrix is
+        # conj(alpha) reversed and shifted, so that entry (j, c) is at k = j + c - d
+        diagonals = space.weights(alpha.size + n)[np.arange(n + 1)[:, None] + np.arange(d + 1)] * alpha
+        diagonals = diagonals @ _shift_matrix(np.conj(alpha[::-1]), d, 2 * d + 1)
+        # those outside G do not count
         k = np.arange(n + 1)[:, None] + np.arange(2 * d + 1) - d
         diagonals[(k < 0) | (k > n)] = 0
         err = 1e-16 * (1.0 + np.abs(diagonals).max())
@@ -546,13 +536,17 @@ def _rising_vec(ks: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def kernel_coefficients(space: WeightSequence, spec: KernelSpec, length: int) -> np.ndarray:
-    """First ``length`` Maclaurin coefficients of the requested kernel."""
+def _require_kernel_formula(space: WeightSequence) -> None:
     if space.kind == "multiplier":
         raise ValueError(
             "multiplier spaces have non-orthogonal monomials; no coefficient "
             "kernel formula applies (use the correspondence with the plain space)"
         )
+
+
+def kernel_coefficients(space: WeightSequence, spec: KernelSpec, length: int) -> np.ndarray:
+    """First ``length`` Maclaurin coefficients of the requested kernel."""
+    _require_kernel_formula(space)
     beta = complex(spec.beta)
     n = spec.order
     ks = np.arange(length)
@@ -583,14 +577,17 @@ def kernel_series(
     eps: float = 1e-12,
     length: int | None = None,
 ) -> TruncSeries:
-    """Kernel as a stored series with a certified envelope.
+    """Kernel as a stored series with a certified envelope; a multiplier space
+    is refused, as kernel_coefficients refuses it.
 
-    Interior points get geometric envelopes sized from eps; boundary points
-    (reproducible ones) decay like a power of k, so the envelope carries
+    Interior points (under growing custom weights, |beta| = 1 as well) get
+    geometric envelopes sized from eps; reproducible boundary points of a
+    dirichlet space decay like a power of k, so the envelope carries
     tail_r = 1 with a negative power and the stored length defaults to a
     fixed prefix -- certified inner products against such kernels go through
     the dedicated summation routines rather than the envelope.
     """
+    _require_kernel_formula(space)
     beta = complex(spec.beta)
     cert = is_reproducible(space, beta, spec.order)
     if not cert.reproducible:
@@ -602,9 +599,9 @@ def kernel_series(
     if beta == 0:
         coeffs = kernel_coefficients(space, spec, n + 1)
         return TruncSeries(coeffs, 0.0, 0.0, 0.0)
-    if abs(rho - 1.0) <= _BOUNDARY_TOL:
-        # boundary point (dirichlet kind only, by the reproducibility rules):
-        # |coeff_k| <= (k+1)^n / (k+1)^alpha, a power envelope
+    if space.kind == "dirichlet" and abs(rho - 1.0) <= _BOUNDARY_TOL:
+        # boundary point: |coeff_k| <= (k+1)^n / (k+1)^alpha, a power envelope
+        # (growing custom weights decay geometrically at |beta| = 1 too)
         gamma_b = float(n - space.alpha)
         if length is None:
             length = 256

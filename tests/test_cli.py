@@ -496,6 +496,22 @@ def test_kernel_whose_coefficients_grow_is_a_usage_error(capsys):
     assert out == "" and err.startswith("opa: kernel: ") and "grow under decaying weights" in err
 
 
+def test_kernel_in_a_multiplier_space_is_a_usage_error(capsys):
+    space = '{"kind":"multiplier","m":[[1,0],[-0.5,0]]}'
+    code, out, err = run(capsys, ["kernel", "--space", space, "--beta", "[0.5,0]"])
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("opa: kernel: ") and err.count("\n") == 1
+    assert "non-orthogonal monomials" in err
+
+
+@pytest.mark.parametrize("command", ["approximate", "diagnose", "stabilize", "project"])
+def test_a_negative_degree_is_a_usage_error(capsys, command):
+    argv = [command, "--space", H2_DESC, "--f", "[[1,0],[-0.5,0]]", "--n-max", "-1"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err == f"opa: {command}: degree must be non-negative\n"
+
+
 @pytest.mark.parametrize("target", ["missing/rows.json", "."])
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys, target):
     argv = ["approximate", "--space", H2_DESC, "--f", "[[1,0],[-1,0]]", "--n-max", "2"]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from band_reference import backward_reference, factor_reference, forward_reference, to_dense
+from band_reference import backward_reference, factor_reference, forward_reference, to_band, to_dense
 from opa import engine
 from opa.errors import (
     CannotCertifyError,
@@ -32,7 +32,7 @@ from opa.engine import (
     stabilization_dossier,
     taylor_residuals,
 )
-from opa.linalg import cholesky_factor
+from opa.linalg import cholesky_band, cholesky_factor
 from opa.series import (
     CPoly,
     TruncSeries,
@@ -47,6 +47,7 @@ from opa.spaces import (
     Certified,
     KernelSpec,
     WeightSequence,
+    gram_band,
     inner_poly,
     kernel_series,
     norm_sq_any,
@@ -76,7 +77,7 @@ def closed_form_dist_sq(alpha: float, n: int) -> float:
 
 def test_build_system_hand_values():
     G, rhs, _ = build_system(H2, CPoly([1, -1]), ONE, 1)
-    assert np.allclose(G, [[2, -1], [-1, 2]])
+    assert np.allclose(G, to_band(np.array([[2, -1], [-1, 2]]), 1))
     assert np.allclose(rhs, [1, 0])
     G_d1, rhs_d1, _ = build_system(D1, CPoly([1, -1]), ONE, 0)
     assert np.allclose(G_d1, [[3]])
@@ -86,7 +87,8 @@ def test_build_system_hand_values():
 def test_build_system_constant_f_is_diagonal():
     for space in (H2, D1):
         G, rhs, _ = build_system(space, ONE, ONE, 3)
-        assert np.allclose(G, np.diag(space.weights(4)))
+        assert G.shape == (4, 1)
+        assert np.allclose(to_dense(G), np.diag(space.weights(4)))
         assert np.allclose(rhs, [1, 0, 0, 0])
 
 
@@ -175,7 +177,9 @@ def test_build_system_matches_pairwise_reference(monkeypatch):
     for space, ff, gg, n in cases:
         G, rhs, err = reference_system(space, ff, gg, n, 1e-9)
         G_b, rhs_b, err_b = build_system(space, ff, gg, n)
-        assert np.max(np.abs(G_b - G)) <= 1e-14 * np.max(np.abs(G))
+        b = G_b.shape[1] - 1  # the entries beyond the band vanish
+        assert np.max(np.abs(G_b - to_band(G, b))) <= 1e-14 * np.max(np.abs(G))
+        assert np.max(np.abs(np.tril(G, -b - 1)), initial=0) <= 1e-14 * np.max(np.abs(G))
         assert np.max(np.abs(rhs_b - rhs)) <= 1e-14 * np.max(np.abs(rhs))
         assert abs(err_b - err) <= 1e-12 * err
 
@@ -277,24 +281,28 @@ def test_shift_products_rows_match_pairwise_reference():
         assert np.all(np.abs(errs - ref_errs) <= 1e-12 * ref_errs), (space, K)
 
 
-def test_build_system_makes_two_shift_products_calls(monkeypatch):
-    import opa.engine
-
+def test_build_system_makes_one_gram_build_and_one_shift_products_call(monkeypatch):
+    # whatever the data: the Gram band, then the right-hand side
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return shift_products(*args)
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
 
-    monkeypatch.setattr(opa.engine, "shift_products", counted)
-    monkeypatch.setattr(opa.engine, "_ENTRY_EPS", 1e-9)
+        return call
+
+    monkeypatch.setattr(engine, "gram_band", counted("gram_band", gram_band))
+    monkeypatch.setattr(engine, "shift_products", counted("shift_products", shift_products))
+    monkeypatch.setattr(engine, "_ENTRY_EPS", 1e-9)
     quot = WeightSequence.multiplier(CPoly([1, -0.5 + 0.2j]))
     f = CPoly([0.7, -1.1 + 0.3j, 0.4, 0.2j])
-    for space, ff in ((D1, f), (H2, _series_f(200)), (quot, f), (quot, _series_f(200))):
+    cases = [(D1, f), (H2, _series_f(200)), (quot, f), (quot, _series_f(200)), (D1, TruncSeries.from_poly(f))]
+    for space, ff in cases:
         for n in (0, 1, 12):
             calls.clear()
             build_system(space, ff, ONE, n)
-            assert len(calls) == 2, (space, n)
+            assert calls == ["gram_band", "shift_products"], (space, n)
 
 
 def test_is_inner_makes_one_shift_products_call(monkeypatch):
@@ -409,7 +417,7 @@ def _sweep_reference(space, f, g, n_max):
     row is reached."""
     L, y, dist, norm_err, entry_err = engine._factored_system(space, f, g, n_max)
     band = L.shape[1] - 1
-    L = to_dense(cholesky_factor(build_system(space, f, g, n_max)[0], band))  # from the dense build
+    L = to_dense(L)
     X = np.zeros_like(L)
     for i in range(n_max, -1, -1):
         hi = i + band + 1
@@ -434,10 +442,14 @@ def test_sweep_is_bit_identical_to_the_fill_as_you_go_loop():
 def test_polynomial_gram_and_factor_vanish_outside_the_band():
     f = CPoly([0.7, -1.1 + 0.3j, 0.4, 0.2j])
     for space, d in ((H2, 3), (D2, 3), (QUOT, 5)):
-        G, _, _ = build_system(space, f, ONE, 40)
+        # the dense products of every pair, against build_system's band
+        G = shift_products(space, f, f, 40, 40)[0].T
         assert np.all(np.tril(G, -d - 1) == 0) and np.all(np.triu(G, d + 1) == 0)
         assert np.count_nonzero(np.tril(G, -d)) > 0
-        L = to_dense(cholesky_factor(G, d))
+        G_band = build_system(space, f, ONE, 40)[0]
+        assert G_band.shape == (41, d + 1)
+        assert np.max(np.abs(G_band - to_band(G, d))) <= 1e-15 * np.max(np.abs(G))
+        L = to_dense(cholesky_band(G_band))
         assert np.all(np.tril(L, -d - 1) == 0)
         L_dense = to_dense(cholesky_factor(G))
         assert np.max(np.abs(L - L_dense)) <= 1e-13 * np.max(np.abs(L_dense))
@@ -483,7 +495,7 @@ def test_band_storage_is_bit_identical_to_the_dense_loops(coeffs, space, n):
     assume(abs(f.coefficient(0)) >= 0.1)
     G, rhs, entry_err = build_system(space, f, ONE, n)
     try:
-        L = factor_reference(G, band)
+        L = factor_reference(to_dense(G), band)
     except NotPositiveDefiniteError as exc:
         with pytest.raises(NotPositiveDefiniteError, match=re.escape(str(exc))):
             approximant_sweep(space, f, ONE, n)
@@ -552,6 +564,42 @@ def test_one_degree_in_h2_at_degree_ten_thousand():
 def test_build_system_rejects_orthogonal_data():
     with pytest.raises(OrthogonalDataError):
         build_system(H2, CPoly([0, 1]), ONE, 2)
+
+
+def test_a_negative_degree_is_refused_on_every_path():
+    # build_system refuses it for a polynomial, a stored series and a quotient
+    # space alike; the diagnostic refuses a quotient space before any degree
+    for space, f in ((H2, CPoly([1, -0.5])), (H2, _series_f(80)), (QUOT, CPoly([1, -0.5]))):
+        runs = [
+            lambda: approximant_sweep(space, f, ONE, -1),
+            lambda: optimal_approximant(space, f, ONE, -1),
+            lambda: detect_stabilization(space, f, ONE, -1),
+        ]
+        if space.monomials_orthogonal:
+            runs.append(lambda: cyclicity_diagnostic(space, f, -1))
+        else:
+            with pytest.raises(ValueError, match="orthogonal monomials"):
+                cyclicity_diagnostic(space, f, -1)
+        for run in runs:
+            with pytest.raises(ValueError, match="^degree must be non-negative$"):
+                run()
+
+
+def test_zero_tail_series_sweeps_as_its_polynomial():
+    # a series that stores a polynomial whole keeps the polynomial's band, and
+    # its dense-summed system gives the polynomial's sweep to rounding
+    f = CPoly([0.7, -1.1 + 0.3j, 0.4, 0.2j])
+    series = TruncSeries.from_poly(f)
+    n = 30
+    for space in (D1, QUOT):
+        d = engine._effective_degree(space, series)
+        assert d == engine._effective_degree(space, f) < n
+        assert engine._factored_system(space, series, ONE, n)[0].shape == (n + 1, d + 1)
+        for a, b in zip(approximant_sweep(space, series, ONE, n), approximant_sweep(space, f, ONE, n), strict=True):
+            assert abs(a.distance_sq - b.distance_sq) <= 1e-15, (space, a.n)
+            scale = np.max(np.abs(b.p_star.coeffs))
+            assert np.max(np.abs(a.p_star.coeffs - b.p_star.coeffs)) <= 1e-15 * scale, (space, a.n)
+            assert a.err == pytest.approx(b.err, rel=1e-12), (space, a.n)
 
 
 def test_optimal_approximant_hand_solve():

@@ -115,7 +115,7 @@ def test_dense_factor_and_solve_are_bit_identical_to_the_dense_loop():
         assert solve_factored(to_band(L_ref), b).tobytes() == x_ref.tobytes(), n
         # no band, and a band as wide as the matrix, run the dense slices
         for band in (None, n - 1, n):
-            L = cholesky_factor(G, band)
+            L = cholesky_factor(G) if band is None else cholesky_band(to_band(G, band))
             assert to_dense(L).tobytes() == L_ref.tobytes(), (n, band)
             assert forward_substitute(L, b).tobytes() == y_ref.tobytes(), (n, band)
             y = y_ref.copy()
@@ -132,7 +132,7 @@ def test_banded_factor_matches_dense_and_keeps_its_band():
             v = rng.randn(n - s) + 1j * rng.randn(n - s)
             G += np.diag(v, -s) + np.diag(v.conj(), s)
         G += np.eye(n) * (4.0 * band + 4.0 - np.diag(G).real)  # diagonally dominant
-        L = cholesky_factor(G, band)
+        L = cholesky_band(to_band(G, band))
         assert L.shape == (n, band + 1)
         Ld = to_dense(L)
         assert np.all(np.tril(Ld, -band - 1) == 0)
@@ -173,7 +173,7 @@ def test_narrow_bands_match_the_dense_loop():
             x_ref = _dense_backward_reference(L_ref, y_ref)
             # entries below the band are never read
             noisy = G + np.tril(rng.randn(n, n), -band - 1)
-            L = to_dense(cholesky_factor(noisy, band))
+            L = to_dense(cholesky_band(to_band(noisy, band)))
             assert np.all(np.tril(L, -band - 1) == 0), (n, band)
             assert np.all(np.triu(L, 1) == 0), (n, band)
             scale = np.max(np.abs(L_ref))
@@ -199,7 +199,8 @@ def _refusal(factor, *args):
 
 
 def _refused_at(G, band):
-    return int(_refusal(cholesky_factor, G, band).split("at index ")[1].split()[0])
+    message = _refusal(cholesky_factor, G) if band is None else _refusal(cholesky_band, to_band(G, band))
+    return int(message.split("at index ")[1].split()[0])
 
 
 def _assert_refused(G, band, k):

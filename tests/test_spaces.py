@@ -711,3 +711,24 @@ def test_kernel_series_over_growing_custom_weights_outside_the_disk():
         far = kernel_coefficients(space, spec, len(s) + 300)[len(s) :]
         ks = np.arange(len(s), len(s) + 300)
         assert np.all(np.abs(far) <= s.tail_M * s.tail_r**ks * (ks + 1.0) ** s.tail_gamma)
+
+
+def test_kernel_series_on_the_circle_under_growing_custom_weights():
+    # weights growing by 1.1 make |beta| = 1 an interior case with the
+    # geometric ratio |beta| / 1.1, as they do the reproducible |beta| > 1
+    space = WeightSequence.custom([1.0, 1.1, 1.21])
+    for beta in (1.0, 1j, 1.02, -1.04):
+        spec = KernelSpec(beta, 1)
+        s = kernel_series(space, spec, eps=1e-10)
+        assert s.tail_r == pytest.approx(abs(beta) / 1.1, rel=1e-15)
+        assert s.coeffs.tobytes() == kernel_coefficients(space, spec, len(s)).tobytes()
+        far = kernel_coefficients(space, spec, len(s) + 2000)[len(s) :]
+        ks = np.arange(len(s), len(s) + 2000)
+        assert np.all(np.abs(far) <= s.tail_M * s.tail_r**ks * (ks + 1.0) ** s.tail_gamma), beta
+
+
+def test_kernel_series_refuses_a_multiplier_space_up_front():
+    quot = WeightSequence.multiplier(CPoly([1, -0.5]))
+    for spec in (KernelSpec(0.5, 0), KernelSpec(0.0, 1), KernelSpec(0.9j, 2, "derivative_of_kernel")):
+        with pytest.raises(ValueError, match="non-orthogonal monomials"):
+            kernel_series(quot, spec)
