@@ -340,7 +340,7 @@ def cmd_project(job: JobSpec) -> tuple[str, int]:
 
 def cmd_diagnose(job: JobSpec) -> tuple[str, int]:
     reference = None
-    if isinstance(job.f, CPoly) and job.f.coefficient(0) != 0 and job.space.monomials_orthogonal:
+    if job.f.coefficient(0) != 0 and job.space.monomials_orthogonal:
         reference = project_unity(job.space, job.f, eps=1e-9).dist_sq
     diag = cyclicity_diagnostic(
         job.space, job.f, n_max=job.n_max, reference_dist_sq=reference

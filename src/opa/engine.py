@@ -4,16 +4,18 @@ For f, g in a space with <g, f> != 0, the degree-n optimal approximant p_n*
 is the polynomial of degree <= n minimizing ||p f - g||; its coefficients
 solve the Hermitian system G a = rhs with G[k, j] = <z^j f, z^k f> and
 rhs[k] = <g, z^k f>, which build_system, the one Gram builder, gives for
-every data kind.  The nested spans of {z^k f : k <= n} let a sweep factor G
-once and read every degree, with its squared distance ||p_n* f - g||^2
-(non-increasing in n), from that factor.
+every data kind.  Data with no tail (tail_M == 0: a CPoly, or a TruncSeries
+storing a polynomial whole) is exact, with the same bits whatever its type;
+tail_M == 0 is all this module reads to tell it.  The nested spans of
+{z^k f : k <= n} let a sweep factor G once and read every degree, with its
+squared distance ||p_n* f - g||^2 (non-increasing in n), from that factor.
 
-For f a polynomial of degree d (d + deg m in the quotient space of m), G and
-its factor L are banded: G[k, j] = 0 for |k - j| > d.  build_system returns G
-as linalg's band array along b = d diagonals (b = n for a stored series with
-a tail), from spaces.gram_band, and it is factored along them, O(n b^2) work
-in O(n b) memory; each substitution takes O(n b) a right-hand side: a sweep
-solves for every degree in one linalg.backward_substitute_H call, O(n^2 b),
+For f exact of degree d (d + deg m in the quotient space of m), G and its
+factor L are banded: G[k, j] = 0 for |k - j| > d.  build_system returns G as
+linalg's band array along b = d diagonals (b = n for f with a tail), from
+spaces.gram_band, and it is factored along them, O(n b^2) work in O(n b)
+memory; each substitution takes O(n b) a right-hand side: a sweep solves for
+every degree in one linalg.backward_substitute_H call, O(n^2 b),
 optimal_approximant for its one degree, O(n b).  The distances and the
 stabilization window read only y = L^-1 rhs, and (p_n* f)(0) one more
 forward solve.
@@ -23,9 +25,9 @@ reading <h, z^k f> for all its k from one call of spaces.shift_products:
 
 * inner elements (<f, z^j f> = delta_{j0});
 * membership in the orthocomplement of the shifted invariant subspace
-  (<h, z^k f> = 0 for all k >= 1), exact for polynomial data;
+  (<h, z^k f> = 0 for all k >= 1), exact for exact data;
 * stabilization (the approximant sequence becoming eventually constant),
-  with an exact orthogonality certificate for polynomial f and a
+  with an exact orthogonality certificate for exact f and a
   tolerance-window certificate otherwise: eps bounds ||p_n* f - p_M* f||;
 * the equivalence dossier tying a stabilized approximant to an inner
   factorization of f, and a cyclicity diagnostic based on the identity
@@ -50,7 +52,7 @@ from .series import (
     power_tail_bound,
     smallest_certified,
 )
-from .spaces import WeightSequence, _coerce_series, gram_band, norm_sq_any, require_certified, shift_products
+from .spaces import WeightSequence, gram_band, norm_sq_any, require_certified, shift_products
 
 # unused here, but bound for perfbench/spans.py, which traces them by these names
 from .linalg import cholesky_border, cholesky_factor, solve_factored  # noqa: F401
@@ -61,27 +63,12 @@ _ERR_FLOOR = 1e-12
 _ENTRY_EPS = 1e-12
 
 
-def _mul_poly(x, p: CPoly):
-    """p * x for x a polynomial or stored series."""
-    if isinstance(x, CPoly):
-        return p * x
-    return x.mul_poly(p)
-
-
-def _at_zero(x) -> complex:
-    if isinstance(x, CPoly):
-        return x.coefficient(0)
-    return complex(x.coeffs[0])
-
-
 def _effective_degree(space: WeightSequence, x) -> int | None:
-    """Degree of x (after multiplier embedding) if finite, else None."""
-    if isinstance(x, CPoly):
-        d = x.degree
-    elif isinstance(x, TruncSeries) and x.tail_M == 0.0:
-        d = CPoly(x.coeffs).degree
-    else:
+    """Degree of x (after multiplier embedding) if it has no tail, else None;
+    the zero polynomial counts as degree 0."""
+    if x.tail_M:
         return None
+    d = x.coeffs.size - 1
     if space.kind == "multiplier":
         d += space.m.degree
     return d
@@ -172,8 +159,8 @@ class CyclicityDiagnostic:
 def build_system(space: WeightSequence, f, g, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(G, rhs, largest entry error) with G[k, j] = <z^j f, z^k f> and
     rhs[k] = <g, z^k f>, each entry with the error shift_products certifies
-    for it: rounding only for polynomial data.  Errors of entries with a
-    stored series in them must not exceed _ENTRY_EPS.
+    for it: rounding only for exact data.  Errors of entries with data with
+    a tail in them must not exceed _ENTRY_EPS.
 
     G is the (n+1) x (b+1) band array of linalg (row i holds [G[i, i-b], ...,
     G[i, i]]) for every data kind, b being f's effective degree (n for a
@@ -189,8 +176,8 @@ def build_system(space: WeightSequence, f, g, n: int) -> tuple[np.ndarray, np.nd
     G, G_err = gram_band(space, f, n, n if d is None else min(d, n))
     (rhs,), (rhs_err,) = shift_products(space, g, f, n)
     rhs_max = float(rhs_err.max())
-    # an entry with a stored series in it (f is in all, g in rhs) is certified
-    series_errs = [e for e, x in ((G_err, f), (rhs_max, f), (rhs_max, g)) if not isinstance(x, CPoly)]
+    # an entry with data with a tail in it (f is in all, g in rhs) is certified
+    series_errs = [e for e, x in ((G_err, f), (rhs_max, f), (rhs_max, g)) if x.tail_M]
     if series_errs:
         require_certified(rhs_err[0], _ENTRY_EPS)
     if abs(rhs[0]) <= rhs_err[0] + _ERR_FLOOR:
@@ -250,7 +237,7 @@ def optimal_approximant(space: WeightSequence, f, g=None, n: int = 0) -> OpaResu
 
 def orthogonality_residual(space: WeightSequence, f, g, result: OpaResult) -> float:
     """max_k |<p f - g, z^k f>| over 0 <= k <= n (the optimality conditions)."""
-    pf = _mul_poly(f, result.p_star)
+    pf = f.mul_poly(result.p_star)
     c, _ = _certified_shifts(space, pf, f, result.n, 1e-9)
     d, _ = _certified_shifts(space, g, f, result.n, 1e-9)
     return float(np.max(np.abs(c - d)))
@@ -258,10 +245,10 @@ def orthogonality_residual(space: WeightSequence, f, g, result: OpaResult) -> fl
 
 def _certified_shifts(space: WeightSequence, h, f, K: int, eps: float, first: int = 0):
     """<h, z^k f> for k = first..K and their largest error, which must not
-    exceed eps unless h and f are polynomials (exact sums)."""
+    exceed eps unless h and f are exact (tail-free, so exact sums)."""
     values, errs = shift_products(space, h, f, K)
     values, err = values[0, first:], float(np.max(errs[0, first:]))
-    if not (isinstance(h, CPoly) and isinstance(f, CPoly)):
+    if h.tail_M or f.tail_M:
         require_certified(err, eps)
     return values, err
 
@@ -277,7 +264,7 @@ def is_inner(
     """Certify <f, z^j f> = delta_{j0} within eps from one shift_products row,
     the norm at j = 0 (see orthogonal_to_shifts for the range of j checked).
 
-    For polynomial f the shifts beyond the (embedded) degree vanish
+    For exact f the shifts beyond the (embedded) degree vanish
     identically, so checking j <= deg f yields an exact certificate for all j.
     """
     K, exact = _shift_range(space, f, eps, max_shift)
@@ -339,8 +326,8 @@ def orthogonal_to_shifts(
 ) -> ShiftOrthogonality:
     """Test h against the shifted multiples of f: <h, z^k f> = 0 for k >= 1.
 
-    Exact over a finite range for polynomial data (higher shifts vanish
-    degree-wise); certified via envelopes for stored series, raising when
+    Exact over a finite range for exact data (higher shifts vanish
+    degree-wise); certified via envelopes for data with a tail, raising when
     the envelopes cannot force the remaining shifts below eps.  An explicit
     ``k_max`` performs the finite check over 1..k_max only (a horizon-limited
     certificate for data whose envelopes are too weak, e.g. power-decay
@@ -372,10 +359,10 @@ def detect_stabilization(
     candidate is the smallest M < n_max with sqrt(sum_{M<k<=n_max} |y_k|^2)
     <= eps, which bounds ||p_n* f - p_M* f|| for every n >= M; it does not
     move when f is scaled by a power of two.  p_M* is the sweep's row M.  For
-    polynomial f the candidate must pass the optimality conditions
+    exact f the candidate must pass the optimality conditions
     <p_M* f - g, z^k f> = 0 (any g, quotient spaces too) for an exact
-    orthogonality certificate, else the report is not stabilized; a stored
-    series keeps the 'tolerance_window' certificate.
+    orthogonality certificate, else the report is not stabilized; f with a
+    tail keeps the 'tolerance_window' certificate.
     """
     if g is None:
         g = CPoly([1])
@@ -387,15 +374,14 @@ def detect_stabilization(
         return StabilizationReport(False, None, "none", None, results)
     M = int(window[0])
     p_M = results[M].p_star
-    d = _effective_degree(space, f)
-    if d is not None:
-        pf = _mul_poly(f, p_M)
+    if f.tail_M == 0:
+        pf = f.mul_poly(p_M)
         # exactness threshold is relative to the data scale: the finite sums are
         # exact up to rounding of terms ~ ||p f|| ||f||, plus ||g|| ||f|| unless g = 1
         npf, nf, ng = (norm_sq_any(space, x, 1e-9).value.real for x in (pf, f, g))
-        one = isinstance(g, CPoly) and g.degree == 0 and g.coefficient(0) == 1
+        one = g.tail_M == 0 and g.coeffs.size == 1 and g.coeffs[0] == 1
         scale = math.sqrt(max(npf * nf, 0.0)) + (0.0 if one else math.sqrt(max(ng * nf, 0.0)))
-        h = _coerce_series(pf).add(-_coerce_series(g))
+        h = TruncSeries.add(pf, -g)  # pf may be a CPoly: add reads the fields both types have
         check = orthogonal_to_shifts(space, f, h, eps=1e-10 * scale)
         if check.orthogonal:
             return StabilizationReport(True, M, "exact_orthogonality", p_M, results)
@@ -422,8 +408,8 @@ def stabilization_dossier(
             "dossier identities assume the constant 1 reproduces evaluation at 0"
         )
     p_M = report.p_M
-    pf = _mul_poly(f, p_M)
-    pf0 = _at_zero(pf)
+    pf = f.mul_poly(p_M)
+    pf0 = complex(pf.coeffs[0])
     norm = norm_sq_any(space, pf, 1e-10)
     c = math.sqrt(max(pf0.real, 0.0))
     checks = []
@@ -439,7 +425,7 @@ def stabilization_dossier(
     )
     # (a) inner after normalization
     if c > 0:
-        u = pf * (1.0 / c) if isinstance(pf, CPoly) else pf.scale(1.0 / c)
+        u = pf.scale(1.0 / c)
         inner_cert = is_inner(space, u, eps=eps)
         checks.append(
             DossierCheck(
@@ -501,7 +487,7 @@ def cyclicity_diagnostic(
     ``reference_dist_sq`` when provided, e.g. a computed projection
     distance), and 'decreasing' when the sweep has not settled.
     """
-    if _at_zero(f) == 0:
+    if f.coeffs[0] == 0:
         raise ValueError("diagnostic requires f(0) != 0")
     if not space.monomials_orthogonal:
         raise ValueError("diagnostic identities require orthogonal monomials")
@@ -509,7 +495,7 @@ def cyclicity_diagnostic(
     e0 = np.zeros(n_max + 1, dtype=complex)
     e0[0] = 1.0
     v = forward_substitute(L, e0)
-    pf0 = _at_zero(f) * np.cumsum(np.conj(v) * y)
+    pf0 = complex(f.coeffs[0]) * np.cumsum(np.conj(v) * y)
     alt = 1.0 - pf0.real
     dev = float(max(np.max(np.abs(dist - alt)), np.max(np.abs(pf0.imag))))
     rows = list(zip(range(n_max + 1), dist.tolist(), alt.tolist()))

@@ -12,6 +12,10 @@ envelope into rigorous truncation-error bounds.  Geometric envelopes
 factor (k+1)**gamma admits kernels at boundary points, whose coefficients
 decay like a power of k rather than geometrically.
 
+Data with no tail is exact: a CPoly (its envelope fields are zero) or a
+TruncSeries with tail_M == 0, which stores exactly its polynomial's
+coefficients; here, in spaces and in engine, tail_M == 0 alone marks it.
+
 Every truncation (a stored length, a kernel sum's cut in spaces, the shift
 horizon in engine) is the smallest K that certifies, from the one search
 smallest_certified; a kernel sum's remainder gets half of its eps.
@@ -64,10 +68,11 @@ class CPoly:
     ``degree == len(coeffs) - 1`` for nonzero polynomials; the zero
     polynomial stores the single coefficient 0 and reports degree -1.
     Small-but-nonzero trailing coefficients are only removed by an
-    explicit :meth:`normalize` call.
+    explicit :meth:`normalize` call.  It has no tail: its envelope fields are 0.
     """
 
     __slots__ = ("coeffs",)
+    tail_M = tail_r = tail_gamma = 0.0
 
     def __init__(self, coeffs=(0,)):
         arr = _as_coeff_array(coeffs)
@@ -75,6 +80,9 @@ class CPoly:
         while n > 1 and arr[n - 1] == 0:
             n -= 1
         self.coeffs = _freeze(arr[:n].copy())
+
+    def __len__(self):
+        return self.coeffs.size
 
     @property
     def degree(self) -> int:
@@ -126,6 +134,13 @@ class CPoly:
             return self if i == 0 else CPoly(self.coeffs)
         return CPoly(np.concatenate([np.zeros(i, dtype=complex), self.coeffs]))
 
+    def scale(self, c: complex) -> "CPoly":
+        return CPoly(self.coeffs * complex(c))
+
+    def mul_poly(self, p: "CPoly") -> "CPoly":
+        """p times this polynomial."""
+        return p * self
+
     def __call__(self, z):
         z = np.asarray(z, dtype=complex) if not np.isscalar(z) else z
         result = 0j
@@ -157,7 +172,7 @@ class CPoly:
     def __mul__(self, other):
         if isinstance(other, CPoly):
             return poly_mul(self, other)
-        return CPoly(self.coeffs * complex(other))
+        return self.scale(other)
 
     __rmul__ = __mul__
 
@@ -296,7 +311,8 @@ class TruncSeries:
     |h_k| <= tail_M * tail_r**k * (k+1)**tail_gamma for all k > order.
     tail_r < 1 keeps the function in every weighted space with
     subexponential weights; tail_r == 1 is admitted only with
-    tail_gamma < -1 (power-decay data such as boundary kernels).
+    tail_gamma < -1 (power-decay data such as boundary kernels).  With
+    tail_M == 0 it stores what CPoly stores of its polynomial.
     """
 
     __slots__ = ("coeffs", "tail_M", "tail_r", "tail_gamma")
@@ -315,7 +331,7 @@ class TruncSeries:
                 raise EnvelopeOverflowError(
                     f"invalid envelope: r={tail_r}, gamma={tail_gamma}"
                 )
-        self.coeffs = _freeze(arr.copy())
+        self.coeffs = _freeze(arr.copy()) if tail_M else CPoly(arr).coeffs
         self.tail_M = tail_M
         self.tail_r = tail_r
         self.tail_gamma = tail_gamma
@@ -339,8 +355,9 @@ class TruncSeries:
             return complex(self.coeffs[k])
         raise IndexError("coefficient index beyond stored prefix")
 
-    def envelope_at(self, k: int) -> float:
-        return self.tail_M * self.tail_r**k * (k + 1.0) ** self.tail_gamma
+    @property
+    def is_zero(self) -> bool:
+        return self.tail_M == 0 and self.coeffs.size == 1 and self.coeffs[0] == 0
 
     def truncate(self, n: int) -> CPoly:
         """Exact degree-n Taylor polynomial of the stored prefix."""
@@ -414,35 +431,30 @@ class TruncSeries:
         out = M * r**-ks
         return out * (base / (base + ks)) ** gamma if gamma < 0 else out
 
-    def add(self, other: "TruncSeries") -> "TruncSeries":
-        a, b = self, other
-        if a.tail_M == 0.0 and b.tail_M == 0.0:
-            n = max(len(a), len(b))
-            pa = np.zeros(n, dtype=complex)
-            pa[: len(a)] = a.coeffs
-            pb = np.zeros(n, dtype=complex)
-            pb[: len(b)] = b.coeffs
+    def add(self, other) -> "TruncSeries":
+        """self + other, each a stored series or a CPoly (TruncSeries.add(p, x)
+        takes a CPoly p).  Data with no tail is zero beyond its stored prefix,
+        so only operands with a tail limit the sum's stored length."""
+        a, b, n = self, other, max(len(self), len(other))
+        pa = np.zeros(n, dtype=complex)
+        pa[: len(a)] = a.coeffs
+        pb = np.zeros(n, dtype=complex)
+        pb[: len(b)] = b.coeffs
+        tailed = [s for s in (a, b) if s.tail_M > 0]
+        if not tailed:
             return TruncSeries(pa + pb, 0.0, 0.0, 0.0)
-        out_len = min(len(a), len(b))
-        coeffs = a.coeffs[:out_len] + b.coeffs[:out_len]
+        out_len = min(len(s) for s in tailed)
         r = max(a.tail_r, b.tail_r)
-        gammas = [s.tail_gamma for s in (a, b) if s.tail_M > 0]
-        gamma = max(gammas)
-        M = a.tail_M + b.tail_M
-        # indices in [out_len, max stored] still have stored data on one side;
-        # raise M so the envelope covers them too
-        hi = max(a.order, b.order)
-        if hi >= out_len:
-            ks = np.arange(out_len, hi + 1)
-            vals = np.array(
-                [
-                    (abs(a.coeffs[k]) if k <= a.order else a.envelope_at(k))
-                    + (abs(b.coeffs[k]) if k <= b.order else b.envelope_at(k))
-                    for k in ks
-                ]
-            )
-            M = _covering_M(M, r, gamma, ks, vals)
-        return TruncSeries(coeffs, M, r, gamma)
+        gamma = max(s.tail_gamma for s in tailed)
+        # indices in [out_len, n) still have stored data on one side; raise M
+        # so the envelope covers them too, with each tail where it has begun
+        ks = np.arange(out_len, n)
+        vals = np.abs(pa[out_len:]) + np.abs(pb[out_len:])
+        for s in tailed:
+            k = ks[len(s) - out_len :]
+            vals[len(s) - out_len :] += s.tail_M * s.tail_r**k * (k + 1.0) ** s.tail_gamma
+        M = _covering_M(a.tail_M + b.tail_M, r, gamma, ks, vals)
+        return TruncSeries((pa + pb)[:out_len], M, r, gamma)
 
     def mul_poly(self, p: CPoly) -> "TruncSeries":
         """Multiply by an exact polynomial factor, keeping the stored length."""

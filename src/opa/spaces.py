@@ -14,13 +14,17 @@ w_{k+1}/w_k -> 1; the inner product weights Maclaurin coefficients,
   computed isometrically as <m a, m b> in the unweighted space.  Monomials
   are NOT orthogonal here, so the coefficient-weight machinery is bypassed.
 
-One function, shift_products, gives <z^j h, z^k f> for all j <= J, k <= K with
-the bound certified for each pair (rounding, the stretch where one stored
-prefix has ended, the tail beyond both), one matrix product for every data
-kind; a stored series' Gram matrix uses J = K, the rest J = 0.  gram_band
-gives the Gram matrix of any data as linalg's band array (row i holds
-[G[i, i-b], ..., G[i, i]]): a polynomial's, of any degree, summed along its
-diagonals in O(n b) memory, a stored series' read off shift_products.
+Data is exact when it has no tail (tail_M == 0, a CPoly or a TruncSeries
+that stores a polynomial whole); that is the one test by which code here
+tells it from certified data, and both kinds give the same bits.  One
+function, shift_products, gives <z^j h, z^k f> for all j <= J, k <= K with
+the bound certified for each pair: rounding only when both are exact, else
+also the stretch where one stored prefix has ended and the tail beyond both;
+one matrix product for every data kind, a Gram matrix of data with a tail
+using J = K, the rest J = 0.  gram_band gives the Gram matrix of any data as
+linalg's band array (row i holds [G[i, i-b], ..., G[i, i]]): exact data's,
+of any degree, summed along its diagonals in O(n b) memory, data with a tail
+read off shift_products.
 
 Derivative-evaluation kernels are the elements representing h -> h^(n)(beta);
 their coefficients are falling-factorial weighted powers of conj(beta) over
@@ -297,9 +301,9 @@ _H2 = WeightSequence.dirichlet(0.0)
 
 
 def inner_poly(space: WeightSequence, a: CPoly, b: CPoly) -> complex:
-    """Exact finite inner product of two polynomials."""
+    """Exact finite inner product of two polynomials (or tail-free series)."""
     if space.kind == "multiplier":
-        return inner_poly(_H2, space.m * a, space.m * b)
+        return inner_poly(_H2, a.mul_poly(space.m), b.mul_poly(space.m))
     n = min(a.coeffs.size, b.coeffs.size)
     if a.is_zero or b.is_zero:
         return 0j
@@ -309,14 +313,6 @@ def inner_poly(space: WeightSequence, a: CPoly, b: CPoly) -> complex:
 
 def norm_sq_poly(space: WeightSequence, a: CPoly) -> float:
     return inner_poly(space, a, a).real
-
-
-def _coerce_series(x) -> TruncSeries:
-    if isinstance(x, TruncSeries):
-        return x
-    if isinstance(x, CPoly):
-        return TruncSeries.from_poly(x)
-    raise TypeError(f"expected CPoly or TruncSeries, got {type(x).__name__}")
 
 
 def inner_series(space: WeightSequence, a, b, eps: float = 1e-12) -> Certified:
@@ -344,51 +340,51 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
     values and of the error certified for each pair, summed over the stored
     overlap: one correlation when J = 0 (O(K + L) memory for long horizons),
     else one product with f's shift matrix, for every data kind (gram_band
-    sums a polynomial's Gram matrix along its band).  Two polynomials carry rounding
-    only; otherwise the error adds the stretch where only one stored prefix
-    has ended (its envelope against the other's coefficients, summed over
-    the indices [len h, len f + K) or [len f, len h + J) alone) and the tail
-    beyond both, the envelopes of z^j h and z^k f (in a quotient
-    space, of (z^j h) m and (z^k f) m at their stored lengths) re-based as
-    TruncSeries.shift does.  Comparing the errors with eps is the caller's."""
-    poly = isinstance(h, CPoly) and isinstance(f, CPoly)
-    a, b = (h, f) if poly else (_coerce_series(h), _coerce_series(f))
-    m, alpha, beta = None, a.coeffs, b.coeffs
+    sums exact data's Gram matrix along its band).  Two exact operands
+    (tail_M == 0) carry rounding only; otherwise the error adds the stretch
+    where only one stored prefix has ended (its envelope against the other's
+    coefficients, summed over the indices [len h, len f + K) or
+    [len f, len h + J) alone) and the tail beyond both, the envelopes of
+    z^j h and z^k f (in a quotient space, of (z^j h) m and (z^k f) m at their
+    stored lengths) re-based as TruncSeries.shift does.  Comparing the errors
+    with eps is the caller's."""
+    exact = h.tail_M == 0 and f.tail_M == 0
+    m, alpha, beta = None, h.coeffs, f.coeffs
     if space.kind == "multiplier":  # <h m, z^k f m> in H2
         m, space = space.m, _H2
-        keep = [None if poly or x.tail_M == 0 else len(x) for x in (a, b)]  # a series keeps its length
-        alpha, beta = (np.convolve(m.coeffs, x.coeffs)[:n] for x, n in zip((a, b), keep))
+        keep = [len(x) if x.tail_M else None for x in (h, f)]  # a series with a tail keeps its length
+        alpha, beta = (np.convolve(m.coeffs, x.coeffs)[:n] for x, n in zip((h, f), keep))
     width = max(alpha.size + J, beta.size + K)
     w = space.weights(width)
     with np.errstate(over="ignore", invalid="ignore"):
         wA = w * _shift_matrix(alpha, J, width)
         values = _against_shifts(wA, beta, K)
-    if poly:
+    if exact:
         errs = 1e-16 * (1.0 + np.abs(values))
         _refuse_overflow(errs.max(), alpha, beta)
         return values, errs
     La, Lb = alpha.size, beta.size  # stored lengths of h and f; z^j h and z^k f store j and k more
-    Ma = _shift_envelopes(a, J, m)
-    Mb = Ma if b is a and K == J else _shift_envelopes(b, K, m)  # a Gram matrix's are one
+    Ma = _shift_envelopes(h, J, m)
+    Mb = Ma if f is h and K == J else _shift_envelopes(f, K, m)  # a Gram matrix's are one
     abs_wA = np.abs(wA)
     # the rounding of each summed term, and z^j h's envelope where it has
     # ended but z^k f is stored: t in [La + j, Lb + k), within [La, Lb + K)
     bound = 1e-16 * abs_wA
-    if a.tail_M > 0 and La < Lb + K:
+    if h.tail_M > 0 and La < Lb + K:
         t = np.arange(La, Lb + K)
-        env = w[La : Lb + K] * a.tail_r**t * (t + 1.0) ** a.tail_gamma
+        env = w[La : Lb + K] * h.tail_r**t * (t + 1.0) ** h.tail_gamma
         np.multiply(Ma[:, None], env, out=bound[:, La : Lb + K], where=t >= La + np.arange(J + 1)[:, None])
     errs = _against_shifts(bound, np.abs(beta), K)
-    if b.tail_M > 0 and Lb < La + J:  # z^k f has ended first: t in [Lb + k, La + j), within [Lb, La + J)
+    if f.tail_M > 0 and Lb < La + J:  # z^k f has ended first: t in [Lb + k, La + j), within [Lb, La + J)
         t = np.arange(Lb, La + J)
-        terms = abs_wA[:, Lb : La + J] * (b.tail_r**t * (t + 1.0) ** b.tail_gamma)
+        terms = abs_wA[:, Lb : La + J] * (f.tail_r**t * (t + 1.0) ** f.tail_gamma)
         suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
         k = min(K + 1, suffix.shape[1])
         errs[:, :k] += Mb[:k] * suffix[:, :k]
-    if a.tail_M > 0 and b.tail_M > 0:
+    if h.tail_M > 0 and f.tail_M > 0:
         Lmax = np.maximum(La + np.arange(J + 1)[:, None], Lb + np.arange(K + 1))
         W, g, rho = space.tail_weight_majorant(Lmax)
-        q, gamma = a.tail_r * b.tail_r * rho, a.tail_gamma + b.tail_gamma + g
+        q, gamma = h.tail_r * f.tail_r * rho, h.tail_gamma + f.tail_gamma + g
         # each M r^-i is finite, but two of them may overflow before the small
         # tail factor: refused, not turned into NaN
         with np.errstate(over="ignore", invalid="ignore"):
@@ -399,7 +395,7 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
     return values, errs
 
 
-def _shift_envelopes(x: TruncSeries, n: int, m) -> np.ndarray:
+def _shift_envelopes(x, n: int, m) -> np.ndarray:
     """tail_M of z^i x, or of (z^i x) m in a quotient space, for i = 0..n."""
     if x.tail_M == 0:
         return np.zeros(n + 1)
@@ -424,12 +420,12 @@ def _refuse_overflow(err: float, alpha: np.ndarray, beta: np.ndarray) -> None:
 
 def gram_band(space: WeightSequence, f, n: int, b: int) -> tuple[np.ndarray, float]:
     """G[k, j] = <z^j f, z^k f>, j, k <= n, as a band array of b diagonals below
-    the main one, and the largest entry error, for f of (embedded) degree at
-    least b or a stored series.  A polynomial's diagonals are summed where the
-    shifted supports meet (every other entry is an exact zero), O(n b) memory;
-    a stored series, or a single entry, is summed dense by shift_products and
-    read into its band."""
-    if n == 0 or not isinstance(f, CPoly):
+    the main one, and the largest entry error, for exact f of (embedded)
+    degree at least b or f with a tail.  Exact data's diagonals are summed
+    where the shifted supports meet (every other entry is an exact zero),
+    O(n b) memory; data with a tail, or a single entry, is summed dense by
+    shift_products and read into its band."""
+    if n == 0 or f.tail_M:
         values, errs = shift_products(space, f, f, n, n)
         return lower_rows(values.T, b), float(errs.max())
     alpha = f.coeffs
@@ -462,8 +458,8 @@ def _against_shifts(rows: np.ndarray, c: np.ndarray, K: int) -> np.ndarray:
 
 
 def inner_any(space: WeightSequence, a, b, eps: float = 1e-12) -> Certified:
-    """Inner product dispatcher: exact for polynomials, certified otherwise."""
-    if isinstance(a, CPoly) and isinstance(b, CPoly):
+    """Inner product dispatcher: exact for tail-free data, certified otherwise."""
+    if a.tail_M == 0 and b.tail_M == 0:
         v = inner_poly(space, a, b)
         return Certified(v, 1e-16 * (1.0 + abs(v)))
     return inner_series(space, a, b, eps)

@@ -201,6 +201,30 @@ def test_series_add_and_shift_envelopes():
     assert np.all(true_shift <= env_shift * (1 + 1e-12))
 
 
+def test_a_tail_free_operand_does_not_shorten_a_sum():
+    # (1 - z/2) - 1/(1 - 0.9 z): the polynomial is exactly zero beyond its two
+    # coefficients, so the sum keeps the series' 400 (it kept 2, and its
+    # envelope could not certify <h, h> in H2: err 3.45)
+    from opa.spaces import WeightSequence, inner_series
+
+    g = geometric_series(0.9, length=400)
+    ks = np.arange(2000)
+    true = -(0.9**ks)
+    true[:2] += [1, -0.5]
+    for p in (CPoly([1, -0.5]), TruncSeries.from_poly(CPoly([1, -0.5]))):
+        for h in (TruncSeries.add(p, -g), (-g).add(p)):
+            assert len(h) == 400
+            assert np.allclose(h.coeffs, true[:400], rtol=0, atol=1e-15)
+            env = h.tail_M * h.tail_r**ks * (ks + 1.0) ** h.tail_gamma
+            assert np.all(np.abs(true[400:]) <= env[400:])
+            assert inner_series(WeightSequence.dirichlet(0.0), h, h, 1e-12).err <= 1e-12
+    # a polynomial stored beyond the series: its coefficients there are covered
+    h = g.add(CPoly(np.ones(600)))
+    assert len(h) == 400
+    env = h.tail_M * h.tail_r**ks * (ks + 1.0) ** h.tail_gamma
+    assert np.all((0.9**ks + (ks < 600))[400:] <= env[400:] * (1 + 1e-12))
+
+
 def test_overflowing_shift_envelope_raises_typed_error():
     # M r^-k for r = 0.1 leaves the float range near k = 308
     b = blaschke_factor(0.1, length=40)
