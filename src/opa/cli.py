@@ -14,12 +14,18 @@ arrays everywhere.
 
 Printing sets the cost of a sweep: approximate and stabilize print every
 coefficient of every p_n*, Theta(n^2) doubles per job, against an O(n^2 d)
-banded sweep.  So every coefficient array of a payload goes through one
+banded sweep.  So the commands print from the engine's arrays with O(1)
+Python calls a job, none per degree: engine.sweep_arrays' X and dist (the
+report's arrays for stabilize), the diagnostic's dist and alt.  A table of
+rows (_Table in JSON, _csv and the approximate CSV) comes from one %
+operation, and every coefficient of a payload from one
 ``textfmt.join_floats`` batch, which writes the text CPython would, byte for
 byte (README "Performance notes" has the profile; textfmt says which values
 and batches take the reference calls, as all scalar fields and cells do).
-The JSON walk leaves a placeholder for each array and the batch fills them;
-CSV zero padding is a constant run of ``,0``.
+The JSON walk leaves a placeholder for each array, a table one per row, and
+the batch fills them; CSV zero padding is a constant run of ``,0``.  What
+remains of a sweep job is mostly the per-value work of join_floats' digit
+and gather kernels.
 
 Exit codes: 0 success (also for --help), 1 command-line, usage or unsupported
 request error (a kernel at a point that is not reproducible, an --out path
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -40,13 +47,15 @@ import numpy as np
 
 from . import textfmt
 from .engine import (
-    approximant_sweep,
     cyclicity_diagnostic,
     detect_stabilization,
     optimal_approximant,
     stabilization_dossier,
+    sweep_arrays,
     taylor_residuals,
 )
+# unused here, but bound for perfbench/spans.py, which traces it by this name
+from .engine import approximant_sweep  # noqa: F401
 from .errors import (
     CannotCertifyError,
     IllConditionedError,
@@ -179,15 +188,66 @@ _SCALARS = {
 }
 
 
+def _pairs(pad: str) -> tuple[str, tuple]:
+    """The text that opens a non-empty list of [re, im] pairs on a line whose
+    newline and indent are pad, up to its placeholder, and the separators of
+    its values (after a real part, after an imaginary part, after the last)."""
+    inner = pad + "  "
+    return f"[{inner}[{inner}  \0", (f",{inner}  ", f"{inner}],{inner}[{inner}  ", f"{inner}]{pad}]")
+
+
+def _interleave(columns) -> list:
+    """The values of equally long columns row by row: one C-level pass."""
+    return list(itertools.chain.from_iterable(zip(*columns)))
+
+
+@dataclass
+class _Table:
+    """A JSON list of objects with the same keys, given column by column: ints
+    or floats (a range, an array or a list), or, for one key, a list of
+    [re, im] pairs per row given as (values, lengths): one float64 array of
+    every row's re, im values and each row's count of them (at least 2)."""
+
+    columns: dict
+
+    def text(self, pad: str, arrays: list) -> str:
+        """As _json_text: one % operation for every row's keys and scalars."""
+        inner = pad + "  "
+        field = inner + "  "
+        specs, scalars = [], []
+        for key, column in self.columns.items():
+            if isinstance(column, tuple):
+                spec, seps = _pairs(field)
+                arrays.append(column + (seps,))
+            else:
+                # '%r' is int.__repr__ and float.__repr__, so _float_text if finite
+                spec, values = "%r", np.asarray(column).tolist()
+                if not all(map(math.isfinite, values)):
+                    spec, values = "%s", list(map(_float_text, values))
+                scalars.append(values)
+            specs.append(f"{_encode_str(key)}: {spec}")
+        rows = len(scalars[0])
+        if not rows:
+            return "[]"
+        row = f"{{{field}" + f",{field}".join(specs) + f"{inner}}}"
+        body = (row + "," + inner) * (rows - 1) + row
+        return f"[{inner}" + body % tuple(_interleave(scalars)) + f"{pad}]"
+
+
 def _json_text(obj, pad: str, arrays: list) -> str:
     """obj as json's indent=2 text; pad is the newline and indent of its line.
-    A numpy array becomes a NUL placeholder, and (array, pad) goes to arrays."""
+    A non-empty numpy array of complex numbers, and each row's array of a
+    _Table, ends its opening text in a NUL placeholder for its values, and
+    (float values, lengths, separators) goes to arrays."""
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
     if isinstance(obj, np.ndarray):
-        arrays.append((obj, pad))
-        return "\0"
+        if not obj.size:
+            return "[]"
+        opening, seps = _pairs(pad)
+        arrays.append((obj.view(float), [2 * obj.size], seps))
+        return opening
     inner = pad + "  "
     # the rest (numpy floats, containers) in json's order of checks
     if isinstance(obj, str):
@@ -208,31 +268,41 @@ def _json_text(obj, pad: str, arrays: list) -> str:
             [f"{_encode_str(k)}: {_json_text(v, inner, arrays)}" for k, v in obj.items()]
         )
         return f"{{{inner}{body}{pad}}}"
+    if isinstance(obj, _Table):
+        return obj.text(pad, arrays)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _json_dump(obj) -> str:
     """``json.dumps(obj, indent=2) + "\\n"``, where a numpy array stands for
-    the list of its [re, im] pairs.  All arrays of the payload are formatted
-    in one batch and put in place of their placeholders."""
+    the list of its [re, im] pairs, and a _Table for its list of objects.
+    All arrays of the payload are formatted in one batch and put in place of
+    their placeholders."""
     arrays: list = []
     text = _json_text(obj, "\n", arrays) + "\n"
     if not arrays:
         return text
-    pieces = text.split("\0")
-    seps = []
-    for i, (z, pad) in enumerate(arrays):
-        inner = pad + "  "
-        pieces[i] += f"[{inner}[{inner}  " if z.size else "[]"
-        seps.append((f",{inner}  ", f"{inner}],{inner}[{inner}  ", f"{inner}]{pad}]"))
-    segments = [z.view(float) for z, _ in arrays]
-    return textfmt.join_floats(pieces, segments, seps, shortest=True, ref=_float_text)
+    # one array (a sweep's table) is passed as it is, not copied
+    values = arrays[0][0] if len(arrays) == 1 else np.concatenate([values for values, _, _ in arrays])
+    lengths = np.concatenate([lengths for _, lengths, _ in arrays])
+    seps = list(itertools.chain.from_iterable([seps] * len(lengths) for _, lengths, seps in arrays))
+    return textfmt.join_floats(text.split("\0"), values, lengths, seps, shortest=True, ref=_float_text)
 
 
-def _csv(header: list, rows) -> str:
-    """A label column (``str``) and ``len(header) - 1`` float columns (``%.17g``)."""
-    row_format = "%s" + ",%.17g" * (len(header) - 1)
-    return "\n".join([",".join(header)] + [row_format % row for row in rows]) + "\n"
+def _csv(header: list, *columns) -> str:
+    """A label column (a range of ints) and float columns (``%.17g``)."""
+    row = "\n%d" + ",%.17g" * (len(columns) - 1)
+    return ",".join(header) + (row * len(columns[0])) % tuple(_interleave(columns)) + "\n"
+
+
+def _coefficients(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, lengths) of the sweep array X (engine.sweep_arrays): column n
+    up to its last nonzero entry, the coefficients CPoly keeps, as [re, im]
+    float values for every n in one array, and each column's count of them."""
+    nonzero = X != 0
+    nonzero[0] = True  # CPoly keeps one coefficient of the zero polynomial
+    lengths = X.shape[0] - np.argmax(nonzero[::-1], axis=0)
+    return X.T[np.arange(X.shape[0]) < lengths[:, None]].view(float), 2 * lengths
 
 
 # ---------------------------------------------------------------------------
@@ -241,39 +311,26 @@ def _csv(header: list, rows) -> str:
 
 
 def cmd_approximate(job: JobSpec) -> tuple[str, int]:
-    results = approximant_sweep(job.space, job.f, job.g, job.n_max)
-    taylor = None
-    if job.taylor:
-        taylor = taylor_residuals(job.space, job.f, job.n_max)
+    X, dist, _ = sweep_arrays(job.space, job.f, job.g, job.n_max)
+    taylor = taylor_residuals(job.space, job.f, job.n_max) if job.taylor else None
+    values, lengths = _coefficients(X)
+    del X  # (n+1)^2 complex numbers, not needed while the text is written
     if job.fmt == "csv":
         width = job.n_max + 1
-        header = ["n", "dist_sq"]
-        if taylor is not None:
-            header.append("taylor_residual")
-        for k in range(width):
-            header += [f"coeff_{k}_re", f"coeff_{k}_im"]
-        # the scalar cells through the reference calls, the coefficients in
-        # one batch, then the zeros up to the widest row as a constant run
-        row_format = "\n%s" + ",%.17g" * (len(header) - 1 - 2 * width) + ","
-        pieces = [",".join(header)]
-        for r in results:
-            pieces[-1] += row_format % ((r.n, r.distance_sq) + (() if taylor is None else (taylor[r.n],)))
-            pieces.append(",0" * (2 * (width - r.p_star.coeffs.size)))
-        pieces[-1] += "\n"
-        segments = [r.p_star.coeffs.view(float) for r in results]
-        text = textfmt.join_floats(pieces, segments, [(",", ",", "")] * len(segments), shortest=False)
-        return text, EXIT_OK
-    rows = []
-    for r in results:
-        row = {
-            "n": r.n,
-            "dist_sq": r.distance_sq,
-            "coeffs": r.p_star.coeffs,
-        }
-        if taylor is not None:
-            row["taylor_residual"] = taylor[r.n]
-        rows.append(row)
-    return _json_dump({"job": job.to_dict(), "rows": rows}), EXIT_OK
+        scalars = [range(width), dist.tolist()] + ([taylor] if job.taylor else [])
+        header = ["n", "dist_sq"] + (["taylor_residual"] if job.taylor else [])
+        header += map("coeff_{0}_re,coeff_{0}_im".format, range(width))
+        # each row's scalar cells, a placeholder for its coefficients, and the
+        # zeros up to the widest row as a constant run: all rows in one %
+        pads = list(map(",0".__mul__, (2 * width - lengths).tolist()))
+        row = "\n%d" + ",%.17g" * (len(scalars) - 1) + ",\0%s"
+        text = ",".join(header) + (row * width) % tuple(_interleave(scalars + [pads])) + "\n"
+        seps = [(",", ",", "")] * width
+        return textfmt.join_floats(text.split("\0"), values, lengths, seps, shortest=False), EXIT_OK
+    columns = {"n": range(dist.size), "dist_sq": dist, "coeffs": (values, lengths)}
+    if job.taylor:
+        columns["taylor_residual"] = taylor
+    return _json_dump({"job": job.to_dict(), "rows": _Table(columns)}), EXIT_OK
 
 
 def cmd_stabilize(job: JobSpec) -> tuple[str, int]:
@@ -282,16 +339,14 @@ def cmd_stabilize(job: JobSpec) -> tuple[str, int]:
     report = detect_stabilization(
         job.space, job.f, job.g, n_max=job.n_max, eps=max(job.eps, 1e-12)
     )
+    X, dist, _ = report.arrays
     payload = {
         "job": job.to_dict(),
         "stabilized": report.stabilized,
         "M": report.M,
         "certificate": report.certificate,
         "p_M": report.p_M.coeffs if report.p_M is not None else None,
-        "rows": [
-            {"n": r.n, "dist_sq": r.distance_sq, "coeffs": r.p_star.coeffs}
-            for r in report.sweep
-        ],
+        "rows": _Table({"n": range(dist.size), "dist_sq": dist, "coeffs": _coefficients(X)}),
     }
     if report.stabilized and job.space.monomials_orthogonal and job.g.coeffs.tolist() == [1]:
         dossier = stabilization_dossier(job.space, job.f, report)
@@ -345,13 +400,12 @@ def cmd_diagnose(job: JobSpec) -> tuple[str, int]:
     diag = cyclicity_diagnostic(
         job.space, job.f, n_max=job.n_max, reference_dist_sq=reference
     )
+    degrees = range(job.n_max + 1)
     if job.fmt == "csv":
-        return _csv(["n", "dist_sq"], ((n, d) for n, d, _ in diag.rows)), EXIT_OK
+        return _csv(["n", "dist_sq"], degrees, diag.dist.tolist()), EXIT_OK
     payload = {
         "job": job.to_dict(),
-        "rows": [
-            {"n": n, "dist_sq": d, "one_minus_pf0": alt} for n, d, alt in diag.rows
-        ],
+        "rows": _Table({"n": degrees, "dist_sq": diag.dist, "one_minus_pf0": diag.alt}),
         "identity_max_dev": diag.identity_max_dev,
         "verdict": diag.verdict,
         "plateau": diag.plateau,
@@ -364,9 +418,11 @@ def cmd_kernel(job: JobSpec) -> tuple[str, int]:
     spec = KernelSpec(job.beta, job.order, job.flavor)
     series = kernel_series(job.space, spec, eps=job.eps)
     if job.fmt == "csv":
-        pairs = textfmt.join_floats(["", ""], [series.coeffs.view(float)], [(",", "\n", "")], shortest=False)
-        lines = [f"{k},{pair}" for k, pair in enumerate(pairs.split("\n"))]
-        return "\n".join(["k,re,im"] + lines) + "\n", EXIT_OK
+        rows = series.coeffs.size
+        pairs = textfmt.join_floats(
+            ["", ""], series.coeffs.view(float), [2 * rows], [(",", "\n", "")], shortest=False
+        ).split("\n")
+        return "k,re,im" + ("\n%d,%s" * rows) % tuple(_interleave([range(rows), pairs])) + "\n", EXIT_OK
     payload = {
         "space": job.space.to_descriptor(),
         "beta": [job.beta.real, job.beta.imag],

@@ -17,8 +17,14 @@ spaces.gram_band, and it is factored along them, O(n b^2) work in O(n b)
 memory; each substitution takes O(n b) a right-hand side: a sweep solves for
 every degree in one linalg.backward_substitute_H call, O(n^2 b),
 optimal_approximant for its one degree, O(n b).  The distances and the
-stabilization window read only y = L^-1 rhs, and (p_n* f)(0) one more
-forward solve.
+stabilization window read only y = L^-1 rhs, and (p_n* f)(0) also
+v = L^-1 e_0, solved with y in one pass over L.
+
+A sweep's numbers are arrays (sweep_arrays: X, dist, errs), from which
+approximant_sweep, optimal_approximant and detect_stabilization build their
+OpaResult and CPoly objects and the CLI prints with no object per degree;
+cyclicity_diagnostic keeps its table as arrays.  Printing, not this module,
+sets the cost of a CLI sweep (README "Performance notes").
 
 On top of the sweeps this module certifies structural properties, each
 reading <h, z^k f> for all its k from one call of spaces.shift_products:
@@ -27,8 +33,9 @@ reading <h, z^k f> for all its k from one call of spaces.shift_products:
 * membership in the orthocomplement of the shifted invariant subspace
   (<h, z^k f> = 0 for all k >= 1), exact for exact data;
 * stabilization (the approximant sequence becoming eventually constant),
-  with an exact orthogonality certificate for exact f and a
-  tolerance-window certificate otherwise: eps bounds ||p_n* f - p_M* f||;
+  with an orthogonality certificate for exact f (exact when g is exact too,
+  envelope-certified when g has a tail) and a tolerance-window certificate
+  otherwise: eps bounds ||p_n* f - p_M* f||;
 * the equivalence dossier tying a stabilized approximant to an inner
   factorization of f, and a cyclicity diagnostic based on the identity
   dist^2 = 1 - (p_n* f)(0) when g = 1 and the constant 1 reproduces
@@ -115,9 +122,10 @@ class ShiftOrthogonality:
 class StabilizationReport:
     stabilized: bool
     M: int | None
-    certificate: str  # 'exact_orthogonality' | 'tolerance_window' | 'none'
+    certificate: str  # 'exact_orthogonality' | 'certified_orthogonality' | 'tolerance_window' | 'none'
     p_M: CPoly | None
     sweep: list = field(default_factory=list, repr=False)
+    arrays: tuple | None = field(default=None, repr=False)  # sweep_arrays' (X, dist, errs)
 
 
 @dataclass
@@ -144,11 +152,20 @@ class StabilizationDossier:
 
 @dataclass
 class CyclicityDiagnostic:
-    rows: list  # (n, distance_sq, 1 - Re (p_n f)(0))
+    """The distance table as arrays: dist[n] = dist^2_n and alt[n] =
+    1 - Re (p_n* f)(0) for n = 0..n_max."""
+
+    dist: np.ndarray
+    alt: np.ndarray
     identity_max_dev: float
     verdict: str
     plateau: float | None
     reference_dist_sq: float | None = None
+
+    @property
+    def rows(self) -> list:
+        """(n, distance_sq, 1 - Re (p_n f)(0)) for each n, as Python numbers."""
+        return list(zip(range(self.dist.size), self.dist.tolist(), self.alt.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +206,22 @@ def build_system(space: WeightSequence, f, g, n: int) -> tuple[np.ndarray, np.nd
     return G, rhs, max(G_err, rhs_max)
 
 
-def _factored_system(space: WeightSequence, f, g, n_max: int):
+def _factored_system(space: WeightSequence, f, g, n_max: int, e0: bool = False):
     """(L, y, dist, norm_err, entry_err): the band factor L of the degree-n_max
     system, y = L^-1 rhs, dist[n] = ||g||^2 - sum_{i<=n} |y_i|^2, and the
     errors of ||g||^2 and of the largest Gram or right-hand-side entry (an
-    OverflowError when ||g||^2 or a distance overflows)."""
+    OverflowError when ||g||^2 or a distance overflows).  With e0, y is the
+    pair (L^-1 rhs, L^-1 e_0), solved in one pass over L."""
     G, rhs, entry_err = build_system(space, f, g, n_max)
     L = cholesky_band(G)
+    if e0:
+        rhs = np.stack([rhs, np.zeros_like(rhs)])
+        rhs[1, 0] = 1.0
     y = forward_substitute(L, rhs)
+    x = y[0] if e0 else y
     with np.errstate(over="ignore", invalid="ignore"):
         gg = norm_sq_any(space, g, _ENTRY_EPS)
-        dist = float(gg.value) - np.cumsum(y.real**2 + y.imag**2)
+        dist = float(gg.value) - np.cumsum(x.real**2 + x.imag**2)
     if not (np.isfinite(dist).all() and math.isfinite(gg.err)):
         raise OverflowError("||g||^2 or a squared distance overflows the double range")
     return L, y, dist, gg.err, entry_err
@@ -207,32 +229,52 @@ def _factored_system(space: WeightSequence, f, g, n_max: int):
 
 def _approximants(
     space: WeightSequence, f, g, n_max: int, ns: np.ndarray
-) -> tuple[list[OpaResult], np.ndarray]:
-    """The optimal approximants of the ascending degrees ns <= n_max from one
-    factor L of the degree-n_max system, and y = L^-1 rhs.  Degree n solves
-    the leading block of G, whose factor leads L: dist^2_n = ||g||^2 -
-    sum_{i<=n} |y_i|^2, and p_n* solves L^H a = (y_0, ..., y_n, 0, ...)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(X, dist, errs, y): the optimal approximants of the ascending degrees
+    ns <= n_max from one factor L of the degree-n_max system, and y = L^-1
+    rhs.  Degree n solves the leading block of G, whose factor leads L:
+    dist[n] = ||g||^2 - sum_{i<=n} |y_i|^2 for every n <= n_max, and column c
+    of X, p_n*'s coefficients for n = ns[c] (exact zeros below row n), solves
+    L^H a = (y_0, ..., y_n, 0, ...); errs[c] bounds its distance's error."""
     g = CPoly([1]) if g is None else g
     L, y, dist, norm_err, entry_err = _factored_system(space, f, g, n_max)
     # column c: the right-hand side of degree ns[c], then its solution
     X = np.where(np.arange(y.size)[:, None] <= ns, y[:, None], 0)
     backward_substitute_H(L, X)
     errs = np.maximum(norm_err + np.abs(X).sum(axis=0) * _ERR_FLOOR, entry_err * (ns + 2))
-    cols = enumerate(ns.tolist())
-    return [OpaResult(n, CPoly(X[: n + 1, c]), float(dist[n]), float(errs[c])) for c, n in cols], y
+    return X, dist, errs, y
+
+
+def _results(X: np.ndarray, dist: np.ndarray, errs: np.ndarray) -> list[OpaResult]:
+    """The OpaResult of every degree of a sweep's arrays (column n of X for
+    degree n)."""
+    rows = zip(range(X.shape[1]), dist.tolist(), errs.tolist())
+    return [OpaResult(n, CPoly(X[: n + 1, n]), d, e) for n, d, e in rows]
+
+
+def sweep_arrays(
+    space: WeightSequence, f, g=None, n_max: int = 10
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """approximant_sweep's numbers as arrays (X, dist, errs): column n of the
+    (n_max+1) x (n_max+1) array X holds p_n*'s coefficients over rows 0..n
+    and exact zeros below (its trailing zeros are the ones CPoly drops);
+    dist[n] and errs[n] are the squared distance and its error bar.  The CLI
+    prints from these, with no object per degree."""
+    return _approximants(space, f, g, n_max, np.arange(n_max + 1))[:3]
 
 
 def approximant_sweep(space: WeightSequence, f, g=None, n_max: int = 10) -> list[OpaResult]:
     """All optimal approximants for n = 0..n_max from one Cholesky factor,
     O(n_max^2 d) for the coefficients when f has degree d."""
-    return _approximants(space, f, g, n_max, np.arange(n_max + 1))[0]
+    return _results(*sweep_arrays(space, f, g, n_max))
 
 
 def optimal_approximant(space: WeightSequence, f, g=None, n: int = 0) -> OpaResult:
     """The degree-n optimal approximant and its squared distance, from the
     degree-n factor as in approximant_sweep and one back substitution for
     degree n alone: O(n d) for the coefficients when f has degree d."""
-    return _approximants(space, f, g, n, np.array([n]))[0][0]
+    X, dist, errs, _ = _approximants(space, f, g, n, np.array([n]))
+    return OpaResult(n, CPoly(X[:, 0]), float(dist[n]), float(errs[0]))
 
 
 def orthogonality_residual(space: WeightSequence, f, g, result: OpaResult) -> float:
@@ -360,18 +402,22 @@ def detect_stabilization(
     <= eps, which bounds ||p_n* f - p_M* f|| for every n >= M; it does not
     move when f is scaled by a power of two.  p_M* is the sweep's row M.  For
     exact f the candidate must pass the optimality conditions
-    <p_M* f - g, z^k f> = 0 (any g, quotient spaces too) for an exact
-    orthogonality certificate, else the report is not stabilized; f with a
-    tail keeps the 'tolerance_window' certificate.
+    <p_M* f - g, z^k f> = 0 (any g, quotient spaces too), else the report is
+    not stabilized.  The certificate names that check: 'exact_orthogonality'
+    when it is exact (g has no tail either), 'certified_orthogonality' when
+    envelopes bound the shifts beyond a horizon (g has a tail).  f with a
+    tail keeps the 'tolerance_window' certificate.  The report also carries
+    the sweep's arrays (sweep_arrays).
     """
     if g is None:
         g = CPoly([1])
-    results, y = _approximants(space, f, g, n_max, np.arange(n_max + 1))
+    X, dist, errs, y = _approximants(space, f, g, n_max, np.arange(n_max + 1))
+    results, arrays = _results(X, dist, errs), (X, dist, errs)
     # sqrt(sum_{M<k<=n_max} |y_k|^2) for M = 0..n_max-1
     tail = np.sqrt(np.cumsum((y.real**2 + y.imag**2)[:0:-1])[::-1])
     window = np.flatnonzero(tail <= eps)
     if window.size == 0:
-        return StabilizationReport(False, None, "none", None, results)
+        return StabilizationReport(False, None, "none", None, results, arrays)
     M = int(window[0])
     p_M = results[M].p_star
     if f.tail_M == 0:
@@ -384,9 +430,10 @@ def detect_stabilization(
         h = TruncSeries.add(pf, -g)  # pf may be a CPoly: add reads the fields both types have
         check = orthogonal_to_shifts(space, f, h, eps=1e-10 * scale)
         if check.orthogonal:
-            return StabilizationReport(True, M, "exact_orthogonality", p_M, results)
-        return StabilizationReport(False, None, "none", None, results)
-    return StabilizationReport(True, M, "tolerance_window", p_M, results)
+            certificate = "exact_orthogonality" if check.exact else "certified_orthogonality"
+            return StabilizationReport(True, M, certificate, p_M, results, arrays)
+        return StabilizationReport(False, None, "none", None, results, arrays)
+    return StabilizationReport(True, M, "tolerance_window", p_M, results, arrays)
 
 
 def stabilization_dossier(
@@ -491,15 +538,11 @@ def cyclicity_diagnostic(
         raise ValueError("diagnostic requires f(0) != 0")
     if not space.monomials_orthogonal:
         raise ValueError("diagnostic identities require orthogonal monomials")
-    L, y, dist, _, _ = _factored_system(space, f, CPoly([1]), n_max)
-    e0 = np.zeros(n_max + 1, dtype=complex)
-    e0[0] = 1.0
-    v = forward_substitute(L, e0)
+    _, (y, v), dist, _, _ = _factored_system(space, f, CPoly([1]), n_max, e0=True)
     pf0 = complex(f.coeffs[0]) * np.cumsum(np.conj(v) * y)
     alt = 1.0 - pf0.real
     dev = float(max(np.max(np.abs(dist - alt)), np.max(np.abs(pf0.imag))))
-    rows = list(zip(range(n_max + 1), dist.tolist(), alt.tolist()))
-    last = rows[-1][1]
+    last = float(dist[-1])
     plateau = None
     if reference_dist_sq is not None:
         # a computed projection distance is definitive for polynomial f
@@ -515,14 +558,14 @@ def cyclicity_diagnostic(
         verdict = "cyclic_consistent"
     else:
         # relative flattening over the last quarter of the sweep
-        tail = [d for _, d, _ in rows[-max(3, n_max // 4) :]]
-        rel = (tail[0] - tail[-1]) / max(tail[-1], 1e-300)
+        first = float(dist[-max(3, n_max // 4) :][0])
+        rel = (first - last) / max(last, 1e-300)
         if rel <= 1e-3:
             verdict = "non_cyclic"
             plateau = last
         else:
             verdict = "decreasing"
-    return CyclicityDiagnostic(rows, dev, verdict, plateau, reference_dist_sq)
+    return CyclicityDiagnostic(dist, alt, dev, verdict, plateau, reference_dist_sq)
 
 
 def taylor_residuals(space: WeightSequence, f: CPoly, n_max: int) -> list[float]:

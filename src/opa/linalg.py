@@ -86,14 +86,19 @@ def cholesky_border(L: np.ndarray, column: np.ndarray) -> np.ndarray:
 
 
 def forward_substitute(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L y = b for L a band factor."""
+    """Solve L y = b for L a band factor: b a vector, or several vectors as
+    the rows of a 2-D array, each solved with the arithmetic of its own solve
+    (the scalar loop reads L's rows once for all of them)."""
     n, w = L.shape[0], L.shape[1] - 1
+    y = np.zeros(b.shape, dtype=complex)
+    rows = (list(b), list(y)) if b.ndim == 2 else ([b], [y])
     if _scalar(n, w):
-        return _scalar_forward(L, np.ravel(b), np.empty(n, dtype=complex))
-    y = np.zeros(n, dtype=complex)
-    for i in range(n):
-        lo = max(i - w, 0)
-        y[i] = (b[i] - np.dot(L[i, w - i + lo : w], y[lo:i])) / L[i, w]
+        _scalar_forward(L, *rows)
+        return y
+    for bj, yj in zip(*rows):
+        for i in range(n):
+            lo = max(i - w, 0)
+            yj[i] = (bj[i] - np.dot(L[i, w - i + lo : w], yj[lo:i])) / L[i, w]
     return y
 
 
@@ -110,7 +115,7 @@ def backward_substitute_H(L: np.ndarray, b: np.ndarray) -> np.ndarray:
         # L^H x = b is a forward substitution in reversed order, whose row
         # n - 1 - i is cols[i] reversed
         x = (b if b.ndim == 1 else b[:, 0])[::-1]
-        _scalar_forward(cols[::-1, ::-1], x, x)
+        _scalar_forward(cols[::-1, ::-1], [x], [x])
         return b
     for i in range(n - 1, -1, -1):
         k = min(w, n - 1 - i)
@@ -199,21 +204,23 @@ def _skewed(x: np.ndarray, w: int) -> np.ndarray:
     return np.ndarray((n, n), x.dtype, x, w * size, (x.strides[0] - size, size))
 
 
-def _scalar_forward(L: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Solve L y = rhs into out (which may be rhs) on Python scalars."""
+def _scalar_forward(L: np.ndarray, rhs: list, out: list):
+    """Solve L y = x into out[k] (which may be x) for each vector x = rhs[k]
+    on Python scalars, reading L's rows once for all of them."""
     b = L.shape[1] - 1
-    last = [0j] * b  # y[i-b], ..., y[i-1]
+    last = [[0j] * b for _ in rhs]  # y[i-b], ..., y[i-1] of each vector
     for start in range(0, L.shape[0], _CHUNK):
-        stop, y = start + _CHUNK, []
-        for row, v in zip(L[start:stop].tolist(), rhs[start:stop].tolist()):
-            for p in map(mul, row, last):
-                v -= p
-            v /= row[b]
-            last.append(v)
-            del last[0]
-            y.append(v)
-        out[start:stop] = y
-    return out
+        stop, rows = start + _CHUNK, L[start : start + _CHUNK].tolist()
+        for x, o, prev in zip(rhs, out, last):
+            y = []
+            for row, v in zip(rows, x[start:stop].tolist()):
+                for p in map(mul, row, prev):
+                    v -= p
+                v /= row[b]
+                prev.append(v)
+                del prev[0]
+                y.append(v)
+            o[start:stop] = y
 
 
 def solve_factored(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -380,18 +380,6 @@ class TruncSeries:
     def __call__(self, z):
         return self.eval_certified(z)[0]
 
-    # -- a majorant valid at every index, stored or not ------------------------
-
-    def _global_majorant(self, r: float):
-        """M' with |h_k| <= M' r**k (k+1)**tail_gamma for ALL k >= 0.
-
-        Requires r >= tail_r and r > 0.
-        """
-        if r < self.tail_r:
-            raise ValueError("majorant ratio below envelope ratio")
-        ks = np.arange(self.coeffs.size, dtype=float)
-        return _covering_M(self.tail_M, r, self.tail_gamma, ks, np.abs(self.coeffs))
-
     # -- arithmetic ------------------------------------------------------------
 
     def scale(self, c: complex) -> "TruncSeries":
@@ -482,7 +470,8 @@ class TruncSeries:
         lengths = L + np.arange(n + 1.0)
         return M * ((lengths - d + 1.0) / (lengths + 1.0)) ** gamma if gamma < 0 else M
 
-    def mul(self, other: "TruncSeries") -> "TruncSeries":
+    def mul(self, other) -> "TruncSeries":
+        """series_mul(self, other); other may be a CPoly."""
         return series_mul(self, other)
 
     def __repr__(self):
@@ -492,11 +481,24 @@ class TruncSeries:
         )
 
 
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+def _global_majorant(h, r: float):
+    """M' with |h_k| <= M' r**k (k+1)**tail_gamma for ALL k >= 0, for a
+    TruncSeries or a CPoly (it reads only the fields both have).
+
+    Requires r >= tail_r and r > 0.
+    """
+    if r < h.tail_r:
+        raise ValueError("majorant ratio below envelope ratio")
+    ks = np.arange(h.coeffs.size, dtype=float)
+    return _covering_M(h.tail_M, r, h.tail_gamma, ks, np.abs(h.coeffs))
+
+
+def series_mul(a, b) -> TruncSeries:
     """Convolution of stored prefixes with a recomputed, provable envelope.
 
-    Coefficients are exact through the shorter stored length of a factor
-    with a tail (two polynomials give their full product).  The output
+    Either factor may be a TruncSeries or a CPoly, which is a series with no
+    tail.  Coefficients are exact through the shorter stored length of a
+    factor with a tail (two polynomials give their full product).  The output
     envelope comes from global geometric majorants of both factors: the
     (k+1) cross-term count is absorbed into the polynomial part of the
     envelope.
@@ -517,8 +519,8 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
         raise EnvelopeOverflowError(
             "product envelope ratio reaches 1 with non-summable growth"
         )
-    Ma = a._global_majorant(rhat)
-    Mb = b._global_majorant(rhat)
+    Ma = _global_majorant(a, rhat)
+    Mb = _global_majorant(b, rhat)
     gamma = 1.0 + max(a.tail_gamma, 0.0) + max(b.tail_gamma, 0.0)
     coeffs = np.convolve(a.coeffs, b.coeffs)[:out_len]
     return TruncSeries(coeffs, Ma * Mb, rhat, gamma)

@@ -40,13 +40,11 @@ exponents keep at least two digits.
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 
 import numpy as np
 
-CHUNK = 4096
+CHUNK = 8192
 BULK_MIN = 512  # a batch of at most this many values takes the reference calls
 WARMUP = 10_000  # and so do all batches of a style until it has asked for more
 _asked = {True: 0, False: 0}  # values asked for per style (shortest or not)
@@ -213,13 +211,26 @@ def _product(cp, g):
     g1, g1l, g1h, g0l, g0h = g
     c0, c1 = cp & _M32, cp >> 32
 
-    def high(gl, gh):  # the high 64 bits of g cp
-        lo, m1, m2 = gl * c0, gl * c1, gh * c0
-        mid = (lo >> 32) + (m1 & _M32) + (m2 & _M32)
-        return gh * c1 + (m1 >> 32) + (m2 >> 32) + (mid >> 32)
+    def high(gl, gh):  # the high 64 bits of g cp, summed in place (mod 2^64)
+        mid, m1, m2, hi = gl * c0, gl * c1, gh * c0, gh * c1
+        mid >>= 32
+        mid += m1 & _M32
+        mid += m2 & _M32
+        mid >>= 32
+        m1 >>= 32
+        m2 >>= 32
+        hi += m1
+        hi += m2
+        hi += mid
+        return hi
 
-    z = ((g1 * cp) >> 1) + high(g0l, g0h)  # g1 cp wraps to its low 64 bits
-    return high(g1l, g1h) + (z >> 63), z & _M63
+    z = g1 * cp  # wraps to its low 64 bits
+    z >>= 1
+    z += high(g0l, g0h)
+    whole = high(g1l, g1h)
+    whole += z >> 63
+    z &= _M63
+    return whole, z
 
 
 def _shortest_digits(be, t):
@@ -280,11 +291,12 @@ def _g17_digits(be, t):
 # ---------------------------------------------------------------------------
 
 
-def join_floats(pieces, segments, seps, shortest: bool, ref=None) -> str:
-    """The text ``pieces[0] + T(segments[0]) + pieces[1] + ... + pieces[-1]``
-    for 1-D float64 arrays ``segments``, where ``T(a)`` is the text of a's
-    values, each followed by a separator from the matching ``seps`` triple:
-    (after an even position, after an odd position, after the last value).
+def join_floats(pieces, values, lengths, seps, shortest: bool, ref=None) -> str:
+    """The text ``pieces[0] + T(s_0) + pieces[1] + ... + T(s_k-1) + pieces[k]``,
+    where the 1-D float64 array ``values`` is cut into consecutive segments
+    s_j of ``lengths[j]`` values and ``T(s)`` is the text of s's values, each
+    followed by a separator from the matching ``seps`` triple: (after an even
+    position, after an odd position, after the last value).
 
     A value's text is ``float.__repr__(x)`` when ``shortest``, else
     ``'%.17g' % x``: the reference call.  ``ref``, which may spell non-finite
@@ -294,39 +306,50 @@ def join_floats(pieces, segments, seps, shortest: bool, ref=None) -> str:
     (at most ``BULK_MIN`` values, or no more than ``WARMUP`` asked for in its
     style so far).
 
-    The text is written into one buffer sized for the longest possible text,
-    whose pages are touched only as far as the text goes; nothing else holds
-    more than a chunk of it."""
+    Every value's separator and every segment's end are worked out for the
+    whole batch at once; a chunk's text and the pieces that fall in it go out
+    in one copy.  The text is written into one buffer sized for the longest
+    possible text, whose pages are touched only as far as the text goes;
+    nothing else holds more than a chunk of it."""
     reference = float.__repr__ if shortest else "%.17g".__mod__
     ref = ref or reference
-    lengths = [len(a) for a in segments]
-    total = sum(lengths)
+    total = values.size
     _asked[shortest] += total
     if total <= BULK_MIN or _asked[shortest] <= WARMUP:
-        out = [pieces[0]]
-        for x, (even, odd, last), piece in zip(segments, seps, pieces[1:]):
-            # one % operation per segment; '%r' is float.__repr__, and ref
-            # differs from the reference call on non-finite values only
-            values = x.tolist()
-            if ref is reference or np.isfinite(x).all():
-                spec = "%r" if shortest else "%.17g"
-            else:
-                spec, values = "%s", list(map(ref, values))
-            even, odd, last = (sep.replace("%", "%%") for sep in (even, odd, last))
-            m = len(values)
-            form = (spec + even + spec + odd) * (m // 2) + (spec + even) * (m % 2)
-            form = form[: len(form) - len(even if m % 2 else odd)] + last if m else ""
-            out += [form % tuple(values), piece]
-        return "".join(out)
-    triples = {t: i for i, t in enumerate(dict.fromkeys(seps))}
-    sep_texts = [sep.encode("ascii") for t in triples for sep in t]
+        # one % operation; '%r' is float.__repr__, and ref differs from the
+        # reference call on non-finite values only
+        spec, texts = ("%r" if shortest else "%.17g"), values.tolist()
+        if ref is not reference and not np.isfinite(values).all():
+            spec, texts = "%s", list(map(ref, texts))
+        form = [pieces[0].replace("%", "%%")]
+        for m, triple, piece in zip(np.asarray(lengths).tolist(), seps, pieces[1:]):
+            even, odd, last = (sep.replace("%", "%%") for sep in triple)
+            values_form = (spec + even + spec + odd) * (m // 2) + (spec + even) * (m % 2)
+            form += [values_form[: len(values_form) - len(even if m % 2 else odd)] + last if m else ""]
+            form += [piece.replace("%", "%%")]
+        return "".join(form) % tuple(texts)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ends = np.cumsum(lengths)
+    # separator rows (even, odd, odd, even) per distinct triple, then each
+    # triple's last: a value's row is 4 t + 2 (parity of its segment's
+    # start) + (parity of its index), or 4 T + t for a segment's last value
+    numbers = {t: i for i, t in enumerate(dict.fromkeys(seps))}
+    triple = np.fromiter(map(numbers.__getitem__, seps), dtype=np.intp, count=len(seps))
+    sep_texts = [s.encode("ascii") for e, o, _ in numbers for s in (e, o, o, e)]
+    sep_texts += [last.encode("ascii") for *_, last in numbers]
     sep_rows = np.zeros((len(sep_texts), max(map(len, sep_texts)) or 1), dtype=np.uint8)
     for i, sep in enumerate(sep_texts):
         sep_rows[i, : len(sep)] = np.frombuffer(sep, dtype=np.uint8)
     sep_lens = np.array(list(map(len, sep_texts)), dtype=np.intp)
-    sep_base = [3 * triples[t] for t in seps]
-    ends = list(itertools.accumulate(lengths))
-    starts = [e - n for e, n in zip(ends, lengths)]
+    rows_of = (4 * triple + 2 * ((ends - lengths) & 1)).astype(np.min_scalar_type(5 * len(numbers)))
+    sep = np.repeat(rows_of, lengths)
+    sep[1::2] += 1
+    filled = lengths > 0
+    sep[ends[filled] - 1] = 4 * len(numbers) + triple[filled]
+    # piece j + 1 is text_of_pieces[piece_ends[j]:piece_ends[j + 1]]
+    text_of_pieces = np.frombuffer("".join(pieces).encode("ascii"), dtype=np.uint8)
+    piece_ends = np.cumsum(np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))).tolist()
+    piece_parts = list(map(text_of_pieces.__getitem__, map(slice, piece_ends, piece_ends[1:])))
 
     lay, lens = _layouts(shortest)
     rows = min(total, CHUNK)
@@ -336,50 +359,32 @@ def join_floats(pieces, segments, seps, shortest: bool, ref=None) -> str:
     index = np.empty((rows, WIDTH), dtype=np.intp)
     text = np.empty((rows, WIDTH + sep_rows.shape[1]), dtype=np.uint8)
     keep = np.empty(text.shape, dtype=bool)
+    value_ends = np.zeros(rows + 1, dtype=np.intp)
 
-    pieces = [np.frombuffer(p.encode("ascii"), dtype=np.uint8) for p in pieces]
-    out = np.empty(sum(map(len, pieces)) + total * text.shape[1], dtype=np.uint8)
-    pos = 0
-
-    def put(part):
-        nonlocal pos
-        out[pos : pos + len(part)] = part
-        pos += len(part)
-
-    put(pieces[0])
-    seg = 0
+    out = np.empty(piece_ends[-1] + total * text.shape[1], dtype=np.uint8)
+    out[: piece_ends[0]] = text_of_pieces[: piece_ends[0]]
+    pos, seg = piece_ends[0], 0
     for lo in range(0, total, CHUNK):
         hi = min(lo + CHUNK, total)
         m = hi - lo
-        # the parts of the segments that fall in [lo, hi), and the separator
-        # after each value: at an even or odd place in its segment, or last
-        parts, sep = [], []
-        for j in range(bisect.bisect_right(ends, lo), bisect.bisect_left(starts, hi)):
-            a, b = max(starts[j], lo) - starts[j], min(ends[j], hi) - starts[j]
-            parts.append(segments[j][a:b])
-            sep.append(np.arange(a, b) % 2 + sep_base[j])
-            if b == lengths[j] > a:
-                sep[-1][-1] = sep_base[j] + 2
-        key = _chunk_keys(np.concatenate(parts), src[:m], shortest, ref)
+        key = _chunk_keys(values[lo:hi], src[:m], shortest, ref)
         # mode="clip" lets take write straight into out (no index is clipped)
         np.take(lay, key, axis=0, out=index[:m], mode="clip")
         np.add(index[:m], row_base[:m], out=index[:m])
         np.take(src, index[:m], out=text[:m, :WIDTH], mode="clip")
-        sep = np.concatenate(sep)
-        np.take(sep_rows, sep, axis=0, out=text[:m, WIDTH:], mode="clip")
+        np.take(sep_rows, sep[lo:hi], axis=0, out=text[:m, WIDTH:], mode="clip")
         np.not_equal(text[:m], 0, out=keep[:m])
         chunk = text[:m][keep[:m]]
         # the segments that end in this chunk, each followed by its piece
-        done = bisect.bisect_right(ends, hi, lo=seg)
-        value_ends = np.cumsum(lens[key] + sep_lens[sep])
-        start = 0
-        for j in range(seg, done):
-            stop = int(value_ends[ends[j] - lo - 1]) if ends[j] > lo else 0
-            put(chunk[start:stop])
-            put(pieces[j + 1])
-            start = stop
-        put(chunk[start:])
-        seg = done
+        done = int(np.searchsorted(ends, hi, side="right"))
+        np.cumsum(lens[key] + sep_lens[sep[lo:hi]], out=value_ends[1 : m + 1])
+        cuts = value_ends[ends[seg:done] - lo].tolist()
+        parts = [None] * (2 * (done - seg) + 1)
+        parts[::2] = map(chunk.__getitem__, map(slice, [0] + cuts, cuts + [chunk.size]))
+        parts[1::2] = piece_parts[seg:done]
+        size = chunk.size + piece_ends[done] - piece_ends[seg]
+        np.concatenate(parts, out=out[pos : pos + size])
+        pos, seg = pos + size, done
     return str(memoryview(out)[:pos], "ascii")
 
 

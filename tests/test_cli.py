@@ -17,6 +17,8 @@ from opa.cli import (
     parse_coeffs,
     parse_space,
 )
+from opa.engine import approximant_sweep, cyclicity_diagnostic, detect_stabilization, taylor_residuals
+from opa.projection import project_unity
 from opa.series import CPoly
 from opa.spaces import WeightSequence
 
@@ -589,3 +591,122 @@ def test_infinite_dirichlet_weights_write_no_warning(capsys):
     coeffs = json.loads(out)["coeffs"]
     assert coeffs[0] == [1.0, 0.0] and len(coeffs) > 1
     assert all(c == [0.0, 0.0] for c in coeffs[1:])
+
+
+MULT_DESC = '{"kind":"multiplier","m":[[1,0],[-0.5,0.25]]}'
+
+
+def _bits(values) -> bytes:
+    """The float64 bytes of numbers, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _output(capsys, argv) -> str:
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_OK, err
+    return out
+
+
+@pytest.mark.parametrize("bulk", [False, True])
+def test_approximate_rows_are_the_library_objects_bit_for_bit(capsys, monkeypatch, bulk):
+    # the CLI prints from engine.sweep_arrays, the library builds its objects
+    # from the same arrays: every number agrees, with --taylor, --g, a
+    # multiplier space, and a constant f whose p_n* drop trailing zeros
+    monkeypatch.setattr(cli.textfmt, "WARMUP", 0)
+    monkeypatch.setattr(cli.textfmt, "BULK_MIN", 0 if bulk else 10**9)
+    cases = [
+        (D1_DESC, "[[1,0],[-0.5,0.2],[0.3,-0.1]]", None, 40),
+        (H2_DESC, "[[1,0],[-0.5,0]]", "[[0.5,0],[0.25,-0.5],[0,1]]", 30),
+        (MULT_DESC, "[[1,0],[0.5,-0.5]]", None, 30),
+        (D2_DESC, "[[2,0]]", None, 6),
+    ]
+    for space_desc, f_text, g_text, n in cases:
+        space, f = parse_space(space_desc), parse_coeffs(f_text)
+        g = parse_coeffs(g_text) if g_text else CPoly([1])
+        sweep = approximant_sweep(space, f, g, n)
+        taylor = taylor_residuals(space, f, n)
+        argv = ["approximate", "--space", space_desc, "--f", f_text, "--n-max", str(n), "--taylor"]
+        argv += ["--g", g_text] if g_text else []
+        rows = json.loads(_output(capsys, argv))["rows"]
+        assert len(rows) == len(sweep) == n + 1
+        for row, r, t in zip(rows, sweep, taylor):
+            assert row["n"] == r.n
+            assert _bits([row["dist_sq"], row["taylor_residual"]]) == _bits([r.distance_sq, t])
+            assert _bits(row["coeffs"]) == r.p_star.coeffs.tobytes()
+        lines = _output(capsys, argv + ["--format", "csv"]).splitlines()
+        assert len(lines) == n + 2
+        for line, r, t in zip(lines[1:], sweep, taylor):
+            cells = line.split(",")
+            coeffs = r.p_star.coeffs.view(float).tolist()
+            assert cells[:3] == [str(r.n), "%.17g" % r.distance_sq, "%.17g" % t]
+            assert cells[3 : 3 + len(coeffs)] == ["%.17g" % c for c in coeffs]
+            assert cells[3 + len(coeffs) :] == ["0"] * (2 * (n + 1) - len(coeffs))
+
+
+def test_stabilize_rows_are_the_report_bit_for_bit(capsys, monkeypatch):
+    monkeypatch.setattr(cli.textfmt, "WARMUP", 0)
+    q = [0.5 * 0.9**k * (-1 if k % 3 == 0 else 1) for k in range(12)]
+    g_text = json.dumps([[c, 0] for c in np.convolve([1, -0.5], q).tolist()])
+    f_text = "[[1,0],[-0.5,0]]"
+    argv = ["stabilize", "--space", H2_DESC, "--f", f_text, "--g", g_text, "--n-max", "30"]
+    payload = json.loads(_output(capsys, argv))
+    report = detect_stabilization(parse_space(H2_DESC), parse_coeffs(f_text), parse_coeffs(g_text), n_max=30, eps=1e-9)
+    assert (payload["stabilized"], payload["M"]) == (report.stabilized, report.M) == (True, 11)
+    assert _bits(payload["p_M"]) == report.p_M.coeffs.tobytes()
+    assert len(payload["rows"]) == len(report.sweep)
+    for row, r in zip(payload["rows"], report.sweep):
+        assert row["n"] == r.n and _bits(row["dist_sq"]) == _bits(r.distance_sq)
+        assert _bits(row["coeffs"]) == r.p_star.coeffs.tobytes()
+
+
+def test_diagnose_rows_are_the_library_table_bit_for_bit(capsys):
+    for f_text in ("[[-0.5,0],[1,0]]", "[[1,0],[-0.5,0.25],[0.1,0]]"):
+        diag = cyclicity_diagnostic(parse_space(D1_DESC), parse_coeffs(f_text), 50)
+        argv = ["diagnose", "--space", D1_DESC, "--f", f_text, "--n-max", "50"]
+        rows = json.loads(_output(capsys, argv))["rows"]
+        assert [row["n"] for row in rows] == list(range(51))
+        assert _bits([[row["dist_sq"], row["one_minus_pf0"]] for row in rows]) == _bits([r[1:] for r in diag.rows])
+        lines = _output(capsys, argv + ["--format", "csv"]).splitlines()
+        assert lines == ["n,dist_sq"] + ["%d,%.17g" % (n, d) for n, d, _ in diag.rows]
+
+
+def test_diagnose_json_is_json_dumps_of_its_payload(capsys):
+    # the rows come from one template now; the text is still exactly
+    # json.dumps of the payload of one dict per row
+    f_text = "[[1,0],[-0.5,0],[0.25,0],[-0.125,0]]"
+    argv = ["diagnose", "--space", D2_DESC, "--f", f_text, "--n-max", "2000", "--format", "json"]
+    out = _output(capsys, argv)
+    job = cli.parse_job(cli.build_parser().parse_args(argv))
+    reference = project_unity(job.space, job.f, eps=1e-9).dist_sq
+    diag = cyclicity_diagnostic(job.space, job.f, n_max=2000, reference_dist_sq=reference)
+    payload = {
+        "job": job.to_dict(),
+        "rows": [{"n": n, "dist_sq": d, "one_minus_pf0": alt} for n, d, alt in diag.rows],
+        "identity_max_dev": diag.identity_max_dev,
+        "verdict": diag.verdict,
+        "plateau": diag.plateau,
+        "reference_dist_sq": diag.reference_dist_sq,
+    }
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bulk", [False, True])
+def test_table_writer_matches_json_module(monkeypatch, bulk):
+    # a _Table is its list of dicts, non-finite floats and a row whose array
+    # is one pair included, wherever it sits in the payload
+    monkeypatch.setattr(cli.textfmt, "WARMUP", 0)
+    monkeypatch.setattr(cli.textfmt, "BULK_MIN", 0 if bulk else 10**9)
+    rng = np.random.default_rng(5)
+    lengths = np.array([2, 6, 400, 2])
+    values = rng.standard_normal(2 * lengths.sum()) * 10.0 ** rng.integers(-20, 20, 2 * lengths.sum())
+    values[[0, 9]] = [math.inf, -0.0]
+    dist = [0.5, math.nan, -math.inf, 1e-300]
+    table = cli._Table({"n": range(4), "dist_sq": dist, "coeffs": (values, 2 * lengths), "x": np.arange(4.0)})
+    pairs = np.split(values.reshape(-1, 2).tolist(), np.cumsum(lengths)[:-1])
+    rows = [
+        {"n": n, "dist_sq": d, "coeffs": [list(p) for p in c], "x": float(n)}
+        for n, d, c in zip(range(4), dist, pairs)
+    ]
+    payload = {"before": np.array([1.5 - 2j]), "rows": [table, []], "empty": cli._Table({"n": range(0)})}
+    want = {"before": [[1.5, -2.0]], "rows": [rows, []], "empty": []}
+    assert cli._json_dump(payload) == json.dumps(want, indent=2) + "\n"

@@ -649,14 +649,15 @@ def test_tail_free_series_are_certified_as_polynomials_at_large_degree():
 def test_generalized_approximants_of_a_series_stabilize_at_its_projection():
     # g = f q + c k_{1/2} with f = z - 1/2: k_{1/2} is orthogonal to [f], so g
     # projects onto f q and p_M* = q from M = 2; h = p_M* f - g keeps g's
-    # stored length, where it used to keep f q's 4 coefficients and be refused
+    # stored length, where it used to keep f q's 4 coefficients and be refused;
+    # g's tail makes the optimality check envelope-certified, not exact
     f, q = CPoly([-0.5, 1]), CPoly([1, 0.3, -0.2])
     for c in (0.5, 1e-3):
         for length in (200, 600):
             k = np.arange(length)
             g = TruncSeries((f * q).padded(length) + c * 0.5**k, c, 0.5)
             report = detect_stabilization(H2, f, g, n_max=8)
-            assert (report.stabilized, report.M, report.certificate) == (True, 2, "exact_orthogonality")
+            assert (report.stabilized, report.M, report.certificate) == (True, 2, "certified_orthogonality")
             assert np.max(np.abs(report.p_M.coeffs - q.coeffs)) <= 1e-15
 
 
@@ -1227,3 +1228,46 @@ def test_traced_names_stay_bound():
     finally:
         tracer.uninstall()
     assert opa.engine.build_system is original
+
+
+def test_a_stabilization_certified_by_envelopes_is_not_called_exact():
+    # f = z - 1/2 and g = f (1 + 0.3 z) + 0.5 k_{1/2} stored to 200
+    # coefficients: k_{1/2} is orthogonal to [f], so p_1* = 1 + 0.3 z, but
+    # <p_1* f - g, z^k f> = 0 is certified from g's envelope beyond a shift
+    # horizon, not exactly; the certificate says so
+    f = CPoly([-0.5, 1])
+    k = np.arange(200)
+    g = TruncSeries((f * CPoly([1, 0.3])).padded(200) + 0.5 * 0.5**k, 0.5, 0.5)
+    report = detect_stabilization(H2, f, g, n_max=8)
+    assert (report.stabilized, report.M, report.certificate) == (True, 1, "certified_orthogonality")
+    check = orthogonal_to_shifts(H2, f, TruncSeries.add(f.mul_poly(report.p_M), -g))
+    assert check.orthogonal and not check.exact and check.shifts_checked > 1
+    # exact g keeps the exact certificate
+    report = detect_stabilization(H2, f, f * CPoly([1, 0.3]), n_max=8)
+    assert (report.stabilized, report.M, report.certificate) == (True, 1, "exact_orthogonality")
+
+
+def test_diagnostic_at_degree_two_hundred_thousand_holds_its_table_as_arrays():
+    # two float arrays of 1.6 MB each; as a list of (n, dist, alt) tuples the
+    # table held 29 MiB and the call peaked at 53 MiB traced
+    tracemalloc.start()
+    try:
+        diag = cyclicity_diagnostic(D2, CPoly([1, -1]), 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2**20, peak / 2**20
+    assert diag.dist.shape == diag.alt.shape == (200_001,)
+    assert diag.rows[-1] == (200_000, float(diag.dist[-1]), float(diag.alt[-1]))
+
+
+def test_sweep_arrays_are_the_sweep():
+    # approximant_sweep is built from sweep_arrays: column n of X is p_n*'s
+    # coefficients, with exact zeros below row n (and trailing zeros for f = 2)
+    for space, f, g in ((D1, CPoly([1, -0.5, 0.2j]), ONE), (H2, CPoly([2]), CPoly([1, 0.5]))):
+        X, dist, errs = engine.sweep_arrays(space, f, g, 12)
+        for r in approximant_sweep(space, f, g, 12):
+            n, size = r.n, r.p_star.coeffs.size
+            assert X[:size, n].tobytes() == r.p_star.coeffs.tobytes()
+            assert not X[size:, n].any()
+            assert (dist[n], errs[n]) == (r.distance_sq, r.err)

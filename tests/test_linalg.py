@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from band_reference import dense_factor_reference, factor_reference, to_band, to_dense
+from opa import linalg
 from opa.errors import NotPositiveDefiniteError, RootFindingError
 from opa.linalg import (
     SCALAR_BAND_MAX,
@@ -410,3 +411,26 @@ def test_roots_bit_identical_to_root_by_root_sweep():
                 failures[mult] += isinstance(want, tuple)
     assert failures[1] == 0
     assert 0 < failures[2] < 36 and 0 < failures[3] < 36
+
+
+@pytest.mark.parametrize("scalar_band_max", [-1, 12])
+def test_stacked_right_hand_sides_solve_as_single_ones(monkeypatch, scalar_band_max):
+    # forward_substitute of vectors stacked as rows reads L once and gives each
+    # row the bits of its own solve, for bands 0-12 on the numpy loop (-1) and
+    # on the scalar loop (12), across the scalar loop's chunks of rows; a
+    # two-column numpy product could sum in another order
+    monkeypatch.setattr(linalg, "SCALAR_BAND_MAX", scalar_band_max)
+    rng = np.random.RandomState(43)
+    n = linalg._CHUNK + 30
+    for band in range(13):
+        G = np.zeros((n, band + 1), dtype=complex)
+        G[:, :band] = rng.randn(n, band) + 1j * rng.randn(n, band)
+        G[:, band] = 4.0 * band + 4.0  # diagonally dominant
+        G[np.arange(n)[:, None] < band - np.arange(band + 1)] = 0
+        L = cholesky_band(G)
+        B = rng.randn(2, n) + 1j * rng.randn(2, n)
+        B[1] = 0
+        B[1, 0] = 1  # e_0, as cyclicity_diagnostic solves it
+        Y = forward_substitute(L, B)
+        for row in range(2):
+            assert Y[row].tobytes() == forward_substitute(L, B[row].copy()).tobytes(), (band, row)

@@ -426,3 +426,24 @@ def test_envelope_cover_where_the_power_underflows():
     assert _covering_M(1.0, 0.0, 0.0, [0, 5], [0.5, 0.0]) == 1.0
     with pytest.raises(EnvelopeOverflowError):
         _covering_M(1.0, 0.0, 0.0, [0, 5], [0.5, 1e-3])
+
+
+def test_series_mul_takes_a_polynomial_as_a_tail_free_series():
+    # a CPoly factor is the series TruncSeries.from_poly makes of it: the same
+    # coefficients and envelope bit for bit, in both operand orders and through
+    # TruncSeries.mul (a CPoly had no global majorant and raised AttributeError)
+    s = geometric_series(0.5, length=20)
+    p, p2 = CPoly([1, -0.5]), CPoly([2, 1j, 0.25])
+    q, q2 = TruncSeries.from_poly(p), TruncSeries.from_poly(p2)
+
+    def parts(x):
+        return x.coeffs.tobytes(), x.tail_M, x.tail_r, x.tail_gamma
+
+    pairs = [
+        (series_mul(s, p), series_mul(s, q)),
+        (series_mul(p, s), series_mul(q, s)),
+        (s.mul(p), s.mul(q)),
+        (series_mul(p, p2), series_mul(q, q2)),
+    ]
+    for got, want in pairs:
+        assert parts(got) == parts(want)

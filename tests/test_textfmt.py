@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opa import textfmt
-from opa.textfmt import join_floats
+
+
+def join_floats(pieces, segments, seps, shortest, ref=None):
+    """textfmt.join_floats with the values given segment by segment."""
+    values = np.concatenate(segments) if segments else np.zeros(0)
+    return textfmt.join_floats(pieces, values, [len(x) for x in segments], seps, shortest, ref)
 
 NAMED = [
     0.0,
@@ -124,7 +129,7 @@ def reference_join(pieces, segments, seps, reference):
     return "".join(out)
 
 
-@pytest.mark.parametrize("size", [4095, 4096, 4097, 2 * textfmt.CHUNK + 3])
+@pytest.mark.parametrize("size", sorted({4095, 4096, 4097, 8195, textfmt.CHUNK - 1, textfmt.CHUNK, textfmt.CHUNK + 1, 2 * textfmt.CHUNK + 3}))
 def test_chunk_boundaries(size):
     # segments of odd and even lengths, empty ones too, straddle the chunk
     # edges, with separators of several lengths in one batch
@@ -221,9 +226,9 @@ def test_tables_are_built_on_first_use():
         "def built(): print([f.cache_info().currsize for f in (t._shortest_table, t._g17_table, t._layouts)])\n"
         "built()\n"
         "x = np.linspace(0.1, 1, t.WARMUP // 2)\n"
-        "t.join_floats(['', ''], [x], [(',', ',', '')], True)\n"
+        "t.join_floats(['', ''], x, [x.size], [(',', ',', '')], True)\n"
         "built()\n"
-        "t.join_floats(['', '', ''], [x, x[:2]], [(',', ',', '')] * 2, True)\n"
+        "t.join_floats(['', '', ''], np.append(x, x[:2]), [x.size, 2], [(',', ',', '')] * 2, True)\n"
         "built()\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(textfmt.__file__).parents[1])}
