@@ -26,7 +26,7 @@ from operator import mul
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, RootFindingError
-from .series import CPoly
+from .series import UNIT_ROUNDOFF, CPoly
 
 # A band of at most this many diagonals below the main one, and narrower than
 # the matrix, takes the scalar loops.  At n = 41 and 401 (2-vCPU host, one BLAS
@@ -37,7 +37,6 @@ SCALAR_BAND_MAX = 5
 _CHUNK = 1024  # rows a scalar loop turns into Python scalars at a time
 _PIVOT_TOL = 1e-14
 _HERM_RTOL = 1e-13
-_CLUSTER_RADIUS = 1e-7
 
 
 def check_hermitian(matrix: np.ndarray) -> np.ndarray:
@@ -258,33 +257,42 @@ def condition_estimate(L: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _eval_with_derivative(coeffs: np.ndarray | list[complex], z: complex):
-    p = 0j
-    dp = 0j
-    for c in coeffs[::-1]:
+def _horner(rev: list, z: complex):
+    """p(z), p'(z) and sum_k |a_k| |z|^k for the coefficients rev of p,
+    highest degree first, on Python complex numbers."""
+    p = dp = 0j
+    s, az = 0.0, abs(z)
+    for c in rev:
         dp = dp * z + p
         p = p * z + c
-    return p, dp
-
-
-def _eval_scale(coeffs: np.ndarray, z: complex) -> float:
-    az = abs(z)
-    s = 0.0
-    for k, c in enumerate(coeffs):
-        s += abs(c) * az**k
-    return max(s, 1e-300)
+        s = s * az + abs(c)
+    return p, dp, s
 
 
 def poly_roots(p: CPoly, max_sweeps: int = 200) -> list[tuple[complex, int]]:
-    """All roots with multiplicities, via simultaneous (Ehrlich-Aberth) iteration.
+    """All roots of p with their multiplicities, which sum to deg p: the
+    roots of root_discs without their radii."""
+    return [(root, mult) for root, mult, _ in root_discs(p, max_sweeps)]
+
+
+def root_discs(p: CPoly, max_sweeps: int = 200) -> list[tuple[complex, int, float]]:
+    """All roots of p as (root, multiplicity, radius), via simultaneous
+    (Ehrlich-Aberth) iteration; the multiplicities sum to deg p.
 
     Starting points sit on a deterministic circle of radius
-    1 + max|coeff|/|lead| with a fixed phase offset; iterates are polished by
-    multiplicity-aware Newton steps after clustering.  Roots within pairwise
-    distance _CLUSTER_RADIUS merge into one root with summed multiplicity,
-    so exactly repeated roots (e.g. squared factors) are detected while
-    clusters tighter than the stagnation radius of double precision are not
-    separated.  The returned multiplicities always sum to deg p.
+    1 + max|coeff|/|lead| with a fixed phase offset.  An iterate z_i is frozen
+    once |p(z_i)| <= gamma_{4d+1} sum_k |a_k| |z_i|^k, Horner's rounding bound
+    for the monic p of degree d (both sides from one Horner loop): past it
+    the computed value says nothing about where the root is, so a repeated
+    zero, whose iterates stall about u^(1/m) away, stops there too.  The
+    sweep ends when every iterate is frozen.  Iterates whose inclusion discs
+    overlap form one root (Bini, Numer. Algorithms 13, 1996): disc i has
+    radius d (|p(z_i)| + bound_i) / prod_{j != i} |z_i - z_j|, and a connected
+    component of m discs holds exactly m zeros.  An m-fold component is
+    polished from its mean by Newton on p^(m-1), where it is a simple root;
+    its radius is the largest |z_i - root| + r_i over the component, a disc
+    about the root that holds all m zeros.  Zeros closer together than the
+    rounding of p can resolve merge; two at 1/2, 1e-6 apart, stay two roots.
     """
     coeffs = p.normalize().coeffs
     deg = coeffs.size - 1
@@ -295,102 +303,106 @@ def poly_roots(p: CPoly, max_sweeps: int = 200) -> list[tuple[complex, int]]:
     while zero_mult < deg and coeffs[zero_mult] == 0:
         zero_mult += 1
     work = coeffs[zero_mult:]
-    results: list[tuple[complex, int]] = []
+    results: list[tuple[complex, int, float]] = []
     if zero_mult:
-        results.append((0j, zero_mult))
+        results.append((0j, zero_mult, 0.0))
     d = work.size - 1
     if d == 0:
         return results
     if d == 1:
         root = complex(-work[0] / work[1])
-        results.append((root, 1))
+        results.append((root, 1, UNIT_ROUNDOFF * abs(root)))
         return _sorted_roots(results)
-    lead = work[-1]
-    radius = 1.0 + float(np.max(np.abs(work[:-1]))) / abs(lead)
-    offset = 0.4
-    angles = 2.0 * math.pi * np.arange(d) / d + offset
-    z = radius * np.exp(1j * angles)
-    monic = work / lead
-    monic_list = monic.tolist()
-    # off[i]: every index but i, in order, so that row i of the difference
-    # table holds z[i] - z[j] for j != i
-    off = np.array([[j for j in range(d) if j != i] for i in range(d)])
-    for _ in range(max_sweeps):
-        moved = 0.0
-        # Horner on Python complex numbers; storing into complex arrays hands
-        # numpy scalars to the Newton quotients, so every division below
-        # still rounds as numpy does
-        pv = np.empty(d, dtype=complex)
-        dv = np.empty(d, dtype=complex)
-        for i, zi in enumerate(z.tolist()):
-            pv[i], dv[i] = _eval_with_derivative(monic_list, zi)
-        diffs = z[:, None] - z[off]
-        diffs[diffs == 0] = 1e-300
-        sums = (1.0 / diffs).sum(axis=1)
-        new_z = z.copy()
-        for i in range(d):
-            if pv[i] == 0:
-                continue
-            if dv[i] == 0:
-                newton = pv[i] / (dv[i] + 1e-300)
-            else:
-                newton = pv[i] / dv[i]
-            denom = 1.0 - newton * sums[i]
-            if denom == 0:
-                denom = 1e-300
-            step = newton / denom
-            new_z[i] = z[i] - step
-            moved = max(moved, abs(step) / (1.0 + abs(z[i])))
-        z = new_z
-        if moved <= 1e-13:
-            break
-    else:
-        raise RootFindingError(
-            f"no convergence after {max_sweeps} sweeps", best=z.copy()
-        )
-    clusters = _cluster(z, _CLUSTER_RADIUS)
-    for center, mult in clusters:
-        root = _polish(monic, center, mult)
-        results.append((root, mult))
-        scale = _eval_scale(work, root)
-        val, _ = _eval_with_derivative(work, root)
+    rev = (work / work[-1]).tolist()[::-1]  # monic, highest degree first
+    z, radii = _aberth(rev, max_sweeps)
+    for group in _cluster(z, radii):
+        mult = len(group)
+        center = sum(z[i] for i in group) / mult
+        root = _polish(_derivative(rev, mult - 1), center)
+        val, _, scale = _horner(work.tolist()[::-1], root)
         if abs(val) > 1e-9 * scale:
             raise RootFindingError(
-                f"residual {abs(val):.3g} too large at root {root}", best=z.copy()
+                f"residual {abs(val):.3g} too large at root {root}", best=np.array(z)
             )
+        radius = max(abs(z[i] - root) + radii[i] for i in group)
+        results.append((root, mult, radius))
     return _sorted_roots(results)
 
 
-def _cluster(points: np.ndarray, radius: float):
-    """Transitive clustering within the given radius."""
-    n = points.size
-    parent = list(range(n))
+def _aberth(rev: list, max_sweeps: int):
+    """The frozen Ehrlich-Aberth iterates of a monic polynomial of degree
+    d >= 2, its coefficients rev highest first, and the radii of their
+    inclusion discs (see root_discs)."""
+    d = len(rev) - 1
+    radius = 1.0 + max(map(abs, rev[1:]))
+    zs = (radius * np.exp(1j * (2.0 * math.pi * np.arange(d) / d + 0.4))).tolist()
+    # Horner's complex products and sums, and the division by lead
+    k = 4 * d + 1
+    gamma = k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+    floor = [0.0] * d  # |p(z_i)| plus its rounding bound, once frozen
+    active = range(d)
+    for _ in range(max_sweeps):
+        moving = []
+        for i in active:
+            pv, dv, s = _horner(rev, zs[i])
+            size, bound = abs(pv), gamma * s
+            if size <= bound:
+                floor[i] = size + bound
+            else:
+                moving.append((i, pv / dv if dv else pv / 1e-300))
+        if not moving:
+            break
+        # Jacobi steps: every correction reads the iterates of the last sweep
+        last = zs.copy()
+        for i, newton in moving:
+            zi = last[i]
+            aberth = 0j
+            for zj in last:
+                if zj != zi:
+                    aberth += 1.0 / (zi - zj)
+            denom = 1.0 - newton * aberth
+            zs[i] = zi - newton / (denom if denom else 1e-300)
+        active = [i for i, _ in moving]
+    else:
+        raise RootFindingError(f"no convergence after {max_sweeps} sweeps", best=np.array(zs))
+    gaps = [math.prod(abs(zi - zj) for j, zj in enumerate(zs) if j != i) for i, zi in enumerate(zs)]
+    return zs, [d * f / (g or 1e-300) for f, g in zip(floor, gaps)]
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(complex(points[i]))
-    return [(sum(g) / len(g), len(g)) for g in groups.values()]
+def _cluster(z: list, radii: list) -> list[list[int]]:
+    """Index groups of the connected components of overlapping discs
+    |w - z[i]| <= radii[i], each in increasing order, by smallest index."""
+    groups, seen = [], set()
+    for i in range(len(z)):
+        if i in seen:
+            continue
+        seen.add(i)
+        group = [i]
+        for k in group:  # visits the members appended while it runs
+            for j, zj in enumerate(z):
+                if j not in seen and abs(z[k] - zj) <= radii[k] + radii[j]:
+                    seen.add(j)
+                    group.append(j)
+        groups.append(sorted(group))
+    return groups
 
 
-def _polish(monic: np.ndarray, z: complex, mult: int) -> complex:
+def _derivative(rev: list, k: int) -> list:
+    """The k-th derivative's coefficients j! / (j - k)! a_j of the
+    coefficients rev, both highest degree first."""
+    d = len(rev) - 1
+    return [c * math.perm(d - t, k) for t, c in enumerate(rev[: d + 1 - k])]
+
+
+def _polish(rev: list, z: complex) -> complex:
+    """Four Newton steps from z on the polynomial with coefficients rev,
+    highest first, stopping at a zero value or slope."""
     for _ in range(4):
-        p, dp = _eval_with_derivative(monic, z)
+        p, dp, _ = _horner(rev, z)
         if dp == 0 or p == 0:
             break
-        z = z - mult * p / dp
-    return complex(z)
+        z = z - p / dp
+    return z
 
 
 def _sorted_roots(results):

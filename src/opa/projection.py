@@ -33,11 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedError, NotPositiveDefiniteError
+from .errors import CannotCertifyError, IllConditionedError, NotPositiveDefiniteError
 from .linalg import (
     cholesky_factor,
     condition_estimate,
-    poly_roots,
+    poly_roots,  # noqa: F401  (bound here for perfbench/spans.py to trace)
+    root_discs,
     solve_factored,
 )
 from .series import UNIT_ROUNDOFF, CPoly, TruncSeries, blaschke_product, power_rounding
@@ -248,19 +249,35 @@ def falling_factorial(k: int, n: int) -> int:
 
 def classify_zeros(space: WeightSequence, f: CPoly) -> ZeroClassification:
     """Classify each zero of f by reproducible derivative orders below its
-    multiplicity."""
+    multiplicity.
+
+    A zero of multiplicity 2 or more is known only to its accuracy radius
+    (linalg.root_discs), about u^(1/m) for an m-fold zero; when that disc
+    holds points of different verdicts (it meets the unit circle, for
+    Dirichlet and multiplier weights) the zero is refused with
+    CannotCertifyError rather than classified by where rounding put it.
+    """
     if not isinstance(f, CPoly):
         raise TypeError("classification requires a polynomial")
     if f.coefficient(0) == 0:
         raise ValueError("classification requires f(0) != 0")
     if f.degree < 1:
         return ZeroClassification([], [])
-    roots = poly_roots(f)
-    classified = []
-    for beta, mult in roots:
-        orders = [j for j in range(mult) if is_reproducible(space, beta, j).reproducible]
+    roots, classified = [], []
+    for beta, mult, radius in root_discs(f):
+        orders = tuple(j for j in range(mult) if is_reproducible(space, beta, j).reproducible)
+        near, far = max(abs(beta) - radius, 0.0), abs(beta) + radius
+        if mult > 1 and any(
+            is_reproducible(space, near, j).reproducible != is_reproducible(space, far, j).reproducible
+            for j in range(mult)
+        ):
+            raise CannotCertifyError(
+                f"zero {beta} of multiplicity {mult} is known only to within "
+                f"{radius:.3g}, which leaves open whether it is reproducible"
+            )
+        roots.append((beta, mult))
         if orders:
-            classified.append(ClassifiedZero(beta, mult, tuple(orders)))
+            classified.append(ClassifiedZero(beta, mult, orders))
     return ZeroClassification(roots, classified)
 
 

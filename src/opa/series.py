@@ -351,8 +351,12 @@ class TruncSeries:
         return self.coeffs.size
 
     def coefficient(self, k: int) -> complex:
+        """Coefficient k: beyond the prefix of a series with no tail it is an
+        exact zero, as for CPoly; beyond a tail's prefix it is unknown."""
         if 0 <= k < self.coeffs.size:
             return complex(self.coeffs[k])
+        if self.tail_M == 0:
+            return 0j
         raise IndexError("coefficient index beyond stored prefix")
 
     @property
@@ -360,8 +364,9 @@ class TruncSeries:
         return self.tail_M == 0 and self.coeffs.size == 1 and self.coeffs[0] == 0
 
     def truncate(self, n: int) -> CPoly:
-        """Exact degree-n Taylor polynomial of the stored prefix."""
-        if n < 0 or n > self.order:
+        """Exact degree-n Taylor polynomial: of the stored prefix, or of any
+        degree for a series with no tail."""
+        if n < 0 or (n > self.order and self.tail_M != 0):
             raise IndexError(f"truncation degree {n} outside stored range")
         return CPoly(self.coeffs[: n + 1])
 

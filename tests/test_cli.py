@@ -283,8 +283,8 @@ def test_help_exits_zero(capsys):
     assert err == ""
 
 
-# (z - (0.4 + 1.45i))^2: the root sweep does not converge on this double zero
-NO_CONVERGENCE_F = "[[-1.9425,1.16],[-0.8,-2.9],[1,0]]"
+# z - (1 - 2^-20): its kernel sums need more than 10^7 terms (ROADMAP item 11)
+UNCERTIFIABLE_F = "[[-0.9999990463256836,0],[1,0]]"
 
 
 def test_one_parser_serves_many_jobs(capsys):
@@ -292,8 +292,8 @@ def test_one_parser_serves_many_jobs(capsys):
     first = run(capsys, good)
     assert run(capsys, ["approximate", "--n-max", "abc"])[0] == EXIT_USAGE
     assert run(capsys, ["--help"])[0] == EXIT_OK
-    failing = run(capsys, ["project", "--space", H2_DESC, "--f", NO_CONVERGENCE_F])
-    assert failing[0] == EXIT_SOLVER and "no convergence" in failing[2]
+    failing = run(capsys, ["project", "--space", H2_DESC, "--f", UNCERTIFIABLE_F])
+    assert failing[0] == EXIT_SOLVER and "required series length exceeds 1e7" in failing[2]
     assert run(capsys, good) == first
     assert first[0] == EXIT_OK and first[1]
     assert cli.build_parser() is not cli.build_parser()

@@ -117,6 +117,35 @@ def test_projection_double_zero_constants():
     assert abs(r.phi0 - 1 / 16) < 1e-7
 
 
+@pytest.mark.parametrize(
+    "cofactor, want",
+    # 1 - dist^2 is the product of |beta|^2 over the zeros inside (H^2, the
+    # Blaschke closed form): 1/16, 1/64, 1/16 * 0.09, 1/16 * 0.01
+    [(ONE, 0.9375), (HALF, 0.984375), (CPoly([-0.3j, 1]), 0.994375),
+     (CPoly([0.1, -0.4 + 0.2j, 1]), 0.999375)],
+)
+def test_projection_of_repeated_zeros_meets_its_closed_form(cofactor, want):
+    r = project_unity(H2, cofactor * HALF_SQ)
+    assert abs(r.dist_sq - want) <= r.gram_err
+
+
+@pytest.mark.parametrize("space", [H2, D2, WeightSequence.dirichlet(5.0)])
+def test_repeated_zero_near_the_circle_is_refused(space):
+    # a double zero is known to about 1e-7, so one within that of the circle
+    # can be neither classified inside nor outside: it is refused, never
+    # snapped, whichever the weights
+    from opa.errors import CannotCertifyError
+
+    def square(beta):
+        return CPoly([-beta, 1]) * CPoly([-beta, 1])
+
+    for beta in (1.0, 1 - 1e-9, (1 + 1e-9) * np.exp(0.7j)):
+        with pytest.raises(CannotCertifyError):
+            project_unity(space, square(beta))
+    # 1e-3 from the circle the classification is decided
+    assert classify_zeros(space, square(1 - 1e-3)).zeros[0][1] == 2
+
+
 def test_projection_two_simple_zeros():
     r = project_unity(H2, HALF_THIRD)
     betas = [complex(s.beta) for s in r.basis]

@@ -105,8 +105,16 @@ def test_taylor_truncate_prefix_and_constant():
     s = TruncSeries([1, 1, 1, 1], 0.0, 0.0)
     assert np.allclose(taylor_truncate(s, 2).coeffs, [1, 1, 1])
     assert np.allclose(taylor_truncate(s, 0).coeffs, [1])
+    # a series with no tail is its polynomial: zeros past the prefix
+    assert np.array_equal(taylor_truncate(s, 9).coeffs, [1, 1, 1, 1])
+    assert s.coefficient(9) == 0j
+    assert np.array_equal(TruncSeries([1, 0, 0], 0.0, 0.0).truncate(2).coeffs, [1])
+    # past a tail's prefix the coefficients are unknown
+    tailed = TruncSeries([1, 1, 1, 1], 1.0, 0.5)
     with pytest.raises(IndexError):
-        taylor_truncate(s, 9)
+        taylor_truncate(tailed, 9)
+    with pytest.raises(IndexError):
+        tailed.coefficient(4)
 
 
 def test_geometric_series_inverse_pair():
