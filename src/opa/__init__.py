@@ -40,7 +40,7 @@ from .spaces import (
     norm_sq_any,
     norm_sq_poly,
 )
-from .linalg import cholesky_solve, poly_roots
+from .linalg import poly_roots
 from .engine import (
     CyclicityDiagnostic,
     InnerCertificate,

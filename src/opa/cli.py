@@ -78,7 +78,7 @@ EXIT_SOLVER = 3
 class JobSpec:
     command: str
     space: WeightSequence
-    f: CPoly
+    f: CPoly | None
     g: CPoly
     n_max: int
     eps: float
@@ -137,7 +137,7 @@ def parse_space(text: str) -> WeightSequence:
 
 def parse_job(args: argparse.Namespace) -> JobSpec:
     space = parse_space(args.space)
-    f = parse_coeffs(args.f)
+    f = parse_coeffs(args.f) if hasattr(args, "f") else None  # kernel takes no f
     g = parse_coeffs(args.g) if getattr(args, "g", None) else CPoly([1])
     if not 0.0 < args.eps < math.inf:  # NaN too, which fails every certificate's test
         raise ValueError(f"eps must be a positive finite number, got {args.eps!r}")
@@ -486,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("kernel_for_derivatives", "derivative_of_kernel"),
         default="kernel_for_derivatives",
     )
-    p.add_argument("--f", default="[[1,0]]", help=argparse.SUPPRESS)
     p.add_argument("--eps", type=float, default=1e-9)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)

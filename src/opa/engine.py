@@ -21,9 +21,10 @@ stabilization window read only y = L^-1 rhs, and (p_n* f)(0) also
 v = L^-1 e_0, solved with y in one pass over L.
 
 A sweep's numbers are arrays (sweep_arrays: X, dist, errs), from which
-approximant_sweep, optimal_approximant and detect_stabilization build their
-OpaResult and CPoly objects and the CLI prints with no object per degree;
-cyclicity_diagnostic keeps its table as arrays.  Printing, not this module,
+approximant_sweep and optimal_approximant build their OpaResult and CPoly
+objects and the CLI prints with no object per degree; a StabilizationReport
+keeps its sweep as these arrays and builds only p_M, and cyclicity_diagnostic
+keeps its table as arrays.  Printing, not this module,
 sets the cost of a CLI sweep (README "Performance notes").
 
 On top of the sweeps this module certifies structural properties, each
@@ -124,8 +125,12 @@ class StabilizationReport:
     M: int | None
     certificate: str  # 'exact_orthogonality' | 'certified_orthogonality' | 'tolerance_window' | 'none'
     p_M: CPoly | None
-    sweep: list = field(default_factory=list, repr=False)
-    arrays: tuple | None = field(default=None, repr=False)  # sweep_arrays' (X, dist, errs)
+    arrays: tuple = field(repr=False)  # sweep_arrays' (X, dist, errs)
+
+    @property
+    def sweep(self) -> list:
+        """The OpaResult of every degree 0..n_max, built from arrays on demand."""
+        return _results(*self.arrays)
 
 
 @dataclass
@@ -309,7 +314,7 @@ def is_inner(
     For exact f the shifts beyond the (embedded) degree vanish
     identically, so checking j <= deg f yields an exact certificate for all j.
     """
-    K, exact = _shift_range(space, f, eps, max_shift)
+    K, exact = _shift_range(space, f, f, eps, max_shift)
     values, err = _certified_shifts(space, f, f, K, eps)
     norm_sq = float(values[0].real)
     worst = float(np.max(np.abs(values[1:]), initial=0.0))
@@ -317,31 +322,38 @@ def is_inner(
     return InnerCertificate(ok, exact, norm_sq, K, worst, err)
 
 
-def _series_shift_horizon(space: WeightSequence, f: TruncSeries, eps: float) -> int:
-    """Smallest J with a certified bound |<f, z^j f>| <= eps for all j > J.
+def _series_shift_horizon(space: WeightSequence, h, f, eps: float) -> int:
+    """Smallest J with a certified bound |<h, z^j f>| <= eps for all j > J.
 
-    Writing k = t + j, |<f, z^j f>| <= sum_t w_{t+j} A(t+j) A(t) with
-    A(t) = Mhat * rr**t a global geometric majorant of |f_t|; the bound
-    factors into  C * (rr * rho)**j * (j+1)**g  which decays geometrically.
+    Writing t = s + j, |<h, z^j f>| <= sum_s w_{s+j} A_h(s+j) A_f(s) with
+    A_x(t) = Mhat_x * rr**t a global geometric majorant of |x_t| at one ratio
+    rr for both; the bound factors into  C * (rr * rho)**j * (j+1)**g  with
+    C proportional to Mhat_h * Mhat_f, which decays geometrically.
     """
+    same = f is h  # covered once, as Mhat_h**2
     if space.kind == "multiplier":
-        f = f.mul_poly(space.m)
+        h = h.mul_poly(space.m)
+        f = h if same else f.mul_poly(space.m)
         space = WeightSequence.dirichlet(0.0)
-    if f.tail_M > 0 and f.tail_r >= 1.0:
+    if any(x.tail_M > 0 and x.tail_r >= 1.0 for x in (h, f)):
         raise CannotCertifyError(
             "boundary-envelope series admit no geometric shift horizon"
         )
-    r = f.tail_r if f.tail_M > 0 else 0.0
+    r = max(x.tail_r if x.tail_M > 0 else 0.0 for x in (h, f))
     rr = 0.5 * (1.0 + r) if r > 0 else 0.5
-    # flatten the envelope's polynomial factor into the constant: the
-    # supremum of (t+1)^gamma (r/rr)^t
-    gplus = max(f.tail_gamma, 0.0)
-    env_flat = f.tail_M * poly_geometric_sup(gplus, r / rr) if r > 0 else f.tail_M
-    Mhat = _covering_M(env_flat, rr, 0.0, np.arange(len(f), dtype=float), np.abs(f.coeffs))
+
+    def cover(x):  # Mhat_x, with x's envelope ratio rx below rr
+        rx = x.tail_r if x.tail_M > 0 else 0.0
+        # flatten the envelope's polynomial factor into the constant: the
+        # supremum of (t+1)^gamma (rx/rr)^t
+        env = x.tail_M * poly_geometric_sup(max(x.tail_gamma, 0.0), rx / rr) if rx > 0 else x.tail_M
+        return _covering_M(env, rr, 0.0, np.arange(len(x), dtype=float), np.abs(x.coeffs))
+
+    MM = cover(h) ** 2 if same else cover(h) * cover(f)
     W, g, rho = space.tail_weight_majorant(0)
     if rr * rho >= 1.0 or rr * rr * rho >= 1.0:
         raise CannotCertifyError("envelope too weak to bound shifted inner products")
-    S = power_tail_bound(W * Mhat**2, rr * rr * rho, g, -1)
+    S = power_tail_bound(W * MM, rr * rr * rho, g, -1)
 
     def bound(j):
         return S * (j + 1.0) ** g * (rr * rho) ** j
@@ -353,13 +365,13 @@ def _series_shift_horizon(space: WeightSequence, f: TruncSeries, eps: float) -> 
     return max(smallest_certified(bound, eps, peak, 10**6), 4)
 
 
-def _shift_range(space: WeightSequence, h, eps: float, k_max: int | None) -> tuple[int, bool]:
-    """(K, exact): the shifts 1..K checked against h, k_max when given, else
-    h's (embedded) degree, beyond which the products vanish (exact), or the
-    shift horizon of a stored series."""
+def _shift_range(space: WeightSequence, h, f, eps: float, k_max: int | None) -> tuple[int, bool]:
+    """(K, exact): the shifts 1..K of f checked against h, k_max when given,
+    else h's (embedded) degree, beyond which the products vanish (exact), or
+    the shift horizon of a stored series h against f."""
     dh = _effective_degree(space, h)
     if k_max is None:
-        k_max = max(dh, 1) if dh is not None else _series_shift_horizon(space, h, eps)
+        k_max = max(dh, 1) if dh is not None else _series_shift_horizon(space, h, f, eps)
     return k_max, dh is not None and k_max >= max(dh, 1)
 
 
@@ -375,7 +387,7 @@ def orthogonal_to_shifts(
     certificate for data whose envelopes are too weak, e.g. power-decay
     boundary kernels whose shift inner products cancel structurally).
     """
-    kmax, exact = _shift_range(space, h, eps, k_max)
+    kmax, exact = _shift_range(space, h, f, eps, k_max)
     worst = err = 0.0
     if kmax > 0:
         values, err = _certified_shifts(space, h, f, kmax, eps, first=1)
@@ -400,26 +412,26 @@ def detect_stabilization(
     ||p_n* f - p_M* f||^2 = sum_{M<k<=n} |y_k|^2 with y = L^-1 rhs, so the
     candidate is the smallest M < n_max with sqrt(sum_{M<k<=n_max} |y_k|^2)
     <= eps, which bounds ||p_n* f - p_M* f|| for every n >= M; it does not
-    move when f is scaled by a power of two.  p_M* is the sweep's row M.  For
+    move when f is scaled by a power of two.  p_M* is column M of X.  For
     exact f the candidate must pass the optimality conditions
     <p_M* f - g, z^k f> = 0 (any g, quotient spaces too), else the report is
     not stabilized.  The certificate names that check: 'exact_orthogonality'
     when it is exact (g has no tail either), 'certified_orthogonality' when
     envelopes bound the shifts beyond a horizon (g has a tail).  f with a
-    tail keeps the 'tolerance_window' certificate.  The report also carries
-    the sweep's arrays (sweep_arrays).
+    tail keeps the 'tolerance_window' certificate.  The report carries the
+    sweep as sweep_arrays' arrays; report.sweep builds its OpaResults.
     """
     if g is None:
         g = CPoly([1])
     X, dist, errs, y = _approximants(space, f, g, n_max, np.arange(n_max + 1))
-    results, arrays = _results(X, dist, errs), (X, dist, errs)
+    arrays = (X, dist, errs)
     # sqrt(sum_{M<k<=n_max} |y_k|^2) for M = 0..n_max-1
     tail = np.sqrt(np.cumsum((y.real**2 + y.imag**2)[:0:-1])[::-1])
     window = np.flatnonzero(tail <= eps)
     if window.size == 0:
-        return StabilizationReport(False, None, "none", None, results, arrays)
+        return StabilizationReport(False, None, "none", None, arrays)
     M = int(window[0])
-    p_M = results[M].p_star
+    p_M = CPoly(X[: M + 1, M])
     if f.tail_M == 0:
         pf = f.mul_poly(p_M)
         # exactness threshold is relative to the data scale: the finite sums are
@@ -431,9 +443,9 @@ def detect_stabilization(
         check = orthogonal_to_shifts(space, f, h, eps=1e-10 * scale)
         if check.orthogonal:
             certificate = "exact_orthogonality" if check.exact else "certified_orthogonality"
-            return StabilizationReport(True, M, certificate, p_M, results, arrays)
-        return StabilizationReport(False, None, "none", None, results, arrays)
-    return StabilizationReport(True, M, "tolerance_window", p_M, results, arrays)
+            return StabilizationReport(True, M, certificate, p_M, arrays)
+        return StabilizationReport(False, None, "none", None, arrays)
+    return StabilizationReport(True, M, "tolerance_window", p_M, arrays)
 
 
 def stabilization_dossier(

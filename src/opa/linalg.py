@@ -6,16 +6,16 @@ one (n, b + 1) band array (LAPACK's lower band storage): row i holds [G[i,
 i-b], ..., G[i, i]], zero left of column 0, for the bandwidth b (d for the
 Gram matrix of a degree-d polynomial, n - 1 for a dense one).  lower_rows is
 the one reader of a dense matrix into a band array: of a stored series' Gram
-matrix, and in cholesky_factor of a dense system (a kernel Gram matrix,
-cholesky_solve's).  A factor costs O(n b^2) time and O(n b) memory, a solve
-O(n b) a right-hand side.  Two loops
-do the work, chosen by b: one over Python complex scalars, read and written
-back _CHUNK rows at a time, for a band of at most ``SCALAR_BAND_MAX``
-diagonals narrower than the matrix (every polynomial Gram system of the
-benchmark's workloads), and a numpy loop for the rest (the dense case with
-the dense loop's bits) and for a sweep's back substitution, vectorized across
-degrees.  They agree to rounding, not bit for bit.  All functions are
-reentrant and pure, but backward_substitute_H overwrites its right-hand side.
+matrix, and in cholesky_factor of a dense system (project_unity's kernel Gram
+matrix).  A factor costs O(n b^2) time and O(n b) memory, a solve O(n b) a
+right-hand side.  Two loops do the work, chosen by b: one over Python complex
+scalars, read and written back _CHUNK rows at a time, for a band of at most
+``SCALAR_BAND_MAX`` diagonals narrower than the matrix (every polynomial Gram
+system of the benchmark's workloads), and a numpy loop for the rest (the
+dense case with the dense loop's bits) and for a sweep's back substitution,
+vectorized across degrees.  They agree to rounding, not bit for bit.  All
+functions are reentrant and pure, but backward_substitute_H overwrites its
+right-hand side.
 """
 
 from __future__ import annotations
@@ -36,30 +36,11 @@ from .series import UNIT_ROUNDOFF, CPoly
 SCALAR_BAND_MAX = 5
 _CHUNK = 1024  # rows a scalar loop turns into Python scalars at a time
 _PIVOT_TOL = 1e-14
-_HERM_RTOL = 1e-13
-
-
-def check_hermitian(matrix: np.ndarray) -> np.ndarray:
-    """Validate (and return) a square Hermitian matrix."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    # row by row, so that no temporary is as large as the matrix; a row's
-    # maximum is NaN or inf exactly when the row holds a non-finite entry
-    rows = range(a.shape[0])
-    row_max = [float(np.max(np.abs(a[i]))) for i in rows]
-    if not all(map(math.isfinite, row_max)):
-        raise ValueError("matrix has non-finite entries")
-    scale = max([1.0] + row_max)
-    dev = max([0.0] + [float(np.max(np.abs(a[i, i:] - np.conj(a[i:, i])))) for i in rows])
-    if dev > _HERM_RTOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return a
 
 
 def cholesky_factor(matrix: np.ndarray) -> np.ndarray:
     """cholesky_band of a dense matrix's lower triangle, read whole into a
-    band array: the factor of a dense kernel Gram system and cholesky_solve's."""
+    band array: the factor of a dense kernel Gram system."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -224,24 +205,6 @@ def _scalar_forward(L: np.ndarray, rhs: list, out: list):
 
 def solve_factored(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return backward_substitute_H(L, forward_substitute(L, np.asarray(rhs, dtype=complex)))
-
-
-def cholesky_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a Hermitian positive-definite system with one refinement step.
-
-    The residual contract ||G a - rhs||_inf <= 1e-10 ||rhs||_inf holds for
-    condition numbers up to about 1e8.
-    """
-    a = check_hermitian(matrix)
-    b = np.asarray(rhs, dtype=complex)
-    if b.shape != (a.shape[0],):
-        raise ValueError("rhs length must match matrix dimension")
-    L = cholesky_factor(a)
-    x = solve_factored(L, b)
-    # one step of iterative refinement keeps the residual near machine level
-    r = b - a @ x
-    x = x + solve_factored(L, r)
-    return x
 
 
 def condition_estimate(L: np.ndarray) -> float:

@@ -103,7 +103,8 @@ class ProjectionResult:
 
     @property
     def cyclic(self) -> bool:
-        return len(self.basis) == 0
+        """No zero of f is reproducible (a Blaschke result has no basis)."""
+        return not self.classification.classified
 
     def phi_coefficients(self, length: int) -> np.ndarray:
         """Exact Maclaurin coefficients of phi through index length - 1."""

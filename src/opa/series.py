@@ -363,13 +363,6 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return self.tail_M == 0 and self.coeffs.size == 1 and self.coeffs[0] == 0
 
-    def truncate(self, n: int) -> CPoly:
-        """Exact degree-n Taylor polynomial: of the stored prefix, or of any
-        degree for a series with no tail."""
-        if n < 0 or (n > self.order and self.tail_M != 0):
-            raise IndexError(f"truncation degree {n} outside stored range")
-        return CPoly(self.coeffs[: n + 1])
-
     # -- certified evaluation --------------------------------------------------
 
     def eval_certified(self, z: complex) -> tuple[complex, float]:
@@ -532,12 +525,12 @@ def series_mul(a, b) -> TruncSeries:
 
 
 def taylor_truncate(h, n: int) -> CPoly:
-    """Degree-n truncation of a stored series or polynomial."""
-    if isinstance(h, CPoly):
-        if n < 0:
-            raise IndexError("truncation degree must be non-negative")
-        return CPoly(h.coeffs[: n + 1])
-    return h.truncate(n)
+    """Exact degree-n Taylor polynomial of a CPoly or TruncSeries h: of the
+    stored prefix, or of any degree when h has no tail (reads only coeffs,
+    tail_M and len, which both types have)."""
+    if n < 0 or (n >= len(h) and h.tail_M != 0):
+        raise IndexError(f"truncation degree {n} outside stored range")
+    return CPoly(h.coeffs[: n + 1])
 
 
 def geometric_series(c: complex, *, eps: float | None = None, length: int | None = None) -> TruncSeries:

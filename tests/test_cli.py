@@ -489,6 +489,11 @@ def test_kernel_at_a_point_that_is_not_reproducible_is_a_usage_error(capsys):
     assert out == "" and err.startswith("opa: kernel: ") and "not reproducible" in err
 
 
+def test_kernel_takes_no_f(capsys):
+    code, out, _ = run(capsys, ["kernel", "--space", H2_DESC, "--beta", "[0.5,0]", "--f", "[[1,0]]"])
+    assert code == EXIT_USAGE and out == ""
+
+
 def test_kernel_whose_coefficients_grow_is_a_usage_error(capsys):
     # the point is reproducible (0.97^2 / (1.45 / 1.5) < 1), but no stored
     # series with an envelope ratio below 1 holds its growing coefficients

@@ -249,7 +249,7 @@ def _shift_cases():
         # z^k f is stored for k more indices after f has ended; an unequal pair
         # in both orders, where with h the longer both stretch windows (h ended
         # and f stored, f ended and h stored) are non-empty for every row
-        (H2, certify_f, certify_f, _series_shift_horizon(H2, certify_f, 1e-10)),
+        (H2, certify_f, certify_f, _series_shift_horizon(H2, certify_f, certify_f, 1e-10)),
         (D1, _series_f(50), _series_f(120), 80),
         (D1, _series_f(120), _series_f(50), 80),
     ]
@@ -806,7 +806,7 @@ def test_series_shift_horizon_passes_the_majorant_peak():
     S = power_tail_bound(Mhat**2, rr * rr, 2.0, -1)
     js = np.arange(2000)
     bound = S * (js + 1.0) ** 2 * rr**js
-    J = _series_shift_horizon(D2, f, 1e-10)
+    J = _series_shift_horizon(D2, f, f, 1e-10)
     assert bound[18] > 1e-10
     assert bound[J - 1] > 1e-10 >= bound[J:].max()
 
@@ -862,6 +862,15 @@ def test_shift_orthogonality_negative_case():
     check = orthogonal_to_shifts(H2, CPoly([1, -1]), CPoly([0, 1]))
     assert not check.orthogonal
     assert check.max_abs == pytest.approx(1.0)
+
+
+def test_shift_horizon_bounds_the_pair_not_h_alone():
+    # |<h, z^j h>| is small for this h, but <h, z^5 1> = 1e-8: the horizon
+    # must bound <h, z^k f>, with the size of f in it, and reach shift 5
+    h = geometric_series(0.5, length=200).shift(5).add(CPoly([1])).scale(1e-8)
+    check = orthogonal_to_shifts(H2, ONE, h, eps=1e-10)
+    assert not check.orthogonal and check.shifts_checked >= 5
+    assert check.max_abs == pytest.approx(1e-8)
 
 
 def test_shift_orthogonality_refuses_weak_envelopes():
@@ -963,7 +972,7 @@ def test_tolerance_window_M_matches_the_per_M_scan():
             if report.certificate == "tolerance_window":
                 windows += 1
                 assert report.M == _per_M_window(report.sweep, eps), (space, n_max, eps)
-                assert report.p_M is report.sweep[report.M].p_star
+                assert report.p_M.coeffs.tobytes() == report.sweep[report.M].p_star.coeffs.tobytes()
     assert windows >= 40
 
 
@@ -974,10 +983,21 @@ def test_stabilization_edges_of_the_sweep():
         report = detect_stabilization(space, f, n_max=0)
         assert not report.stabilized and report.M is None and len(report.sweep) == 1
         report = detect_stabilization(space, f, n_max=1)
-        assert report.stabilized and report.M == 0 and report.p_M is report.sweep[0].p_star
+        assert report.stabilized and report.M == 0
+        assert report.p_M.coeffs.tobytes() == report.sweep[0].p_star.coeffs.tobytes()
     for n_max in (0, 1):
         report = detect_stabilization(H2, CPoly([1, -1]), n_max=n_max)
         assert not report.stabilized and report.certificate == "none"
+    # the report's sweep, built from its arrays, is approximant_sweep's bit for bit
+    for space, f in ((H2, CPoly([1, -1])), (D1, CPoly([1, -0.5, 0.25])), (QUOT, CPoly([1, -0.5])), (H2, b)):
+        for n_max in (0, 1, 7):
+            sweep = approximant_sweep(space, f, ONE, n_max)
+            report = detect_stabilization(space, f, n_max=n_max)
+            assert len(report.sweep) == len(sweep) == n_max + 1
+            for got, want in zip(report.sweep, sweep):
+                assert got.n == want.n
+                assert got.p_star.coeffs.tobytes() == want.p_star.coeffs.tobytes()
+                assert (got.distance_sq, got.err) == (want.distance_sq, want.err)
 
 
 DYADIC = st.tuples(st.integers(-256, 256), st.integers(-256, 256)).map(

@@ -11,11 +11,9 @@ from opa.errors import NotPositiveDefiniteError, RootFindingError
 from opa.linalg import (
     SCALAR_BAND_MAX,
     backward_substitute_H,
-    check_hermitian,
     cholesky_band,
     cholesky_border,
     cholesky_factor,
-    cholesky_solve,
     forward_substitute,
     poly_roots,
     solve_factored,
@@ -23,35 +21,24 @@ from opa.linalg import (
 from opa.series import CPoly
 
 
+def _dense_solve(G, rhs):
+    return solve_factored(cholesky_factor(G), rhs)
+
+
 def test_two_by_two_hand_solve():
     a = np.array([[2, -1], [-1, 2]], dtype=complex)
-    x = cholesky_solve(a, np.array([1, 0], dtype=complex))
+    x = _dense_solve(a, np.array([1, 0], dtype=complex))
     assert np.allclose(x, [2 / 3, 1 / 3], atol=1e-14)
 
 
 def test_identity_returns_rhs():
     rhs = np.array([1 + 2j, -3, 0.5j])
-    assert np.allclose(cholesky_solve(np.eye(3, dtype=complex), rhs), rhs)
+    assert np.allclose(_dense_solve(np.eye(3, dtype=complex), rhs), rhs)
 
 
 def test_singular_matrix_rejected():
     with pytest.raises(NotPositiveDefiniteError):
-        cholesky_solve(np.array([[1, 0], [0, 0]], dtype=complex), np.array([1, 1]))
-
-
-def test_non_hermitian_rejected():
-    with pytest.raises(ValueError):
-        check_hermitian(np.array([[1, 2], [3, 1]], dtype=complex))
-
-
-def test_non_finite_entries_rejected():
-    # a NaN once compared false against the tolerance and was ignored by max
-    for bad in (np.nan, np.inf, complex(0, np.nan)):
-        for i, j in ((1, 0), (0, 1), (1, 1)):
-            a = np.array([[1, 2], [2, 1]], dtype=complex)
-            a[i, j] = bad
-            with pytest.raises(ValueError, match="non-finite"):
-                check_hermitian(a)
+        _dense_solve(np.array([[1, 0], [0, 0]], dtype=complex), np.array([1, 1]))
 
 
 def test_random_hpd_residuals_and_oracle():
@@ -62,7 +49,7 @@ def test_random_hpd_residuals_and_oracle():
         A = rng.randn(n, n) + 1j * rng.randn(n, n)
         G = A.conj().T @ A + np.eye(n)
         rhs = rng.randn(n) + 1j * rng.randn(n)
-        x = cholesky_solve(G, rhs)
+        x = _dense_solve(G, rhs)
         res = np.max(np.abs(G @ x - rhs))
         assert res <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
         oracle = np.linalg.solve(G, rhs)

@@ -283,6 +283,15 @@ def test_blaschke_projection_double_zero():
     assert abs(fast.phi0 - slow.phi0) < 1e-7
 
 
+def test_cyclic_reads_the_zeros_for_both_constructors():
+    # z - 1/2 has a zero in the disk, z - 2 none; the Blaschke result has no
+    # kernel basis, so cyclic must not be read from the basis
+    for f, cyclic in ((CPoly([-0.5, 1]), False), (CPoly([-2, 1]), True)):
+        for result in (blaschke_projection(f), project_unity(WeightSequence.dirichlet(0.0), f)):
+            assert result.cyclic is result.to_report()["cyclic"] is cyclic
+            assert (result.dist_sq > 0.5) is not cyclic
+
+
 def test_blaschke_projection_no_interior_zeros():
     fast = blaschke_projection(CPoly([1, -1 / 3]))
     assert fast.cyclic and fast.phi0 == 1.0

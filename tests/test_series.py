@@ -108,11 +108,15 @@ def test_taylor_truncate_prefix_and_constant():
     # a series with no tail is its polynomial: zeros past the prefix
     assert np.array_equal(taylor_truncate(s, 9).coeffs, [1, 1, 1, 1])
     assert s.coefficient(9) == 0j
-    assert np.array_equal(TruncSeries([1, 0, 0], 0.0, 0.0).truncate(2).coeffs, [1])
+    assert np.array_equal(taylor_truncate(TruncSeries([1, 0, 0], 0.0, 0.0), 2).coeffs, [1])
     # past a tail's prefix the coefficients are unknown
     tailed = TruncSeries([1, 1, 1, 1], 1.0, 0.5)
+    assert np.array_equal(taylor_truncate(tailed, 3).coeffs, [1, 1, 1, 1])
     with pytest.raises(IndexError):
-        taylor_truncate(tailed, 9)
+        taylor_truncate(tailed, 4)
+    for h in (tailed, s, CPoly([1, 2])):
+        with pytest.raises(IndexError):
+            taylor_truncate(h, -1)
     with pytest.raises(IndexError):
         tailed.coefficient(4)
 
