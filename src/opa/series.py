@@ -20,6 +20,22 @@ Every truncation (a stored length, a kernel sum's cut in spaces, the shift
 horizon in engine) is the smallest K that certifies, from the one search
 smallest_certified; a kernel sum's remainder gets half of its eps.
 
+Stored coefficients are exact (up to rounding), with one exception that
+keeps them out of the subnormal range, where x86 arithmetic takes microcode
+assists and runs over a hundred times slower.  A library-made series
+(blaschke_factor, geometric_series and series_mul's product) stores at most
+its requested length: it stops at the first index past its envelope's peak
+from which that envelope, which holds for every k, is below 2**-465
+(_significant_length).  Two kept coefficients, the 1e-16 rounding row of
+spaces.shift_products and a weight >= 2**-38 then multiply to more than
+2**-1022, the smallest normal double.  series_mul counts a factor whose
+envelope is below 2**-465 from its stored end on as zero beyond that end, so
+each stored product coefficient may be off by at most
+max|b| * power_tail_bound(M_a, r_a, gamma_a, L_a - 1) for such a factor a of
+stored length L_a, which is <= 2**-465 max|b| / (1 - r_a) when gamma_a <= 0:
+the kind of error IEEE underflow already makes at 2**-1074.  A TruncSeries built directly stores exactly what
+it is given.
+
 All values are immutable after construction and safe to share across threads.
 """
 
@@ -38,6 +54,11 @@ TRIM_TOL = 1e-14
 # unit roundoff of a double: an exact operation rounds with relative error below it
 UNIT_ROUNDOFF = 2.0**-53
 _TINY = np.finfo(float).tiny
+# ln 2**-465, below which a library-made series stores no envelope: two kept
+# coefficients (>= 2**-930 together), the 1e-16 rounding row of
+# shift_products (> 2**-54) and a weight >= 2**-38 multiply to more than
+# 2**-(930 + 54 + 38) = 2**-1022, the smallest normal double
+_LOG_FLOOR = -465.0 * math.log(2.0)
 
 
 def power_rounding(m, rho: float):
@@ -267,6 +288,31 @@ def needed_length(M: float, r: float, gamma: float, eps: float) -> int:
     return smallest_certified(lambda L: power_tail_bound(M, r, gamma, L - 1), eps, 1, 10**7)
 
 
+def _significant_length(M: float, r: float, gamma: float, length: int) -> int:
+    """min(length, K) for the first K past the peak of M r**k (k+1)**gamma from
+    which that envelope is below 2**-465, worked out in logarithms so that no
+    power underflows; length itself when r == 0, r >= 1 or M == 0."""
+    if M == 0 or r == 0 or r >= 1:
+        return length
+    shift, log_r = math.log(M) - _LOG_FLOOR, math.log(r)
+
+    def below(k):
+        return shift + k * log_r + gamma * math.log1p(k) < 0
+
+    # the envelope falls from its peak (k + 1 = gamma / ln(1/r)) on, so past
+    # the peak the indices where it is below the floor are one final run
+    lo, hi = (max(0, math.ceil(gamma / -log_r - 1.0)) if gamma > 0 else 0), length - 1
+    if lo > hi or not below(hi):
+        return length
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _covering_M(M, r, gamma, ks, values):
     """Smallest M' >= M with values[s] <= M' r**k (k+1)**gamma at k = ks[s].
 
@@ -458,10 +504,11 @@ class TruncSeries:
         global majorant |h_k| <= Mhat r^k (k+1)^gamma covering its stored
         coefficients (index s + i) and its re-based envelope, one covering of
         all shifts; then |(p h)_k| <= Mhat r^k (k+1)^gamma sum_j |p_j| r^-j,
-        with (k-j+1)^gamma <= (k-d+1)^gamma, worst at k = L + i, for gamma < 0."""
+        with (k-j+1)^gamma <= (k-d+1)^gamma, worst at k = L + i, for gamma < 0,
+        which needs L > deg p; for gamma >= 0 the bound holds at any L."""
         d, L, r, gamma = p.degree, len(self), self.tail_r, self.tail_gamma
-        if L <= d:
-            raise ValueError("stored length must exceed the polynomial degree")
+        if gamma < 0 and L <= d:
+            raise ValueError("stored length must exceed the polynomial degree when gamma < 0")
         ks = np.arange(n + 1.0)[:, None] + np.arange(L)  # row i: z**i x's stored indices
         Mhat = _covering_M(self.shift_tail_M(n), r, gamma, ks, np.abs(self.coeffs))
         M = Mhat * float(np.sum(np.abs(p.coeffs) * r ** (-np.arange(d + 1.0))))
@@ -496,20 +543,15 @@ def series_mul(a, b) -> TruncSeries:
 
     Either factor may be a TruncSeries or a CPoly, which is a series with no
     tail.  Coefficients are exact through the shorter stored length of a
-    factor with a tail (two polynomials give their full product).  The output
+    factor with a tail (two polynomials give their full product), where a
+    factor whose envelope is below 2**-465 from its stored end on counts as
+    zero beyond it (the module docstring bounds that error).  The output
     envelope comes from global geometric majorants of both factors: the
     (k+1) cross-term count is absorbed into the polynomial part of the
-    envelope.
+    envelope.  The product stops where that envelope falls below 2**-465.
     """
     if a.tail_M == 0.0 and b.tail_M == 0.0:
         return TruncSeries(np.convolve(a.coeffs, b.coeffs), 0.0, 0.0, 0.0)
-    # a factor with zero tail is exactly zero beyond its stored prefix, so it
-    # does not limit the exact convolution range
-    usable = min(
-        len(a) if a.tail_M > 0 else 10**9,
-        len(b) if b.tail_M > 0 else 10**9,
-    )
-    out_len = min(usable, len(a) + len(b) - 1)
     rhat = max(a.tail_r, b.tail_r)
     if rhat >= 1.0:
         # the product envelope would need ratio 1 with positive polynomial
@@ -520,7 +562,15 @@ def series_mul(a, b) -> TruncSeries:
     Ma = _global_majorant(a, rhat)
     Mb = _global_majorant(b, rhat)
     gamma = 1.0 + max(a.tail_gamma, 0.0) + max(b.tail_gamma, 0.0)
-    coeffs = np.convolve(a.coeffs, b.coeffs)[:out_len]
+    # a factor with zero tail, or one whose envelope is below the floor from
+    # its stored end on, is zero beyond its stored prefix, so it does not
+    # limit the exact convolution range
+    limits = [
+        len(s) for s in (a, b)
+        if s.tail_M > 0 and _significant_length(s.tail_M, s.tail_r, s.tail_gamma, len(s) + 1) > len(s)
+    ]
+    out_len = _significant_length(Ma * Mb, rhat, gamma, min(limits, default=len(a) + len(b) - 1))
+    coeffs = np.convolve(a.coeffs[:out_len], b.coeffs[:out_len])[:out_len]
     return TruncSeries(coeffs, Ma * Mb, rhat, gamma)
 
 
@@ -537,7 +587,8 @@ def geometric_series(c: complex, *, eps: float | None = None, length: int | None
     """The series sum_k c**k z**k = 1/(1 - c z), with exact envelope (1, |c|).
 
     Requires |c| < 1.  The stored length is chosen from the envelope so the
-    coefficient tail beyond it sums below eps (default 1e-12).
+    coefficient tail beyond it sums below eps (default 1e-12), or is at most
+    length: it stops where the envelope falls below 2**-465.
     """
     c = complex(c)
     rho = abs(c)
@@ -547,7 +598,7 @@ def geometric_series(c: complex, *, eps: float | None = None, length: int | None
         return TruncSeries([1.0], 0.0, 0.0, 0.0)
     if length is None:
         length = needed_length(1.0, rho, 0.0, eps if eps is not None else 1e-12)
-    k = np.arange(length)
+    k = np.arange(_significant_length(1.0, rho, 0.0, length))
     return TruncSeries(c**k, 1.0, rho, 0.0)
 
 
@@ -556,7 +607,9 @@ def blaschke_factor(beta: complex, *, eps: float | None = None, length: int | No
 
     Its value at 0 is |b| and its coefficients decay like |b|**k exactly:
     coeff_0 = |b|, coeff_k = (|b|/b) conj(b)**(k-1) (|b|**2 - 1) for k >= 1.
-    For beta == 0 the factor degenerates to z.
+    For beta == 0 the factor degenerates to z.  The stored length is chosen
+    from eps as in geometric_series, or is at most length: it stops where
+    the envelope ((1 - |b|**2)/|b|) |b|**k falls below 2**-465.
     """
     beta = complex(beta)
     rho = abs(beta)
@@ -568,6 +621,7 @@ def blaschke_factor(beta: complex, *, eps: float | None = None, length: int | No
     if length is None:
         length = needed_length(M, rho, 0.0, eps if eps is not None else 1e-12)
         length = max(length, 2)
+    length = _significant_length(M, rho, 0.0, length)
     k = np.arange(1, length)
     coeffs = np.empty(length, dtype=complex)
     coeffs[0] = rho
@@ -576,7 +630,9 @@ def blaschke_factor(beta: complex, *, eps: float | None = None, length: int | No
 
 
 def blaschke_product(betas, *, eps: float = 1e-12, length: int | None = None) -> TruncSeries:
-    """Finite Blaschke product over the given points (repeats allowed)."""
+    """Finite Blaschke product over the given points (repeats allowed), of
+    stored length at most length: each factor and product stops where its
+    envelope falls below 2**-465."""
     betas = [complex(b) for b in betas]
     if not betas:
         return TruncSeries([1.0], 0.0, 0.0, 0.0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import closed_forms
 from band_reference import backward_reference, factor_reference, forward_reference, to_band, to_dense
 from opa import engine
 from opa.errors import (
@@ -793,8 +794,38 @@ def test_blaschke_factor_inner_within_tolerance():
 
 def test_blaschke_product_inner_with_a_long_stored_prefix():
     # from stored length ~1650 on rr**t underflows, so the shift horizon's
-    # majorant of the stored coefficients must not divide by it
-    assert is_inner(H2, blaschke_product([0.3, -0.25j], length=2000)).is_inner
+    # majorant of the stored coefficients must not divide by it (the library
+    # stops the product where its envelope is below 2**-465, so it is built in full)
+    f = closed_forms.product([0.3, -0.25j], 2000)
+    rr = 0.5 * (1.0 + f.tail_r)  # the horizon's ratio
+    assert rr ** (len(f) - 1) < np.finfo(float).tiny
+    assert is_inner(H2, f).is_inner
+
+
+def test_certificates_agree_on_series_stopped_at_the_floor():
+    # the benchmark's slowest series stop where their envelope falls below
+    # 2**-465; built in full (their tails subnormal), each certificate reads the same
+    for zeros, length in (([0.15, -0.18j], 460), ([0.29, -0.29j, 0.29 * np.exp(2.5j)], 540)):
+        for c in (None, 0.12):
+            f = blaschke_product(zeros, length=length)
+            full = closed_forms.product(zeros, length)
+            if c is not None:
+                f = f.mul(geometric_series(c, length=540))
+                full = closed_forms.mul(full, closed_forms.geometric(c, 540))
+            assert len(f) < len(full) == length
+            (got, p), (want, q) = _certificates(f), _certificates(full)
+            assert got == want and len(got) == 5, (zeros, c)
+            assert np.abs(p.padded(13) - q.padded(13)).max() <= 1e-15
+
+
+def _certificates(f):
+    """The verdicts of the four certificates on f in H2, and p_M."""
+    report = detect_stabilization(H2, f, n_max=12)
+    verdicts = [report.stabilized, report.M, is_inner(H2, f).is_inner]
+    if report.stabilized:
+        verdicts.append(stabilization_dossier(H2, f, report).all_passed)
+        verdicts.append(orthogonal_to_shifts(H2, f, f.mul_poly(report.p_M)).orthogonal)
+    return verdicts, report.p_M
 
 
 def test_series_shift_horizon_passes_the_majorant_peak():

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import closed_forms
 from opa.errors import CannotCertifyError, EnvelopeOverflowError
 from opa.projection import blaschke_projection
 from opa.series import (
     CPoly,
     _covering_M,
+    _significant_length,
     TruncSeries,
     blaschke_factor,
     blaschke_product,
@@ -139,10 +141,36 @@ def test_blaschke_factor_coefficients():
 
 
 def test_mul_poly_refuses_a_stored_length_within_the_degree():
-    # the product keeps the stored length, which must exceed deg p
+    # the product keeps the stored length; a boundary kernel's (gamma < 0)
+    # envelope needs it to exceed deg p, a gamma >= 0 envelope holds at any length
+    from opa.spaces import KernelSpec, WeightSequence, kernel_series
+
+    boundary = kernel_series(WeightSequence.dirichlet(2.0), KernelSpec(1.0, 0), length=8)
+    assert boundary.tail_gamma < 0
     with pytest.raises(ValueError):
-        geometric_series(0.5, length=3).mul_poly(CPoly([1, 0, 0, 1]))
-    assert len(geometric_series(0.5, length=4).mul_poly(CPoly([1, 0, 0, 1]))) == 4
+        boundary.mul_poly(CPoly([1] * 9))
+    assert len(boundary.mul_poly(CPoly([1] * 8))) == 8
+    # (1 + z^3) / (1 - z/2) has coefficients 1, 1/2, 1/4, then 9 / 2^k
+    prod = geometric_series(0.5, length=3).mul_poly(CPoly([1, 0, 0, 1]))
+    assert prod.coeffs.tolist() == [1, 0.5, 0.25]
+    for k in range(3, 400):
+        env = Fraction(prod.tail_M) * Fraction(prod.tail_r) ** k * (k + 1) ** int(prod.tail_gamma)
+        assert Fraction(9, 2**k) <= env
+    # a fast factor stores 48 coefficients: times a degree-59 p, its envelope
+    # covers the exact product (40 digits) up to index 400
+    import mpmath as mp
+
+    b = blaschke_factor(1e-3, length=400)
+    assert len(b) == 48
+    p = CPoly(np.cos(np.arange(60.0)) + 1j * np.sin(np.arange(60.0) / 3))
+    pb = b.mul_poly(p)
+    assert len(pb) == 48 and pb.tail_gamma == 0
+    with mp.workdps(40):
+        rho = mp.mpf(b.tail_r)
+        exact = [rho] + [(1 - rho**2) * rho ** (k - 1) for k in range(1, 400)]  # |b_k|
+        for k in range(48, 400):
+            val = abs(sum(mp.mpc(p.coeffs[j]) * exact[k - j] * (-1 if k - j else 1) for j in range(min(k, 59) + 1)))
+            assert val <= mp.mpf(pb.tail_M) * mp.mpf(pb.tail_r) ** k
 
 
 def test_shifted_products_envelopes_match_one_shift_at_a_time():
@@ -153,8 +181,12 @@ def test_shifted_products_envelopes_match_one_shift_at_a_time():
 
     p = CPoly([1, -0.5 + 0.2j, 0.1j])
     boundary = kernel_series(WeightSequence.dirichlet(2.0), KernelSpec(1.0, 0), length=64)
-    for x in (blaschke_product([0.5, -0.3 + 0.4j], length=60), blaschke_factor(0.15, length=370), boundary):
-        n = 40
+    n = 40
+    # the library stops a factor where its envelope is below 2**-465, so the
+    # long prefix is built in full; 0.15**k underflows in its shifted windows
+    long = closed_forms.factor(0.15, 370)
+    assert 0.15 ** (len(long) - 1 + n) < np.finfo(float).tiny
+    for x in (blaschke_product([0.5, -0.3 + 0.4j], length=60), long, boundary):
         want = np.array([x.shift(i).mul_poly(p).tail_M for i in range(n + 1)])
         got = x.shifts_mul_poly_M(p, n)
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want), x
@@ -422,9 +454,11 @@ def test_immutability():
 def test_envelope_cover_where_the_power_underflows():
     # 0.18**k (k+1)**gamma underflows to 0 past k ~ 430, so the covering
     # constant of a long small-ratio prefix is taken in logarithms; the
-    # length-460 product used to raise EnvelopeOverflowError
-    b = blaschke_product([0.15, -0.18j], length=460)
-    short = blaschke_product([0.15, -0.18j], length=400)
+    # length-460 product used to raise EnvelopeOverflowError (the library now
+    # stops it at 194 coefficients, so it is built in full)
+    b = closed_forms.product([0.15, -0.18j], 460)
+    short = closed_forms.product([0.15, -0.18j], 400)
+    assert b.tail_r ** (len(b) - 1) < np.finfo(float).tiny
     assert np.array_equal(b.coeffs[:400], short.coeffs)
     # where 0.18**k is subnormal (k = 425..434, a few bits left) or 0, the
     # cover is rounded up: it dominates the exact ratio of the doubles
@@ -459,3 +493,80 @@ def test_series_mul_takes_a_polynomial_as_a_tail_free_series():
     ]
     for got, want in pairs:
         assert parts(got) == parts(want)
+
+
+# -- library-made series stop where their envelope falls below 2**-465 ----------
+
+
+def test_constructors_stop_where_the_envelope_falls_below_the_floor():
+    # stored length = min(length, first k with M r**k < 2**-465) (gamma = 0,
+    # so the envelope's peak is at 0); the stored coefficients are the closed
+    # form's, and every dropped one lies below the floor and the envelope (up
+    # to the rounding of r = |beta| to a double, a relative 2**-53 a power)
+    import mpmath as mp
+
+    lengths = (1, 2, 40, 170, 600, 2000)
+    for i, rho in enumerate((1e-3, 0.05, 0.15, 0.5, 0.9)):
+        beta = rho * complex(math.cos(0.7 * i), math.sin(0.7 * i))
+        built = [
+            (blaschke_factor, closed_forms.factor, lambda k, r: (1 - r**2) * r ** (k - 1)),
+            (geometric_series, closed_forms.geometric, lambda k, r: r**k),
+        ]
+        for make, full, exact in built:
+            s = make(beta, length=max(lengths))
+            with mp.workdps(40):
+                M, r, floor = mp.mpf(s.tail_M), mp.mpf(s.tail_r), mp.mpf(2) ** -465
+                first = next((k for k in range(max(lengths)) if M * r**k < floor), max(lengths))
+                r_beta = abs(mp.mpc(beta))
+                for k in range(len(s), max(lengths)):
+                    assert exact(k, r_beta) <= M * r**k * (1 + mp.mpf(2.0**-50) * (k + 1))
+                    assert exact(k, r_beta) < floor
+            for length in lengths:
+                s = make(beta, length=length)
+                assert len(s) == min(length, first), (make.__name__, rho, length)
+                assert np.array_equal(s.coeffs, full(beta, length).coeffs[: len(s)])
+    assert len(blaschke_factor(0.15, length=2000)) == 171
+
+
+def test_significant_length_searches_from_the_envelope_peak():
+    # a product's envelope rises up to k + 1 = gamma / ln(1/r): the cut is the
+    # first k past that peak from which it stays below 2**-465 (40 digits)
+    import mpmath as mp
+
+    for M, r, gamma in ((35.0, 0.18, 1.0), (1e-200, 0.9, 40.0), (1e-300, 0.5, 3.0), (2.0, 0.7, -2.0)):
+        with mp.workdps(40):
+            env = [mp.mpf(M) * mp.mpf(r) ** k * (k + 1) ** mp.mpf(gamma) for k in range(5000)]
+            peak = max(0, math.ceil(gamma / -math.log(r) - 1))
+            first = next(k for k in range(peak, 5000) if env[k] < mp.mpf(2) ** -465)
+        assert all(e < mp.mpf(2) ** -465 for e in env[first:])
+        for length in (1, first - 1, first, first + 1, 5000):
+            assert _significant_length(M, r, gamma, length) == min(length, first), (M, r, gamma, length)
+    # a boundary kernel (r = 1), r = 0 or M = 0 is never cut
+    for M, r in ((1.0, 1.0), (1.0, 0.0), (0.0, 0.5)):
+        assert _significant_length(M, r, -2.0, 700) == 700
+
+
+def test_series_mul_counts_a_factor_below_the_floor_as_zero_beyond_its_end():
+    # the fast factor stores 71 coefficients; the product keeps the slow
+    # factor's 400, each within max|b| * (the fast factor's dropped tail sum)
+    # of the product with that factor stored in full (up to rounding)
+    a, g = blaschke_factor(0.01, length=400), geometric_series(0.6, length=400)
+    assert len(a) == 71 and len(g) == 400
+    prod, ref = series_mul(a, g), series_mul(closed_forms.factor(0.01, 400), g)
+    assert len(prod) == len(ref) == 400
+    assert len(blaschke_product([0.01, 0.6], length=400)) == 400
+    bound = np.abs(g.coeffs).max() * power_tail_bound(a.tail_M, a.tail_r, a.tail_gamma, len(a) - 1)
+    assert 0 < bound <= 2.0**-465 / (1 - a.tail_r)
+    full = np.abs(closed_forms.factor(0.01, 400).coeffs)
+    rounding = 800 * np.finfo(float).eps * np.convolve(full, np.abs(g.coeffs))[:400]
+    assert np.all(np.abs(prod.coeffs - ref.coeffs) <= bound + rounding)
+
+
+def test_series_of_small_zeros_are_built_without_underflow():
+    # the benchmark's slowest series: their stored tails used to be subnormal
+    # ("underflow encountered in power"), where x86 arithmetic takes microcode assists
+    with np.errstate(under="raise"):
+        for zeros, length in (([0.15, -0.18j], 460), ([0.29, -0.29j, 0.29 * np.exp(2.5j)], 540)):
+            b = blaschke_product(zeros, length=length)
+            bg = b.mul(geometric_series(0.12, length=540))
+            assert len(b) < length and len(bg) < length
