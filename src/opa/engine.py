@@ -10,15 +10,16 @@ tail_M == 0 is all this module reads to tell it.  The nested spans of
 {z^k f : k <= n} let a sweep factor G once and read every degree, with its
 squared distance ||p_n* f - g||^2 (non-increasing in n), from that factor.
 
-For f exact of degree d (d + deg m in the quotient space of m), G and its
-factor L are banded: G[k, j] = 0 for |k - j| > d.  build_system returns G as
-linalg's band array along b = d diagonals (b = n for f with a tail), from
-spaces.gram_band, and it is factored along them, O(n b^2) work in O(n b)
-memory; each substitution takes O(n b) a right-hand side: a sweep solves for
-every degree in one linalg.backward_substitute_H call, O(n^2 b),
-optimal_approximant for its one degree, O(n b).  The distances and the
-stabilization window read only y = L^-1 rhs, and (p_n* f)(0) also
-v = L^-1 e_0, solved with y in one pass over L.
+For f exact of degree d (the degree of the f m that spaces.lift forms in
+the quotient space of m), G and its factor L are banded: G[k, j] = 0 for
+|k - j| > d.  build_system returns G as linalg's band array along b = d
+diagonals (b = n for f with a tail), from spaces.gram_band, and it is
+factored along them, O(n b^2) work in O(n b) memory; each substitution takes
+O(n b) a right-hand side: a sweep solves for every degree in one
+linalg.backward_substitute_H call, O(n^2 b), optimal_approximant for its one
+degree, O(n b).  The distances and the stabilization window read only
+y = L^-1 rhs, and (p_n* f)(0) also v = L^-1 e_0, solved with y in one pass
+over L.
 
 A sweep's numbers are arrays (sweep_arrays: X, dist, errs), from which
 approximant_sweep and optimal_approximant build their OpaResult and CPoly
@@ -60,7 +61,7 @@ from .series import (
     power_tail_bound,
     smallest_certified,
 )
-from .spaces import WeightSequence, gram_band, norm_sq_any, require_certified, shift_products
+from .spaces import WeightSequence, gram_band, lift, norm_sq_any, require_certified, shift_products
 
 # unused here, but bound for perfbench/spans.py, which traces them by these names
 from .linalg import cholesky_border, cholesky_factor, solve_factored  # noqa: F401
@@ -69,17 +70,6 @@ from .spaces import inner_any  # noqa: F401
 _ERR_FLOOR = 1e-12
 # certified error asked of each Gram and right-hand-side entry
 _ENTRY_EPS = 1e-12
-
-
-def _effective_degree(space: WeightSequence, x) -> int | None:
-    """Degree of x (after multiplier embedding) if it has no tail, else None;
-    the zero polynomial counts as degree 0."""
-    if x.tail_M:
-        return None
-    d = x.coeffs.size - 1
-    if space.kind == "multiplier":
-        d += space.m.degree
-    return d
 
 
 @dataclass
@@ -185,17 +175,16 @@ def build_system(space: WeightSequence, f, g, n: int) -> tuple[np.ndarray, np.nd
     a tail in them must not exceed _ENTRY_EPS.
 
     G is the (n+1) x (b+1) band array of linalg (row i holds [G[i, i-b], ...,
-    G[i, i]]) for every data kind, b being f's effective degree (n for a
-    series with a tail), at most n.  This is a change of the public API:
-    build_system used to return the dense (n+1) x (n+1) matrix.
+    G[i, i]]) for every data kind, b being f's degree (f m's in a quotient
+    space; n for a series with a tail), at most n.  This is a change of the
+    public API: build_system used to return the dense (n+1) x (n+1) matrix.
 
     Raises OrthogonalDataError when |<g, f>| does not exceed the combined
     certified error: the minimization then has no meaningful solution.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    d = _effective_degree(space, f)
-    G, G_err = gram_band(space, f, n, n if d is None else min(d, n))
+    G, G_err = gram_band(space, f, n)
     (rhs,), (rhs_err,) = shift_products(space, g, f, n)
     rhs_max = float(rhs_err.max())
     # an entry with data with a tail in it (f is in all, g in rhs) is certified
@@ -311,8 +300,8 @@ def is_inner(
     """Certify <f, z^j f> = delta_{j0} within eps from one shift_products row,
     the norm at j = 0 (see orthogonal_to_shifts for the range of j checked).
 
-    For exact f the shifts beyond the (embedded) degree vanish
-    identically, so checking j <= deg f yields an exact certificate for all j.
+    For exact f the shifts beyond its degree (f m's in a quotient space)
+    vanish identically, so checking up to it gives an exact certificate.
     """
     K, exact = _shift_range(space, f, f, eps, max_shift)
     values, err = _certified_shifts(space, f, f, K, eps)
@@ -328,13 +317,10 @@ def _series_shift_horizon(space: WeightSequence, h, f, eps: float) -> int:
     Writing t = s + j, |<h, z^j f>| <= sum_s w_{s+j} A_h(s+j) A_f(s) with
     A_x(t) = Mhat_x * rr**t a global geometric majorant of |x_t| at one ratio
     rr for both; the bound factors into  C * (rr * rho)**j * (j+1)**g  with
-    C proportional to Mhat_h * Mhat_f, which decays geometrically.
+    C proportional to Mhat_h * Mhat_f, which decays geometrically.  The
+    space has weights: _shift_range passes a quotient space's data lifted.
     """
     same = f is h  # covered once, as Mhat_h**2
-    if space.kind == "multiplier":
-        h = h.mul_poly(space.m)
-        f = h if same else f.mul_poly(space.m)
-        space = WeightSequence.dirichlet(0.0)
     if any(x.tail_M > 0 and x.tail_r >= 1.0 for x in (h, f)):
         raise CannotCertifyError(
             "boundary-envelope series admit no geometric shift horizon"
@@ -367,9 +353,11 @@ def _series_shift_horizon(space: WeightSequence, h, f, eps: float) -> int:
 
 def _shift_range(space: WeightSequence, h, f, eps: float, k_max: int | None) -> tuple[int, bool]:
     """(K, exact): the shifts 1..K of f checked against h, k_max when given,
-    else h's (embedded) degree, beyond which the products vanish (exact), or
+    else the degree of exact h (of h m in a quotient space; the zero
+    polynomial's counts as 0), beyond which the products vanish (exact), or
     the shift horizon of a stored series h against f."""
-    dh = _effective_degree(space, h)
+    space, h, f = lift(space, h, f)
+    dh = None if h.tail_M else h.coeffs.size - 1
     if k_max is None:
         k_max = max(dh, 1) if dh is not None else _series_shift_horizon(space, h, f, eps)
     return k_max, dh is not None and k_max >= max(dh, 1)

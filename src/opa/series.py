@@ -16,9 +16,12 @@ Data with no tail is exact: a CPoly (its envelope fields are zero) or a
 TruncSeries with tail_M == 0, which stores exactly its polynomial's
 coefficients; here, in spaces and in engine, tail_M == 0 alone marks it.
 
-Every truncation (a stored length, a kernel sum's cut in spaces, the shift
-horizon in engine) is the smallest K that certifies, from the one search
-smallest_certified; a kernel sum's remainder gets half of its eps.
+Every truncation (a stored length, where a library-made series stops, a
+kernel sum's cut in spaces, the shift horizon in engine) is the smallest K
+that certifies, from the one search smallest_certified; a kernel sum's
+remainder gets half of its eps.  TruncSeries.mul_poly keeps the stored
+length under one recomputed envelope; spaces.lift forms a quotient space's
+data with it, and a shift of the product re-bases that envelope.
 
 Stored coefficients are exact (up to rounding), with one exception that
 keeps them out of the subnormal range, where x86 arithmetic takes microcode
@@ -33,8 +36,8 @@ envelope is below 2**-465 from its stored end on as zero beyond that end, so
 each stored product coefficient may be off by at most
 max|b| * power_tail_bound(M_a, r_a, gamma_a, L_a - 1) for such a factor a of
 stored length L_a, which is <= 2**-465 max|b| / (1 - r_a) when gamma_a <= 0:
-the kind of error IEEE underflow already makes at 2**-1074.  A TruncSeries built directly stores exactly what
-it is given.
+the kind of error IEEE underflow already makes at 2**-1074.  A TruncSeries
+built directly stores exactly what it is given.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -296,21 +299,15 @@ def _significant_length(M: float, r: float, gamma: float, length: int) -> int:
         return length
     shift, log_r = math.log(M) - _LOG_FLOOR, math.log(r)
 
-    def below(k):
-        return shift + k * log_r + gamma * math.log1p(k) < 0
+    def above(k):  # 1 where the envelope is not below the floor, 0 where it is
+        return float(not shift + k * log_r + gamma * math.log1p(k) < 0)
 
     # the envelope falls from its peak (k + 1 = gamma / ln(1/r)) on, so past
     # the peak the indices where it is below the floor are one final run
     lo, hi = (max(0, math.ceil(gamma / -log_r - 1.0)) if gamma > 0 else 0), length - 1
-    if lo > hi or not below(hi):
+    if lo > hi or above(hi):
         return length
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return smallest_certified(above, 0.5, lo, hi)
 
 
 def _covering_M(M, r, gamma, ks, values):
@@ -489,31 +486,25 @@ class TruncSeries:
         return TruncSeries((pa + pb)[:out_len], M, r, gamma)
 
     def mul_poly(self, p: CPoly) -> "TruncSeries":
-        """Multiply by an exact polynomial factor, keeping the stored length."""
+        """Multiply by an exact polynomial factor, keeping the stored length L.
+
+        With a tail the series has a global majorant |h_k| <= Mhat r^k
+        (k+1)^gamma covering its stored coefficients and its envelope; then
+        |(p h)_k| <= Mhat r^k (k+1)^gamma sum_j |p_j| r^-j, with
+        (k-j+1)^gamma <= (k-d+1)^gamma, worst at k = L, for gamma < 0, which
+        needs L > deg p; for gamma >= 0 the bound holds at any L."""
         if p.is_zero:
             return TruncSeries([0], 0.0, 0.0, 0.0)
         if self.tail_M == 0.0:
             prod = np.convolve(p.coeffs, self.coeffs)
             return TruncSeries(prod, 0.0, 0.0, 0.0)
-        coeffs = np.convolve(p.coeffs, self.coeffs)[: len(self)]
-        return TruncSeries(coeffs, self.shifts_mul_poly_M(p, 0)[0], self.tail_r, self.tail_gamma)
-
-    def shifts_mul_poly_M(self, p: CPoly, n: int) -> np.ndarray:
-        """tail_M of p times z**i times this series (tail_M > 0, p nonzero) at
-        the stored length L + i, for i = 0..n: z**i times the series has a
-        global majorant |h_k| <= Mhat r^k (k+1)^gamma covering its stored
-        coefficients (index s + i) and its re-based envelope, one covering of
-        all shifts; then |(p h)_k| <= Mhat r^k (k+1)^gamma sum_j |p_j| r^-j,
-        with (k-j+1)^gamma <= (k-d+1)^gamma, worst at k = L + i, for gamma < 0,
-        which needs L > deg p; for gamma >= 0 the bound holds at any L."""
         d, L, r, gamma = p.degree, len(self), self.tail_r, self.tail_gamma
         if gamma < 0 and L <= d:
             raise ValueError("stored length must exceed the polynomial degree when gamma < 0")
-        ks = np.arange(n + 1.0)[:, None] + np.arange(L)  # row i: z**i x's stored indices
-        Mhat = _covering_M(self.shift_tail_M(n), r, gamma, ks, np.abs(self.coeffs))
-        M = Mhat * float(np.sum(np.abs(p.coeffs) * r ** (-np.arange(d + 1.0))))
-        lengths = L + np.arange(n + 1.0)
-        return M * ((lengths - d + 1.0) / (lengths + 1.0)) ** gamma if gamma < 0 else M
+        M = _global_majorant(self, r) * float(np.sum(np.abs(p.coeffs) * r ** (-np.arange(d + 1.0))))
+        if gamma < 0:
+            M *= np.power((L - d + 1.0) / (L + 1.0), gamma)  # numpy's power, as in shift_tail_M
+        return TruncSeries(np.convolve(p.coeffs, self.coeffs)[:L], M, r, gamma)
 
     def mul(self, other) -> "TruncSeries":
         """series_mul(self, other); other may be a CPoly."""

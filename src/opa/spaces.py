@@ -12,7 +12,9 @@ w_{k+1}/w_k -> 1; the inner product weights Maclaurin coefficients,
 * ``multiplier(m)``     -- the quotient space {h/m : h in H2} for a
   polynomial m with no zeros in the open unit disk; inner products are
   computed isometrically as <m a, m b> in the unweighted space.  Monomials
-  are NOT orthogonal here, so the coefficient-weight machinery is bypassed.
+  are NOT orthogonal here, so it has no coefficient weights: lift is the one
+  place that forms m x, and inner_poly, shift_products and gram_band (and
+  engine where it reads a degree) sum in H2 what it gives.
 
 Data is exact when it has no tail (tail_M == 0, a CPoly or a TruncSeries
 that stores a polynomial whole); that is the one test by which code here
@@ -300,10 +302,21 @@ _H2 = WeightSequence.dirichlet(0.0)
 # ---------------------------------------------------------------------------
 
 
+def lift(space: WeightSequence, *xs) -> tuple:
+    """(space, *xs) as their inner products are summed: a quotient space is H2
+    through its isometry <a, b> = <m a, m b>, so it gives (H2, x m, ...), each
+    product by x.mul_poly (a series with a tail keeps its stored length) and a
+    repeated operand one object; any other space gives its arguments back."""
+    if space.kind != "multiplier":
+        return (space, *xs)
+    once = {id(x): x for x in xs}
+    lifted = {key: x.mul_poly(space.m) for key, x in once.items()}
+    return (_H2, *(lifted[id(x)] for x in xs))
+
+
 def inner_poly(space: WeightSequence, a: CPoly, b: CPoly) -> complex:
     """Exact finite inner product of two polynomials (or tail-free series)."""
-    if space.kind == "multiplier":
-        return inner_poly(_H2, a.mul_poly(space.m), b.mul_poly(space.m))
+    space, a, b = lift(space, a, b)
     n = min(a.coeffs.size, b.coeffs.size)
     if a.is_zero or b.is_zero:
         return 0j
@@ -345,15 +358,12 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
     where only one stored prefix has ended (its envelope against the other's
     coefficients, summed over the indices [len h, len f + K) or
     [len f, len h + J) alone) and the tail beyond both, the envelopes of
-    z^j h and z^k f (in a quotient space, of (z^j h) m and (z^k f) m at their
-    stored lengths) re-based as TruncSeries.shift does.  Comparing the errors
-    with eps is the caller's."""
+    z^j h and z^k f re-based as TruncSeries.shift does.  In a quotient space
+    all of it is of the data lift gives: z^j (h m), z^k (f m) in H2.
+    Comparing the errors with eps is the caller's."""
+    space, h, f = lift(space, h, f)
     exact = h.tail_M == 0 and f.tail_M == 0
-    m, alpha, beta = None, h.coeffs, f.coeffs
-    if space.kind == "multiplier":  # <h m, z^k f m> in H2
-        m, space = space.m, _H2
-        keep = [len(x) if x.tail_M else None for x in (h, f)]  # a series with a tail keeps its length
-        alpha, beta = (np.convolve(m.coeffs, x.coeffs)[:n] for x, n in zip((h, f), keep))
+    alpha, beta = h.coeffs, f.coeffs
     width = max(alpha.size + J, beta.size + K)
     w = space.weights(width)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -364,8 +374,8 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
         _refuse_overflow(errs.max(), alpha, beta)
         return values, errs
     La, Lb = alpha.size, beta.size  # stored lengths of h and f; z^j h and z^k f store j and k more
-    Ma = _shift_envelopes(h, J, m)
-    Mb = Ma if f is h and K == J else _shift_envelopes(f, K, m)  # a Gram matrix's are one
+    Ma = _shift_envelopes(h, J)
+    Mb = Ma if f is h and K == J else _shift_envelopes(f, K)  # a Gram matrix's are one
     abs_wA = np.abs(wA)
     # the rounding of each summed term, and z^j h's envelope where it has
     # ended but z^k f is stored: t in [La + j, Lb + k), within [La, Lb + K)
@@ -395,13 +405,9 @@ def shift_products(space: WeightSequence, h, f, K: int, J: int = 0) -> tuple[np.
     return values, errs
 
 
-def _shift_envelopes(x, n: int, m) -> np.ndarray:
-    """tail_M of z^i x, or of (z^i x) m in a quotient space, for i = 0..n."""
-    if x.tail_M == 0:
-        return np.zeros(n + 1)
-    if m is not None:
-        return x.shifts_mul_poly_M(m, n)
-    return x.shift_tail_M(n)
+def _shift_envelopes(x, n: int) -> np.ndarray:
+    """tail_M of z^i x for i = 0..n."""
+    return x.shift_tail_M(n) if x.tail_M else np.zeros(n + 1)
 
 
 def _shift_matrix(c: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -418,20 +424,20 @@ def _refuse_overflow(err: float, alpha: np.ndarray, beta: np.ndarray) -> None:
         raise OverflowError("inner products overflow the double range")
 
 
-def gram_band(space: WeightSequence, f, n: int, b: int) -> tuple[np.ndarray, float]:
+def gram_band(space: WeightSequence, f, n: int) -> tuple[np.ndarray, float]:
     """G[k, j] = <z^j f, z^k f>, j, k <= n, as a band array of b diagonals below
-    the main one, and the largest entry error, for exact f of (embedded)
-    degree at least b or f with a tail.  Exact data's diagonals are summed
-    where the shifted supports meet (every other entry is an exact zero),
-    O(n b) memory; data with a tail, or a single entry, is summed dense by
-    shift_products and read into its band."""
+    the main one, and the largest entry error: b = n for f with a tail, else
+    the degree d of f (of f m in a quotient space, as lift gives it) up to n.
+    Exact data's diagonals are summed where the shifted supports meet (every
+    other entry is an exact zero), O(n b) memory; data with a tail, or a
+    single entry, is summed dense by shift_products and read into its band."""
+    space, f = lift(space, f)
+    alpha = f.coeffs
+    d = alpha.size - 1
+    b = n if f.tail_M else min(d, n)
     if n == 0 or f.tail_M:
         values, errs = shift_products(space, f, f, n, n)
         return lower_rows(values.T, b), float(errs.max())
-    alpha = f.coeffs
-    if space.kind == "multiplier":
-        alpha, space = np.convolve(space.m.coeffs, alpha), _H2
-    d = alpha.size - 1
     with np.errstate(over="ignore", invalid="ignore"):
         # row j holds w_{j+u} alpha_u, u = 0..d; column c of the shift matrix is
         # conj(alpha) reversed and shifted, so that entry (j, c) is at k = j + c - d
@@ -547,24 +553,13 @@ def kernel_coefficients(space: WeightSequence, spec: KernelSpec, length: int) ->
     n = spec.order
     ks = np.arange(length)
     w = space.weights(length)
+    # beta = 0 needs no case of its own: numpy's 0j**0 is 1 and 0j**k is +0
     if spec.flavor == "kernel_for_derivatives":
-        fall = _falling_vec(ks, n)
         coeffs = np.zeros(length, dtype=complex)
         nz = ks >= n
-        if beta == 0:
-            # only the z^n term survives: n! / w_n
-            if length > n:
-                coeffs[n] = fall[n] / w[n]
-        else:
-            coeffs[nz] = fall[nz] * np.conj(beta) ** (ks[nz] - n) / w[nz]
+        coeffs[nz] = _falling_vec(ks, n)[nz] * np.conj(beta) ** (ks[nz] - n) / w[nz]
         return coeffs
-    rise = _rising_vec(ks, n)
-    if beta == 0:
-        coeffs = np.zeros(length, dtype=complex)
-        if n == 0:
-            coeffs[0] = 1.0 / w[0]
-        return coeffs
-    return rise * np.conj(beta) ** (ks + n) / w
+    return _rising_vec(ks, n) * np.conj(beta) ** (ks + n) / w
 
 
 def kernel_series(

@@ -51,6 +51,7 @@ from opa.spaces import (
     gram_band,
     inner_poly,
     kernel_series,
+    lift,
     norm_sq_any,
     norm_sq_poly,
     shift_products,
@@ -132,6 +133,14 @@ def reference_inner(space, a, b, eps):
     if err > eps:
         raise CannotCertifyError(f"reference error {err:.3g} exceeds eps={eps:.3g}")
     return Certified(value, err)
+
+
+def reference_lift(space, *xs):
+    """A quotient space's data as the H2 data it is read through, m x for each
+    x, lifted before any shift; any other space and its data as given."""
+    if space.kind != "multiplier":
+        return (space, *xs)
+    return (H2, *(x.mul_poly(space.m) for x in xs))
 
 
 def reference_system(space, f, g, n, eps):
@@ -259,7 +268,8 @@ def _shift_cases():
 def test_shift_products_match_pairwise_reference():
     for space, h, f, K in _shift_cases():
         values, errs = shift_products(space, h, f, K)
-        refs = [reference_inner(space, h, reference_shift(f, k), np.inf) for k in range(K + 1)]
+        ref_space, h, f = reference_lift(space, h, f)
+        refs = [reference_inner(ref_space, h, reference_shift(f, k), np.inf) for k in range(K + 1)]
         ref_values = np.array([c.value for c in refs])
         ref_errs = np.array([c.err for c in refs])
         assert np.max(np.abs(values - ref_values)) <= 1e-14 * np.max(np.abs(ref_values))
@@ -272,8 +282,10 @@ def test_shift_products_rows_match_pairwise_reference():
         J = min(K, 6)
         values, errs = shift_products(space, h, f, K, J)
         assert values.shape == errs.shape == (J + 1, K + 1)
+        ref_space, h, f = reference_lift(space, h, f)
         refs = [
-            [reference_inner(space, reference_shift(h, j), reference_shift(f, k), np.inf) for k in range(K + 1)]
+            [reference_inner(ref_space, reference_shift(h, j), reference_shift(f, k), np.inf)
+             for k in range(K + 1)]
             for j in range(J + 1)
         ]
         ref_values = np.array([[c.value for c in row] for row in refs])
@@ -330,22 +342,23 @@ def test_is_inner_makes_one_shift_products_call(monkeypatch):
 def test_shift_certificates_match_pairwise_reference():
     p = CPoly([0.3, -0.2 + 0.1j, 0.05])
     for space, h, f, K in _shift_cases():
-        refs = [reference_inner(space, h, reference_shift(f, k), np.inf) for k in range(K + 1)]
+        ref_space, ref_h, ref_f = reference_lift(space, h, f)
+        refs = [reference_inner(ref_space, ref_h, reference_shift(ref_f, k), np.inf) for k in range(K + 1)]
         ortho = orthogonal_to_shifts(space, f, h, eps=1e6, k_max=K)
         assert ortho.max_abs == pytest.approx(max(abs(c.value) for c in refs[1:]), abs=1e-14)
         assert ortho.err == pytest.approx(max(c.err for c in refs[1:]), rel=1e-12)
         # h against its own shifts, after its norm
-        own = [reference_inner(space, h, reference_shift(h, j), np.inf) for j in range(K + 1)]
+        own = [reference_inner(ref_space, ref_h, reference_shift(ref_h, j), np.inf) for j in range(K + 1)]
         cert = is_inner(space, h, max_shift=K, eps=1e6)
         assert cert.norm_sq == pytest.approx(own[0].value.real, rel=1e-14)
         assert cert.max_residual == pytest.approx(max(abs(c.value) for c in own[1:]), abs=1e-14)
         assert cert.err == pytest.approx(max(c.err for c in own), rel=1e-12)
         # the optimality conditions of p against g = h, refused alike
-        pf = p * f if isinstance(f, CPoly) else f.mul_poly(p)
+        pf = reference_lift(space, p * f if isinstance(f, CPoly) else f.mul_poly(p))[1]
         try:
             pairs = [
-                (reference_inner(space, pf, reference_shift(f, k), 1e-9).value,
-                 reference_inner(space, h, reference_shift(f, k), 1e-9).value)
+                (reference_inner(ref_space, pf, reference_shift(ref_f, k), 1e-9).value,
+                 reference_inner(ref_space, ref_h, reference_shift(ref_f, k), 1e-9).value)
                 for k in range(K + 1)
             ]
         except CannotCertifyError:
@@ -492,9 +505,9 @@ def test_band_storage_is_bit_identical_to_the_dense_loops(coeffs, space, n):
     # build_system, give every output bit for bit: the scalar ones to band 5
     # (when narrower than the matrix), the numpy ones past it
     f = CPoly(coeffs)
-    band = min(engine._effective_degree(space, f), n)
     assume(abs(f.coefficient(0)) >= 0.1)
     G, rhs, entry_err = build_system(space, f, ONE, n)
+    band = G.shape[1] - 1
     try:
         L = factor_reference(to_dense(G), band)
     except NotPositiveDefiniteError as exc:
@@ -624,11 +637,12 @@ def test_zero_tail_series_sweeps_as_its_polynomial():
             f = CPoly(coeffs)
             for zeros in (0, 2):
                 series = TruncSeries(np.append(coeffs, np.zeros(zeros)), 0.0, 0.0)
-                assert engine._effective_degree(space, series) == engine._effective_degree(space, f)
                 for n in (0, 3, 30):
                     assert _outcomes(space, series, n) == _outcomes(space, f, n), (space, d, zeros, n)
-                band = engine._factored_system(space, series, ONE, 30)[0].shape[1] - 1
-                assert band == min(engine._effective_degree(space, f), 30)
+                band = build_system(space, f, ONE, 30)[0].shape[1] - 1
+                assert band == min(len(reference_lift(space, f)[1]) - 1, 30)
+                assert build_system(space, series, ONE, 30)[0].shape[1] - 1 == band
+                assert engine._factored_system(space, series, ONE, 30)[0].shape[1] - 1 == band
 
 
 def test_tail_free_series_are_certified_as_polynomials_at_large_degree():
@@ -772,6 +786,72 @@ def test_multiplier_correspondence():
             assert np.allclose(
                 lhs.p_star.padded(n + 1), rhs.p_star.padded(n + 1), atol=1e-10
             )
+
+
+def test_quotient_space_results_are_the_h2_results_of_the_lift(monkeypatch):
+    # a quotient space is H2 through lift: each result equals, bit for bit, the
+    # H2 result on lift's output (m f, m g), for a polynomial, a gamma = 2
+    # series and the gamma = -2 boundary kernel, whose bars are compared here,
+    # not held to a series entry's eps
+    monkeypatch.setattr(engine, "_ENTRY_EPS", 1.0)
+    quot = WeightSequence.multiplier(CPoly([1, -0.5 + 0.2j]))
+    g = CPoly([1.0, 0.5j, -0.25])
+    boundary = kernel_series(D2, KernelSpec(1.0, 0), length=64)
+
+    def run(fn):  # every float by its repr, every array by its bytes, or the error
+        try:
+            out = fn()
+        except (OpaError, ValueError) as exc:
+            return type(exc).__name__, str(exc)
+        if isinstance(out, tuple):
+            return [(np.shape(x), np.asarray(x).tobytes()) for x in out]
+        return repr(out)
+
+    raised = []
+    for f in (CPoly([0.7, -1.1 + 0.3j, 0.4, 0.2j]), _series_f(80), boundary):
+        space, mf, mg = lift(quot, f, g)
+        assert space.to_descriptor() == H2.to_descriptor()
+        outcomes = []
+        for sp, ff, gg in ((quot, f, g), (space, mf, mg)):
+            outcomes.append([
+                run(lambda: build_system(sp, ff, gg, n)) for n in (0, 1, 6)
+            ] + [
+                run(lambda: engine.sweep_arrays(sp, ff, gg, n)) for n in (0, 6)
+            ] + [
+                run(lambda: is_inner(sp, ff, max_shift=k, eps=1e-4)) for k in (None, 6)
+            ] + [
+                run(lambda: orthogonal_to_shifts(sp, a, b, eps=1e-4, k_max=k))
+                for a, b in ((ff, gg), (gg, ff)) for k in (None, 6)
+            ])
+        assert outcomes[0] == outcomes[1], f
+        raised += [o for o in outcomes[0] if isinstance(o, tuple)]
+    # the boundary kernel admits no shift horizon; every other outcome is a result
+    assert [name for name, _ in raised] == ["CannotCertifyError"] * 2, raised
+
+
+def test_lift_keeps_operands_and_lengths():
+    quot = WeightSequence.multiplier(CPoly([1, -0.5 + 0.2j, 0.1j]))
+    f, g = _series_f(80), CPoly([1.0, 0.5j, -0.25])
+    boundary = kernel_series(D2, KernelSpec(1.0, 0), length=64)
+    assert lift(D1, f, g, f) == (D1, f, g, f) and lift(D1, f)[1] is f
+    space, a, b, c = lift(quot, f, g, f)
+    assert space.kind == "dirichlet" and space.alpha == 0.0
+    assert a is c and a is not b
+    # a series with a tail keeps its stored length, a polynomial takes m's degree
+    assert (len(a), len(b)) == (len(f), len(g) + 2)
+    assert len(lift(quot, boundary)[1]) == len(boundary)
+    assert a.coeffs.tobytes() == np.convolve(quot.m.coeffs, f.coeffs)[: len(f)].tobytes()
+    # gamma < 0 needs a stored length beyond deg m, on every path as before
+    short = kernel_series(D2, KernelSpec(1.0, 0), length=2)
+    message = "^stored length must exceed the polynomial degree when gamma < 0$"
+    for call in (
+        lambda: lift(quot, short),
+        lambda: shift_products(quot, short, short, 3),
+        lambda: build_system(quot, short, ONE, 3),
+        lambda: is_inner(quot, short, max_shift=3),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 # -- inner certificates --------------------------------------------------------

@@ -174,23 +174,53 @@ def test_mul_poly_refuses_a_stored_length_within_the_degree():
 
 
 def test_shifted_products_envelopes_match_one_shift_at_a_time():
-    # one covering for all shifts against shift(i).mul_poly(p) for each i:
-    # a plain series, one whose r**k underflows inside the shifted windows
-    # (the covering in logarithms), and a boundary kernel (gamma < 0)
+    # mul_poly's envelope, shifted after the product (as shift_products reads
+    # a quotient space's data) or before it, covers the exact coefficients of
+    # z^i p x beyond the stored length, from closed forms at 40 digits: a
+    # Blaschke product, a factor whose r**k underflows in its stored prefix
+    # (the covering in logarithms), and boundary kernels (gamma < 0), the
+    # short one against a p whose terms add up, so that the envelope needs
+    # its ((L - d + 1)/(L + 1))**gamma
+    import mpmath as mp
+
     from opa.spaces import KernelSpec, WeightSequence, kernel_series
 
-    p = CPoly([1, -0.5 + 0.2j, 0.1j])
-    boundary = kernel_series(WeightSequence.dirichlet(2.0), KernelSpec(1.0, 0), length=64)
-    n = 40
+    D2 = WeightSequence.dirichlet(2.0)
+    boundary, short = (kernel_series(D2, KernelSpec(1.0, 0), length=n) for n in (64, 8))
     # the library stops a factor where its envelope is below 2**-465, so the
-    # long prefix is built in full; 0.15**k underflows in its shifted windows
-    long = closed_forms.factor(0.15, 370)
-    assert 0.15 ** (len(long) - 1 + n) < np.finfo(float).tiny
-    for x in (blaschke_product([0.5, -0.3 + 0.4j], length=60), long, boundary):
-        want = np.array([x.shift(i).mul_poly(p).tail_M for i in range(n + 1)])
-        got = x.shifts_mul_poly_M(p, n)
-        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want), x
-        assert got[0] == x.mul_poly(p).tail_M
+    # long prefix is built in full; r**k underflows where it still stores
+    # nonzero (subnormal) coefficients
+    long = closed_forms.factor(0.15, 460)
+    assert 0.15 ** (len(long) - 1) < np.finfo(float).tiny
+    assert np.any((0.15 ** np.arange(len(long)) < np.finfo(float).tiny) & (long.coeffs != 0))
+    with mp.workdps(40):
+
+        def factor(beta, n):  # the Blaschke factor's first n coefficients
+            b = mp.mpc(beta)
+            rho = abs(b)
+            return [rho] + [(rho / b) * mp.conj(b) ** (k - 1) * (rho**2 - 1) for k in range(1, n)]
+
+        def times(a, c):  # the first len(a) coefficients of the product
+            return [mp.fsum(c[j] * a[k - j] for j in range(min(k + 1, len(c)))) for k in range(len(a))]
+
+        n = 160
+        product = times(factor(0.5, n), factor(-0.3 + 0.4j, n))
+        inverse_squares = [mp.mpf(1) / (k + 1) ** 2 for k in range(len(boundary) + 100)]
+        p = CPoly([1, -0.5 + 0.2j, 0.1j])
+        cases = [
+            (blaschke_product([0.5, -0.3 + 0.4j], length=60), product, p),
+            (long, factor(0.15, len(long) + 100), p),
+            (boundary, inverse_squares, p),
+            (short, inverse_squares[:100], CPoly([1, 1, 1])),
+        ]
+        for x, exact, p in cases:
+            px = times(exact, [mp.mpc(c) for c in p.coeffs])
+            for i in (0, 1, 7, 40):
+                for y in (x.mul_poly(p).shift(i), x.shift(i).mul_poly(p)):
+                    assert len(y) == len(x) + i
+                    M, r, gamma = (mp.mpf(v) for v in (y.tail_M, y.tail_r, y.tail_gamma))
+                    for k in range(len(y), len(px) + i):
+                        assert abs(px[k - i]) <= M * r**k * (k + 1) ** gamma, (x, i, k)
 
 
 def test_series_mul_zero_factor():

@@ -371,6 +371,26 @@ def test_derivative_of_kernel_lies_in_kernel_span():
     assert np.allclose(target, combo)
 
 
+def test_kernels_at_zero_are_one_monomial_with_positive_zeros():
+    # at beta = 0, whatever the signs of its zero parts, the general formulas
+    # give n!/w_n z^n for the derivative kernel, 1 for derivative_of_kernel of
+    # order 0 and 0 for its higher orders; every other coefficient is +0 + 0j
+    custom = WeightSequence.custom([1.0, 1.4, 1.5, 1.45])
+    for space in (WeightSequence.dirichlet(1.5), custom):
+        w = space.weights(8)
+        for beta in (0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)):
+            for n in range(4):
+                for flavor, value in (("kernel_for_derivatives", math.factorial(n) / w[n]),
+                                      ("derivative_of_kernel", 1.0 if n == 0 else 0.0)):
+                    want = np.zeros(8, dtype=complex)
+                    want[n] = value
+                    got = kernel_coefficients(space, KernelSpec(beta, n, flavor), 8)
+                    assert got.tobytes() == want.tobytes(), (space, beta, n, flavor)
+                    # a prefix that ends before z^n holds zeros only
+                    short = kernel_coefficients(space, KernelSpec(beta, n, flavor), n)
+                    assert short.tobytes() == np.zeros(n, dtype=complex).tobytes()
+
+
 def test_derivative_flavor_kernel_series():
     # the rising-factorial flavor equals the z-derivative of the point kernel
     # in the unweighted space: coefficients (k+1)...(k+n) conj(beta)^(k+n)
