@@ -303,7 +303,7 @@ def is_inner(
     For exact f the shifts beyond its degree (f m's in a quotient space)
     vanish identically, so checking up to it gives an exact certificate.
     """
-    K, exact = _shift_range(space, f, f, eps, max_shift)
+    space, f, _, K, exact = _shift_range(space, f, f, eps, max_shift)
     values, err = _certified_shifts(space, f, f, K, eps)
     norm_sq = float(values[0].real)
     worst = float(np.max(np.abs(values[1:]), initial=0.0))
@@ -351,16 +351,17 @@ def _series_shift_horizon(space: WeightSequence, h, f, eps: float) -> int:
     return max(smallest_certified(bound, eps, peak, 10**6), 4)
 
 
-def _shift_range(space: WeightSequence, h, f, eps: float, k_max: int | None) -> tuple[int, bool]:
-    """(K, exact): the shifts 1..K of f checked against h, k_max when given,
-    else the degree of exact h (of h m in a quotient space; the zero
-    polynomial's counts as 0), beyond which the products vanish (exact), or
-    the shift horizon of a stored series h against f."""
+def _shift_range(space: WeightSequence, h, f, eps: float, k_max: int | None) -> tuple:
+    """(space, h, f, K, exact): the data as lift gives it, which the caller
+    sums, and the shifts 1..K of f checked against h, k_max when given, else
+    the degree of exact h (of h m in a quotient space; the zero polynomial's
+    counts as 0), beyond which the products vanish (exact), or the shift
+    horizon of a stored series h against f."""
     space, h, f = lift(space, h, f)
     dh = None if h.tail_M else h.coeffs.size - 1
     if k_max is None:
         k_max = max(dh, 1) if dh is not None else _series_shift_horizon(space, h, f, eps)
-    return k_max, dh is not None and k_max >= max(dh, 1)
+    return space, h, f, k_max, dh is not None and k_max >= max(dh, 1)
 
 
 def orthogonal_to_shifts(
@@ -375,7 +376,7 @@ def orthogonal_to_shifts(
     certificate for data whose envelopes are too weak, e.g. power-decay
     boundary kernels whose shift inner products cancel structurally).
     """
-    kmax, exact = _shift_range(space, h, f, eps, k_max)
+    space, h, f, kmax, exact = _shift_range(space, h, f, eps, k_max)
     worst = err = 0.0
     if kmax > 0:
         values, err = _certified_shifts(space, h, f, kmax, eps, first=1)

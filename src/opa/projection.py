@@ -50,6 +50,7 @@ from .spaces import (
     is_reproducible,
     kernel_coefficients,
     kernel_inner,
+    kernel_inners,
 )
 
 _ROOT_MATCH_TOL = 1e-7
@@ -100,6 +101,8 @@ class ProjectionResult:
     dist_sq: float
     gram_err: float = 0.0
     phi_series: TruncSeries | None = field(default=None, repr=False)
+    # K[b, t] = k_b(t) to the longest length asked for so far (_kernel_matrix)
+    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def cyclic(self) -> bool:
@@ -117,10 +120,15 @@ class ProjectionResult:
         return out
 
     def _kernel_matrix(self, length: int) -> np.ndarray:
-        """K[b, t] = k_b(t) for t < length, so that phi_t = [t = 0] + (C K)_t."""
+        """K[b, t] = k_b(t) for t < length, so that phi_t = [t = 0] + (C K)_t:
+        a copy of the first columns of the kept table, which is built again
+        only for a longer length (column t of kernel_coefficients does not
+        depend on the length asked for)."""
         self._require_kernels()
-        rows = [kernel_coefficients(self.space, s, length) for s in self.basis]
-        return np.array(rows, dtype=complex).reshape(len(self.basis), length)
+        if self._table is None or self._table.shape[1] < length:
+            rows = [kernel_coefficients(self.space, s, length) for s in self.basis]
+            self._table = np.array(rows, dtype=complex).reshape(len(self.basis), length)
+        return self._table[:, :length].copy()
 
     def _require_kernels(self) -> None:
         if self.phi_series is not None:
@@ -293,15 +301,16 @@ def _kernel_basis(classification: ZeroClassification) -> list:
 
 def _kernel_gram(space: WeightSequence, basis: list, eps: float, start: int = 0):
     """(G, err): the kernel Gram G[s, b] = <k_b, k_s> summed from index start
-    on, each entry certified to eps with its error in err: nb (nb + 1) / 2
-    kernel sums for the upper triangle, mirrored into the lower one."""
+    on, each entry certified to eps with its error in err: the nb (nb + 1) / 2
+    kernel sums of the upper triangle in one kernel_inners call, mirrored
+    into the lower one."""
     n = len(basis)
     G, err = np.zeros((n, n), dtype=complex), np.zeros((n, n))
-    for s, row_spec in enumerate(basis):
-        for b in range(s, n):
-            g = kernel_inner(space, basis[b], row_spec, eps, start)
-            G[s, b], G[b, s] = g.value, np.conj(g.value)
-            err[s, b] = err[b, s] = g.err
+    upper = [(s, b) for s in range(n) for b in range(s, n)]
+    sums = kernel_inners(space, [(basis[b], basis[s]) for s, b in upper], eps, start)
+    for (s, b), g in zip(upper, sums):
+        G[s, b], G[b, s] = g.value, np.conj(g.value)
+        err[s, b] = err[b, s] = g.err
     return G, err
 
 
@@ -470,16 +479,15 @@ def _head_rounding(result: ProjectionResult, mags, absd: np.ndarray, w, head: fl
     Model: each elementary operation, exp and log included, is exact up to
     UNIT_ROUNDOFF relative on normal numbers.  Then phi_t = [t = 0] +
     sum_b C_b k_b(t) is off by at most kappa_t mags_t, mags_t = [t = 0] +
-    sum_b |C_b k_b(t)|, where kappa_t is the worst zero's power_rounding(t)
-    plus max order + nb + 8 units (factorials, weight, products, the nb
+    sum_b |C_b k_b(t)|, where kappa_t is power_rounding(t) (the table power
+    of each zero) plus max order + nb + 8 units (factorials, weight, products, the nb
     additions), and phi_t - p_t by one more unit of itself.  An error e_t in
     d_t moves |d_t|^2 by at most (2|d_t| + e_t) e_t; |.|^2, the weight and
     the product add 5 units per term, the pairwise sum log2(L) + 20 in all.
     """
     ks, basis = np.arange(absd.size), result.basis
-    worst = min((abs(s.beta) for s in basis), key=lambda r: -abs(math.log(r)), default=1.0)
     units = max((s.order for s in basis), default=0) + len(basis) + 8
-    e = UNIT_ROUNDOFF * (absd + units * mags) + power_rounding(ks, worst) * mags
+    e = UNIT_ROUNDOFF * (absd + units * mags) + power_rounding(ks) * mags
     summing = (math.log2(ks.size) + 25.0) * UNIT_ROUNDOFF
     return float(np.sum(w * (2.0 * absd + e) * e)) + summing * head
 

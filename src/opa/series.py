@@ -19,7 +19,9 @@ coefficients; here, in spaces and in engine, tail_M == 0 alone marks it.
 Every truncation (a stored length, where a library-made series stops, a
 kernel sum's cut in spaces, the shift horizon in engine) is the smallest K
 that certifies, from the one search smallest_certified; a kernel sum's
-remainder gets half of its eps.  TruncSeries.mul_poly keeps the stored
+remainder gets half of its eps.  A bound geometric in K (needed_length's for
+gamma >= 0, so an interior kernel sum's) enters that search at its
+closed-form crossing, confirmed by the bound there and one below.  TruncSeries.mul_poly keeps the stored
 length under one recomputed envelope; spaces.lift forms a quotient space's
 data with it, and a shift of the product re-bases that envelope.
 
@@ -64,10 +66,17 @@ _TINY = np.finfo(float).tiny
 _LOG_FLOOR = -465.0 * math.log(2.0)
 
 
-def power_rounding(m, rho: float):
-    """Relative rounding of a computed complex power b**m with |b| = rho > 0:
-    it is exp(m log b), whose exponent carries m (|ln rho| + pi) rounding units."""
-    return (3.0 * np.abs(m) * (abs(math.log(rho)) + math.pi) + 4.0) * UNIT_ROUNDOFF
+def power_rounding(m):
+    """Relative rounding of a computed complex power b**m for an integer m (or
+    an array of them), on normal numbers.  Each power formed here is a product
+    tree of |m| leaves b, so |m| - 1 complex products: spaces.table_powers forms
+    b**m, m >= 0, as b**(64 q) b**r over such trees, and numpy forms b**m,
+    |m| < 100, by repeated squaring, a negative m then taking one division
+    (Smith's, within 6 units).  A complex product is within sqrt(5) units
+    (Brent, Percival and Zimmermann 2007; 2 with a fused multiply-add), and
+    (1 + sqrt(5) u)**n - 1 <= 2.25 n u while n u <= 2**-9, so b**m is within
+    2.25 |m| + 8 units, whatever |b|."""
+    return (2.25 * np.abs(m) + 8.0) * UNIT_ROUNDOFF
 
 
 def _as_coeff_array(coeffs) -> np.ndarray:
@@ -263,15 +272,21 @@ def poly_geometric_sup(gamma: float, t: float) -> float:
     return max((k + 1.0) ** gamma * t**k for k in cands)
 
 
-def smallest_certified(bound, eps: float, lo: int, cap: int) -> int:
+def smallest_certified(bound, eps: float, lo: int, cap: int, guess: int | None = None) -> int:
     """Smallest K >= lo with bound(K) <= eps, for a bound non-increasing from lo.
 
-    Steps from lo double until the bound certifies, then bisection finds the
-    first K that does; that K was itself tested, and a NaN bound never
-    certifies.  Raises CannotCertifyError when bound(cap) > eps.
+    A guess (a bound's closed-form crossing) is tried first: it is the answer
+    when the bound certifies there and not one below it (or it is lo).
+    Otherwise steps from lo double until the bound certifies, then bisection
+    finds the first K that does; that K was itself tested, and a NaN bound
+    never certifies.  Raises CannotCertifyError when bound(cap) > eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if guess is not None:
+        K = max(min(guess, cap), lo)
+        if bound(K) <= eps and (K == lo or not bound(K - 1) <= eps):
+            return K
     hi, step = lo, 1
     while not bound(hi) <= eps:
         if hi >= cap:
@@ -286,9 +301,23 @@ def smallest_certified(bound, eps: float, lo: int, cap: int) -> int:
     return hi
 
 
-def needed_length(M: float, r: float, gamma: float, eps: float) -> int:
-    """Smallest stored length L so the envelope tail beyond L-1 is <= eps."""
-    return smallest_certified(lambda L: power_tail_bound(M, r, gamma, L - 1), eps, 1, 10**7)
+def needed_length(M: float, r: float, gamma: float, eps: float, lo: int = 1) -> int:
+    """Smallest stored length L >= lo, at most 1e7, so the envelope tail
+    beyond L-1 (power_tail_bound) is <= eps.  For gamma >= 0 and r < 1 that
+    bound is A Q**L, A its value at L = 0 and Q = r, or for gamma > 0 the
+    ratio (1 + r)/2 that absorbs the polynomial factor, so the search enters
+    at the closed-form crossing ceil(log(eps/A) / log Q)."""
+
+    def bound(L):
+        return power_tail_bound(M, r, gamma, L - 1)
+
+    guess = None
+    if gamma >= 0 and 0 < r < 1 and M > 0 and eps > 0:
+        ratio = eps / bound(0)
+        if 0 < ratio < math.inf:
+            Q = r if gamma == 0 else 0.5 * (1.0 + r)
+            guess = math.ceil(min(math.log(ratio) / math.log(Q), 1e8))
+    return smallest_certified(bound, eps, lo, 10**7, guess)
 
 
 def _significant_length(M: float, r: float, gamma: float, length: int) -> int:
@@ -574,8 +603,19 @@ def taylor_truncate(h, n: int) -> CPoly:
     return CPoly(h.coeffs[: n + 1])
 
 
+def _modulus_bounds(c: complex) -> tuple[float, float]:
+    """(lo, hi) with lo <= |c| <= hi: abs(c) itself when c is real or
+    imaginary (then it is exact), else the doubles either side of it, since
+    abs is within one unit in the last place."""
+    rho = abs(c)
+    if c.real == 0 or c.imag == 0:
+        return rho, rho
+    return math.nextafter(rho, 0.0), math.nextafter(rho, math.inf)
+
+
 def geometric_series(c: complex, *, eps: float | None = None, length: int | None = None) -> TruncSeries:
-    """The series sum_k c**k z**k = 1/(1 - c z), with exact envelope (1, |c|).
+    """The series sum_k c**k z**k = 1/(1 - c z), with envelope (1, r), r the
+    double at or above |c| (_modulus_bounds).
 
     Requires |c| < 1.  The stored length is chosen from the envelope so the
     coefficient tail beyond it sums below eps (default 1e-12), or is at most
@@ -587,10 +627,11 @@ def geometric_series(c: complex, *, eps: float | None = None, length: int | None
         raise EnvelopeOverflowError("geometric ratio must satisfy |c| < 1")
     if c == 0:
         return TruncSeries([1.0], 0.0, 0.0, 0.0)
+    r = _modulus_bounds(c)[1]
     if length is None:
-        length = needed_length(1.0, rho, 0.0, eps if eps is not None else 1e-12)
-    k = np.arange(_significant_length(1.0, rho, 0.0, length))
-    return TruncSeries(c**k, 1.0, rho, 0.0)
+        length = needed_length(1.0, r, 0.0, eps if eps is not None else 1e-12)
+    k = np.arange(_significant_length(1.0, r, 0.0, length))
+    return TruncSeries(c**k, 1.0, r, 0.0)
 
 
 def blaschke_factor(beta: complex, *, eps: float | None = None, length: int | None = None) -> TruncSeries:
@@ -598,9 +639,11 @@ def blaschke_factor(beta: complex, *, eps: float | None = None, length: int | No
 
     Its value at 0 is |b| and its coefficients decay like |b|**k exactly:
     coeff_0 = |b|, coeff_k = (|b|/b) conj(b)**(k-1) (|b|**2 - 1) for k >= 1.
-    For beta == 0 the factor degenerates to z.  The stored length is chosen
-    from eps as in geometric_series, or is at most length: it stops where
-    the envelope ((1 - |b|**2)/|b|) |b|**k falls below 2**-465.
+    For beta == 0 the factor degenerates to z.  The envelope M r**k is
+    ((1 - |b|**2)/|b|) |b|**k rounded outward: r at or above |b| and M at or
+    above its constant (_modulus_bounds).  The stored length is chosen from
+    eps as in geometric_series, or is at most length: it stops where the
+    envelope falls below 2**-465.
     """
     beta = complex(beta)
     rho = abs(beta)
@@ -608,16 +651,18 @@ def blaschke_factor(beta: complex, *, eps: float | None = None, length: int | No
         raise ValueError("Blaschke factor requires |beta| < 1")
     if beta == 0:
         return TruncSeries([0.0, 1.0], 0.0, 0.0, 0.0)
-    M = (1.0 - rho**2) / rho
+    lo, r = _modulus_bounds(beta)
+    # (1 - lo)(1 + lo)/lo >= (1 - |b|**2)/|b|, its four roundings within 4 units
+    M = (1.0 - lo) * (1.0 + lo) / lo * (1.0 + 2.0**-50)
     if length is None:
-        length = needed_length(M, rho, 0.0, eps if eps is not None else 1e-12)
+        length = needed_length(M, r, 0.0, eps if eps is not None else 1e-12)
         length = max(length, 2)
-    length = _significant_length(M, rho, 0.0, length)
+    length = _significant_length(M, r, 0.0, length)
     k = np.arange(1, length)
     coeffs = np.empty(length, dtype=complex)
     coeffs[0] = rho
     coeffs[1:] = (rho / beta) * np.conj(beta) ** (k - 1) * (rho**2 - 1.0)
-    return TruncSeries(coeffs, M, rho, 0.0)
+    return TruncSeries(coeffs, M, r, 0.0)
 
 
 def blaschke_product(betas, *, eps: float = 1e-12, length: int | None = None) -> TruncSeries:

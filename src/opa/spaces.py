@@ -46,6 +46,7 @@ itself sums at exactly u = 1; a u near 1 gets a covering bar or a refusal.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -533,6 +534,31 @@ def _rising_vec(ks: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def table_powers(c, lo: int, hi: int) -> np.ndarray:
+    """c**k for lo <= k < hi, one row for each entry of an array c (a scalar c
+    gives one vector): c**r, r < 64, as numpy forms it (so bit for bit its
+    c**r), and from k = 64 on c**(64 q + r) = c**(64 q) c**r, the powers
+    c**(64 q) being the same table of c**64 = c**63 c.  Each is a product tree
+    of k leaves c, within series.power_rounding(k)."""
+    c = np.asarray(c, dtype=complex)[..., None]
+    if hi <= lo:
+        return np.ones(c.shape[:-1] + (0,), dtype=complex)
+    return _run_powers(c, lo, hi)
+
+
+def _run_powers(c: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """c**k for 0 <= lo <= k < hi, c of shape (..., 1): blocks q of 64 powers
+    c**(64 q) c**r, read from lo on, block 0 being c**r itself."""
+    low = c ** np.arange(min(64, hi))
+    if hi <= 64:
+        return low[..., lo:hi]
+    q0 = lo >> 6
+    blocks = _run_powers(low[..., 63:] * c, q0, ((hi - 1) >> 6) + 1)[..., None] * low[..., None, :]
+    if q0 == 0:
+        blocks[..., 0, :] = low
+    return blocks.reshape(c.shape[:-1] + (-1,))[..., lo - 64 * q0 : hi - 64 * q0]
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -549,17 +575,16 @@ def _require_kernel_formula(space: WeightSequence) -> None:
 def kernel_coefficients(space: WeightSequence, spec: KernelSpec, length: int) -> np.ndarray:
     """First ``length`` Maclaurin coefficients of the requested kernel."""
     _require_kernel_formula(space)
-    beta = complex(spec.beta)
+    c = np.conj(complex(spec.beta))
     n = spec.order
     ks = np.arange(length)
     w = space.weights(length)
-    # beta = 0 needs no case of its own: numpy's 0j**0 is 1 and 0j**k is +0
+    # c = 0 needs no case of its own: numpy's 0j**0 is 1 and 0j**k is +0
     if spec.flavor == "kernel_for_derivatives":
         coeffs = np.zeros(length, dtype=complex)
-        nz = ks >= n
-        coeffs[nz] = _falling_vec(ks, n)[nz] * np.conj(beta) ** (ks[nz] - n) / w[nz]
+        coeffs[n:] = _falling_vec(ks, n)[n:] * table_powers(c, 0, length - n) / w[n:]
         return coeffs
-    return _rising_vec(ks, n) * np.conj(beta) ** (ks + n) / w
+    return _rising_vec(ks, n) * table_powers(c, n, length + n) / w
 
 
 def kernel_series(
@@ -650,10 +675,14 @@ _BINOM = np.array([[math.comb(n, i) for i in range(61)] for n in range(61)], dty
 
 
 def _weighted_terms(space, j, l, power, k_lo, k_hi):
-    """P_j(k) P_l(k) power(k) / w_k for k_lo <= k < k_hi (0 where w_k overflows)."""
+    """P_j(k) P_l(k) power(k) / w_k for k_lo <= k < k_hi, one row for each entry
+    of the order arrays j and l, power(ks) giving one row of powers each (0
+    where w_k overflows)."""
     ks = np.arange(k_lo, k_hi)
+    falling = {n: _falling_vec(ks, n) for n in {*j, *l}}
     with np.errstate(over="ignore"):
-        return _falling_vec(ks, j) * _falling_vec(ks, l) * power(ks) / space.weights(k_hi, k_lo)
+        factors = np.array([falling[n] for n in j]) * np.array([falling[n] for n in l])
+        return factors * power(ks) / space.weights(k_hi, k_lo)
 
 
 def _poly_in_shifted_basis(j, l):
@@ -666,58 +695,120 @@ def _poly_in_shifted_basis(j, l):
 
 
 def falling_product_sum(
-    space: WeightSequence, j: int, l: int, u: complex, eps: float, start: int = 0
+    space: WeightSequence, j, l, u, eps, start: int = 0
 ) -> Certified:
     """Certified evaluation of sum_{k>=start} P_j(k) P_l(k) u**k / w_k, the sum
-    behind every kernel quantity (kernel_inner scales it).
+    behind every kernel quantity (kernel_inner scales it).  j, l, u and eps
+    may be arrays of one shape, a batch of such sums (a kernel Gram's), and
+    then value and err are arrays of that shape.
 
-    Each regime gives a stop index K and, for the terms from K on, an offset
+    Each entry gets a stop index K and, for the terms from K on, an offset
     and a remainder of at most eps/2: inside the disk (|u| < 1, or growing
     custom weights) a geometric-polynomial bound with the smallest such K
-    (series.smallest_certified), on the circle the Euler-Maclaurin tail of
+    (series.needed_length), on the circle the Euler-Maclaurin tail of
     u = e^z, u = 1 being z = 0; 1 < |u| <= 1 + tol is on the circle (as in
-    is_reproducible), summed at u/|u|.  One loop sums the terms before K,
-    rounding 1e-15 sum|terms|; on the circle off u = 1 a term k counts 2 units
-    (complex operands) per unit of: exp(zk), 3k|z| + 4 (series.power_rounding);
-    factorials, weight and quotient, j + l + 3; np.sum's pairwise tree over a
-    chunk of 2^14 terms, 32; the running total, one a chunk.  Raises
-    CannotCertifyError when the total exceeds eps by more than 1e-14 of the value.
+    is_reproducible), summed at u/|u|.  One loop sums the terms before K of
+    the whole batch, 2^14 indices at a time, an entry its own terms with
+    np.sum of its own slice, so it has the bits it has alone.  A term k
+    counts 2 units (complex operands; 1 when its terms are real, at u = 1
+    or a real u inside) per unit of: its power, 3k|z| + 4 for exp(zk) on
+    the circle off u = 1, 1.125k + 4 inside for table_powers
+    (series.power_rounding; 1.01k + 4 for a real u, whose products are
+    real), 4 at u = 1, where it is exact; factorials, weight and quotient,
+    j + l + 3; np.sum's pairwise tree over a chunk, its longest path
+    (_pairwise_depth, 25 for 2^14 complex terms); the running total, one a
+    chunk; the offset's addition and the reduction's start value, one each.
+    Raises CannotCertifyError when an entry's total exceeds its eps by more
+    than 1e-14 of its value.
     """
+    if space.kind == "multiplier":
+        raise ValueError("multiplier spaces have no coefficient weights")
+    shape = np.broadcast(j, l, u, eps).shape
+    js, ls, us, epss = (np.broadcast_to(x, shape).ravel() for x in (j, l, u, eps))
+    js, ls = js.astype(int), ls.astype(int)
+    plans = [_sum_plan(space, *args, start) for args in zip(js.tolist(), ls.tolist(), us.tolist(), epss.tolist())]
+    us, zs, real, stops, offsets, rems = (np.array(x) for x in zip(*plans))
+    acc = [0.0 if r else 0j for r in real]
+    absacc, kacc = np.zeros(len(plans)), np.zeros(len(plans))
+    circle = zs != 0
+
+    def powers(live):  # each live entry's row of u**k or exp(zk)
+        on, inside = live[circle[live]], live[~circle[live]]
+
+        def of(ks):
+            out = np.empty((live.size, ks.size), dtype=complex)
+            if inside.size:
+                out[~circle[live]] = table_powers(us[inside], int(ks[0]), int(ks[-1]) + 1)
+            if on.size:
+                out[circle[live]] = np.exp(zs[on, None] * ks)
+            return out
+
+        return of
+
+    for lo_k in range(start, int(stops.max(initial=start)), _CHUNK):
+        live = np.flatnonzero(stops > lo_k)
+        hi = min(int(stops[live].max()), lo_k + _CHUNK)
+        terms = _weighted_terms(space, js[live], ls[live], powers(live), lo_k, hi)
+        for t, e in zip(terms, live.tolist()):
+            t = t[: min(stops[e], hi) - lo_k]
+            acc[e] += float(np.sum(t.real)) if real[e] else complex(np.sum(t))
+            absacc[e] += float(np.sum(np.abs(t)))
+            if not real[e]:
+                kacc[e] += float(np.dot(np.arange(lo_k, lo_k + t.size), np.abs(t)))
+    values, errs = np.empty(len(plans), dtype=complex), np.empty(len(plans))
+    for e, (value, offset) in enumerate(zip(acc, offsets.tolist())):
+        values[e] = value = complex(value + offset)
+        # real terms (u = 1, or a real u inside) round once an operation
+        flat = real[e] or (not circle[e] and us[e].imag == 0)
+        slope = 3.0 * abs(zs[e]) if circle[e] else (0.0 if real[e] else 1.01 if flat else 1.125)
+        n, chunks = int(stops[e] - start), math.ceil((stops[e] - start) / _CHUNK)
+        step = 1 if real[e] else 2  # np.sum of t.real, or of the complex t
+        tree = max(_pairwise_depth(step * min(n, _CHUNK), step), _pairwise_depth(step * (n - (chunks - 1) * _CHUNK), step))
+        units = slope * kacc[e] + (js[e] + ls[e] + 9 + tree + chunks) * absacc[e]
+        errs[e] = err = rems[e] + (1.0 if flat else 2.0) * UNIT_ROUNDOFF * units
+        if not err <= epss[e] + 1e-14 * abs(value):
+            raise CannotCertifyError(f"kernel sum error {err:.3g} exceeds eps={epss[e]:.3g}")
+    if not shape:
+        return Certified(complex(values[0]), float(errs[0]))
+    return Certified(values.reshape(shape), errs.reshape(shape))
+
+
+@functools.lru_cache(maxsize=None)
+def _pairwise_depth(n: int, step: int) -> int:
+    """Roundings on the longest path of numpy's pairwise sum of n doubles,
+    step at a time (2: a complex sum, real and imaginary parts alternating):
+    one by one below 8; up to 128, 8 running sums, a tree of 3 levels
+    (2 per part when step is 2) and the rest one by one; else one more
+    level over two halves cut at a multiple of 8."""
+    if n < 8:
+        return n // step
+    if n <= 128:
+        return n // 8 + (2 if step == 1 else 1) + (n % 8) // step
+    half = n // 2 - (n // 2) % 8
+    return 1 + max(_pairwise_depth(half, step), _pairwise_depth(n - half, step))
+
+
+def _sum_plan(space, j, l, u, eps, start):
+    """(u, z, real, stop, offset, rem) of one falling_product_sum entry: the
+    terms from stop on sum to offset within rem <= eps/2, the power is u**k
+    (z = 0) or exp(zk), and real marks u = 1, whose terms are real."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     u = complex(u)
     q = abs(u)
-    if space.kind == "multiplier":
-        raise ValueError("multiplier spaces have no coefficient weights")
     if q > 1.0 + _BOUNDARY_TOL:
         raise CannotCertifyError("series with |u| > 1 diverges")
-    real, z = False, 0.0
     if q >= 1.0 - _BOUNDARY_TOL and space.kind == "custom" and not space.ratio > 1.0:
         raise CannotCertifyError("boundary sums over non-growing custom weights diverge")
     if q < 1.0 - _BOUNDARY_TOL or space.kind == "custom":
         # a growing custom continuation dominates the polynomial factor
-        stop, offset, rem = _interior_tail(space, j, l, q, start, 0.5 * eps)
-    elif space.alpha <= j + l + 1:
+        return (u, 0.0, False, *_interior_tail(space, j, l, q, start, 0.5 * eps))
+    if space.alpha <= j + l + 1:
         raise CannotCertifyError("boundary sum diverges: alpha <= j + l + 1")
-    else:
-        z = cmath.log(u) if q < 1.0 else 1j * cmath.phase(u)
-        if real := not z:  # u/|u| = 1
-            u, z = 1.0 + 0j, 0.0
-        stop, offset, rem = _euler_maclaurin_tail(space.alpha, j, l, z, start, 0.5 * eps)
-    acc, absacc, kacc = (0.0 if real else 0j), 0.0, 0.0
-    power = (lambda ks: np.exp(z * ks)) if z else (lambda ks: u**ks)
-    for lo_k in range(start, stop, _CHUNK):
-        hi_k = min(stop, lo_k + _CHUNK)
-        t = _weighted_terms(space, j, l, power, lo_k, hi_k)
-        acc += float(np.sum(t.real)) if real else complex(np.sum(t))
-        absacc += float(np.sum(np.abs(t)))
-        kacc += float(np.dot(np.arange(lo_k, hi_k), np.abs(t))) if z else 0.0
-    value = complex(acc + offset)
-    units = 3.0 * abs(z) * kacc + (j + l + 40 + math.ceil((stop - start) / _CHUNK)) * absacc
-    err = rem + (2.0 * UNIT_ROUNDOFF * units if z else 1e-15 * absacc)
-    if not err <= eps + 1e-14 * abs(value):
-        raise CannotCertifyError(f"kernel sum error {err:.3g} exceeds eps={eps:.3g}")
-    return Certified(value, err)
+    z = cmath.log(u) if q < 1.0 else 1j * cmath.phase(u)
+    if real := not z:  # u/|u| = 1
+        u, z = 1.0 + 0j, 0.0
+    return (u, z, real, *_euler_maclaurin_tail(space.alpha, j, l, z, start, 0.5 * eps))
 
 
 def _inverse_weight_majorant(space) -> tuple[float, float]:
@@ -729,7 +820,8 @@ def _inverse_weight_majorant(space) -> tuple[float, float]:
 
 def _interior_tail(space, j, l, q, start, eps):
     """(stop, 0, rem): the smallest stop whose geometric-polynomial bound rem
-    on the terms from stop on is <= eps."""
+    on the terms from stop on is <= eps (series.needed_length, which finds
+    it at the bound's closed-form crossing)."""
     if space.kind == "dirichlet":
         gamma = j + l + max(-space.alpha, 0.0)
         Mw = 1.0
@@ -739,12 +831,8 @@ def _interior_tail(space, j, l, q, start, eps):
         gamma, qeff = float(j + l), q * rho_inv
     if qeff >= 1.0:
         raise CannotCertifyError("effective tail ratio reaches 1")
-
-    def bound(K):
-        return power_tail_bound(Mw, qeff, gamma, K - 1)
-
-    stop = smallest_certified(bound, eps, max(max(j, l) + 2, 8, start), 10**7)
-    return stop, 0.0, bound(stop)
+    stop = needed_length(Mw, qeff, gamma, eps, max(max(j, l) + 2, 8, start))
+    return stop, 0.0, power_tail_bound(Mw, qeff, gamma, stop - 1)
 
 
 def _euler_maclaurin_tail(alpha, j, l, z, start, eps):
@@ -817,33 +905,53 @@ def kernel_inner(
     space: WeightSequence, a: KernelSpec, b: KernelSpec, eps: float = 1e-12, start: int = 0
 ) -> Certified:
     """Certified <k_a, k_b> for two derivative-evaluation kernels, summed over
-    the coefficients from index start on.
+    the coefficients from index start on: the 1 x 1 case of kernel_inners.
 
     <k^j_bi, k^l_bs> = conj(bi)^(-j) bs^(-l) sum_k P_j(k) P_l(k)
                         (conj(bi) bs)^k / w_k;
     the error adds the rounding of the scale's two powers and its products.
     Only a boundary kernel paired with itself sums at u = |bi|^2 = 1 exactly.
     """
-    if a.flavor != "kernel_for_derivatives" or b.flavor != "kernel_for_derivatives":
-        raise ValueError("kernel_inner expects derivative-evaluation kernels")
-    ba, bb = complex(a.beta), complex(b.beta)
-    if ba == 0 or bb == 0:
-        # kernel at 0 of order n is the single monomial z^n * n! / w_n, so one
-        # term is nonzero: its factorials, its weight thrice and one power round
-        length = max(a.order, b.order) + 1
-        ca = kernel_coefficients(space, a, length)
-        cb = kernel_coefficients(space, b, length)
-        terms = (space.weights(length) * ca * np.conj(cb))[start:]
-        rel = power_rounding(length, abs(ba + bb) or 1.0) + (2 * length + 16) * UNIT_ROUNDOFF
-        return Certified(complex(np.sum(terms)), rel * float(np.sum(np.abs(terms))))
-    scale = np.conj(ba) ** (-a.order) * bb ** (-b.order)
-    inner_eps = eps / max(abs(scale), 1e-300)
-    u = 1.0 if ba == bb and abs(abs(ba) - 1.0) <= _BOUNDARY_TOL else np.conj(ba) * bb
-    s = falling_product_sum(space, a.order, b.order, u, inner_eps, start)
-    value = scale * s.value
-    # the two powers, the scale's product and the product with the sum
-    rel = power_rounding(a.order, abs(ba)) + power_rounding(b.order, abs(bb)) + 4 * UNIT_ROUNDOFF
-    return Certified(value, abs(scale) * s.err + rel * abs(value))
+    return kernel_inners(space, [(a, b)], eps, start)[0]
+
+
+def kernel_inners(space: WeightSequence, pairs, eps: float = 1e-12, start: int = 0) -> list:
+    """Certified <k_a, k_b> (kernel_inner) for each (a, b) of pairs, summed
+    from index start on: one falling_product_sum call for every pair without
+    a kernel at 0, each pair with the bits it has alone."""
+    out, batch = [None] * len(pairs), []
+    for i, (a, b) in enumerate(pairs):
+        if a.flavor != "kernel_for_derivatives" or b.flavor != "kernel_for_derivatives":
+            raise ValueError("kernel_inner expects derivative-evaluation kernels")
+        ba, bb = complex(a.beta), complex(b.beta)
+        if ba == 0 or bb == 0:
+            out[i] = _kernel_inner_at_zero(space, a, b, start)
+            continue
+        scale = np.conj(ba) ** (-a.order) * bb ** (-b.order)
+        u = 1.0 if ba == bb and abs(abs(ba) - 1.0) <= _BOUNDARY_TOL else np.conj(ba) * bb
+        batch.append((i, scale, a.order, b.order, u, eps / max(abs(scale), 1e-300)))
+    if batch:
+        index, scales, *args = zip(*batch)
+        sums = falling_product_sum(space, *(np.array(x) for x in args), start)
+        for i, scale, value, err in zip(index, scales, sums.value.tolist(), sums.err.tolist()):
+            a, b = pairs[i]
+            value = scale * value
+            # the two powers, the scale's product and the product with the sum
+            rel = power_rounding(a.order) + power_rounding(b.order) + 4 * UNIT_ROUNDOFF
+            out[i] = Certified(value, abs(scale) * err + rel * abs(value))
+    return out
+
+
+def _kernel_inner_at_zero(space, a, b, start):
+    """<k_a, k_b> with a kernel at 0, of order n the single monomial
+    z^n n! / w_n, so one term is nonzero: its factorials, its weight thrice
+    and one power round."""
+    length = max(a.order, b.order) + 1
+    ca = kernel_coefficients(space, a, length)
+    cb = kernel_coefficients(space, b, length)
+    terms = (space.weights(length) * ca * np.conj(cb))[start:]
+    rel = power_rounding(length) + (2 * length + 16) * UNIT_ROUNDOFF
+    return Certified(complex(np.sum(terms)), rel * float(np.sum(np.abs(terms))))
 
 
 def kernel_eval(

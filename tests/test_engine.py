@@ -854,6 +854,30 @@ def test_lift_keeps_operands_and_lengths():
             call()
 
 
+def test_a_certificate_lifts_each_operand_once(monkeypatch):
+    # orthogonal_to_shifts and is_inner sum the data _shift_range lifted: one
+    # mul_poly per operand (a repeated one counts once), and the certificate
+    # is the H2 certificate of lift's output bit for bit
+    quot = WeightSequence.multiplier(CPoly([1, -(0.5 - 0.2j)]))
+    f, h = geometric_series(0.5, length=400), CPoly([1, 0.5])
+    calls = []
+    for cls in (CPoly, TruncSeries):
+        def counting(self, p, _mul=cls.mul_poly):
+            calls.append(type(self).__name__)
+            return _mul(self, p)
+
+        monkeypatch.setattr(cls, "mul_poly", counting)
+    check = orthogonal_to_shifts(quot, f, h)
+    assert sorted(calls) == ["CPoly", "TruncSeries"]
+    calls.clear()
+    inner = is_inner(quot, f)
+    assert calls == ["TruncSeries"]
+    space, mf, mh = lift(quot, f, h)
+    for got, want in ((check, orthogonal_to_shifts(space, mf, mh)), (inner, is_inner(space, mf))):
+        assert repr(got) == repr(want)
+        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(vars(got).values(), vars(want).values()))
+
+
 # -- inner certificates --------------------------------------------------------
 
 

@@ -371,15 +371,17 @@ def test_recurrence_residual_matches_the_term_by_term_loop():
 
 
 def test_kernel_gram_is_the_mirrored_per_pair_sums(monkeypatch):
-    # G[s, b] = <k_b, k_s> from start on: nb (nb + 1) / 2 kernel sums, each
-    # entry equal to its per-pair kernel_inner value, mirrored below
+    # G[s, b] = <k_b, k_s> from start on: the nb (nb + 1) / 2 kernel sums in
+    # one falling_product_sum call, each entry its per-pair kernel_inner
+    # value and error bit for bit, mirrored below
     calls = []
+    summing = opa.spaces.falling_product_sum
 
     def counting(*args):
         calls.append(args)
-        return kernel_inner(*args)
+        return summing(*args)
 
-    monkeypatch.setattr(opa.projection, "kernel_inner", counting)
+    monkeypatch.setattr(opa.spaces, "falling_product_sum", counting)
     cubic = CPoly([0.2 - 0.1j, 1]) * HALF_SQ
     for space, f in [(H2, cubic), (D2, ONE_MINUS_Z), (D1, HALF_THIRD)]:
         basis = project_unity(space, f, eps=1e-11).basis
@@ -387,7 +389,7 @@ def test_kernel_gram_is_the_mirrored_per_pair_sums(monkeypatch):
         for start in (0, 30):
             calls.clear()
             G, err = _kernel_gram(space, basis, 1e-12, start)
-            assert len(calls) == nb * (nb + 1) // 2
+            assert len(calls) == 1 and np.size(calls[0][3]) == nb * (nb + 1) // 2
             for s in range(nb):
                 for b in range(s, nb):
                     g = kernel_inner(space, basis[b], basis[s], 1e-12, start)
@@ -529,3 +531,50 @@ def test_gram_sweep_oracle_converges_to_phi():
     assert dists[0] < 1e-3 and dists[-1] < 1e-6
     assert dists[0] > dists[1] > dists[2]
     assert abs(sweep[-1].distance_sq - r.dist_sq) < 1e-10
+
+
+def test_batched_kernel_gram_is_the_per_pair_loop_bit_for_bit():
+    # one falling_product_sum call sums the whole Gram, each entry with its own
+    # stop, terms and np.sum slices: values and errors equal kernel_inner's,
+    # pair by pair, for interior, interior-boundary and boundary pairs
+    inside = [KernelSpec(0.5 + 0.3j, n) for n in range(4)] + [KernelSpec(-0.6j, 0), KernelSpec(-0.6j, 1)]
+    inside.append(KernelSpec(0.9995, 0))  # its square sums 2^14 terms and more
+    for alpha in (-1.0, 0.0, 1.0, 2.0, 3.0):
+        space = WeightSequence.dirichlet(alpha)
+        on = [KernelSpec(np.exp(0.7j), 0), KernelSpec(np.exp(2.0j), 0)] if alpha > 1 else []
+        basis = inside + on
+        for start in (0, 30, 700):
+            G, err = _kernel_gram(space, basis, 1e-6, start)
+            for s in range(len(basis)):
+                for b in range(s, len(basis)):
+                    g = kernel_inner(space, basis[b], basis[s], 1e-6, start)
+                    if b > s:  # the diagonal holds the mirrored conj(value)
+                        assert G[s, b].tobytes() == np.complex128(g.value).tobytes(), (alpha, s, b, start)
+                    assert G[b, s].tobytes() == np.conj(g.value).tobytes(), (alpha, s, b, start)
+                    assert err[s, b].tobytes() == np.float64(g.err).tobytes()
+
+
+def test_kernel_table_is_kept_and_sliced(monkeypatch):
+    # the first request builds K[b, t] = k_b(t) for its length; a shorter one
+    # is a slice, equal bit for bit to fresh kernel_coefficients rows
+    from opa.spaces import kernel_coefficients
+
+    built = []
+
+    def counting(space, spec, length):
+        built.append(length)
+        return kernel_coefficients(space, spec, length)
+
+    monkeypatch.setattr(opa.projection, "kernel_coefficients", counting)
+    f = CPoly([0.2 - 0.1j, 1]) * HALF_SQ
+    r = project_unity(D1, f)
+    p = approximant_sweep(D1, f, ONE, 12)[-1].p_star * f
+    distance_to_poly(D1, p, r, min_length=512)
+    recurrence_residual(D1, f, r, K=40)
+    r.phi_coefficients(100)
+    assert built == [512] * len(r.basis)
+    for length in (46, 100, 512):
+        fresh = np.array([kernel_coefficients(D1, s, length) for s in r.basis])
+        assert r._kernel_matrix(length).tobytes() == fresh.tobytes()
+    longer = r._kernel_matrix(600)
+    assert built[-len(r.basis):] == [600] * len(r.basis) and longer.shape == (len(r.basis), 600)

@@ -531,8 +531,8 @@ def test_series_mul_takes_a_polynomial_as_a_tail_free_series():
 def test_constructors_stop_where_the_envelope_falls_below_the_floor():
     # stored length = min(length, first k with M r**k < 2**-465) (gamma = 0,
     # so the envelope's peak is at 0); the stored coefficients are the closed
-    # form's, and every dropped one lies below the floor and the envelope (up
-    # to the rounding of r = |beta| to a double, a relative 2**-53 a power)
+    # form's, and every dropped one lies below the floor and the envelope,
+    # which is rounded outward
     import mpmath as mp
 
     lengths = (1, 2, 40, 170, 600, 2000)
@@ -549,7 +549,7 @@ def test_constructors_stop_where_the_envelope_falls_below_the_floor():
                 first = next((k for k in range(max(lengths)) if M * r**k < floor), max(lengths))
                 r_beta = abs(mp.mpc(beta))
                 for k in range(len(s), max(lengths)):
-                    assert exact(k, r_beta) <= M * r**k * (1 + mp.mpf(2.0**-50) * (k + 1))
+                    assert exact(k, r_beta) <= M * r**k
                     assert exact(k, r_beta) < floor
             for length in lengths:
                 s = make(beta, length=length)

@@ -752,3 +752,106 @@ def test_kernel_series_refuses_a_multiplier_space_up_front():
     for spec in (KernelSpec(0.5, 0), KernelSpec(0.0, 1), KernelSpec(0.9j, 2, "derivative_of_kernel")):
         with pytest.raises(ValueError, match="non-orthogonal monomials"):
             kernel_series(quot, spec)
+
+
+# -- table powers, closed-form stops and kernel-sum bars ----------------------
+
+
+def test_table_powers_are_numpys_below_64_and_within_power_rounding():
+    # c**k from the two tables: numpy's own c**k for k < 64, and within
+    # series.power_rounding(k) of the 40-digit power wherever it is a normal
+    # double (the model's domain), for k < 10^5
+    from opa.series import power_rounding
+    from opa.spaces import table_powers
+
+    rng = np.random.default_rng(29)
+    ks = np.unique(np.concatenate([np.arange(200), rng.integers(200, 10**5, 300), [4095, 4096, 4097, 99999]]))
+    with mp.workdps(40):
+        for rho in (0.01, 0.5, 0.9, 0.999):
+            for phase in (0.0, 2.3):
+                c = rho * complex(math.cos(phase), math.sin(phase))
+                got = table_powers(c, 0, 10**5)
+                assert got[:64].tobytes() == (c ** np.arange(64)).tobytes()
+                for k in ks[np.abs(got[ks]) > 2.0**-1000]:
+                    exact = mp.mpc(c) ** int(k)
+                    off = abs(mp.mpc(complex(got[k])) - exact) / abs(exact)
+                    assert off <= power_rounding(int(k)), (c, k)
+                # rows of an array of c are the powers of each c alone, and a run
+                # from any start reads the same table
+                both = table_powers(np.array([c, 0.3j]), 70, 5000)
+                assert both[0].tobytes() == got[70:5000].tobytes()
+                assert both[1].tobytes() == table_powers(0.3j, 70, 5000).tobytes()
+
+
+def test_closed_form_stop_is_the_searched_one():
+    # needed_length enters smallest_certified at the crossing of its geometric
+    # bound; the stop is the one the plain search finds, or both refuse
+    from opa.series import needed_length, power_tail_bound, smallest_certified
+
+    for M in (1e-3, 1.0, 1e6):
+        for q in (0.01, 0.3, 0.81, 0.99, 0.99999):
+            for gamma in (0.0, 1.0, 2.5, 6.0):
+                for eps in (1e-16, 1e-12, 1e-6, 10.0):
+                    for lo in (1, 8, 500):
+                        def bound(K):
+                            return power_tail_bound(M, q, gamma, K - 1)
+
+                        try:
+                            want = smallest_certified(bound, eps, lo, 10**7)
+                        except CannotCertifyError:
+                            with pytest.raises(CannotCertifyError):
+                                needed_length(M, q, gamma, eps, lo)
+                            continue
+                        assert needed_length(M, q, gamma, eps, lo) == want, (M, q, gamma, eps, lo)
+
+
+def test_interior_sums_take_three_bound_evaluations(monkeypatch):
+    # the closed-form crossing is confirmed by the bound there and one below,
+    # where the doubling and bisection took about 2 log2(K) evaluations
+    seen = []
+    bound = opa.series.power_tail_bound
+
+    def counting(*args):
+        seen.append(args)
+        return bound(*args)
+
+    monkeypatch.setattr(opa.series, "power_tail_bound", counting)
+    for u, j, l in ((0.3 + 0.4j, 0, 0), (0.81j, 2, 1), (-0.6, 3, 3)):
+        seen.clear()
+        falling_product_sum(D1, j, l, u, 1e-10)
+        assert len(seen) <= 3, (u, j, l, len(seen))
+
+
+def _falling_sum_in_h2(j, l, u):
+    # sum_k P_j(k) P_l(k) u^k with P_j P_l = sum_i C(j,i) C(l,i) i! P_{j+l-i}
+    # and sum_k P_n(k) u^k = n! u^n / (1 - u)^(n+1)
+    return mp.fsum(
+        math.comb(j, i) * math.comb(l, i) * math.factorial(i) * math.factorial(j + l - i)
+        * u ** (j + l - i) / (1 - u) ** (j + l - i + 1)
+        for i in range(min(j, l) + 1)
+    )
+
+
+def test_interior_sum_bars_cover_40_digit_values_or_refuse():
+    # every regime's head is charged derived units (power, factorials and
+    # weight, the pairwise tree, the running total): each bar covers the
+    # 40-digit value, or the sum is refused
+    with mp.workdps(40):
+        for rho in (0.5, 0.9, 0.999, 0.99999):
+            for phase in (0.0, 1.0):
+                u = rho * complex(math.cos(phase), math.sin(phase))
+                for j in range(4):
+                    for l in range(4):
+                        try:
+                            got = falling_product_sum(H2, j, l, u, 1e-6)
+                        except CannotCertifyError:
+                            continue
+                        want = _falling_sum_in_h2(j, l, mp.mpc(u))
+                        assert abs(mp.mpc(got.value) - want) <= got.err, (u, j, l)
+    # 9999900000.091036 with a bar of 1.05e-5 used to lie 1.58e-5 from the truth
+    try:
+        got = falling_product_sum(H2, 1, 0, 0.99999, 1e-6)
+    except CannotCertifyError:
+        return
+    with mp.workdps(40):
+        assert abs(mp.mpf(got.value.real) - _falling_sum_in_h2(1, 0, mp.mpf(0.99999))) <= got.err
