@@ -479,9 +479,9 @@ def _head_rounding(result: ProjectionResult, mags, absd: np.ndarray, w, head: fl
     Model: each elementary operation, exp and log included, is exact up to
     UNIT_ROUNDOFF relative on normal numbers.  Then phi_t = [t = 0] +
     sum_b C_b k_b(t) is off by at most kappa_t mags_t, mags_t = [t = 0] +
-    sum_b |C_b k_b(t)|, where kappa_t is power_rounding(t) (the table power
-    of each zero) plus max order + nb + 8 units (factorials, weight, products, the nb
-    additions), and phi_t - p_t by one more unit of itself.  An error e_t in
+    sum_b |C_b k_b(t)|, where kappa_t is power_rounding(t) (each zero's table
+    power) plus max order + nb + 8 units (factorials, weight, products, the
+    nb additions), and phi_t - p_t by one more unit of itself.  An error e_t in
     d_t moves |d_t|^2 by at most (2|d_t| + e_t) e_t; |.|^2, the weight and
     the product add 5 units per term, the pairwise sum log2(L) + 20 in all.
     """

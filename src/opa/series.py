@@ -21,9 +21,10 @@ kernel sum's cut in spaces, the shift horizon in engine) is the smallest K
 that certifies, from the one search smallest_certified; a kernel sum's
 remainder gets half of its eps.  A bound geometric in K (needed_length's for
 gamma >= 0, so an interior kernel sum's) enters that search at its
-closed-form crossing, confirmed by the bound there and one below.  TruncSeries.mul_poly keeps the stored
-length under one recomputed envelope; spaces.lift forms a quotient space's
-data with it, and a shift of the product re-bases that envelope.
+closed-form crossing, confirmed by the bound there and one below.
+TruncSeries.mul_poly keeps the stored length under one recomputed envelope;
+spaces.lift forms a quotient space's data with it, and a shift of the
+product re-bases that envelope.
 
 Stored coefficients are exact (up to rounding), with one exception that
 keeps them out of the subnormal range, where x86 arithmetic takes microcode
@@ -76,7 +77,7 @@ def power_rounding(m):
     (Brent, Percival and Zimmermann 2007; 2 with a fused multiply-add), and
     (1 + sqrt(5) u)**n - 1 <= 2.25 n u while n u <= 2**-9, so b**m is within
     2.25 |m| + 8 units, whatever |b|."""
-    return (2.25 * np.abs(m) + 8.0) * UNIT_ROUNDOFF
+    return (2.25 * abs(m) + 8.0) * UNIT_ROUNDOFF
 
 
 def _as_coeff_array(coeffs) -> np.ndarray:

@@ -38,9 +38,16 @@ Every kernel quantity (a kernel value, a kernel-Gram entry, a derivative of
 the projection of 1, a projection tail) is a kernel inner product, a scale
 times sum_{k>=start} P_j(k) P_l(k) u**k / w_k, and falling_product_sum is the
 one routine that sums it, in two regimes: inside the disk the smallest K that
-certifies a geometric bound, on the circle (u = e^z) one Euler-Maclaurin tail
-from K = max(64, ceil(40/|z|), start).  Only a boundary kernel paired with
-itself sums at exactly u = 1; a u near 1 gets a covering bar or a refusal.
+certifies a geometric bound, found at the bound's closed-form crossing, on
+the circle (u = e^z) one Euler-Maclaurin tail from K = max(64, ceil(40/|z|),
+start).  It takes a batch of sums (kernel_inners gives a whole kernel Gram
+in one call, kernel_inner is its 1 x 1 case), each with its own stop, terms
+and error, the bits it has alone.  Powers u**k and a kernel's conj(beta)**k
+come from table_powers, c**(64 q) c**r from two short tables, within
+series.power_rounding.  Each head is charged the rounding of its power,
+factorials, weight and quotient, np.sum's pairwise tree and the running
+total.  Only a boundary kernel paired with itself sums at exactly u = 1; a u
+near 1 gets a covering bar or a refusal.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -540,18 +548,16 @@ def table_powers(c, lo: int, hi: int) -> np.ndarray:
     c**r), and from k = 64 on c**(64 q + r) = c**(64 q) c**r, the powers
     c**(64 q) being the same table of c**64 = c**63 c.  Each is a product tree
     of k leaves c, within series.power_rounding(k)."""
-    c = np.asarray(c, dtype=complex)[..., None]
-    if hi <= lo:
-        return np.ones(c.shape[:-1] + (0,), dtype=complex)
-    return _run_powers(c, lo, hi)
+    return _run_powers(np.asarray(c, dtype=complex)[..., None], lo, hi)
 
 
 def _run_powers(c: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """c**k for 0 <= lo <= k < hi, c of shape (..., 1): blocks q of 64 powers
-    c**(64 q) c**r, read from lo on, block 0 being c**r itself."""
-    low = c ** np.arange(min(64, hi))
+    """c**k for 0 <= lo <= k < hi (none when hi <= lo), c of shape (..., 1):
+    blocks q of 64 powers c**(64 q) c**r, read from lo on, block 0 being c**r
+    itself."""
     if hi <= 64:
-        return low[..., lo:hi]
+        return c ** np.arange(lo, hi)
+    low = c ** np.arange(64)
     q0 = lo >> 6
     blocks = _run_powers(low[..., 63:] * c, q0, ((hi - 1) >> 6) + 1)[..., None] * low[..., None, :]
     if q0 == 0:
@@ -699,8 +705,8 @@ def falling_product_sum(
 ) -> Certified:
     """Certified evaluation of sum_{k>=start} P_j(k) P_l(k) u**k / w_k, the sum
     behind every kernel quantity (kernel_inner scales it).  j, l, u and eps
-    may be arrays of one shape, a batch of such sums (a kernel Gram's), and
-    then value and err are arrays of that shape.
+    may be sequences of one length, a batch of such sums (a kernel Gram's),
+    and then value and err are arrays of that length.
 
     Each entry gets a stop index K and, for the terms from K on, an offset
     and a remainder of at most eps/2: inside the disk (|u| < 1, or growing
@@ -723,54 +729,84 @@ def falling_product_sum(
     """
     if space.kind == "multiplier":
         raise ValueError("multiplier spaces have no coefficient weights")
-    shape = np.broadcast(j, l, u, eps).shape
-    js, ls, us, epss = (np.broadcast_to(x, shape).ravel() for x in (j, l, u, eps))
-    js, ls = js.astype(int), ls.astype(int)
-    plans = [_sum_plan(space, *args, start) for args in zip(js.tolist(), ls.tolist(), us.tolist(), epss.tolist())]
-    us, zs, real, stops, offsets, rems = (np.array(x) for x in zip(*plans))
-    acc = [0.0 if r else 0j for r in real]
-    absacc, kacc = np.zeros(len(plans)), np.zeros(len(plans))
-    circle = zs != 0
-
-    def powers(live):  # each live entry's row of u**k or exp(zk)
-        on, inside = live[circle[live]], live[~circle[live]]
-
-        def of(ks):
-            out = np.empty((live.size, ks.size), dtype=complex)
-            if inside.size:
-                out[~circle[live]] = table_powers(us[inside], int(ks[0]), int(ks[-1]) + 1)
-            if on.size:
-                out[circle[live]] = np.exp(zs[on, None] * ks)
-            return out
-
-        return of
-
-    for lo_k in range(start, int(stops.max(initial=start)), _CHUNK):
-        live = np.flatnonzero(stops > lo_k)
-        hi = min(int(stops[live].max()), lo_k + _CHUNK)
-        terms = _weighted_terms(space, js[live], ls[live], powers(live), lo_k, hi)
-        for t, e in zip(terms, live.tolist()):
-            t = t[: min(stops[e], hi) - lo_k]
-            acc[e] += float(np.sum(t.real)) if real[e] else complex(np.sum(t))
-            absacc[e] += float(np.sum(np.abs(t)))
-            if not real[e]:
-                kacc[e] += float(np.dot(np.arange(lo_k, lo_k + t.size), np.abs(t)))
-    values, errs = np.empty(len(plans), dtype=complex), np.empty(len(plans))
-    for e, (value, offset) in enumerate(zip(acc, offsets.tolist())):
-        values[e] = value = complex(value + offset)
+    batch = isinstance(u, (list, tuple, np.ndarray))
+    entries = zip(j, l, u, eps) if batch else [(j, l, u, eps)]
+    plans = [_sum_plan(space, int(a), int(b), complex(c), float(d), start) for a, b, c, d in entries]
+    acc = [0.0 if p.real else 0j for p in plans]
+    absacc, kacc = [0.0] * len(plans), [0.0] * len(plans)
+    for lo_k in range(start, max((p.stop for p in plans), default=start), _CHUNK):
+        live = [e for e, p in enumerate(plans) if p.stop > lo_k]
+        hi = min(max(plans[e].stop for e in live), lo_k + _CHUNK)
+        rows = [plans[e] for e in live]
+        terms = _weighted_terms(space, [p.j for p in rows], [p.l for p in rows], _powers(rows), lo_k, hi)
+        ks = np.arange(lo_k, hi, dtype=float)
+        for t, e in zip(terms, live):
+            t = t[: min(plans[e].stop, hi) - lo_k]
+            mags = np.abs(t)
+            acc[e] += float(t.real.sum()) if plans[e].real else complex(t.sum())
+            absacc[e] += float(mags.sum())
+            kacc[e] += float(np.dot(ks[: t.size], mags))
+    values, errs = [], []
+    for p, total, a, ka in zip(plans, acc, absacc, kacc):
+        value = complex(total + p.offset)
         # real terms (u = 1, or a real u inside) round once an operation
-        flat = real[e] or (not circle[e] and us[e].imag == 0)
-        slope = 3.0 * abs(zs[e]) if circle[e] else (0.0 if real[e] else 1.01 if flat else 1.125)
-        n, chunks = int(stops[e] - start), math.ceil((stops[e] - start) / _CHUNK)
-        step = 1 if real[e] else 2  # np.sum of t.real, or of the complex t
-        tree = max(_pairwise_depth(step * min(n, _CHUNK), step), _pairwise_depth(step * (n - (chunks - 1) * _CHUNK), step))
-        units = slope * kacc[e] + (js[e] + ls[e] + 9 + tree + chunks) * absacc[e]
-        errs[e] = err = rems[e] + (1.0 if flat else 2.0) * UNIT_ROUNDOFF * units
-        if not err <= epss[e] + 1e-14 * abs(value):
-            raise CannotCertifyError(f"kernel sum error {err:.3g} exceeds eps={epss[e]:.3g}")
-    if not shape:
-        return Certified(complex(values[0]), float(errs[0]))
-    return Certified(values.reshape(shape), errs.reshape(shape))
+        flat = p.real or (not p.z and p.u.imag == 0)
+        slope = 3.0 * abs(p.z) if p.z else 0.0 if p.real else 1.01 if flat else 1.125
+        units = slope * ka + (p.j + p.l + 9 + _summing_units(p.stop - start, p.real)) * a
+        err = p.rem + (1.0 if flat else 2.0) * UNIT_ROUNDOFF * units
+        if not err <= p.eps + 1e-14 * abs(value):
+            raise CannotCertifyError(f"kernel sum error {err:.3g} exceeds eps={p.eps:.3g}")
+        values.append(value)
+        errs.append(err)
+    if batch:
+        return Certified(np.array(values), np.array(errs))
+    return Certified(values[0], errs[0])
+
+
+def _powers(rows):
+    """power(ks) for _weighted_terms: a row of u**k (table_powers) or, on the
+    circle, exp(zk) for each plan of rows."""
+    on = np.array([bool(p.z) for p in rows])
+    inside = [p.u for p in rows if not p.z]
+    zs = np.array([[p.z] for p in rows if p.z])
+
+    def of(ks):
+        if not on.any():
+            return table_powers(inside, int(ks[0]), int(ks[-1]) + 1)
+        out = np.empty((len(rows), ks.size), dtype=complex)
+        out[on] = np.exp(zs * ks)
+        if inside:
+            out[~on] = table_powers(inside, int(ks[0]), int(ks[-1]) + 1)
+        return out
+
+    return of
+
+
+class _Plan(NamedTuple):
+    """One falling_product_sum entry: the terms from stop on sum to offset
+    within rem <= eps/2; the power is u**k (z = 0) or exp(zk), and real
+    marks u = 1, whose terms are real."""
+
+    j: int
+    l: int
+    eps: float
+    u: complex
+    z: complex  # 0.0 inside and at u = 1
+    real: bool
+    stop: int
+    offset: complex
+    rem: float
+
+
+@functools.lru_cache(maxsize=None)
+def _summing_units(n: int, real: bool) -> int:
+    """Roundings on the longest path through a head of n terms as
+    falling_product_sum adds it: np.sum over each chunk of 2^14 terms (of
+    their real parts when real), then one a chunk for the running total."""
+    step = 1 if real else 2
+    chunks = -(-n // _CHUNK)
+    last = n - (chunks - 1) * _CHUNK
+    return chunks + max(_pairwise_depth(step * min(n, _CHUNK), step), _pairwise_depth(step * last, step))
 
 
 @functools.lru_cache(maxsize=None)
@@ -788,13 +824,10 @@ def _pairwise_depth(n: int, step: int) -> int:
     return 1 + max(_pairwise_depth(half, step), _pairwise_depth(n - half, step))
 
 
-def _sum_plan(space, j, l, u, eps, start):
-    """(u, z, real, stop, offset, rem) of one falling_product_sum entry: the
-    terms from stop on sum to offset within rem <= eps/2, the power is u**k
-    (z = 0) or exp(zk), and real marks u = 1, whose terms are real."""
+def _sum_plan(space, j, l, u, eps, start) -> _Plan:
+    """The _Plan of sum_{k>=start} P_j(k) P_l(k) u**k / w_k to eps."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    u = complex(u)
     q = abs(u)
     if q > 1.0 + _BOUNDARY_TOL:
         raise CannotCertifyError("series with |u| > 1 diverges")
@@ -802,13 +835,13 @@ def _sum_plan(space, j, l, u, eps, start):
         raise CannotCertifyError("boundary sums over non-growing custom weights diverge")
     if q < 1.0 - _BOUNDARY_TOL or space.kind == "custom":
         # a growing custom continuation dominates the polynomial factor
-        return (u, 0.0, False, *_interior_tail(space, j, l, q, start, 0.5 * eps))
+        return _Plan(j, l, eps, u, 0.0, False, *_interior_tail(space, j, l, q, start, 0.5 * eps))
     if space.alpha <= j + l + 1:
         raise CannotCertifyError("boundary sum diverges: alpha <= j + l + 1")
     z = cmath.log(u) if q < 1.0 else 1j * cmath.phase(u)
     if real := not z:  # u/|u| = 1
         u, z = 1.0 + 0j, 0.0
-    return (u, z, real, *_euler_maclaurin_tail(space.alpha, j, l, z, start, 0.5 * eps))
+    return _Plan(j, l, eps, u, z, real, *_euler_maclaurin_tail(space.alpha, j, l, z, start, 0.5 * eps))
 
 
 def _inverse_weight_majorant(space) -> tuple[float, float]:
@@ -932,7 +965,7 @@ def kernel_inners(space: WeightSequence, pairs, eps: float = 1e-12, start: int =
         batch.append((i, scale, a.order, b.order, u, eps / max(abs(scale), 1e-300)))
     if batch:
         index, scales, *args = zip(*batch)
-        sums = falling_product_sum(space, *(np.array(x) for x in args), start)
+        sums = falling_product_sum(space, *args, start)
         for i, scale, value, err in zip(index, scales, sums.value.tolist(), sums.err.tolist()):
             a, b = pairs[i]
             value = scale * value
