@@ -766,17 +766,18 @@ def falling_product_sum(
 def _powers(rows):
     """power(ks) for _weighted_terms: a row of u**k (table_powers) or, on the
     circle, exp(zk) for each plan of rows."""
-    on = np.array([bool(p.z) for p in rows])
     inside = [p.u for p in rows if not p.z]
-    zs = np.array([[p.z] for p in rows if p.z])
+    zs = [[p.z] for p in rows if p.z]
 
     def of(ks):
-        if not on.any():
-            return table_powers(inside, int(ks[0]), int(ks[-1]) + 1)
+        lo, hi = int(ks[0]), int(ks[-1]) + 1
+        if not zs:
+            return table_powers(inside, lo, hi)
+        on = np.array([bool(p.z) for p in rows])
         out = np.empty((len(rows), ks.size), dtype=complex)
-        out[on] = np.exp(zs * ks)
+        out[on] = np.exp(np.array(zs) * ks)
         if inside:
-            out[~on] = table_powers(inside, int(ks[0]), int(ks[-1]) + 1)
+            out[~on] = table_powers(inside, lo, hi)
         return out
 
     return of
