@@ -372,8 +372,10 @@ def test_recurrence_residual_matches_the_term_by_term_loop():
 
 def test_kernel_gram_is_the_mirrored_per_pair_sums(monkeypatch):
     # G[s, b] = <k_b, k_s> from start on: the nb (nb + 1) / 2 kernel sums in
-    # one falling_product_sum call, each entry its per-pair kernel_inner
-    # value and error bit for bit, mirrored below
+    # one falling_product_sum call, each entry with its own stop, terms and
+    # np.sum slices, so its value and error are its per-pair kernel_inner's
+    # bit for bit, mirrored below: bases of projections, and interior,
+    # interior-boundary and boundary pairs of orders up to 3 for each alpha
     calls = []
     summing = opa.spaces.falling_product_sum
 
@@ -383,20 +385,25 @@ def test_kernel_gram_is_the_mirrored_per_pair_sums(monkeypatch):
 
     monkeypatch.setattr(opa.spaces, "falling_product_sum", counting)
     cubic = CPoly([0.2 - 0.1j, 1]) * HALF_SQ
-    for space, f in [(H2, cubic), (D2, ONE_MINUS_Z), (D1, HALF_THIRD)]:
-        basis = project_unity(space, f, eps=1e-11).basis
+    cases = [(space, project_unity(space, f, eps=1e-11).basis, 1e-12) for space, f in [(H2, cubic), (D2, ONE_MINUS_Z), (D1, HALF_THIRD)]]
+    inside = [KernelSpec(0.5 + 0.3j, n) for n in range(4)] + [KernelSpec(-0.6j, 0), KernelSpec(-0.6j, 1)]
+    inside.append(KernelSpec(0.9995, 0))  # its square sums more than 2^14 terms
+    for alpha in (-1.0, 0.0, 1.0, 2.0, 3.0):
+        on = [KernelSpec(np.exp(0.7j), 0), KernelSpec(np.exp(2.0j), 0)] if alpha > 1 else []
+        cases.append((WeightSequence.dirichlet(alpha), inside + on, 1e-6))
+    for space, basis, eps in cases:
         nb = len(basis)
-        for start in (0, 30):
+        for start in (0, 30, 700):
             calls.clear()
-            G, err = _kernel_gram(space, basis, 1e-12, start)
+            G, err = _kernel_gram(space, basis, eps, start)
             assert len(calls) == 1 and np.size(calls[0][3]) == nb * (nb + 1) // 2
             for s in range(nb):
                 for b in range(s, nb):
-                    g = kernel_inner(space, basis[b], basis[s], 1e-12, start)
-                    if b > s:
-                        assert G[s, b] == g.value
-                    assert G[b, s] == np.conj(g.value)
-                    assert err[s, b] == err[b, s] == g.err
+                    g = kernel_inner(space, basis[b], basis[s], eps, start)
+                    if b > s:  # the diagonal holds the mirrored conj(value)
+                        assert G[s, b].tobytes() == np.complex128(g.value).tobytes(), (space, s, b, start)
+                    assert G[b, s].tobytes() == np.conj(g.value).tobytes(), (space, s, b, start)
+                    assert err[s, b].tobytes() == err[b, s].tobytes() == np.float64(g.err).tobytes()
             off = ~np.eye(nb, dtype=bool)
             assert np.array_equal(G[off], G.conj().T[off])
             assert np.all(np.abs(np.diag(G).imag) <= np.diag(err))
@@ -531,27 +538,6 @@ def test_gram_sweep_oracle_converges_to_phi():
     assert dists[0] < 1e-3 and dists[-1] < 1e-6
     assert dists[0] > dists[1] > dists[2]
     assert abs(sweep[-1].distance_sq - r.dist_sq) < 1e-10
-
-
-def test_batched_kernel_gram_is_the_per_pair_loop_bit_for_bit():
-    # one falling_product_sum call sums the whole Gram, each entry with its own
-    # stop, terms and np.sum slices: values and errors equal kernel_inner's,
-    # pair by pair, for interior, interior-boundary and boundary pairs
-    inside = [KernelSpec(0.5 + 0.3j, n) for n in range(4)] + [KernelSpec(-0.6j, 0), KernelSpec(-0.6j, 1)]
-    inside.append(KernelSpec(0.9995, 0))  # its square sums 2^14 terms and more
-    for alpha in (-1.0, 0.0, 1.0, 2.0, 3.0):
-        space = WeightSequence.dirichlet(alpha)
-        on = [KernelSpec(np.exp(0.7j), 0), KernelSpec(np.exp(2.0j), 0)] if alpha > 1 else []
-        basis = inside + on
-        for start in (0, 30, 700):
-            G, err = _kernel_gram(space, basis, 1e-6, start)
-            for s in range(len(basis)):
-                for b in range(s, len(basis)):
-                    g = kernel_inner(space, basis[b], basis[s], 1e-6, start)
-                    if b > s:  # the diagonal holds the mirrored conj(value)
-                        assert G[s, b].tobytes() == np.complex128(g.value).tobytes(), (alpha, s, b, start)
-                    assert G[b, s].tobytes() == np.conj(g.value).tobytes(), (alpha, s, b, start)
-                    assert err[s, b].tobytes() == np.float64(g.err).tobytes()
 
 
 def test_kernel_table_is_kept_and_sliced(monkeypatch):
