@@ -682,8 +682,8 @@ _BINOM = np.array([[math.comb(n, i) for i in range(61)] for n in range(61)], dty
 
 def _weighted_terms(space, j, l, power, k_lo, k_hi):
     """P_j(k) P_l(k) power(k) / w_k for k_lo <= k < k_hi, one row for each entry
-    of the order arrays j and l, power(ks) giving one row of powers each (0
-    where w_k overflows)."""
+    of the order sequences j and l, power(ks) giving one row of powers each
+    (0 where w_k overflows)."""
     ks = np.arange(k_lo, k_hi)
     falling = {n: _falling_vec(ks, n) for n in {*j, *l}}
     with np.errstate(over="ignore"):
@@ -729,7 +729,7 @@ def falling_product_sum(
     """
     if space.kind == "multiplier":
         raise ValueError("multiplier spaces have no coefficient weights")
-    batch = isinstance(u, (list, tuple, np.ndarray))
+    batch = isinstance(u, (list, tuple)) or getattr(u, "ndim", 0) > 0
     entries = zip(j, l, u, eps) if batch else [(j, l, u, eps)]
     plans = [_sum_plan(space, int(a), int(b), complex(c), float(d), start) for a, b, c, d in entries]
     acc = [0.0 if p.real else 0j for p in plans]
